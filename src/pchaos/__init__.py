@@ -17,6 +17,7 @@ from .errors import (
     InvalidOrder,
     LevelMismatch,
     MalformedIndex,
+    NonFiniteValue,
     NotAChaosIndex,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -24,12 +25,14 @@ from .padic import (
     CellIndex,
     ChaosTerm,
     PaleyIndex,
+    digit_matrix,
     enumerate_Nd,
     from_digits,
     group_add,
     group_sub,
     paley_decode,
     paley_encode,
+    term_indices,
     to_digits,
 )
 from .transform import (

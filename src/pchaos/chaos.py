@@ -1,4 +1,12 @@
-"""Chaos polynomials: sparse coefficient maps over Rademacher products.
+"""Chaos polynomials: Paley index and coefficient arrays over Rademacher products.
+
+A polynomial is two aligned arrays: the Paley indices n = sum_i ls[i] p^ks[i]
+of its terms (int64) and their coefficients (complex128), kept in the
+canonical term order, lexicographic in (positions, exponents). Placement,
+projections and the decomposition identity are scatters and digit masks
+over these arrays; no per-term object is built on those paths. ``coeffs``
+offers the same data as a read-only ChaosTerm -> complex mapping, decoded
+on first use.
 
 A polynomial with top position N is constant on level-(N+1) cells, so its
 synthesis, sup-norm and every convolution identity below are exact finite
@@ -14,9 +22,9 @@ likewise verifiable against the order-selecting measure.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,60 +41,180 @@ from .errors import (
     InvalidOrder,
     LevelMismatch,
     MalformedIndex,
+    NonFiniteValue,
 )
 from .measures import MeasureRep, _validate_exponents
-from .padic import ChaosTerm, CellIndex, paley_encode
+from .padic import (
+    CellIndex,
+    ChaosTerm,
+    _check_index_width,
+    digit_matrix,
+    exponent_match,
+    paley_decode,
+    paley_encode,
+)
 from .transform import Spectrum, StepFunction, convolve, inverse
 
+# Bound on the (sequences, terms) match mask of one chunk of exponent sequences (bytes).
+_CHUNK_BYTES = 2**20
 
-@dataclass(frozen=True)
+
+class _TermMap(Mapping):
+    """Read-only ChaosTerm -> complex view of aligned index/value arrays.
+
+    The term objects are decoded on first lookup or iteration; ``len``
+    never decodes.
+    """
+
+    def __init__(self, p: int, indices, values) -> None:
+        self.p, self.indices, self.values = p, indices, values
+        self._terms: dict[ChaosTerm, complex] | None = None
+
+    def _decoded(self) -> dict[ChaosTerm, complex]:
+        if self._terms is None:
+            self._terms = {
+                paley_decode(n, self.p): c
+                for n, c in zip(self.indices.tolist(), self.values.tolist())
+            }
+        return self._terms
+
+    def __getitem__(self, term: ChaosTerm) -> complex:
+        return self._decoded()[term]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} chaos terms>"
+
+
+def _check_positions(p: int, N: int) -> None:
+    check_base_level(p, 0)
+    if N < 0:
+        raise MalformedIndex(f"top position must be >= 0, got {N}")
+    _check_index_width(p, N + 1)
+
+
+def _canonical_order(digits: np.ndarray, orders: np.ndarray, p: int) -> np.ndarray:
+    """Permutation sorting terms by (positions, exponents) as ChaosTerm does.
+
+    Position tuples sort lexicographically, a tuple before every longer
+    tuple it is a prefix of. With W positions, m = sum 2^(W-1-k) over the
+    positions k used, b the lowest set bit of m (the last position) and d
+    the order d, 2^W + d - m - b is the number of position tuples sorting
+    before this one. Terms on the same positions compare by their
+    exponents in position order: their digits read most significant first.
+    """
+    width = digits.shape[1]
+    m = (digits != 0) @ (np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64))
+    rank = orders - m - (m & -m)
+    reversed_index = digits @ (np.int64(p) ** np.arange(width - 1, -1, -1))
+    return np.lexsort((reversed_index, rank))
+
+
+@dataclass(frozen=True, eq=False)
 class ChaosPolynomial:
-    """Sparse complex coefficients on chaos terms with positions <= N.
+    """Complex coefficients on chaos terms with positions <= N.
 
-    Immutable after construction. ``coeffs`` maps ChaosTerm -> complex;
-    terms are grouped by order internally so mixed polynomials expose their
-    pure parts cheaply. For a pure polynomial of order d the natural
-    coefficient norm exponent is 2d/(d+1); for mixed polynomials the
-    maximum order present is used.
+    Immutable after construction. ``indices`` (int64 Paley indices) and
+    ``values`` (complex128) hold the terms in the canonical (positions,
+    exponents) order; ``coeffs`` is the same data as a read-only
+    ChaosTerm -> complex mapping. Construct from a mapping,
+    ``ChaosPolynomial(p, N, {term: c})``, or from arrays,
+    ``ChaosPolynomial.from_indices(p, N, indices, values)``. For a pure
+    polynomial of order d the natural coefficient norm exponent is
+    2d/(d+1); for mixed polynomials the maximum order present is used.
     """
 
     p: int
     N: int
     coeffs: Mapping[ChaosTerm, complex]
-    _parts: dict = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
+    _orders: np.ndarray = field(init=False, repr=False)
+
+    @classmethod
+    def from_indices(
+        cls, p: int, N: int, indices: Sequence[int], values: Sequence[complex]
+    ) -> "ChaosPolynomial":
+        """Polynomial with coefficient values[i] on Paley index indices[i]."""
+        _check_positions(p, N)
+        Q = object.__new__(cls)
+        object.__setattr__(Q, "p", p)
+        object.__setattr__(Q, "N", N)
+        Q._store(np.asarray(indices), np.asarray(values))
+        return Q
 
     def __post_init__(self) -> None:
-        check_base_level(self.p, 0)
-        if self.N < 0:
-            raise MalformedIndex(f"top position must be >= 0, got {self.N}")
-        normalized: dict[ChaosTerm, complex] = {}
-        parts: dict[int, dict[ChaosTerm, complex]] = {}
-        for term, c in self.coeffs.items():
+        _check_positions(self.p, self.N)
+        terms = list(self.coeffs)
+        for term in terms:
             if term.max_position > self.N:
                 raise MalformedIndex(
                     f"term positions {term.ks} exceed top position {self.N}"
                 )
-            if any(l >= self.p for l in term.ls):
-                raise InvalidExponent(
-                    f"exponents {term.ls} out of range for base {self.p}"
-                )
-            normalized[term] = complex(c)
-            parts.setdefault(term.order, {})[term] = complex(c)
-        object.__setattr__(self, "coeffs", normalized)
-        object.__setattr__(self, "_parts", parts)
+        indices = np.array([paley_encode(t, self.p).value for t in terms], dtype=np.int64)
+        values = np.array([self.coeffs[t] for t in terms], dtype=np.complex128)
+        self._store(indices, values)
+
+    def _store(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Validate aligned index/value arrays and keep them in canonical order."""
+        if indices.ndim != 1 or values.shape != indices.shape:
+            raise MalformedIndex("indices and values must be aligned 1-d arrays")
+        if indices.size and indices.dtype.kind not in "iu":
+            raise MalformedIndex(f"Paley indices must be integers, got {indices.dtype}")
+        if indices.size and (indices.min() < 1 or indices.max() >= self.p ** (self.N + 1)):
+            raise MalformedIndex(
+                f"Paley indices must lie in 1..{self.p ** (self.N + 1) - 1} "
+                f"(positions up to {self.N})"
+            )
+        indices = indices.astype(np.int64)
+        values = values.astype(np.complex128)
+        if not np.isfinite(values).all():
+            raise NonFiniteValue("chaos coefficients must be finite")
+        digits = digit_matrix(indices, self.p, self.N + 1)
+        orders = np.count_nonzero(digits, axis=1)
+        if indices.size:
+            perm = _canonical_order(digits, orders, self.p)
+            indices, values, orders = indices[perm], values[perm], orders[perm]
+            if np.any(indices[1:] == indices[:-1]):
+                raise MalformedIndex("a term occurs more than once")
+        for arr in (indices, values, orders):
+            arr.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_orders", orders)
+        object.__setattr__(self, "coeffs", _TermMap(self.p, indices, values))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChaosPolynomial):
+            return NotImplemented
+        return (
+            (self.p, self.N) == (other.p, other.N)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def _select(self, keep: np.ndarray) -> "ChaosPolynomial":
+        return ChaosPolynomial.from_indices(
+            self.p, self.N, self.indices[keep], self.values[keep]
+        )
 
     @property
     def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(self._parts))
+        return tuple(int(s) for s in np.unique(self._orders))
 
     @property
     def is_pure(self) -> bool:
-        return len(self._parts) == 1
+        return len(self.orders) == 1
 
     @property
     def order(self) -> int:
         """Maximum chaos order present (0 for the empty polynomial)."""
-        return max(self._parts, default=0)
+        return int(self._orders.max(initial=0))
 
     @property
     def sidon_exponent(self) -> float:
@@ -97,15 +225,15 @@ class ChaosPolynomial:
         return 2 * d / (d + 1)
 
     def order_part(self, s: int) -> dict[ChaosTerm, complex]:
-        return dict(self._parts.get(s, {}))
+        return dict(self._select(self._orders == s).coeffs)
 
     def terms(self) -> list[ChaosTerm]:
         """Terms in the deterministic (positions, exponents) order."""
-        return sorted(self.coeffs)
+        return list(self.coeffs)
 
     def coefficient_vector(self) -> np.ndarray:
         """Coefficients in the deterministic enumeration order."""
-        return np.array([self.coeffs[t] for t in self.terms()], dtype=np.complex128)
+        return self.values.copy()
 
 
 def polynomial_spectrum(
@@ -118,8 +246,7 @@ def polynomial_spectrum(
         )
     check_cell_guard(Q.p, level, max_cells)
     coeffs = np.zeros(Q.p**level, dtype=np.complex128)
-    for term, c in Q.coeffs.items():
-        coeffs[paley_encode(term, Q.p).value] += c
+    coeffs[Q.indices] = Q.values
     return Spectrum(Q.p, level, coeffs)
 
 
@@ -153,7 +280,7 @@ def lq_norm(values: Sequence[complex], q: float) -> float:
 
 def sidon_ratio(Q: ChaosPolynomial, max_cells: int | None = None) -> float:
     """Coefficient norm over sup-norm: lq(coeffs, 2d/(d+1)) / linf(Q)."""
-    vector = Q.coefficient_vector()
+    vector = Q.values
     if vector.size == 0 or not np.any(vector):
         raise DegenerateInput("the zero polynomial has no norm ratio")
     sup, _ = linf_norm(Q, max_cells=max_cells)
@@ -166,26 +293,21 @@ def project_J(Q: ChaosPolynomial, J: Sequence[int]) -> ChaosPolynomial:
     Defined by coefficient selection; ``convolve_with_measure`` with the
     matching selector measure provides the independent route.
     """
-    if Q.coeffs and not Q.is_pure:
+    if Q.indices.size and not Q.is_pure:
         raise InvalidOrder("exponent projection needs a pure-order polynomial")
     J = _validate_exponents(Q.p, J)
     if len(J) != Q.N + 1:
         raise LevelMismatch(f"need {Q.N + 1} exponents, got {len(J)}")
-    selected = {
-        term: c
-        for term, c in Q.coeffs.items()
-        if all(l == J[k] for k, l in zip(term.ks, term.ls))
-    }
-    return ChaosPolynomial(Q.p, Q.N, selected)
+    return Q._select(exponent_match(Q.indices, Q.p, J))
 
 
 def project_order(Q: ChaosPolynomial, s: int) -> ChaosPolynomial:
     """Pure order-s part of a mixed polynomial (zero when absent)."""
     if s < 1:
         raise InvalidOrder(f"order must be at least 1, got {s}")
-    if Q.coeffs and s > Q.order:
+    if Q.indices.size and s > Q.order:
         raise InvalidOrder(f"order {s} exceeds the maximum order {Q.order} present")
-    return ChaosPolynomial(Q.p, Q.N, Q.order_part(s))
+    return Q._select(Q._orders == s)
 
 
 def convolve_with_measure(Q: ChaosPolynomial, measure: MeasureRep) -> Spectrum:
@@ -204,21 +326,26 @@ def decomposition_residual(
 
     Summing project_J over all (p-1)^(N+1) exponent sequences counts every
     term (p-1)^(N+1-d) times, so the scaled sum must reproduce Q exactly.
+    The sequences are enumerated in chunks, and each term's count is the
+    number of them that agree with it under project_J's own mask.
     """
-    if not Q.coeffs:
+    if not Q.indices.size:
         return 0.0
     if not Q.is_pure:
         raise InvalidOrder("the decomposition identity needs a pure-order polynomial")
-    d = Q.order
+    width, base = Q.N + 1, Q.p - 1
     cap = MAX_DECOMPOSITION_SEQUENCES if max_sequences is None else max_sequences
-    count = (Q.p - 1) ** (Q.N + 1)
+    count = base**width
     if count > cap:
         raise CombinatorialBlowup(
             f"(p-1)^(N+1) = {count} exponent sequences exceed the guard {cap}"
         )
-    acc: dict[ChaosTerm, complex] = {term: 0j for term in Q.coeffs}
-    for J in product(range(1, Q.p), repeat=Q.N + 1):
-        for term, c in project_J(Q, J).coeffs.items():
-            acc[term] += c
-    scale = float(Q.p - 1) ** (-(Q.N + 1 - d))
-    return max(abs(Q.coeffs[t] - scale * acc[t]) for t in Q.coeffs)
+    place = base ** np.arange(width)
+    agreeing = np.zeros(Q.indices.size, dtype=np.int64)
+    chunk = max(1, _CHUNK_BYTES // Q.indices.size)
+    for start in range(0, count, chunk):
+        sequences = np.arange(start, min(start + chunk, count))
+        J = (sequences[:, None] // place) % base + 1
+        agreeing += exponent_match(Q.indices, Q.p, J).sum(axis=0)
+    scale = float(base) ** (-(width - Q.order))
+    return float(np.abs(Q.values - scale * (agreeing * Q.values)).max())

@@ -49,12 +49,19 @@ from .transform import Spectrum, StepFunction, forward, inverse
 from . import serialization as ser
 
 
+def _number(token: str, kind: type):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ChaosError(f"{token!r} is not a valid {kind.__name__}") from None
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    return [_number(x, int) for x in text.split(",") if x != ""]
 
 
 def _complex_list(text: str) -> list[complex]:
-    return [complex(x) for x in text.split(",") if x != ""]
+    return [_number(x, complex) for x in text.split(",") if x != ""]
 
 
 def _tolerances(args) -> Tolerances:
@@ -66,7 +73,7 @@ def _tolerances(args) -> Tolerances:
             raise ChaosError(
                 f"--tol expects construction|transform|solve-residual=VALUE, got {item!r}"
             )
-        tol = tol.with_overrides(**{name: float(value)})
+        tol = tol.with_overrides(**{name: _number(value, float)})
     return tol
 
 
@@ -335,11 +342,11 @@ def cmd_verify(args) -> int:
     _emit(args, payload)
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
-        print(
-            f"[{status}] {check.name}: residual {check.residual:.3e} "
-            f"(tol {check.tolerance:.1e})",
-            file=sys.stderr,
-        )
+        if check.residual is None:
+            outcome = f"error: {check.context['error']}"
+        else:
+            outcome = f"residual {check.residual:.3e} (tol {check.tolerance:.1e})"
+        print(f"[{status}] {check.name}: {outcome}", file=sys.stderr)
     return 0 if report.passed else 1
 
 

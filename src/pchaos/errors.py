@@ -55,3 +55,7 @@ class CombinatorialBlowup(GuardExceeded):
 
 class FormatError(ChaosError):
     """A file does not conform to the documented format."""
+
+
+class NonFiniteValue(ChaosError):
+    """A coefficient is NaN or infinite where a finite number is required."""

@@ -42,6 +42,7 @@ exceeds tolerance, never silently degraded.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,7 +63,7 @@ from .errors import (
     InvalidOrder,
     LevelMismatch,
 )
-from .padic import enumerate_Nd, paley_encode
+from .padic import exponent_match, term_indices
 from .transform import Spectrum, StepFunction, forward, inverse
 
 
@@ -128,6 +129,8 @@ def riesz_density(
             f"need {level} coefficients and exponents, got {len(a)} and {len(j)}"
         )
     for ak in a:
+        if not cmath.isfinite(ak):
+            raise CoefficientOutOfRange(f"coefficient {ak} is not finite")
         if abs(ak) > 1 + 1e-12:
             raise CoefficientOutOfRange(f"|a_k| = {abs(ak)} exceeds 1")
     values = np.ones((p,) * level if level else (1,))
@@ -423,13 +426,13 @@ def lemma1_pattern_residual(
             f"measure level {measure.level} cannot resolve positions up to {N}"
         )
     J = _validate_exponents(p, J)
-    matched, mismatched = 0.0, 0.0
-    for term in enumerate_Nd(p, d, N):
-        value = measure.spectrum.coeffs[paley_encode(term, p).value]
-        if all(l == J[k] for k, l in zip(term.ks, term.ls)):
-            matched = max(matched, abs(value - 1.0))
-        else:
-            mismatched = max(mismatched, abs(value))
+    if len(J) < N + 1:
+        raise LevelMismatch(f"need at least {N + 1} exponents, got {len(J)}")
+    indices = term_indices(p, d, N)
+    match = exponent_match(indices, p, J)
+    values = measure.spectrum.coeffs[indices]
+    matched = float(np.abs(values[match] - 1.0).max(initial=0.0))
+    mismatched = float(np.abs(values[~match]).max(initial=0.0))
     return matched, mismatched
 
 
@@ -444,13 +447,10 @@ def lemma2_pattern_residual(
             f"measure level {measure.level} cannot resolve positions up to {N}"
         )
     kept, killed = 0.0, 0.0
-    for order in range(1, d + 1):
-        if order > N + 1:
-            continue
-        for term in enumerate_Nd(p, order, N):
-            value = measure.spectrum.coeffs[paley_encode(term, p).value]
-            if order == s:
-                kept = max(kept, abs(value - 1.0))
-            else:
-                killed = max(killed, abs(value))
+    for order in range(1, min(d, N + 1) + 1):
+        values = measure.spectrum.coeffs[term_indices(p, order, N)]
+        if order == s:
+            kept = max(kept, float(np.abs(values - 1.0).max()))
+        else:
+            killed = max(killed, float(np.abs(values).max()))
     return kept, killed

@@ -11,6 +11,11 @@ Conventions fixed here and relied on everywhere else:
 * Index enumerations are lexicographic in (positions, exponents), so
   coefficient vectors, norms and reports are reproducible byte for byte.
 
+``term_indices`` and ``digit_matrix`` are the array layer every hot path
+uses: whole index sets as int64 Paley values and their exponent digits,
+with no per-term object. ``PaleyIndex``, ``ChaosTerm``, ``CellIndex`` and
+the group operations are the scalar reference for single indices.
+
 All operations are pure functions on immutable values; they are safe to
 call from any number of concurrent workers.
 """
@@ -21,9 +26,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .config import check_base_level
 from .errors import (
     EmptyIndexSet,
+    GuardExceeded,
     InsufficientLevel,
     InvalidExponent,
     InvalidOrder,
@@ -221,20 +229,69 @@ def group_add(x: CellIndex, z: CellIndex) -> CellIndex:
     return CellIndex.from_digits(x.p, digits) if x.level else x
 
 
-def enumerate_Nd(p: int, d: int, N: int) -> list[ChaosTerm]:
-    """All order-d chaos terms with positions in 0..N.
-
-    The listing is lexicographic in (ks, ls) and has exactly
-    C(N+1, d) (p-1)^d entries.
-    """
+def check_chaos_order(p: int, d: int, N: int) -> None:
+    """Refuse a malformed or empty order-d index set over positions 0..N."""
     if p < 2:
         raise MalformedIndex(f"base must be >= 2, got {p}")
     if d < 1:
         raise InvalidOrder(f"order must be at least 1, got {d}")
     if d > N + 1:
         raise EmptyIndexSet(f"order {d} exceeds the {N + 1} available positions")
+
+
+def _check_index_width(p: int, width: int) -> None:
+    """Paley indices of `width` base-p digits must fit in int64."""
+    if p**width > np.iinfo(np.int64).max:
+        raise GuardExceeded(f"{p}^{width} Paley indices exceed the int64 range")
+
+
+def enumerate_Nd(p: int, d: int, N: int) -> list[ChaosTerm]:
+    """All order-d chaos terms with positions in 0..N.
+
+    The listing is lexicographic in (ks, ls) and has exactly
+    C(N+1, d) (p-1)^d entries.
+    """
+    check_chaos_order(p, d, N)
     terms = []
     for ks in combinations(range(N + 1), d):
         for ls in product(range(1, p), repeat=d):
             terms.append(ChaosTerm(ks, ls))
     return terms
+
+
+def term_indices(p: int, d: int, N: int) -> np.ndarray:
+    """Paley indices of the order-d terms with positions in 0..N (int64).
+
+    Same terms and order as enumerate_Nd: the position-combination table
+    times the exponent table, combinations outermost.
+    """
+    check_chaos_order(p, d, N)
+    _check_index_width(p, N + 1)
+    positions = np.array(list(combinations(range(N + 1), d)), dtype=np.int64)
+    exponents = np.array(list(product(range(1, p), repeat=d)), dtype=np.int64)
+    return (np.int64(p) ** positions @ exponents.T).reshape(-1)
+
+
+def digit_matrix(indices: np.ndarray, p: int, width: int) -> np.ndarray:
+    """(n, width) base-p digits of Paley indices, least significant first.
+
+    Column k is the exponent at position k, 0 where the position is unused.
+    """
+    _check_index_width(p, width)
+    indices = np.asarray(indices, dtype=np.int64)
+    return (indices[:, None] // np.int64(p) ** np.arange(width)) % p
+
+
+def exponent_match(indices: np.ndarray, p: int, J: Sequence[int]) -> np.ndarray:
+    """Mask of the indices whose exponents equal J[k] at every used position k.
+
+    J is one sequence (a mask over indices) or an (m, width) array of them
+    (an (m, n) mask, one row per sequence). Positions beyond the sequence
+    length are not read, so indices must lie below p^width.
+    """
+    J = np.asarray(J)
+    digits = digit_matrix(indices, p, J.shape[-1])
+    match = np.ones(J.shape[:-1] + digits.shape[:1], dtype=bool)
+    for k in range(J.shape[-1]):
+        match &= (digits[:, k] == 0) | (digits[:, k] == J[..., k, None])
+    return match

@@ -16,15 +16,17 @@ Polynomial files:
      "terms": [{"k": [...], "l": [...], "re": float, "im": float}, ...]}
 
 with terms sorted by (k, l). Floats are emitted with repr precision, so
-stored values round-trip exactly. Every writer goes through a temporary
-file in the target directory followed by os.replace; readers never observe
-a partial file.
+stored values round-trip exactly. Every number must be finite: NaN and
+infinity are neither written (they are not JSON) nor accepted on load
+(FormatError). Every writer goes through a temporary file in the target
+directory followed by os.replace; readers never observe a partial file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from typing import Any, Iterable, Sequence
@@ -32,6 +34,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .chaos import ChaosPolynomial
+from .config import check_base_level
 from .errors import FormatError
 from .measures import MeasureRep
 from .padic import ChaosTerm
@@ -69,7 +72,13 @@ def json_default(value: Any):
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=json_default) + "\n"
+    try:
+        text = json.dumps(
+            payload, indent=2, sort_keys=True, default=json_default, allow_nan=False
+        )
+    except ValueError as exc:
+        raise FormatError(f"refusing to write invalid JSON: {exc}") from exc
+    return text + "\n"
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
@@ -119,19 +128,25 @@ def _check_version(payload: dict, path: str) -> None:
 
 
 def _encode_array(values: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
+    return np.stack([values.real, values.imag], axis=1).tolist()
 
 
-def _decode_array(data: Any, expected: int, path: str) -> np.ndarray:
+def _decode_array(data: Any, expected: int, path: str, field: str = "data") -> np.ndarray:
     if not isinstance(data, list) or len(data) != expected:
         raise FormatError(
-            f"{path}: field 'data' must hold {expected} [re, im] pairs"
+            f"{path}: field {field!r} must hold {expected} [re, im] pairs"
         )
+    if expected == 0:
+        return np.zeros(0, dtype=np.complex128)
     try:
-        arr = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: field 'data' entries must be [re, im] pairs") from exc
-    return arr
+        pairs = np.array(data)
+    except ValueError:
+        pairs = None
+    if pairs is None or pairs.dtype.kind not in "iuf" or pairs.shape != (expected, 2):
+        raise FormatError(f"{path}: field {field!r} entries must be [re, im] pairs")
+    if not np.isfinite(pairs).all():
+        raise FormatError(f"{path}: field {field!r} holds a non-finite number")
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
 
 
 def _encode_provenance(value: Any) -> Any:
@@ -152,14 +167,17 @@ def _encode_provenance(value: Any) -> Any:
     return value
 
 
-def _decode_provenance(value: Any) -> Any:
+def _decode_provenance(value: Any, path: str) -> Any:
     if isinstance(value, dict):
         if set(value) == {"complex_array"}:
-            return np.array(
-                [complex(re, im) for re, im in value["complex_array"]],
-                dtype=np.complex128,
-            )
-        return {k: _decode_provenance(v) for k, v in value.items()}
+            data = value["complex_array"]
+            size = len(data) if isinstance(data, list) else -1
+            return _decode_array(data, size, path, "provenance")
+        return {k: _decode_provenance(v, path) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_decode_provenance(v, path) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FormatError(f"{path}: field 'provenance' holds a non-finite number")
     return value
 
 
@@ -200,6 +218,7 @@ def load_grid(path: str) -> StepFunction | Spectrum:
     kind = _require(payload, "kind", path)
     p = int(_require(payload, "p", path))
     level = int(_require(payload, "level", path))
+    check_base_level(p, level)
     data = _decode_array(_require(payload, "data", path), p**level, path)
     if kind == "cells":
         return StepFunction(p, level, data)
@@ -229,21 +248,19 @@ def load_measure(path: str) -> MeasureRep:
         raise FormatError(f"{path}: a measure file must have kind 'paley'")
     p = int(_require(payload, "p", path))
     level = int(_require(payload, "level", path))
+    check_base_level(p, level)
     data = _decode_array(_require(payload, "data", path), p**level, path)
     variation = float(_require(payload, "variation", path))
-    provenance = _decode_provenance(_require(payload, "provenance", path))
+    if not math.isfinite(variation):
+        raise FormatError(f"{path}: field 'variation' is not a finite number")
+    provenance = _decode_provenance(_require(payload, "provenance", path), path)
     return MeasureRep(Spectrum(p, level, data), variation, provenance)
 
 
 def save_polynomial(path: str, Q: ChaosPolynomial, extras: dict | None = None) -> None:
     terms = [
-        {
-            "k": list(term.ks),
-            "l": list(term.ls),
-            "re": float(Q.coeffs[term].real),
-            "im": float(Q.coeffs[term].imag),
-        }
-        for term in Q.terms()
+        {"k": list(t.ks), "l": list(t.ls), "re": re, "im": im}
+        for t, (re, im) in zip(Q.terms(), _encode_array(Q.values))
     ]
     payload = {
         "format_version": FORMAT_VERSION,
@@ -263,13 +280,20 @@ def load_polynomial(path: str) -> ChaosPolynomial:
     raw_terms = _require(payload, "terms", path)
     if not isinstance(raw_terms, list):
         raise FormatError(f"{path}: field 'terms' must be a list")
-    coeffs = {}
+    terms, pairs = [], []
     for i, entry in enumerate(raw_terms):
         try:
-            term = ChaosTerm(tuple(entry["k"]), tuple(entry["l"]))
-            coeffs[term] = complex(entry["re"], entry["im"])
+            ks, ls = list(entry["k"]), list(entry["l"])
+            pairs.append([entry["re"], entry["im"]])
         except (KeyError, TypeError) as exc:
             raise FormatError(
                 f"{path}: terms[{i}] must carry fields 'k', 'l', 're', 'im'"
             ) from exc
+        if not all(type(x) is int for x in ks + ls):
+            raise FormatError(f"{path}: terms[{i}] positions and exponents must be integers")
+        terms.append(ChaosTerm(tuple(ks), tuple(ls)))
+    values = _decode_array(pairs, len(pairs), path, "terms")
+    coeffs = dict(zip(terms, values.tolist()))
+    if len(coeffs) != len(terms):
+        raise FormatError(f"{path}: a term is listed more than once")
     return ChaosPolynomial(p, N, coeffs)

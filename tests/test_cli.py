@@ -29,6 +29,20 @@ def test_verify_stdout_json(capsys):
     assert payload["passed"] is True
 
 
+def test_verify_check_that_raises_fails_with_report(tmp_path, capsys):
+    # order 7 passes the cell guard but exceeds the selector cap of the lemma 1 checks
+    out = tmp_path / "report.json"
+    assert run("verify", "--p", "2", "--d", "7", "--N", "7", "--out", out) == 1
+    payload = json.load(open(out))
+    assert payload["passed"] is False
+    errored = {c["name"]: c for c in payload["checks"] if c["residual"] is None}
+    assert set(errored) == {"lemma1-pattern", "lemma1-membership", "young-bound"}
+    assert all(not c["passed"] and "selector cap" in c["context"]["error"] for c in errored.values())
+    err = capsys.readouterr().err
+    assert "[FAIL] young-bound: error: order 7 exceeds" in err
+    assert "[ok] decomposition: residual" in err
+
+
 def test_lemma1_writes_measure_and_summary(tmp_path):
     out = tmp_path / "nu.json"
     code = run(
@@ -163,3 +177,35 @@ def test_tol_override(tmp_path, capsys):
     code = run("project", "--poly", poly, "--order", "1", "--tol", "construction=1e-30")
     assert code in (0, 1)  # residual may be exactly zero for p=2 selections
     assert run("project", "--poly", poly, "--order", "1", "--tol", "bogus=1") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("riesz", "--p", "3", "--level", "2", "--a", "np.float64(0.5),0", "--j", "1,1"),
+        ("riesz", "--p", "3", "--level", "2", "--a", "0.5,0", "--j", "1,1.5"),
+        ("verify", "--p", "2,x", "--d", "1"),
+        ("lemma1", "--p", "3", "--d", "1", "--J", "1,two", "--N", "1"),
+        ("verify", "--p", "2", "--d", "1", "--tol", "construction=tight"),
+    ],
+)
+def test_malformed_number_exit_code(argv, capsys):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "is not a valid" in err
+
+
+def test_non_finite_riesz_coefficient(capsys):
+    assert run("riesz", "--p", "3", "--level", "2", "--a", "nan,0", "--j", "1,1") == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_nan_grid_transform_refused(tmp_path, capsys):
+    cells = tmp_path / "cells.json"
+    out = tmp_path / "out.json"
+    data = [[0.0, 0.0]] * 16
+    data[5] = [float("nan"), 0.0]
+    cells.write_text(json.dumps({"format_version": 1, "kind": "cells", "p": 2, "level": 4, "data": data}))
+    assert run("transform", "--in", cells, "--out", out) == 2
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err

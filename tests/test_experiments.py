@@ -31,6 +31,29 @@ def test_zero_trials_empty_report():
     assert report.rows == [] and report.passed
 
 
+def test_pinned_rows():
+    # Row values recorded before polynomials became index arrays; a change
+    # in term order or in the trial substreams shows up as inequality.
+    ensemble = random_ensemble_study(
+        ExperimentConfig(p=3, d=3, N_values=(3, 4), trials=5, seed=11, ensemble="unimodular")
+    )
+    assert [r.to_dict() for r in ensemble.rows] == [
+        {"p": 3, "d": 3, "N": 3, "trials": 5, "seed": 11, "ensemble": "unimodular",
+         "q": 1.5, "median_l1_ratio": 2.459652273676698, "max_l1_ratio": 3.020920331621907,
+         "median_lq_ratio": 0.7747419187567641, "max_lq_ratio": 0.9515302789664603},
+        {"p": 3, "d": 3, "N": 4, "trials": 5, "seed": 11, "ensemble": "unimodular",
+         "q": 1.5, "median_l1_ratio": 3.780352172066397, "max_l1_ratio": 4.372787543231334,
+         "median_lq_ratio": 0.87734202144936, "max_lq_ratio": 1.0148340916211809},
+    ]
+    growth = growth_study(ExperimentConfig(p=2, d=2, N_values=(5,), trials=7, seed=3))
+    assert [r.to_dict() for r in growth.rows] == [
+        {"p": 2, "d": 2, "N": 5, "trials": 7, "seed": 3, "ensemble": "signs",
+         "q": 1.3333333333333333, "median_l1_ratio": 1.6666666666666667,
+         "max_l1_ratio": 2.142857142857143, "median_lq_ratio": 0.8468879135910246,
+         "max_lq_ratio": 1.088855888902746},
+    ]
+
+
 def test_determinism():
     cfg = ExperimentConfig(p=3, d=2, N_values=(3, 4), trials=20, seed=11)
     a = random_ensemble_study(cfg)

@@ -239,3 +239,9 @@ class TestSpectralVsLiteralConvolutionPowers:
             literal = literal + c * power.values
         literal_hat = forward(StepFunction(p, level, literal))
         assert np.abs(literal_hat.coeffs - nu.spectrum.coeffs).max() <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(float("inf"), 0.0), complex(0.0, float("nan"))])
+def test_riesz_density_refuses_non_finite(bad):
+    with pytest.raises(CoefficientOutOfRange, match="not finite"):
+        riesz_density(3, 2, [0.5, bad], [1, 2])

@@ -1,7 +1,9 @@
 """Digit arithmetic, Paley round trips and index-set combinatorics."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,17 +12,21 @@ from pchaos import (
     CellIndex,
     ChaosTerm,
     EmptyIndexSet,
+    GuardExceeded,
     LevelMismatch,
     MalformedIndex,
     NotAChaosIndex,
+    digit_matrix,
     enumerate_Nd,
     from_digits,
     group_add,
     group_sub,
     paley_decode,
     paley_encode,
+    term_indices,
     to_digits,
 )
+from pchaos.padic import exponent_match
 
 
 @pytest.mark.parametrize(
@@ -161,3 +167,40 @@ def test_enumerate_empty():
 def test_from_digits_rejects_bad_digit():
     with pytest.raises(MalformedIndex):
         from_digits((0, 3), 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_term_indices_match_scalar_encoding(data):
+    p = data.draw(st.integers(min_value=2, max_value=7))
+    N = data.draw(st.integers(min_value=0, max_value=5))
+    d = data.draw(st.integers(min_value=1, max_value=min(N + 1, 3)))
+    indices = term_indices(p, d, N)
+    assert indices.dtype == np.int64
+    assert indices.tolist() == [paley_encode(t, p).value for t in enumerate_Nd(p, d, N)]
+    digits = digit_matrix(indices, p, N + 1)
+    assert [tuple(row) for row in digits.tolist()] == [
+        to_digits(n, p, N + 1) for n in indices.tolist()
+    ]
+
+
+def test_term_indices_guards():
+    with pytest.raises(EmptyIndexSet):
+        term_indices(2, 3, 1)
+    with pytest.raises(MalformedIndex):
+        term_indices(1, 1, 1)
+    with pytest.raises(GuardExceeded):
+        term_indices(16, 1, 16)  # 16^17 Paley indices do not fit in int64
+
+
+@pytest.mark.parametrize("p,d,N", [(2, 2, 3), (3, 2, 3), (5, 1, 2)])
+def test_exponent_match_against_terms(p, d, N):
+    # one sequence gives a mask over the terms; a stack of them, one mask row each
+    indices = term_indices(p, d, N)
+    terms = enumerate_Nd(p, d, N)
+    sequences = np.array(list(itertools.product(range(1, p), repeat=N + 1)))
+    stacked = exponent_match(indices, p, sequences)
+    assert stacked.shape == (len(sequences), len(indices))
+    for J, row in zip(sequences.tolist(), stacked):
+        expected = [all(J[k] == l for k, l in zip(t.ks, t.ls)) for t in terms]
+        assert exponent_match(indices, p, J).tolist() == expected == row.tolist()

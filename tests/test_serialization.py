@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from pchaos import ChaosPolynomial, FormatError, StepFunction, enumerate_Nd, forward
+from pchaos import ChaosPolynomial, FormatError, GuardExceeded, StepFunction, enumerate_Nd, forward
+from pchaos import InvalidExponent, MalformedIndex
 from pchaos import lemma1_measure, random_chaos
 from pchaos import serialization as ser
 
@@ -118,3 +119,89 @@ def test_csv_writer(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == "a,b"
     assert lines[1:] == ["1,2", "3,4"]
+
+
+def _write(path, payload):
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_grid_refused(tmp_path, bad):
+    path = str(tmp_path / "nan.json")
+    data = [[0.0, 0.0]] * 4
+    data[2] = [0.0, bad]
+    _write(path, {"format_version": 1, "kind": "cells", "p": 2, "level": 2, "data": data})
+    with pytest.raises(FormatError, match="non-finite"):
+        ser.load_grid(path)
+
+
+def test_non_finite_measure_fields_refused(tmp_path):
+    nu = lemma1_measure(3, 1, [1, 2], 2)
+    path = str(tmp_path / "nu.json")
+    ser.save_measure(path, nu)
+    payload = json.load(open(path))
+    for field, value in (("variation", float("nan")), ("provenance", {"bound": float("inf")})):
+        broken = dict(payload, **{field: value})
+        _write(path, broken)
+        with pytest.raises(FormatError, match="non-finite|finite number"):
+            ser.load_measure(path)
+    broken = dict(payload, provenance={"c": {"complex_array": [[1.0, float("nan")]]}})
+    _write(path, broken)
+    with pytest.raises(FormatError, match="non-finite"):
+        ser.load_measure(path)
+
+
+def test_guard_runs_before_size(tmp_path):
+    path = str(tmp_path / "huge.json")
+    _write(path, {"format_version": 1, "kind": "paley", "p": 2, "level": 30, "data": []})
+    with pytest.raises(GuardExceeded):
+        ser.load_grid(path)
+
+
+def test_non_finite_polynomial_refused(tmp_path):
+    path = str(tmp_path / "q.json")
+    term = {"k": [0], "l": [1], "re": float("nan"), "im": 0.0}
+    _write(path, {"format_version": 1, "p": 2, "N": 1, "terms": [term]})
+    with pytest.raises(FormatError, match="non-finite"):
+        ser.load_polynomial(path)
+
+
+@pytest.mark.parametrize(
+    "k,l",
+    [([0], [3]), ([1, 0], [1, 1]), ([0, 0], [1, 1]), ([-1], [1]), ([5], [1]), ([0], [])],
+)
+def test_malformed_polynomial_terms(tmp_path, k, l):
+    path = str(tmp_path / "q.json")
+    term = {"k": k, "l": l, "re": 1.0, "im": 0.0}
+    _write(path, {"format_version": 1, "p": 3, "N": 2, "terms": [term]})
+    with pytest.raises((MalformedIndex, InvalidExponent)):
+        ser.load_polynomial(path)
+
+
+def test_empty_polynomial_round_trip(tmp_path):
+    path = str(tmp_path / "q.json")
+    ser.save_polynomial(path, ChaosPolynomial(3, 2, {}))
+    assert ser.load_polynomial(path) == ChaosPolynomial(3, 2, {})
+
+
+def test_writer_refuses_non_finite(tmp_path):
+    path = str(tmp_path / "out.json")
+    with pytest.raises(FormatError):
+        ser.write_json_atomic(path, {"value": float("nan")})
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [{"k": [0.5], "l": [1], "re": 1.0, "im": 0.0}],
+        [{"k": "0", "l": [1], "re": 1.0, "im": 0.0}],
+        [{"k": [0], "l": [1], "re": 1.0, "im": 0.0}, {"k": [0], "l": [1], "re": 2.0, "im": 0.0}],
+    ],
+)
+def test_polynomial_terms_refused_as_format_errors(tmp_path, terms):
+    path = str(tmp_path / "q.json")
+    _write(path, {"format_version": 1, "p": 3, "N": 2, "terms": terms})
+    with pytest.raises(FormatError):
+        ser.load_polynomial(path)
