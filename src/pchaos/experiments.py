@@ -370,6 +370,8 @@ def verify_suite(
         }
     )
     start = time.perf_counter()
+    check_wall_s: dict[str, float] = {}
+    report.meta["check_wall_s"] = check_wall_s
     if not p_values or not d_values:
         report.meta["wall_time_s"] = time.perf_counter() - start
         return report
@@ -380,16 +382,17 @@ def verify_suite(
         check_cell_guard(p, level, max_cells)
 
     def run(name: str, tolerance: float, fn) -> None:
+        check_start = time.perf_counter()
         try:
             residual, context = fn()
         except ChaosError as exc:
-            report.checks.append(
-                CheckResult(name, None, tolerance, False, {"error": str(exc)})
+            result = CheckResult(name, None, tolerance, False, {"error": str(exc)})
+        else:
+            result = CheckResult(
+                name, float(residual), tolerance, residual <= tolerance, context
             )
-            return
-        report.checks.append(
-            CheckResult(name, float(residual), tolerance, residual <= tolerance, context)
-        )
+        check_wall_s[name] = time.perf_counter() - check_start
+        report.checks.append(result)
 
     # --- transform layer, per base ------------------------------------
     def transform_roundtrip():

@@ -282,12 +282,13 @@ def lemma1_system(d: int, residual_tol: float | None = None) -> VandermondeSyste
 # ---------------------------------------------------------------------------
 
 
+def _variation(density: StepFunction) -> float:
+    """Exact finite-level total variation p^-L sum |density|."""
+    return float(np.abs(density.values).sum() * density.p ** (-density.level))
+
+
 def _measure_from_spectrum(spectrum: Spectrum, provenance: dict) -> MeasureRep:
-    density = inverse(spectrum)
-    variation = float(
-        np.abs(density.values).sum() * spectrum.p ** (-spectrum.level)
-    )
-    return MeasureRep(spectrum, variation, provenance)
+    return MeasureRep(spectrum, _variation(inverse(spectrum)), provenance)
 
 
 def lemma1_measure(
@@ -392,22 +393,19 @@ def rho_y_measure(
         for sk, jk in zip(signs, J)
     ]
     density = riesz_density(p, level, a, J, max_cells)
-    spectrum = forward(density)
-    variation = float(np.abs(density.values).sum() * p ** (-level))
     provenance = {
         "construction": "rho_y",
         "p": p,
         "J": tuple(J),
         "signs": tuple(signs),
     }
-    return MeasureRep(spectrum, variation, provenance)
+    return MeasureRep(forward(density), _variation(density), provenance)
 
 
 def total_variation(measure: MeasureRep) -> float:
     """Exact finite-level variation p^-L sum |density|, recomputed from the
     coefficient array."""
-    density = inverse(measure.spectrum)
-    return float(np.abs(density.values).sum() * measure.p ** (-measure.level))
+    return _variation(inverse(measure.spectrum))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -43,17 +43,23 @@ from .transform import Spectrum, StepFunction
 FORMAT_VERSION = 1
 
 
-def write_text_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, write: Callable[[TextIO], None], newline: str | None = None) -> None:
+    """Run `write` on a temp file in the target directory, then os.replace
+    it onto `path`; the temp file is removed if anything fails."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "w", newline=newline) as handle:
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    _write_atomic(path, lambda handle: handle.write(text))
 
 
 def json_default(value: Any):
@@ -86,19 +92,12 @@ def write_json_atomic(path: str, payload: dict) -> None:
 
 
 def write_csv_atomic(path: str, fieldnames: Sequence[str], rows: Iterable[dict]) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(fieldnames))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    def write(handle: TextIO) -> None:
+        writer = csv.DictWriter(handle, fieldnames=list(fieldnames))
+        writer.writeheader()
+        writer.writerows(rows)
+
+    _write_atomic(path, write, newline="")
 
 
 def _load_json(path: str) -> dict:

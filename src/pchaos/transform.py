@@ -165,24 +165,71 @@ def _paley_digit_columns(p: int, level: int) -> np.ndarray:
     return np.stack([(idx // p**k) % p for k in range(level)], axis=1)
 
 
+# Rows of the character table the naive transform holds at once: at
+# p^L = 2187 cells a 16-row block (0.8 MiB) stays in a 2 MiB L2 cache.
+_REFERENCE_BLOCK_ROWS = 16
+
+
+def _check_direct(p: int, level: int, what: str) -> None:
+    if p**level > MAX_DIRECT_CELLS:
+        raise GuardExceeded(f"{what} needs {p}^{level} squared entries, above the guard")
+
+
+def _reference_digits(p: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Paley digit rows (p^L, L) and cell digit columns (L, p^L) as float64
+    operands of the phase product."""
+    mdig = _paley_digit_columns(p, level).astype(np.float64)
+    cdig_t = _cell_digit_columns(p, level).T.astype(np.float64)
+    return mdig, cdig_t
+
+
+def _character_phases(mdig: np.ndarray, cdig_t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the phase sums sum_k l_k c_{k+1} of chi[m, c] for the Paley digit
+    rows `mdig` against every cell into the intp array `out`. Each sum is an
+    integer at most L (p-1)^2 < 2^53, so the float64 product is exact."""
+    out[...] = mdig @ cdig_t
+    return out
+
+
+def _phase_powers(p: int, level: int) -> np.ndarray:
+    """omega^(s mod p) for every phase sum s in 0..L (p-1)^2, so indexing
+    with a phase sum reduces it mod p."""
+    return root_of_unity_powers(p)[np.arange(level * (p - 1) ** 2 + 1) % p]
+
+
 def character_matrix(p: int, level: int) -> np.ndarray:
     """Full (p^L, p^L) table of character values chi[m, c]. Quadratic cost;
     guarded to small grids."""
-    if p**level > MAX_DIRECT_CELLS:
-        raise GuardExceeded(
-            f"character matrix needs {p}^{level} squared entries, above the guard"
-        )
-    mdig = _paley_digit_columns(p, level)
-    cdig = _cell_digit_columns(p, level)
-    phase = (mdig @ cdig.T) % p
-    return root_of_unity_powers(p)[phase]
+    _check_direct(p, level, "character matrix")
+    mdig, cdig_t = _reference_digits(p, level)
+    phase = np.empty((p**level, p**level), dtype=np.intp)
+    return _phase_powers(p, level)[_character_phases(mdig, cdig_t, phase)]
 
 
 def naive_forward(f: StepFunction) -> Spectrum:
-    """The defining double sum, kept as the reference for the fast path."""
-    chi = character_matrix(f.p, f.level)
-    coeffs = (np.conjugate(chi) @ f.values) * f.p ** (-f.level)
-    return Spectrum(f.p, f.level, coeffs)
+    """The defining double sum, kept as the reference for the fast path.
+
+    Every character value comes from its own digit pairing. The table is
+    built a block of rows at a time, so memory is O(block p^L), not O(p^2L).
+    """
+    p, level = f.p, f.level
+    _check_direct(p, level, "naive transform")
+    mdig, cdig_t = _reference_digits(p, level)
+    conj_powers = np.conjugate(_phase_powers(p, level))
+    size = p**level
+    rows = min(size, _REFERENCE_BLOCK_ROWS)
+    # Block buffers are reused: a fresh multi-MiB temporary per block is
+    # handed back to the OS and page-faulted in again on every block.
+    phase = np.empty((rows, size), dtype=np.intp)
+    chi = np.empty((rows, size), dtype=np.complex128)
+    coeffs = np.empty(size, dtype=np.complex128)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        block_phase = _character_phases(mdig[start:stop], cdig_t, phase[: stop - start])
+        block_chi = np.take(conj_powers, block_phase, out=chi[: stop - start])
+        np.matmul(block_chi, f.values, out=coeffs[start:stop])
+    coeffs *= p ** (-level)
+    return Spectrum(p, level, coeffs)
 
 
 def _check_compatible(a, b) -> None:
@@ -199,12 +246,15 @@ def convolve(a: Spectrum, b: Spectrum) -> Spectrum:
 
 
 def _group_sub_table(p: int, level: int) -> np.ndarray:
-    """(p^L, p^L) table of x - z in the coordinate group."""
-    xd = _cell_digit_columns(p, level)
-    size = p**level
-    table = np.zeros((size, size), dtype=np.int64)
-    for k in range(level):
-        table += ((xd[:, None, k] - xd[None, :, k]) % p) * p ** (level - 1 - k)
+    """(p^L, p^L) table of x - z in the coordinate group: digitwise
+    (x_k - z_k) mod p, built as a Kronecker sum one digit at a time from the
+    least significant (c_L) up."""
+    digits = np.arange(p, dtype=np.int64)
+    diff = (digits[:, None] - digits[None, :]) % p
+    table = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(level):
+        n = table.shape[0]
+        table = (diff[:, None, :, None] * n + table[None, :, None, :]).reshape(n * p, n * p)
     return table
 
 
@@ -214,10 +264,7 @@ def convolve_functions(f: StepFunction, g: StepFunction) -> StepFunction:
     Quadratic cost; guarded to small grids. Reference for `convolve`.
     """
     _check_compatible(f, g)
-    if f.p**f.level > MAX_DIRECT_CELLS:
-        raise GuardExceeded(
-            f"direct convolution needs {f.p}^{f.level} squared entries, above the guard"
-        )
+    _check_direct(f.p, f.level, "direct convolution")
     table = _group_sub_table(f.p, f.level)
     values = (f.values[table] @ g.values) * f.p ** (-f.level)
     return StepFunction(f.p, f.level, values)

@@ -27,6 +27,7 @@ def test_verify_stdout_json(capsys):
     assert run("verify", "--p", "2", "--d", "1", "--N", "3", "--seed", "1") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
+    assert set(payload["meta"]["check_wall_s"]) == {c["name"] for c in payload["checks"]}
 
 
 def test_verify_check_that_raises_fails_with_report(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Studies, determinism, baselines and the verification suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,15 @@ class TestVerifySuite:
     def test_empty_grid(self):
         report = verify_suite([], [1], N=4)
         assert report.checks == [] and report.passed
+        assert report.meta["check_wall_s"] == {}
+
+    def test_check_wall_times_stay_out_of_checks(self):
+        a = verify_suite([2, 3], [1, 2], N=3, seed=2)
+        b = verify_suite([2, 3], [1, 2], N=3, seed=2)
+        assert [c.to_dict() for c in a.checks] == [c.to_dict() for c in b.checks]
+        wall = a.meta["check_wall_s"]
+        assert list(wall) == [c.name for c in a.checks]
+        assert all(math.isfinite(t) and t >= 0.0 for t in wall.values())
 
     def test_corrupted_lemma1_yields_named_failure(self, monkeypatch):
         def corrupted(p, d, J, level, max_cells=None):

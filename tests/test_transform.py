@@ -1,5 +1,7 @@
 """Transform correctness: characters, round trips, Parseval, convolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from pchaos import (
     naive_forward,
     rademacher_value,
 )
+from pchaos.transform import _group_sub_table
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -140,9 +143,31 @@ class TestFastVsNaive:
             assert np.abs(fast - ref).max() / np.abs(ref).max() <= 1e-12
             level += 1
 
+    @pytest.mark.parametrize("p,level", [(5, 4), (7, 3), (3, 7)])
+    def test_blocks_match_full_table(self, p, level):
+        # cell counts that are not a multiple of the row block
+        f = random_function(p, level, seed=p + 7 * level)
+        full = (np.conjugate(character_matrix(p, level)) @ f.values) * p**-level
+        assert np.abs(naive_forward(f).coeffs - full).max() <= 1e-15
+
     def test_character_matrix_guard(self):
         with pytest.raises(GuardExceeded):
             character_matrix(2, 15)
+
+    def test_naive_forward_guard(self):
+        with pytest.raises(GuardExceeded):
+            naive_forward(StepFunction(2, 12, np.zeros(2**12)))
+
+    def test_naive_forward_memory(self):
+        # a full 2187 x 2187 table and its conjugate would take ~146 MiB
+        f = random_function(3, 7, seed=3)
+        tracemalloc.start()
+        try:
+            naive_forward(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 class TestConvolve:
@@ -169,6 +194,15 @@ class TestConvolve:
     def test_level_mismatch(self):
         with pytest.raises(LevelMismatch):
             convolve(Spectrum(2, 2, np.zeros(4)), Spectrum(2, 3, np.zeros(8)))
+
+    @pytest.mark.parametrize("p,level", [(2, 4), (3, 3), (5, 2)])
+    def test_sub_table_is_group_sub(self, p, level):
+        table = _group_sub_table(p, level)
+        size = p**level
+        for x in range(size):
+            for z in range(size):
+                diff = group_sub(CellIndex(p, level, x), CellIndex(p, level, z))
+                assert table[x, z] == diff.index
 
 
 def test_step_function_validation():
