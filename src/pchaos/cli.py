@@ -23,6 +23,8 @@ from .config import (
 )
 from .errors import ChaosError
 from .measures import (
+    MeasureRep,
+    density_variation,
     lemma1_measure,
     lemma1_pattern_residual,
     lemma2_measure,
@@ -118,7 +120,7 @@ def cmd_riesz(args) -> int:
     j = _int_list(args.j)
     density = riesz_density(args.p, args.level, a, j, args.max_cells)
     spectrum = forward(density)
-    variation = float(np.abs(density.values).sum() * args.p**-args.level)
+    variation = density_variation(density)
     integral = density.integral()
     min_density = float(density.values.real.min())
     checks = {
@@ -132,8 +134,6 @@ def cmd_riesz(args) -> int:
         and min_density >= -MASS_TOL
     )
     if args.out:
-        from .measures import MeasureRep
-
         measure = MeasureRep(
             spectrum,
             variation,
@@ -288,7 +288,8 @@ def _study_csv(path: str, report) -> None:
     ser.write_csv_atomic(path, fieldnames, rows)
 
 
-def cmd_ensemble(args) -> int:
+def cmd_study(args) -> int:
+    study = growth_study if args.command == "growth" else random_ensemble_study
     cfg = ExperimentConfig(
         p=args.p,
         d=args.d,
@@ -298,26 +299,7 @@ def cmd_ensemble(args) -> int:
         ensemble=args.ensemble,
         max_cells=args.max_cells,
     )
-    report = random_ensemble_study(cfg)
-    payload = {"format_version": ser.FORMAT_VERSION} | report.to_dict()
-    if args.csv:
-        _study_csv(args.csv, report)
-        print(f"wrote {args.csv}")
-    _emit(args, payload)
-    return 0 if report.passed else 1
-
-
-def cmd_growth(args) -> int:
-    cfg = ExperimentConfig(
-        p=args.p,
-        d=args.d,
-        N_values=tuple(_int_list(args.N)),
-        trials=args.trials,
-        seed=args.seed,
-        ensemble=args.ensemble,
-        max_cells=args.max_cells,
-    )
-    report = growth_study(cfg)
+    report = study(cfg)
     payload = {"format_version": ser.FORMAT_VERSION} | report.to_dict()
     if args.csv:
         _study_csv(args.csv, report)
@@ -363,16 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def max_cells(p):
         p.add_argument("--max-cells", type=int, default=None, help="cell guard override")
+
+    def tol(p):
         p.add_argument(
             "--tol",
             action="append",
             metavar="NAME=VALUE",
             help="override a tolerance tier (construction, transform, solve-residual)",
         )
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("transform", help="apply the fast transform to a grid file")
     p.add_argument("--in", dest="input", required=True)
@@ -380,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--direction", choices=("auto", "forward", "inverse"), default="auto"
     )
-    common(p)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("riesz", help="build a Riesz product measure")
@@ -389,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="comma-separated complex coefficients")
     p.add_argument("--j", required=True, help="comma-separated exponents")
     p.add_argument("--out")
-    common(p)
+    max_cells(p)
     p.set_defaults(func=cmd_riesz)
 
     p = sub.add_parser("lemma1", help="build the exponent-selector measure")
@@ -398,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", required=True, help="comma-separated exponents, length N+1")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out")
-    common(p)
+    max_cells(p)
     p.set_defaults(func=cmd_lemma1)
 
     p = sub.add_parser("lemma2", help="build the order-selector measure")
@@ -407,14 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out")
-    common(p)
+    max_cells(p)
+    tol(p)
     p.set_defaults(func=cmd_lemma2)
 
     p = sub.add_parser("norms", help="norms and ratio of a polynomial file")
     p.add_argument("--poly", required=True)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--out")
-    common(p)
+    max_cells(p)
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("project", help="exponent or order projection")
@@ -422,16 +404,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", help="comma-separated exponents, length N+1")
     p.add_argument("--order", type=int)
     p.add_argument("--out")
-    common(p)
+    max_cells(p)
+    tol(p)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("decompose", help="exponent-averaging identity residual")
     p.add_argument("--poly", required=True)
     p.add_argument("--max-sequences", type=int, default=None)
-    common(p)
+    tol(p)
     p.set_defaults(func=cmd_decompose)
 
-    for name, handler in (("ensemble", cmd_ensemble), ("growth", cmd_growth)):
+    for name in ("ensemble", "growth"):
         p = sub.add_parser(name, help=f"run the {name} study")
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
@@ -440,15 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ensemble", choices=("signs", "unimodular"), default="signs")
         p.add_argument("--out")
         p.add_argument("--csv")
-        common(p, seed=True)
-        p.set_defaults(func=handler)
+        p.add_argument("--seed", type=int, default=0)
+        max_cells(p)
+        p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--p", required=True, help="comma-separated bases")
     p.add_argument("--d", required=True, help="comma-separated orders")
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--out")
-    common(p, seed=True)
+    p.add_argument("--seed", type=int, default=0)
+    max_cells(p)
+    tol(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -10,8 +10,8 @@ outside the reproducible rows.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,7 +47,8 @@ from .transform import (
     naive_forward,
 )
 from .measures import (
-    is_self_conjugate,
+    _lemma1_base_spectrum,
+    density_variation,
     lemma1_measure,
     lemma1_pattern_residual,
     lemma2_measure,
@@ -170,25 +171,17 @@ class ExperimentReport:
         }
 
 
-def _ratio_samples(
-    p: int, d: int, N: int, trials: int, seed: int, ensemble: str
-) -> tuple[list[float], list[float]]:
-    indices = term_indices(p, d, N)
-    q = 2 * d / (d + 1)
-    l1_ratios, lq_ratios = [], []
-    for t in range(trials):
-        rng = trial_rng(seed, N, t)
-        coeffs = draw_coefficients(rng, len(indices), ensemble)
-        Q = ChaosPolynomial.from_indices(p, N, indices, coeffs)
-        sup, _ = linf_norm(Q)
-        vector = Q.values
-        l1_ratios.append(lq_norm(vector, 1.0) / sup)
-        lq_ratios.append(lq_norm(vector, q) / sup)
-    return l1_ratios, lq_ratios
-
-
 def _row(cfg: ExperimentConfig, N: int) -> ExperimentRow:
-    l1, lq = _ratio_samples(cfg.p, cfg.d, N, cfg.trials, cfg.seed, cfg.ensemble)
+    """Ratio statistics over cfg.trials polynomials on the order-d index set."""
+    indices = term_indices(cfg.p, cfg.d, N)
+    q = 2 * cfg.d / (cfg.d + 1)
+    l1, lq = [], []
+    for t in range(cfg.trials):
+        coeffs = draw_coefficients(trial_rng(cfg.seed, N, t), len(indices), cfg.ensemble)
+        Q = ChaosPolynomial.from_indices(cfg.p, N, indices, coeffs)
+        sup, _ = linf_norm(Q)
+        l1.append(lq_norm(Q.values, 1.0) / sup)
+        lq.append(lq_norm(Q.values, q) / sup)
     return ExperimentRow(
         p=cfg.p,
         d=cfg.d,
@@ -196,7 +189,7 @@ def _row(cfg: ExperimentConfig, N: int) -> ExperimentRow:
         trials=cfg.trials,
         seed=cfg.seed,
         ensemble=cfg.ensemble,
-        q=2 * cfg.d / (cfg.d + 1),
+        q=q,
         median_l1_ratio=float(np.median(l1)),
         max_l1_ratio=float(np.max(l1)),
         median_lq_ratio=float(np.median(lq)),
@@ -204,43 +197,51 @@ def _row(cfg: ExperimentConfig, N: int) -> ExperimentRow:
     )
 
 
-def random_ensemble_study(cfg: ExperimentConfig) -> ExperimentReport:
-    """Ratio statistics per N; empty report when trials == 0."""
+def _run_study(
+    kind: str,
+    cfg: ExperimentConfig,
+    verdicts: Callable[[ExperimentConfig, ExperimentReport], list[str]] | None = None,
+) -> ExperimentReport:
+    """One row per N (none when trials == 0), then the study's own
+    `verdicts(cfg, report)` failures, then the baseline comparison."""
     start = time.perf_counter()
-    report = ExperimentReport(kind="ensemble", config=cfg.to_dict())
+    report = ExperimentReport(kind=kind, config=cfg.to_dict())
     if cfg.trials > 0:
-        for N in sorted(cfg.N_values):
-            report.rows.append(_row(cfg, N))
+        report.rows.extend(_row(cfg, N) for N in sorted(cfg.N_values))
+    if verdicts is not None:
+        report.failures.extend(verdicts(cfg, report))
     report.failures.extend(check_against_baselines(report))
     report.meta["wall_time_s"] = time.perf_counter() - start
     return report
 
 
-def growth_study(cfg: ExperimentConfig) -> ExperimentReport:
-    """Median l1 ratios must grow strictly in N (for d >= 2) while the
-    2d/(d+1) ratios stay inside a factor-2 band. Violations are reported,
-    never dropped."""
-    start = time.perf_counter()
-    report = ExperimentReport(kind="growth", config=cfg.to_dict())
-    if cfg.trials > 0:
-        for N in sorted(cfg.N_values):
-            report.rows.append(_row(cfg, N))
+def random_ensemble_study(cfg: ExperimentConfig) -> ExperimentReport:
+    """Ratio statistics per N; empty report when trials == 0."""
+    return _run_study("ensemble", cfg)
+
+
+def _growth_verdicts(cfg: ExperimentConfig, report: ExperimentReport) -> list[str]:
+    failures = []
     l1_medians = [row.median_l1_ratio for row in report.rows]
     lq_medians = [row.median_lq_ratio for row in report.rows]
     if cfg.d >= 2 and len(l1_medians) > 1:
         if not all(a < b for a, b in zip(l1_medians, l1_medians[1:])):
-            report.failures.append(
+            failures.append(
                 f"l1-median-growth: medians {l1_medians} are not strictly increasing"
             )
     if lq_medians:
         band = max(lq_medians) / min(lq_medians)
         report.meta["lq_band_ratio"] = band
         if band > 2.0:
-            report.failures.append(
-                f"lq-median-band: max/min = {band:.4f} exceeds 2"
-            )
-    report.failures.extend(check_against_baselines(report))
-    report.meta["wall_time_s"] = time.perf_counter() - start
+            failures.append(f"lq-median-band: max/min = {band:.4f} exceeds 2")
+    return failures
+
+
+def growth_study(cfg: ExperimentConfig) -> ExperimentReport:
+    """Median l1 ratios must grow strictly in N (for d >= 2) while the
+    2d/(d+1) ratios stay inside a factor-2 band. Violations are reported,
+    never dropped."""
+    report = _run_study("growth", cfg, _growth_verdicts)
     report.meta["thresholds"] = {
         "l1_growth": "strictly increasing medians (d >= 2)",
         "lq_band": "max/min of medians <= 2",
@@ -293,13 +294,7 @@ class CheckResult:
     context: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "context": dict(self.context),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -362,11 +357,7 @@ def verify_suite(
             "d_values": d_values,
             "N": N,
             "seed": seed,
-            "tolerances": {
-                "construction": tol.construction,
-                "transform": tol.transform,
-                "solve_residual": tol.solve_residual,
-            },
+            "tolerances": asdict(tol),
         }
     )
     start = time.perf_counter()
@@ -381,79 +372,62 @@ def verify_suite(
     for p, _ in grid:
         check_cell_guard(p, level, max_cells)
 
-    def run(name: str, tolerance: float, fn) -> None:
+    def run(name: str, tolerance: float, cases, where: dict | None = None) -> None:
+        """Record the first strict maximum of the (residual, context) pairs
+        that `cases()` yields; `where` is the context while none exceeds 0."""
         check_start = time.perf_counter()
+        worst, where = 0.0, where or {}
         try:
-            residual, context = fn()
+            for residual, context in cases():
+                if residual > worst:
+                    worst, where = residual, context
         except ChaosError as exc:
             result = CheckResult(name, None, tolerance, False, {"error": str(exc)})
         else:
-            result = CheckResult(
-                name, float(residual), tolerance, residual <= tolerance, context
-            )
+            result = CheckResult(name, float(worst), tolerance, worst <= tolerance, where)
         check_wall_s[name] = time.perf_counter() - check_start
         report.checks.append(result)
 
     # --- transform layer, per base ------------------------------------
     def transform_roundtrip():
-        worst, where = 0.0, {}
         for p in p_values:
             L = _fit_level(p, 4096)
             f = _random_step_function(p, L, trial_rng(seed, 1, p))
             back = inverse(forward(f))
-            residual = _scaled(
-                np.abs(back.values - f.values).max(), np.abs(f.values).max()
-            )
-            if residual > worst:
-                worst, where = residual, {"p": p, "level": L}
-        return worst, where
+            residual = _scaled(np.abs(back.values - f.values).max(), np.abs(f.values).max())
+            yield residual, {"p": p, "level": L}
 
     def parseval():
-        worst, where = 0.0, {}
         for p in p_values:
             L = _fit_level(p, 4096)
             f = _random_step_function(p, L, trial_rng(seed, 2, p))
             s = forward(f)
             lhs = float((np.abs(f.values) ** 2).sum() * p ** (-L))
             rhs = float((np.abs(s.coeffs) ** 2).sum())
-            residual = _scaled(abs(lhs - rhs), lhs)
-            if residual > worst:
-                worst, where = residual, {"p": p, "level": L}
-        return worst, where
+            yield _scaled(abs(lhs - rhs), lhs), {"p": p, "level": L}
 
     def fast_vs_naive():
-        worst, where = 0.0, {}
         for p in p_values:
             L = 1
             while p**L <= MAX_DIRECT_CELLS:
                 f = _random_step_function(p, L, trial_rng(seed, 3, p, L))
                 fast = forward(f).coeffs
                 ref = naive_forward(f).coeffs
-                residual = _scaled(np.abs(fast - ref).max(), np.abs(ref).max())
-                if residual > worst:
-                    worst, where = residual, {"p": p, "level": L}
+                yield _scaled(np.abs(fast - ref).max(), np.abs(ref).max()), {"p": p, "level": L}
                 L += 1
-        return worst, where
 
     def convolution_theorem():
-        worst, where = 0.0, {}
         for p in p_values:
             L = _fit_level(p, 729)
             rng = trial_rng(seed, 4, p)
             f = _random_step_function(p, L, rng)
             g = _random_step_function(p, L, rng)
             via_spectra = convolve(forward(f), forward(g))
-            direct = forward(convolve_functions(f, g))
-            residual = _scaled(
-                np.abs(via_spectra.coeffs - direct.coeffs).max(),
-                np.abs(direct.coeffs).max(),
-            )
-            if residual > worst:
-                worst, where = residual, {"p": p, "level": L}
-        return worst, where
+            direct = forward(convolve_functions(f, g)).coeffs
+            residual = _scaled(np.abs(via_spectra.coeffs - direct).max(), np.abs(direct).max())
+            yield residual, {"p": p, "level": L}
 
     def character_multiplicativity():
-        worst, where = 0.0, {}
         for p in p_values:
             L = min(N + 1, _fit_level(p, 4096))
             rng = trial_rng(seed, 5, p)
@@ -464,10 +438,7 @@ def verify_suite(
                 z = CellIndex(p, L, int(rng.integers(0, size)))
                 lhs = character_value(m, group_sub(x, z))
                 rhs = character_value(m, x) * np.conjugate(character_value(m, z))
-                residual = abs(lhs - rhs)
-                if residual > worst:
-                    worst, where = residual, {"p": p, "m": m}
-        return worst, where
+                yield abs(lhs - rhs), {"p": p, "m": m}
 
     run("transform-roundtrip", tol.transform, transform_roundtrip)
     run("parseval", tol.transform, parseval)
@@ -477,7 +448,6 @@ def verify_suite(
 
     # --- Riesz product mass, per base ----------------------------------
     def riesz_mass():
-        worst, where = 0.0, {}
         for p in p_values:
             L = _fit_level(p, 4096)
             rng = trial_rng(seed, 6, p)
@@ -489,56 +459,40 @@ def verify_suite(
                     abs(density.integral() - 1.0),
                     float(max(0.0, -density.values.real.min())),
                     float(np.abs(density.values.imag).max()),
-                    abs(float(np.abs(density.values).sum() * p**-L) - 1.0),
+                    abs(density_variation(density) - 1.0),
                 )
-                if residual > worst:
-                    worst, where = residual, {"p": p, "level": L}
-        return worst, where
+                yield residual, {"p": p, "level": L}
 
     run("riesz-mass", MASS_TOL, riesz_mass)
 
     # --- shaped measures over the (p, d) grid ---------------------------
     def lemma1_pattern():
-        worst, where = 0.0, {}
         for p, d in grid:
             rng = trial_rng(seed, 7, p, d)
             for _ in range(2):
                 J = [int(x) for x in rng.integers(1, p, size=level)]
                 nu = lemma1_measure(p, d, J, level, max_cells)
                 matched, mismatched = lemma1_pattern_residual(nu, d, J, N)
-                residual = max(matched, mismatched)
-                if residual > worst:
-                    worst, where = residual, {"p": p, "d": d, "J": J}
-        return worst, where
+                yield max(matched, mismatched), {"p": p, "d": d, "J": J}
 
     def lemma1_membership():
-        worst, where = 0.0, {}
         for p, d in grid:
             rng = trial_rng(seed, 8, p, d)
             J = [int(x) for x in rng.integers(1, p, size=level)]
-            a = complex(np.exp(2j * np.pi / (2 * d + 1)))
-            factors = [1.0 + 0j if is_self_conjugate(p, jk) else a for jk in J]
-            rho_hat = forward(riesz_density(p, level, factors, J, max_cells))
+            rho_hat = _lemma1_base_spectrum(p, d, J, level, max_cells)
             values = rho_hat.coeffs[term_indices(p, d, N)]
             alphabet = selector_alphabet(d)
             residual = float(np.abs(values[:, None] - alphabet).min(axis=1).max())
-            if residual > worst:
-                worst, where = residual, {"p": p, "d": d}
-        return worst, where
+            yield residual, {"p": p, "d": d}
 
     def lemma2_pattern():
-        worst, where = 0.0, {}
         for p, d in grid:
             for s in range(1, d + 1):
                 nu = lemma2_measure(p, d, s, level, max_cells)
                 kept, killed = lemma2_pattern_residual(nu, d, s, N)
-                residual = max(kept, killed)
-                if residual > worst:
-                    worst, where = residual, {"p": p, "d": d, "s": s}
-        return worst, where
+                yield max(kept, killed), {"p": p, "d": d, "s": s}
 
     def rho_y_scaling():
-        worst, where = 0.0, {}
         for p, d in grid:
             rng = trial_rng(seed, 9, p, d)
             J = [int(x) for x in rng.integers(1, p, size=level)]
@@ -553,24 +507,16 @@ def verify_suite(
             scale = np.prod(np.where(used, signs, 1), axis=1) / 2.0**d
             expected = np.zeros_like(out.coeffs)
             expected[matched] = coeffs * scale
-            residual = float(np.abs(out.coeffs - expected).max())
-            if residual > worst:
-                worst, where = residual, {"p": p, "d": d}
-        return worst, where
+            yield float(np.abs(out.coeffs - expected).max()), {"p": p, "d": d}
 
     def decomposition():
-        worst, where = 0.0, {}
         for p, d in grid:
             if (p - 1) ** (N + 1) > MAX_DECOMPOSITION_SEQUENCES:
                 continue
             Q = random_chaos(p, d, N, trial_rng(seed, 10, p, d), "unimodular")
-            residual = decomposition_residual(Q)
-            if residual > worst:
-                worst, where = residual, {"p": p, "d": d}
-        return worst, where
+            yield decomposition_residual(Q), {"p": p, "d": d}
 
     def young_bound():
-        worst, where = 0.0, {}
         for p, d in grid:
             rng = trial_rng(seed, 11, p, d)
             J = [int(x) for x in rng.integers(1, p, size=level)]
@@ -582,13 +528,9 @@ def verify_suite(
             ):
                 convolved = inverse(convolve_with_measure(Q, nu))
                 out_sup = float(np.abs(convolved.values).max())
-                residual = max(0.0, out_sup - nu.variation * sup)
-                if residual > worst:
-                    worst, where = residual, {"p": p, "d": d}
-        return worst, where
+                yield max(0.0, out_sup - nu.variation * sup), {"p": p, "d": d}
 
     def order_projection():
-        worst, where = 0.0, {}
         for p, d in grid:
             rng = trial_rng(seed, 12, p, d)
             indices = np.concatenate([term_indices(p, s, N) for s in range(1, d + 1)])
@@ -602,12 +544,8 @@ def verify_suite(
                 direct = polynomial_spectrum(part, level)
                 residual = float(np.abs(route.coeffs - direct.coeffs).max())
                 part_sup, _ = linf_norm(part)
-                residual = max(
-                    residual, max(0.0, part_sup - nu.variation * sup)
-                )
-                if residual > worst:
-                    worst, where = residual, {"p": p, "d": d, "s": s}
-        return worst, where
+                residual = max(residual, max(0.0, part_sup - nu.variation * sup))
+                yield residual, {"p": p, "d": d, "s": s}
 
     run("lemma1-pattern", LEMMA1_PATTERN_TOL, lemma1_pattern)
     run("lemma1-membership", tol.construction, lemma1_membership)
@@ -621,16 +559,14 @@ def verify_suite(
     if 2 in p_values and 1 in d_values:
 
         def sidon_exact_d1():
-            worst = 0.0
             rng = trial_rng(seed, 13)
             indices = term_indices(2, 1, N)
             for _ in range(10):
                 coeffs = rng.standard_normal(len(indices))
                 Q = ChaosPolynomial.from_indices(2, N, indices, coeffs)
-                worst = max(worst, abs(sidon_ratio(Q) - 1.0))
-            return worst, {"p": 2, "d": 1}
+                yield abs(sidon_ratio(Q) - 1.0), {"p": 2, "d": 1}
 
-        run("sidon-exact-d1", EXACT_RATIO_TOL, sidon_exact_d1)
+        run("sidon-exact-d1", EXACT_RATIO_TOL, sidon_exact_d1, where={"p": 2, "d": 1})
 
     report.meta["wall_time_s"] = time.perf_counter() - start
     return report

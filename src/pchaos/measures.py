@@ -110,6 +110,17 @@ def _validate_exponents(p: int, j: Sequence[int]) -> list[int]:
     return out
 
 
+def _product_density(p: int, level: int, factors: Sequence[np.ndarray]) -> StepFunction:
+    """The step function prod_k factors[k][c_{k+1}]: one length-p table of
+    values per position k, read at the cell's digit c_{k+1}."""
+    values = np.ones((p,) * level if level else (1,))
+    for k, factor in enumerate(factors):
+        shape = [1] * level
+        shape[k] = p
+        values = values * factor.reshape(shape)
+    return StepFunction(p, level, values.reshape(p**level))
+
+
 def riesz_density(
     p: int,
     level: int,
@@ -133,15 +144,12 @@ def riesz_density(
             raise CoefficientOutOfRange(f"coefficient {ak} is not finite")
         if abs(ak) > 1 + 1e-12:
             raise CoefficientOutOfRange(f"|a_k| = {abs(ak)} exceeds 1")
-    values = np.ones((p,) * level if level else (1,))
     digits = np.arange(p)
-    for k in range(level):
-        table = np.exp(2j * np.pi * ((j[k] * digits) % p) / p)
-        factor = 1.0 + (a[k] * table).real
-        shape = [1] * level
-        shape[k] = p
-        values = values * factor.reshape(shape)
-    return StepFunction(p, level, values.reshape(p**level))
+    factors = [
+        1.0 + (ak * np.exp(2j * np.pi * ((jk * digits) % p) / p)).real
+        for ak, jk in zip(a, j)
+    ]
+    return _product_density(p, level, factors)
 
 
 def lemma2_base_density(p: int, level: int, max_cells: int | None = None) -> StepFunction:
@@ -154,13 +162,7 @@ def lemma2_base_density(p: int, level: int, max_cells: int | None = None) -> Ste
     table = np.zeros(p, dtype=np.complex128)
     for l in range(1, p):
         table += np.exp(2j * np.pi * ((l * digits) % p) / p)
-    factor = 1.0 + table.real / p
-    values = np.ones((p,) * level if level else (1,))
-    for k in range(level):
-        shape = [1] * level
-        shape[k] = p
-        values = values * factor.reshape(shape)
-    return StepFunction(p, level, values.reshape(p**level))
+    return _product_density(p, level, [1.0 + table.real / p] * level)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +284,32 @@ def lemma1_system(d: int, residual_tol: float | None = None) -> VandermondeSyste
 # ---------------------------------------------------------------------------
 
 
-def _variation(density: StepFunction) -> float:
+def density_variation(density: StepFunction) -> float:
     """Exact finite-level total variation p^-L sum |density|."""
     return float(np.abs(density.values).sum() * density.p ** (-density.level))
 
 
-def _measure_from_spectrum(spectrum: Spectrum, provenance: dict) -> MeasureRep:
-    return MeasureRep(spectrum, _variation(inverse(spectrum)), provenance)
+def _shaped_measure(base: Spectrum, coefficients: np.ndarray, provenance: dict) -> MeasureRep:
+    """P(base measure), P with ascending `coefficients`, applied coefficientwise.
+
+    The provenance gains the coefficients and their l1 norm, which bounds
+    the variation."""
+    nu_coeffs = npoly.polyval(base.coeffs, coefficients.astype(np.complex128))
+    spectrum = Spectrum(base.p, base.level, nu_coeffs)
+    bound = float(np.abs(coefficients).sum())
+    provenance = provenance | {"coefficients": coefficients.copy(), "variation_bound": bound}
+    return MeasureRep(spectrum, density_variation(inverse(spectrum)), provenance)
+
+
+def _lemma1_base_spectrum(
+    p: int, d: int, J: Sequence[int], level: int, max_cells: int | None = None
+) -> Spectrum:
+    """Coefficients of the Riesz product that lemma1_measure shapes:
+    a = exp(2 pi i / (2d+1)) on every factor whose power R^(J_k) is not
+    self-conjugate, 1 on the rest."""
+    a = complex(np.exp(2j * np.pi / (2 * d + 1)))
+    factors = [1.0 + 0j if is_self_conjugate(p, jk) else a for jk in J]
+    return forward(riesz_density(p, level, factors, J, max_cells))
 
 
 def lemma1_measure(
@@ -309,21 +330,15 @@ def lemma1_measure(
     if len(J) != level:
         raise LevelMismatch(f"need {level} exponents, got {len(J)}")
     system = lemma1_system(d)
-    a = complex(np.exp(2j * np.pi / (2 * d + 1)))
-    factors = [1.0 + 0j if is_self_conjugate(p, jk) else a for jk in J]
-    rho_hat = forward(riesz_density(p, level, factors, J, max_cells))
-    nu_coeffs = npoly.polyval(rho_hat.coeffs, system.coefficients)
-    spectrum = Spectrum(p, level, nu_coeffs)
+    rho_hat = _lemma1_base_spectrum(p, d, J, level, max_cells)
     provenance = {
         "construction": "lemma1",
         "p": p,
         "d": d,
         "J": tuple(J),
-        "coefficients": system.coefficients.copy(),
-        "variation_bound": float(np.abs(system.coefficients).sum()),
         "solve_residual": system.residual,
     }
-    return _measure_from_spectrum(spectrum, provenance)
+    return _shaped_measure(rho_hat, system.coefficients, provenance)
 
 
 def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
@@ -353,17 +368,8 @@ def lemma2_measure(
     if level < 1:
         raise LevelMismatch(f"level must be at least 1, got {level}")
     rho_hat = forward(lemma2_base_density(p, level, max_cells))
-    nu_coeffs = npoly.polyval(rho_hat.coeffs, coeffs.astype(np.complex128))
-    spectrum = Spectrum(p, level, nu_coeffs)
-    provenance = {
-        "construction": "lemma2",
-        "p": p,
-        "d": d,
-        "s": s,
-        "coefficients": coeffs.copy(),
-        "variation_bound": float(np.abs(coeffs).sum()),
-    }
-    return _measure_from_spectrum(spectrum, provenance)
+    provenance = {"construction": "lemma2", "p": p, "d": d, "s": s}
+    return _shaped_measure(rho_hat, coeffs, provenance)
 
 
 def rho_y_measure(
@@ -399,18 +405,25 @@ def rho_y_measure(
         "J": tuple(J),
         "signs": tuple(signs),
     }
-    return MeasureRep(forward(density), _variation(density), provenance)
+    return MeasureRep(forward(density), density_variation(density), provenance)
 
 
 def total_variation(measure: MeasureRep) -> float:
     """Exact finite-level variation p^-L sum |density|, recomputed from the
     coefficient array."""
-    return _variation(inverse(measure.spectrum))
+    return density_variation(inverse(measure.spectrum))
 
 
 # ---------------------------------------------------------------------------
 # Pattern residuals (shared by the CLI, the verification suite and tests)
 # ---------------------------------------------------------------------------
+
+
+def _check_resolves(measure: MeasureRep, N: int) -> None:
+    if measure.level < N + 1:
+        raise InsufficientLevel(
+            f"measure level {measure.level} cannot resolve positions up to {N}"
+        )
 
 
 def lemma1_pattern_residual(
@@ -419,10 +432,7 @@ def lemma1_pattern_residual(
     """(max |coeff - 1| over J-matched order-d indices,
     max |coeff| over mismatched ones), exhaustively over positions 0..N."""
     p = measure.p
-    if measure.level < N + 1:
-        raise InsufficientLevel(
-            f"measure level {measure.level} cannot resolve positions up to {N}"
-        )
+    _check_resolves(measure, N)
     J = _validate_exponents(p, J)
     if len(J) < N + 1:
         raise LevelMismatch(f"need at least {N + 1} exponents, got {len(J)}")
@@ -440,10 +450,7 @@ def lemma2_pattern_residual(
     """(max |coeff - 1| over order-s indices,
     max |coeff| over orders j <= d, j != s), positions 0..N."""
     p = measure.p
-    if measure.level < N + 1:
-        raise InsufficientLevel(
-            f"measure level {measure.level} cannot resolve positions up to {N}"
-        )
+    _check_resolves(measure, N)
     kept, killed = 0.0, 0.0
     for order in range(1, min(d, N + 1) + 1):
         values = measure.spectrum.coeffs[term_indices(p, order, N)]

@@ -165,8 +165,9 @@ def _paley_digit_columns(p: int, level: int) -> np.ndarray:
     return np.stack([(idx // p**k) % p for k in range(level)], axis=1)
 
 
-# Rows of the character table the naive transform holds at once: at
-# p^L = 2187 cells a 16-row block (0.8 MiB) stays in a 2 MiB L2 cache.
+# Rows the reference oracles hold at once (`convolve_functions` rounds up to
+# a power of p): at p^L = 2187 cells a 16-row block of the character table
+# (0.8 MiB) stays in a 2 MiB L2 cache.
 _REFERENCE_BLOCK_ROWS = 16
 
 
@@ -261,10 +262,22 @@ def _group_sub_table(p: int, level: int) -> np.ndarray:
 def convolve_functions(f: StepFunction, g: StepFunction) -> StepFunction:
     """Direct cell-domain convolution (f*g)(x) = p^-L sum_z f(x-z) g(z).
 
-    Quadratic cost; guarded to small grids. Reference for `convolve`.
+    Quadratic cost; guarded to small grids. Reference for `convolve`. The
+    rows x are taken a block at a time: a block fixes the high digits of x
+    and runs over all low digits, so its x - z indices are the high-digit
+    table row times p^low plus the low-digit table.
     """
     _check_compatible(f, g)
-    _check_direct(f.p, f.level, "direct convolution")
-    table = _group_sub_table(f.p, f.level)
-    values = (f.values[table] @ g.values) * f.p ** (-f.level)
-    return StepFunction(f.p, f.level, values)
+    p, level = f.p, f.level
+    _check_direct(p, level, "direct convolution")
+    low = 0
+    while low < level and p**low < _REFERENCE_BLOCK_ROWS:
+        low += 1
+    rows = p**low
+    low_table = _group_sub_table(p, low)
+    values = np.empty(p**level, dtype=np.complex128)
+    for hi, hi_row in enumerate(_group_sub_table(p, level - low)):
+        block = (hi_row[None, :, None] * rows + low_table[:, None, :]).reshape(rows, -1)
+        np.matmul(f.values[block], g.values, out=values[hi * rows : (hi + 1) * rows])
+    values *= p ** (-level)
+    return StepFunction(p, level, values)

@@ -1,13 +1,14 @@
 """CLI exit codes, file round trips and report artifacts."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from pchaos import StepFunction, random_chaos
+from pchaos import StepFunction, experiments, random_chaos
 from pchaos import serialization as ser
-from pchaos.cli import main
+from pchaos.cli import build_parser, main
 
 
 def run(*argv):
@@ -148,6 +149,17 @@ def test_ensemble_writes_csv_and_json(tmp_path):
     assert len(lines) == 3
 
 
+def test_ensemble_reports_failures_on_stderr(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "check_against_baselines", lambda report: ["baseline-drift: x"])
+    out = tmp_path / "report.json"
+    code = run("ensemble", "--p", "2", "--d", "1", "--N", "3", "--trials", "2", "--out", out)
+    assert code == 1
+    assert json.load(open(out))["failures"] == ["baseline-drift: x"]
+    captured = capsys.readouterr()
+    assert captured.err == "FAIL baseline-drift: x\n"
+    assert "FAIL" not in captured.out
+
+
 def test_growth_exit_code(tmp_path):
     out = tmp_path / "growth.json"
     code = run(
@@ -210,3 +222,43 @@ def test_nan_grid_transform_refused(tmp_path, capsys):
     assert run("transform", "--in", cells, "--out", out) == 2
     assert not out.exists()
     assert "non-finite" in capsys.readouterr().err
+
+
+SUBCOMMAND_OPTIONS = {
+    "transform": {"--in", "--out", "--direction"},
+    "riesz": {"--p", "--level", "--a", "--j", "--out", "--max-cells"},
+    "lemma1": {"--p", "--d", "--J", "--N", "--out", "--max-cells"},
+    "lemma2": {"--p", "--d", "--s", "--N", "--out", "--max-cells", "--tol"},
+    "norms": {"--poly", "--q", "--out", "--max-cells"},
+    "project": {"--poly", "--J", "--order", "--out", "--max-cells", "--tol"},
+    "decompose": {"--poly", "--max-sequences", "--tol"},
+    "ensemble": {"--p", "--d", "--N", "--trials", "--ensemble", "--out", "--csv", "--seed", "--max-cells"},
+    "growth": {"--p", "--d", "--N", "--trials", "--ensemble", "--out", "--csv", "--seed", "--max-cells"},
+    "verify": {"--p", "--d", "--N", "--out", "--seed", "--max-cells", "--tol"},
+}
+
+
+def test_subcommand_option_sets():
+    # every registered option is read by its handler; nothing else is accepted
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {o for action in sp._actions for o in action.option_strings} - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transform", "--in", "cells.json", "--out", "paley.json", "--tol", "transform=1e-9"),
+        ("transform", "--in", "cells.json", "--out", "paley.json", "--max-cells", "10"),
+        ("decompose", "--poly", "q.json", "--max-cells", "10"),
+        ("norms", "--poly", "q.json", "--tol", "construction=1e-9"),
+        ("riesz", "--p", "2", "--level", "1", "--a", "0", "--j", "1", "--seed", "1"),
+    ],
+)
+def test_stray_option_is_usage_error(argv, capsys):
+    assert run(*argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

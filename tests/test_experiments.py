@@ -154,3 +154,29 @@ class TestVerifySuite:
         assert all(
             {"name", "residual", "tolerance", "passed"} <= set(c) for c in payload["checks"]
         )
+
+    def test_pinned_checks(self):
+        # Residuals and contexts recorded before the checks shared one
+        # worst-case reducer: each check keeps its first strict maximum,
+        # {} when no residual exceeds 0, and sidon-exact-d1 its fixed context.
+        checks = [c.to_dict() for c in verify_suite((2, 3), (1, 2), 3, seed=0).checks]
+        expected = [
+            ("transform-roundtrip", 7.65505744940984e-16, 1e-10, {"p": 3, "level": 7}),
+            ("parseval", 3.3614182700908125e-16, 1e-10, {"p": 3, "level": 7}),
+            ("fast-vs-naive", 5.117875266520903e-16, 1e-12, {"p": 3, "level": 2}),
+            ("convolution-theorem", 2.4655053005362233e-17, 1e-12, {"p": 3, "level": 6}),
+            ("character-multiplicativity", 8.95090418262362e-16, 1e-14, {"p": 3, "m": 15}),
+            ("riesz-mass", 4.440892098500626e-16, 1e-12, {"p": 2, "level": 12}),
+            ("lemma1-pattern", 1.6613700224990385e-14, 1e-06, {"p": 2, "d": 2, "J": [1, 1, 1, 1]}),
+            ("lemma1-membership", 4.726604209672303e-16, 1e-08, {"p": 3, "d": 2}),
+            ("lemma2-pattern", 4.276944685006693e-15, 1e-08, {"p": 3, "d": 2, "s": 2}),
+            ("rho-y-scaling", 2.7755575615628914e-16, 1e-10, {"p": 3, "d": 1}),
+            ("decomposition", 0.0, 1e-10, {}),
+            ("young-bound", 0.0, 1e-08, {}),
+            ("order-projection", 3.7390821300777245e-15, 1e-08, {"p": 3, "d": 2, "s": 2}),
+            ("sidon-exact-d1", 2.220446049250313e-16, 1e-12, {"p": 2, "d": 1}),
+        ]
+        assert checks == [
+            {"name": name, "residual": residual, "tolerance": tol, "passed": True, "context": ctx}
+            for name, residual, tol, ctx in expected
+        ]

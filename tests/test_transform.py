@@ -195,6 +195,32 @@ class TestConvolve:
         with pytest.raises(LevelMismatch):
             convolve(Spectrum(2, 2, np.zeros(4)), Spectrum(2, 3, np.zeros(8)))
 
+    @pytest.mark.parametrize("p,level", [(2, 5), (3, 4), (5, 3), (16, 2)])
+    def test_direct_convolution_is_the_defining_sum(self, p, level):
+        # several row blocks at each base; every x - z from scalar group_sub
+        f = random_function(p, level, seed=23)
+        g = random_function(p, level, seed=24)
+        size = p**level
+        expected = np.zeros(size, dtype=complex)
+        for x in range(size):
+            for z in range(size):
+                diff = group_sub(CellIndex(p, level, x), CellIndex(p, level, z))
+                expected[x] += f.values[diff.index] * g.values[z]
+        expected *= p ** (-level)
+        assert np.abs(convolve_functions(f, g).values - expected).max() <= 1e-12
+
+    def test_direct_convolution_memory(self):
+        # a dense 2187 x 2187 gather beside its index table would take ~110 MiB
+        f = random_function(3, 7, seed=25)
+        g = random_function(3, 7, seed=26)
+        tracemalloc.start()
+        try:
+            convolve_functions(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
+
     @pytest.mark.parametrize("p,level", [(2, 4), (3, 3), (5, 2)])
     def test_sub_table_is_group_sub(self, p, level):
         table = _group_sub_table(p, level)
