@@ -24,44 +24,31 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .padic import (
     CellIndex,
     ChaosTerm,
-    PaleyIndex,
-    digit_matrix,
     enumerate_Nd,
-    from_digits,
-    group_add,
     group_sub,
-    paley_decode,
     paley_encode,
     term_indices,
-    to_digits,
 )
 from .transform import (
     Spectrum,
     StepFunction,
-    character_matrix,
     character_value,
     convolve,
     convolve_functions,
     forward,
     inverse,
     naive_forward,
-    rademacher_value,
 )
 from .measures import (
     MeasureRep,
-    VandermondeSystem,
-    is_self_conjugate,
     lemma1_measure,
     lemma1_pattern_residual,
     lemma1_system,
-    lemma2_base_density,
     lemma2_measure,
     lemma2_pattern_residual,
     lemma2_polynomial,
     rho_y_measure,
     riesz_density,
-    selector_alphabet,
-    total_variation,
 )
 from .chaos import (
     ChaosPolynomial,
@@ -73,14 +60,9 @@ from .chaos import (
     project_J,
     project_order,
     sidon_ratio,
-    synthesize,
 )
 from .experiments import (
-    CheckResult,
     ExperimentConfig,
-    ExperimentReport,
-    ExperimentRow,
-    SuiteReport,
     growth_study,
     random_chaos,
     random_ensemble_study,

@@ -156,7 +156,7 @@ class ChaosPolynomial:
                 raise MalformedIndex(
                     f"term positions {term.ks} exceed top position {self.N}"
                 )
-        indices = np.array([paley_encode(t, self.p).value for t in terms], dtype=np.int64)
+        indices = np.array([paley_encode(t, self.p) for t in terms], dtype=np.int64)
         values = np.array([self.coeffs[t] for t in terms], dtype=np.complex128)
         self._store(indices, values)
 
@@ -223,17 +223,6 @@ class ChaosPolynomial:
         if d == 0:
             raise DegenerateInput("the zero polynomial has no coefficient exponent")
         return 2 * d / (d + 1)
-
-    def order_part(self, s: int) -> dict[ChaosTerm, complex]:
-        return dict(self._select(self._orders == s).coeffs)
-
-    def terms(self) -> list[ChaosTerm]:
-        """Terms in the deterministic (positions, exponents) order."""
-        return list(self.coeffs)
-
-    def coefficient_vector(self) -> np.ndarray:
-        """Coefficients in the deterministic enumeration order."""
-        return self.values.copy()
 
 
 def polynomial_spectrum(

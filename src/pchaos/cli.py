@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -70,12 +71,9 @@ def _tolerances(args) -> Tolerances:
     tol = DEFAULT_TOLERANCES
     for item in args.tol or []:
         name, _, value = item.partition("=")
-        name = name.replace("-", "_")
-        if name not in ("construction", "transform", "solve_residual") or not value:
-            raise ChaosError(
-                f"--tol expects construction|transform|solve-residual=VALUE, got {item!r}"
-            )
-        tol = tol.with_overrides(**{name: _number(value, float)})
+        if name not in ("construction", "transform") or not value:
+            raise ChaosError(f"--tol expects construction|transform=VALUE, got {item!r}")
+        tol = replace(tol, **{name: _number(value, float)})
     return tol
 
 
@@ -207,7 +205,7 @@ def cmd_lemma2(args) -> int:
 def cmd_norms(args) -> int:
     Q = ser.load_polynomial(args.poly)
     sup, cell = linf_norm(Q, args.max_cells)
-    vector = Q.coefficient_vector()
+    vector = Q.values
     q = args.q if args.q is not None else Q.sidon_exponent
     payload = _echo({"poly": args.poly, "q": q}) | {
         "linf": sup,
@@ -353,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol",
             action="append",
             metavar="NAME=VALUE",
-            help="override a tolerance tier (construction, transform, solve-residual)",
+            help="override a tolerance tier (construction, transform)",
         )
 
     p = sub.add_parser("transform", help="apply the fast transform to a grid file")

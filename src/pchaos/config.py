@@ -1,15 +1,16 @@
 """Shared numerical tolerances and resource guards.
 
-Tolerances are stated exactly once, here. Three broad tiers are used:
-measure-construction identities (1e-8), transform identities (1e-10) and
-interpolation-solve residuals (1e-6). A handful of checks carry their own
-sharper constants (mass identities, exact transform agreement, character
-arithmetic) because those quantities are exact up to rounding.
+Tolerances are stated exactly once, here. Two broad tiers can be
+overridden per run: measure-construction identities (1e-8) and transform
+identities (1e-10). The interpolation-solve residual gate (1e-6) is fixed,
+and a handful of checks carry their own sharper constants (mass
+identities, exact transform agreement, character arithmetic) because those
+quantities are exact up to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import GuardExceeded
 
@@ -37,17 +38,16 @@ CHARACTER_TOL = 1e-14
 EXACT_RATIO_TOL = 1e-12
 LEMMA1_PATTERN_TOL = 1e-6
 
+# Largest Vandermonde residual accepted from the exponent-selector solve.
+SOLVE_RESIDUAL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The three shared tolerance tiers."""
+    """The two shared tolerance tiers."""
 
     construction: float = 1e-8
     transform: float = 1e-10
-    solve_residual: float = 1e-6
-
-    def with_overrides(self, **kwargs: float) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = Tolerances()

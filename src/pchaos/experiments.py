@@ -55,7 +55,7 @@ from .measures import (
     lemma2_pattern_residual,
     rho_y_measure,
     riesz_density,
-    selector_alphabet,
+    selector_nodes,
 )
 from .chaos import (
     ChaosPolynomial,
@@ -481,7 +481,7 @@ def verify_suite(
             J = [int(x) for x in rng.integers(1, p, size=level)]
             rho_hat = _lemma1_base_spectrum(p, d, J, level, max_cells)
             values = rho_hat.coeffs[term_indices(p, d, N)]
-            alphabet = selector_alphabet(d)
+            alphabet, _ = selector_nodes(d)
             residual = float(np.abs(values[:, None] - alphabet).min(axis=1).max())
             yield residual, {"p": p, "d": d}
 

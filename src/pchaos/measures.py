@@ -49,11 +49,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .config import (
-    DEFAULT_TOLERANCES,
-    MAX_SELECTOR_ORDER,
-    check_cell_guard,
-)
+from .config import MAX_SELECTOR_ORDER, SOLVE_RESIDUAL_TOL, check_cell_guard
 from .errors import (
     CoefficientOutOfRange,
     GuardExceeded,
@@ -251,11 +247,6 @@ def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     return node_arr, target_arr
 
 
-def selector_alphabet(d: int) -> np.ndarray:
-    """The finite coefficient alphabet (0 plus all t_{l,i}) for order d."""
-    return selector_nodes(d)[0]
-
-
 def lemma1_system(d: int, residual_tol: float | None = None) -> VandermondeSystem:
     """Build and solve the exponent-selector interpolation system.
 
@@ -266,7 +257,7 @@ def lemma1_system(d: int, residual_tol: float | None = None) -> VandermondeSyste
     for d <= 3. Larger orders raise IllConditionedSystem rather than
     degrade silently.
     """
-    tol = DEFAULT_TOLERANCES.solve_residual if residual_tol is None else residual_tol
+    tol = SOLVE_RESIDUAL_TOL if residual_tol is None else residual_tol
     node_arr, target_arr = selector_nodes(d)
     degree = (d + 1) * (d + 2) // 2
     coeffs = interpolate_monomial(node_arr, target_arr)
@@ -406,12 +397,6 @@ def rho_y_measure(
         "signs": tuple(signs),
     }
     return MeasureRep(forward(density), density_variation(density), provenance)
-
-
-def total_variation(measure: MeasureRep) -> float:
-    """Exact finite-level variation p^-L sum |density|, recomputed from the
-    coefficient array."""
-    return density_variation(inverse(measure.spectrum))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ Conventions fixed here and relied on everywhere else:
 * Index enumerations are lexicographic in (positions, exponents), so
   coefficient vectors, norms and reports are reproducible byte for byte.
 
-``term_indices`` and ``digit_matrix`` are the array layer every hot path
-uses: whole index sets as int64 Paley values and their exponent digits,
-with no per-term object. ``PaleyIndex``, ``ChaosTerm``, ``CellIndex`` and
-the group operations are the scalar reference for single indices.
+A Paley index is a plain int everywhere. ``term_indices`` and
+``digit_matrix`` are the array layer every hot path uses: whole index sets
+as int64 Paley values and their exponent digits, with no per-term object.
+``ChaosTerm``, ``CellIndex`` and ``group_sub`` are the scalar reference for
+single terms and cells.
 
 All operations are pure functions on immutable values; they are safe to
 call from any number of concurrent workers.
@@ -69,50 +70,6 @@ def from_digits(digits: Iterable[int], p: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class PaleyIndex:
-    """A natural number with its base-p expansion; addresses one character.
-
-    `digits` is least-significant first with no trailing zeros, so
-    value = sum_k digits[k] p^k and digit k is the exponent of position k.
-    """
-
-    value: int
-    p: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise MalformedIndex(f"base must be >= 2, got {self.p}")
-        if self.value < 0:
-            raise MalformedIndex(f"expected a natural number, got {self.value}")
-        if self.digits and self.digits[-1] == 0:
-            raise MalformedIndex("digit expansion has trailing zeros")
-        if from_digits(self.digits, self.p) != self.value:
-            raise MalformedIndex("digits do not reproduce the stored value")
-
-    @classmethod
-    def from_value(cls, value: int, p: int) -> "PaleyIndex":
-        if p < 2:
-            raise MalformedIndex(f"base must be >= 2, got {p}")
-        if value < 0:
-            raise MalformedIndex(f"expected a natural number, got {value}")
-        length, v = 0, value
-        while v:
-            length += 1
-            v //= p
-        return cls(value, p, to_digits(value, p, length))
-
-    def digit(self, k: int) -> int:
-        """Exponent of position k (0 beyond the stored expansion)."""
-        return self.digits[k] if 0 <= k < len(self.digits) else 0
-
-    @property
-    def order(self) -> int:
-        """Number of nonzero digits, the chaos order of the index."""
-        return sum(1 for d in self.digits if d)
-
-
 @dataclass(frozen=True, order=True)
 class ChaosTerm:
     """One product term over positions ks with exponents ls.
@@ -146,27 +103,29 @@ class ChaosTerm:
         return self.ks[-1]
 
 
-def paley_encode(term: ChaosTerm, p: int) -> PaleyIndex:
+def paley_encode(term: ChaosTerm, p: int) -> int:
     """Paley index of a term: n = sum_i ls[i] p^ks[i]."""
     if any(l >= p for l in term.ls):
         raise InvalidExponent(f"exponents {term.ls} out of range for base {p}")
-    value = sum(l * p**k for k, l in zip(term.ks, term.ls))
-    return PaleyIndex.from_value(value, p)
+    return sum(l * p**k for k, l in zip(term.ks, term.ls))
 
 
-def paley_decode(n: int | PaleyIndex, p: int | None = None) -> ChaosTerm:
-    """Unique term whose exponents are the nonzero digits of n."""
-    if isinstance(n, PaleyIndex):
-        index = n
-    else:
-        if p is None:
-            raise MalformedIndex("a base is required to decode a raw integer")
-        index = PaleyIndex.from_value(n, p)
-    if index.value == 0:
+def paley_decode(n: int, p: int) -> ChaosTerm:
+    """Unique term whose exponents are the nonzero base-p digits of n."""
+    if p < 2:
+        raise MalformedIndex(f"base must be >= 2, got {p}")
+    if n < 0:
+        raise MalformedIndex(f"expected a natural number, got {n}")
+    if n == 0:
         raise NotAChaosIndex("0 is not a chaos index")
-    ks = tuple(k for k, d in enumerate(index.digits) if d)
-    ls = tuple(d for d in index.digits if d)
-    return ChaosTerm(ks, ls)
+    ks, ls, k = [], [], 0
+    while n:
+        n, l = divmod(n, p)
+        if l:
+            ks.append(k)
+            ls.append(l)
+        k += 1
+    return ChaosTerm(tuple(ks), tuple(ls))
 
 
 @dataclass(frozen=True)
@@ -203,29 +162,14 @@ class CellIndex:
             )
         return (self.index // self.p ** (self.level - j)) % self.p
 
-    @property
-    def left_endpoint(self) -> float:
-        return self.index / self.p**self.level
 
-
-def _check_same_grid(x: CellIndex, z: CellIndex) -> None:
+def group_sub(x: CellIndex, z: CellIndex) -> CellIndex:
+    """Digitwise difference x - z mod p, the coordinate-group subtraction."""
     if x.p != z.p or x.level != z.level:
         raise LevelMismatch(
             f"cells live on different grids: ({x.p},{x.level}) vs ({z.p},{z.level})"
         )
-
-
-def group_sub(x: CellIndex, z: CellIndex) -> CellIndex:
-    """Digitwise difference x - z mod p, the coordinate-group subtraction."""
-    _check_same_grid(x, z)
     digits = tuple((a - b) % x.p for a, b in zip(x.digits, z.digits))
-    return CellIndex.from_digits(x.p, digits) if x.level else x
-
-
-def group_add(x: CellIndex, z: CellIndex) -> CellIndex:
-    """Digitwise sum x + z mod p, inverse of group_sub in the second slot."""
-    _check_same_grid(x, z)
-    digits = tuple((a + b) % x.p for a, b in zip(x.digits, z.digits))
     return CellIndex.from_digits(x.p, digits) if x.level else x
 
 

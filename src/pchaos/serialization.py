@@ -100,30 +100,36 @@ def write_csv_atomic(path: str, fieldnames: Sequence[str], rows: Iterable[dict])
     _write_atomic(path, write, newline="")
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise FormatError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-
-
 def _require(payload: dict, field: str, path: str) -> Any:
     if field not in payload:
         raise FormatError(f"{path}: missing required field {field!r}")
     return payload[field]
 
 
-def _check_version(payload: dict, path: str) -> None:
+def _load_header(path: str, *fields: str) -> tuple[dict, list[int]]:
+    """Read a file's JSON object, check its format_version and return it with
+    the named header fields, each required to be a JSON integer."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except FileNotFoundError:
+        raise FormatError(f"{path}: no such file")
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: top level must be a JSON object")
     version = _require(payload, "format_version", path)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(
             f"{path}: format_version {version} unsupported (expected {FORMAT_VERSION})"
         )
+    values = [_require(payload, field, path) for field in fields]
+    for field, value in zip(fields, values):
+        if type(value) is not int:  # bool is an int subclass: true is refused too
+            raise FormatError(f"{path}: field {field!r} must be an integer, got {value!r}")
+    return payload, values
 
 
 def _encode_array(values: np.ndarray) -> list:
@@ -212,11 +218,8 @@ def save_measure(path: str, m: MeasureRep, extras: dict | None = None) -> None:
 
 def load_grid(path: str) -> StepFunction | Spectrum:
     """Load either grid kind; the payload's 'kind' field decides the type."""
-    payload = _load_json(path)
-    _check_version(payload, path)
+    payload, (p, level) = _load_header(path, "p", "level")
     kind = _require(payload, "kind", path)
-    p = int(_require(payload, "p", path))
-    level = int(_require(payload, "level", path))
     check_base_level(p, level)
     data = _decode_array(_require(payload, "data", path), p**level, path)
     if kind == "cells":
@@ -226,27 +229,10 @@ def load_grid(path: str) -> StepFunction | Spectrum:
     raise FormatError(f"{path}: unknown kind {kind!r} (expected 'cells' or 'paley')")
 
 
-def load_step_function(path: str) -> StepFunction:
-    obj = load_grid(path)
-    if not isinstance(obj, StepFunction):
-        raise FormatError(f"{path}: expected kind 'cells'")
-    return obj
-
-
-def load_spectrum(path: str) -> Spectrum:
-    obj = load_grid(path)
-    if not isinstance(obj, Spectrum):
-        raise FormatError(f"{path}: expected kind 'paley'")
-    return obj
-
-
 def load_measure(path: str) -> MeasureRep:
-    payload = _load_json(path)
-    _check_version(payload, path)
+    payload, (p, level) = _load_header(path, "p", "level")
     if _require(payload, "kind", path) != "paley":
         raise FormatError(f"{path}: a measure file must have kind 'paley'")
-    p = int(_require(payload, "p", path))
-    level = int(_require(payload, "level", path))
     check_base_level(p, level)
     data = _decode_array(_require(payload, "data", path), p**level, path)
     variation = float(_require(payload, "variation", path))
@@ -259,7 +245,7 @@ def load_measure(path: str) -> MeasureRep:
 def save_polynomial(path: str, Q: ChaosPolynomial, extras: dict | None = None) -> None:
     terms = [
         {"k": list(t.ks), "l": list(t.ls), "re": re, "im": im}
-        for t, (re, im) in zip(Q.terms(), _encode_array(Q.values))
+        for t, (re, im) in zip(Q.coeffs, _encode_array(Q.values))
     ]
     payload = {
         "format_version": FORMAT_VERSION,
@@ -272,10 +258,7 @@ def save_polynomial(path: str, Q: ChaosPolynomial, extras: dict | None = None) -
 
 
 def load_polynomial(path: str) -> ChaosPolynomial:
-    payload = _load_json(path)
-    _check_version(payload, path)
-    p = int(_require(payload, "p", path))
-    N = int(_require(payload, "N", path))
+    payload, (p, N) = _load_header(path, "p", "N")
     raw_terms = _require(payload, "terms", path)
     if not isinstance(raw_terms, list):
         raise FormatError(f"{path}: field 'terms' must be a list")

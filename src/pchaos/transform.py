@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_DIRECT_CELLS, check_base_level
-from .errors import GuardExceeded, InsufficientLevel, InvalidExponent, LevelMismatch
-from .padic import CellIndex, PaleyIndex
+from .errors import GuardExceeded, InsufficientLevel, LevelMismatch, MalformedIndex
+from .padic import CellIndex, digit_matrix, to_digits
 
 
 def root_of_unity_powers(p: int) -> np.ndarray:
@@ -85,33 +85,18 @@ class Spectrum:
         return f"Spectrum(p={self.p}, level={self.level}, size={self.coeffs.size})"
 
 
-def rademacher_value(k: int, l: int, cell: CellIndex) -> complex:
-    """Value of R_k^l on a cell: omega^(l c_{k+1})."""
-    if not 0 <= l < cell.p:
-        raise InvalidExponent(f"exponent {l} out of range for base {cell.p}")
-    if k < 0 or k + 1 > cell.level:
-        raise InsufficientLevel(
-            f"position {k} needs digit {k + 1} of a level-{cell.level} cell"
-        )
-    phase = (l * cell.digit(k + 1)) % cell.p
-    return complex(np.exp(2j * np.pi * phase / cell.p))
-
-
-def character_value(m: int | PaleyIndex, cell: CellIndex) -> complex:
+def character_value(m: int, cell: CellIndex) -> complex:
     """Value of the character with Paley index m on a cell.
 
     Multiplicative over the coordinate group: the value at x - z equals the
     value at x times the conjugate value at z.
     """
-    index = m if isinstance(m, PaleyIndex) else PaleyIndex.from_value(m, cell.p)
-    if index.p != cell.p:
-        raise LevelMismatch(f"index base {index.p} differs from cell base {cell.p}")
-    if index.value >= cell.p**cell.level:
-        raise InsufficientLevel(
-            f"index {index.value} needs more than {cell.level} digits"
-        )
+    if m < 0:
+        raise MalformedIndex(f"expected a natural number, got {m}")
+    if m >= cell.p**cell.level:
+        raise InsufficientLevel(f"index {m} needs more than {cell.level} digits")
     phase = 0
-    for k, l in enumerate(index.digits):
+    for k, l in enumerate(to_digits(m, cell.p, cell.level)):
         phase += l * cell.digit(k + 1)
     return complex(np.exp(2j * np.pi * (phase % cell.p) / cell.p))
 
@@ -149,22 +134,6 @@ def inverse(s: Spectrum) -> StepFunction:
     return StepFunction(s.p, s.level, values)
 
 
-def _cell_digit_columns(p: int, level: int) -> np.ndarray:
-    """(p^L, L) array; column k holds digit c_{k+1} of every cell index."""
-    if level == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    idx = np.arange(p**level, dtype=np.int64)
-    return np.stack([(idx // p ** (level - 1 - k)) % p for k in range(level)], axis=1)
-
-
-def _paley_digit_columns(p: int, level: int) -> np.ndarray:
-    """(p^L, L) array; column k holds digit k (exponent of position k)."""
-    if level == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    idx = np.arange(p**level, dtype=np.int64)
-    return np.stack([(idx // p**k) % p for k in range(level)], axis=1)
-
-
 # Rows the reference oracles hold at once (`convolve_functions` rounds up to
 # a power of p): at p^L = 2187 cells a 16-row block of the character table
 # (0.8 MiB) stays in a 2 MiB L2 cache.
@@ -178,10 +147,10 @@ def _check_direct(p: int, level: int, what: str) -> None:
 
 def _reference_digits(p: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Paley digit rows (p^L, L) and cell digit columns (L, p^L) as float64
-    operands of the phase product."""
-    mdig = _paley_digit_columns(p, level).astype(np.float64)
-    cdig_t = _cell_digit_columns(p, level).T.astype(np.float64)
-    return mdig, cdig_t
+    operands of the phase product. Row k of the cell operand holds c_{k+1},
+    which is digit L-1-k of the cell index read least significant first."""
+    digits = digit_matrix(np.arange(p**level), p, level).astype(np.float64)
+    return digits, np.ascontiguousarray(digits[:, ::-1].T)
 
 
 def _character_phases(mdig: np.ndarray, cdig_t: np.ndarray, out: np.ndarray) -> np.ndarray:

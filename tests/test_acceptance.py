@@ -188,7 +188,7 @@ def test_criterion_6_scaling_identity():
                 expected = np.zeros_like(out.coeffs)
                 for t, c in Q.coeffs.items():
                     scale = np.prod([signs[k] for k in t.ks]) / 2.0**d
-                    expected[paley_encode(t, p).value] = c * scale
+                    expected[paley_encode(t, p)] = c * scale
                 worst = max(worst, float(np.abs(out.coeffs - expected).max()))
     ok = worst <= 1e-10
     report(6, "sign-scaling convolution identity", ok, f"(max residual {worst:.3e}, tol 1e-10)")

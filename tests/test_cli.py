@@ -1,14 +1,22 @@
-"""CLI exit codes, file round trips and report artifacts."""
+"""CLI exit codes, file round trips, report artifacts and the documented
+surface: the README's commands and the package's public names."""
 
 import argparse
+import inspect
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pchaos
 from pchaos import StepFunction, experiments, random_chaos
 from pchaos import serialization as ser
-from pchaos.cli import build_parser, main
+from pchaos.cli import _tolerances, build_parser, main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def run(*argv):
@@ -86,7 +94,8 @@ def test_transform_round_trip_through_files(tmp_path):
     ser.save_step_function(str(cells), f)
     assert run("transform", "--in", cells, "--out", paley) == 0
     assert run("transform", "--in", paley, "--out", back) == 0
-    loaded = ser.load_step_function(str(back))
+    loaded = ser.load_grid(str(back))
+    assert isinstance(loaded, StepFunction)
     assert np.abs(loaded.values - f.values).max() <= 1e-12
 
 
@@ -195,6 +204,21 @@ def test_tol_override(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("verify", "--p", "2,3", "--d", "1,2", "--N", "3"),
+        ("lemma2", "--p", "3", "--d", "2", "--s", "1", "--N", "3"),
+    ],
+)
+def test_solve_residual_is_not_a_tolerance(argv, tmp_path, capsys):
+    # the 1e-6 solve-residual gate is fixed; an override would be echoed but never read
+    out = tmp_path / "out.json"
+    assert run(*argv, "--tol", "solve-residual=1e-30", "--out", out) == 2
+    assert not out.exists()
+    assert "--tol expects construction|transform=VALUE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("riesz", "--p", "3", "--level", "2", "--a", "np.float64(0.5),0", "--j", "1,1"),
         ("riesz", "--p", "3", "--level", "2", "--a", "0.5,0", "--j", "1,1.5"),
         ("verify", "--p", "2,x", "--d", "1"),
@@ -262,3 +286,48 @@ def test_subcommand_option_sets():
 def test_stray_option_is_usage_error(argv, capsys):
     assert run(*argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The `pchaos ...` lines of the README's CLI block, as argument lists."""
+    block = README.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pchaos ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    args = build_parser().parse_args(argv)
+    if hasattr(args, "tol"):
+        _tolerances(args)
+
+
+def test_readme_tolerance_overrides_parse():
+    # the overrides the README documents in prose, outside the CLI block
+    items = re.findall(r"--tol ([^\s`]+)", README)
+    assert items
+    _tolerances(argparse.Namespace(tol=items))
+
+
+PUBLIC_NAMES = [
+    "CellIndex", "ChaosError", "ChaosPolynomial", "ChaosTerm", "CoefficientOutOfRange",
+    "CombinatorialBlowup", "DEFAULT_TOLERANCES", "DegenerateInput", "EmptyIndexSet",
+    "ExperimentConfig", "FormatError", "GuardExceeded", "IllConditionedSystem",
+    "InsufficientLevel", "InvalidExponent", "InvalidOrder", "LevelMismatch", "MalformedIndex",
+    "MeasureRep", "NonFiniteValue", "NotAChaosIndex", "Spectrum", "StepFunction", "Tolerances",
+    "character_value", "convolve", "convolve_functions", "convolve_with_measure",
+    "decomposition_residual", "enumerate_Nd", "forward", "group_sub", "growth_study", "inverse",
+    "lemma1_measure", "lemma1_pattern_residual", "lemma1_system", "lemma2_measure",
+    "lemma2_pattern_residual", "lemma2_polynomial", "linf_norm", "lq_norm", "naive_forward",
+    "paley_encode", "polynomial_spectrum", "project_J", "project_order", "random_chaos",
+    "random_ensemble_study", "rho_y_measure", "riesz_density", "sidon_ratio", "term_indices",
+    "trial_rng", "verify_suite",
+]
+
+
+def test_public_names():
+    # what the CLI, the studies, the acceptance gate and the reference oracles use
+    names = sorted(
+        name for name, value in vars(pchaos).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert names == PUBLIC_NAMES

@@ -2,9 +2,11 @@
 
 Grid, measure and polynomial files round-trip exactly. A file with a
 missing field, a wrong data length, a non-finite number, a non-integer
-position, a duplicate term or a wrong format_version is refused by its
-loader with FormatError; the CLI commands that read it exit 2 and write no
-output file. (No command reads measure files, so those stop at the loader.)
+position, a duplicate term, a wrong format_version, a header p/level/N
+that is not a JSON integer or a top level that is not a JSON object is
+refused by its loader with FormatError; the CLI commands that read it exit
+2 and write no output file. (No command reads measure files, so those stop
+at the loader.)
 """
 
 import json
@@ -140,12 +142,16 @@ POLY = {
     ],
 }
 NON_FINITE = st.sampled_from((float("nan"), float("inf"), float("-inf")))
+VERSIONS = st.sampled_from((0, 2, "1", None, 1.5, 1.0, True))
+NON_INTEGERS = st.sampled_from((None, "3", 2.5, 3.0, True, [3]))
+NON_OBJECTS = st.sampled_from((5, None, "cells", [], [1, 2]))
 
 
 @st.composite
 def grid_mutations(draw, base):
     payload = json.loads(json.dumps(base))
-    kind = draw(st.sampled_from(("missing", "length", "non-finite", "version")))
+    kinds = ("missing", "length", "non-finite", "version", "header", "top-level")
+    kind = draw(st.sampled_from(kinds))
     if kind == "missing":
         del payload[draw(st.sampled_from(sorted(payload)))]
     elif kind == "length":
@@ -157,8 +163,12 @@ def grid_mutations(draw, base):
         pair = list(payload["data"][entry])
         pair[draw(st.integers(0, 1))] = draw(NON_FINITE)
         payload["data"][entry] = pair
+    elif kind == "version":
+        payload["format_version"] = draw(VERSIONS)
+    elif kind == "header":
+        payload[draw(st.sampled_from(("p", "level")))] = draw(NON_INTEGERS)
     else:
-        payload["format_version"] = draw(st.sampled_from((0, 2, "1", None, 1.5)))
+        payload = draw(NON_OBJECTS)
     return payload
 
 
@@ -166,7 +176,10 @@ def grid_mutations(draw, base):
 def poly_mutations(draw):
     payload = json.loads(json.dumps(POLY))
     terms = payload["terms"]
-    kinds = ("missing", "term-field", "non-finite", "position", "duplicate", "version")
+    kinds = (
+        "missing", "term-field", "non-finite", "position", "duplicate", "version", "header",
+        "top-level",
+    )
     kind = draw(st.sampled_from(kinds))
     term = terms[draw(st.integers(0, len(terms) - 1))]
     if kind == "missing":
@@ -181,8 +194,12 @@ def poly_mutations(draw):
         term["k"][spot] = draw(st.sampled_from((k + 0.5, float(k), str(k), None)))
     elif kind == "duplicate":
         terms.insert(draw(st.integers(0, len(terms))), dict(term, re=draw(FINITE)))
+    elif kind == "version":
+        payload["format_version"] = draw(VERSIONS)
+    elif kind == "header":
+        payload[draw(st.sampled_from(("p", "N")))] = draw(NON_INTEGERS)
     else:
-        payload["format_version"] = draw(st.sampled_from((0, 2, "1", None, 1.5)))
+        payload = draw(NON_OBJECTS)
     return payload
 
 

@@ -16,7 +16,6 @@ from pchaos import (
     lemma1_measure,
     lemma1_pattern_residual,
     lemma1_system,
-    lemma2_base_density,
     lemma2_measure,
     lemma2_pattern_residual,
     lemma2_polynomial,
@@ -24,10 +23,8 @@ from pchaos import (
     enumerate_Nd,
     rho_y_measure,
     riesz_density,
-    selector_alphabet,
-    total_variation,
 )
-from pchaos.measures import MeasureRep, selector_nodes
+from pchaos.measures import MeasureRep, density_variation, lemma2_base_density, selector_nodes
 
 
 class TestRieszDensity:
@@ -123,7 +120,7 @@ class TestLemma1Measure:
     def test_variation_below_bound(self):
         nu = lemma1_measure(3, 2, [1, 2, 1, 2, 1], 5)
         assert nu.variation <= nu.provenance["variation_bound"] + 1e-8
-        assert abs(total_variation(nu) - nu.variation) <= 1e-12
+        assert abs(density_variation(inverse(nu.spectrum)) - nu.variation) <= 1e-12
 
     def test_coefficients_bounded_by_variation(self):
         nu = lemma1_measure(3, 2, [2, 1, 2, 1, 2], 5)
@@ -139,9 +136,9 @@ class TestLemma1Measure:
         a = np.exp(2j * np.pi / (2 * d + 1))
         factors = [1.0 if (2 * jk) % p == 0 else a for jk in J]
         rho_hat = forward(riesz_density(p, level, factors, J))
-        alphabet = selector_alphabet(d)
+        alphabet, _ = selector_nodes(d)
         for term in enumerate_Nd(p, d, level - 1):
-            value = rho_hat.coeffs[paley_encode(term, p).value]
+            value = rho_hat.coeffs[paley_encode(term, p)]
             assert np.abs(alphabet - value).min() <= 1e-8
 
 
@@ -193,7 +190,7 @@ class TestRhoY:
         for term in enumerate_Nd(3, 2, 2):
             if not all(l == J[k] for k, l in zip(term.ks, term.ls)):
                 continue
-            m = paley_encode(term, 3).value
+            m = paley_encode(term, 3)
             sign = -1.0 if 1 in term.ks else 1.0
             assert abs(flipped.spectrum.coeffs[m] - sign * base.spectrum.coeffs[m]) <= 1e-12
 
@@ -209,11 +206,11 @@ class TestTotalVariation:
         density = riesz_density(3, 4, a, rng.integers(1, 3, size=4))
         spectrum = forward(density)
         measure = MeasureRep(spectrum, 1.0, {"construction": "riesz"})
-        assert abs(total_variation(measure) - 1.0) <= 1e-12
+        assert abs(density_variation(inverse(measure.spectrum)) - 1.0) <= 1e-12
 
     def test_point_mass(self):
         measure = MeasureRep(Spectrum(2, 3, np.ones(8, complex)), 1.0, {})
-        assert abs(total_variation(measure) - 1.0) <= 1e-12
+        assert abs(density_variation(inverse(measure.spectrum)) - 1.0) <= 1e-12
 
 
 class TestSpectralVsLiteralConvolutionPowers:

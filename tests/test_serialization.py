@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pchaos import ChaosPolynomial, FormatError, GuardExceeded, StepFunction, enumerate_Nd, forward
-from pchaos import InvalidExponent, MalformedIndex
+from pchaos import InvalidExponent, MalformedIndex, Spectrum
 from pchaos import lemma1_measure, random_chaos
 from pchaos import serialization as ser
 
@@ -21,7 +21,8 @@ def test_step_function_round_trip(tmp_path, rng):
     f = StepFunction(3, 3, rng.standard_normal(27) + 1j * rng.standard_normal(27))
     path = str(tmp_path / "f.json")
     ser.save_step_function(path, f)
-    loaded = ser.load_step_function(path)
+    loaded = ser.load_grid(path)
+    assert isinstance(loaded, StepFunction)
     assert loaded.p == 3 and loaded.level == 3
     np.testing.assert_array_equal(loaded.values, f.values)  # repr round trip is exact
 
@@ -31,7 +32,8 @@ def test_spectrum_round_trip(tmp_path, rng):
     s = forward(f)
     path = str(tmp_path / "s.json")
     ser.save_spectrum(path, s)
-    loaded = ser.load_spectrum(path)
+    loaded = ser.load_grid(path)
+    assert isinstance(loaded, Spectrum)
     np.testing.assert_array_equal(loaded.coeffs, s.coeffs)
 
 

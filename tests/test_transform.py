@@ -12,7 +12,6 @@ from pchaos import (
     LevelMismatch,
     Spectrum,
     StepFunction,
-    character_matrix,
     character_value,
     convolve,
     convolve_functions,
@@ -20,9 +19,8 @@ from pchaos import (
     group_sub,
     inverse,
     naive_forward,
-    rademacher_value,
 )
-from pchaos.transform import _group_sub_table
+from pchaos.transform import _group_sub_table, character_matrix
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -34,21 +32,23 @@ def random_function(p, level, seed):
 
 
 class TestRademacher:
+    """R_k^l is the character with Paley index l p^k."""
+
     def test_first_third_cell(self):
         # cell [1/3, 2/3) has first digit 1, so R_0 = omega there
         cell = CellIndex(3, 1, 1)
-        assert rademacher_value(0, 1, cell) == pytest.approx(OMEGA3)
+        assert character_value(1 * 3**0, cell) == pytest.approx(OMEGA3)
 
     def test_zero_exponent(self):
-        assert rademacher_value(2, 0, CellIndex(5, 4, 77)) == pytest.approx(1.0)
+        assert character_value(0 * 5**2, CellIndex(5, 4, 77)) == pytest.approx(1.0)
 
     def test_classical_sign(self):
         # cell [1/2, 1) at p=2
-        assert rademacher_value(0, 1, CellIndex(2, 1, 1)) == pytest.approx(-1.0)
+        assert character_value(1 * 2**0, CellIndex(2, 1, 1)) == pytest.approx(-1.0)
 
     def test_insufficient_level(self):
         with pytest.raises(InsufficientLevel):
-            rademacher_value(3, 1, CellIndex(2, 3, 0))
+            character_value(1 * 2**3, CellIndex(2, 3, 0))
 
 
 class TestCharacter:
