@@ -18,8 +18,9 @@ Polynomial files:
 with terms sorted by (k, l). Floats are emitted with repr precision, so
 stored values round-trip exactly. Every number must be finite: NaN and
 infinity are neither written (they are not JSON) nor accepted on load
-(FormatError). Every writer goes through a temporary file in the target
-directory followed by os.replace; readers never observe a partial file.
+(FormatError), and neither is a JSON boolean where a number belongs.
+Every writer goes through a temporary file in the target directory
+followed by os.replace; readers never observe a partial file.
 """
 
 from __future__ import annotations
@@ -149,6 +150,11 @@ def _decode_array(data: Any, expected: int, path: str, field: str = "data") -> n
         pairs = None
     if pairs is None or pairs.dtype.kind not in "iuf" or pairs.shape != (expected, 2):
         raise FormatError(f"{path}: field {field!r} entries must be [re, im] pairs")
+    # numpy promotes a boolean among numbers ([true, 0.0]) to 1.0 or 0.0, so
+    # the parsed values of every pair holding a 0 or a 1 are looked at.
+    suspects = np.flatnonzero(((pairs == 0) | (pairs == 1)).any(axis=1)).tolist()
+    if any(type(x) is bool for i in suspects for x in data[i]):
+        raise FormatError(f"{path}: field {field!r} holds a boolean, not a number")
     if not np.isfinite(pairs).all():
         raise FormatError(f"{path}: field {field!r} holds a non-finite number")
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
@@ -235,7 +241,13 @@ def load_measure(path: str) -> MeasureRep:
         raise FormatError(f"{path}: a measure file must have kind 'paley'")
     check_base_level(p, level)
     data = _decode_array(_require(payload, "data", path), p**level, path)
-    variation = float(_require(payload, "variation", path))
+    variation = _require(payload, "variation", path)
+    if type(variation) not in (int, float):  # true, "1.0", null and lists are refused
+        raise FormatError(f"{path}: field 'variation' must be a number, got {variation!r}")
+    try:
+        variation = float(variation)
+    except OverflowError:  # an integer beyond the float64 range
+        variation = math.inf
     if not math.isfinite(variation):
         raise FormatError(f"{path}: field 'variation' is not a finite number")
     provenance = _decode_provenance(_require(payload, "provenance", path), path)

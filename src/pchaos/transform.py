@@ -18,6 +18,12 @@ The fast path runs L stages of p-point DFT contractions, one per digit
 axis, in O(L p^(L+1)) scalar operations. `naive_forward` retains the
 quadratic-cost defining sum as the reference implementation; the two must
 agree to rounding on every input.
+
+At p=2 the kernel is [[1, 1], [1, -1]], so input whose imaginary part is
+all zero runs as L real add/sub butterfly stages in float64 instead: an
+exact kernel, so a +-1 (or any integer) spectrum synthesises to exact
+integers with imaginary part exactly 0. Complex p=2 input and every p >= 3
+use the complex kernel, whose entries come from one root-of-unity table.
 """
 
 from __future__ import annotations
@@ -102,9 +108,36 @@ def character_value(m: int, cell: CellIndex) -> complex:
 
 
 def _dft_matrix(p: int, sign: int) -> np.ndarray:
-    """p x p kernel omega^(sign * l * c) from exact angles."""
-    phases = np.outer(np.arange(p), np.arange(p)) % p
-    return np.exp(sign * 2j * np.pi * phases / p)
+    """p x p kernel omega^(sign * l * c), indexed from the root-of-unity table."""
+    powers = root_of_unity_powers(p)
+    if sign < 0:
+        # conj(omega^0) is 1-0j; + 0.0 gives it the +0.0 imaginary part the
+        # row and column of ones have always carried.
+        powers = np.conjugate(powers) + 0.0
+    return powers[np.outer(np.arange(p), np.arange(p)) % p]
+
+
+def _real_butterflies(values: np.ndarray, level: int) -> np.ndarray:
+    """The p=2 transform of the real parts of `values` (either sign).
+
+    Stage j takes the top digit of a (2, R, 2^j) view and writes its sum
+    and difference as digit j from the bottom of an (R, 2, 2^j) view, in
+    the manner of a Stockham autosort FFT. After L stages the digit read
+    first (c_1) sits lowest, so the result is Paley-indexed with no final
+    reorder. The last stage writes straight into the complex output.
+    """
+    size = 2**level
+    out = np.zeros(size, dtype=np.complex128)
+    buffers = (np.empty(size), np.empty(size)) if level > 1 else ()
+    a = values.real
+    for j in range(level):
+        dst = out.real if j == level - 1 else buffers[j % 2]
+        src = a.reshape(2, 2 ** (level - 1 - j), 2**j)
+        pairs = dst.reshape(2 ** (level - 1 - j), 2, 2**j)
+        np.add(src[0], src[1], out=pairs[:, 0, :])
+        np.subtract(src[0], src[1], out=pairs[:, 1, :])
+        a = dst
+    return out
 
 
 def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray:
@@ -113,6 +146,10 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     the output pairs with fractional digit k+1 of the input)."""
     if level == 0:
         return np.asarray(values, dtype=np.complex128).copy()
+    if p == 2:
+        values = np.asarray(values)
+        if not (np.iscomplexobj(values) and values.imag.any()):
+            return _real_butterflies(values, level)
     kernel = _dft_matrix(p, sign)
     a = np.ascontiguousarray(values, dtype=np.complex128)
     for j in range(level):

@@ -54,6 +54,15 @@ def test_pinned_rows():
          "max_l1_ratio": 2.142857142857143, "median_lq_ratio": 0.8468879135910246,
          "max_lq_ratio": 1.088855888902746},
     ]
+    # A row at study-deep size (8192 cells), recorded before real p=2 input
+    # took the add/sub butterfly path.
+    deep = growth_study(ExperimentConfig(p=2, d=2, N_values=(12,), trials=4, seed=3))
+    assert [r.to_dict() for r in deep.rows] == [
+        {"p": 2, "d": 2, "N": 12, "trials": 4, "seed": 3, "ensemble": "signs",
+         "q": 1.3333333333333333, "median_l1_ratio": 2.51875,
+         "max_l1_ratio": 2.7857142857142856, "median_lq_ratio": 0.8475423589119069,
+         "max_lq_ratio": 0.9373740375062564},
+    ]
 
 
 def test_determinism():

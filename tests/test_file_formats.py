@@ -1,11 +1,12 @@
 """Property tests over the file formats and the CLI exit-code contract.
 
 Grid, measure and polynomial files round-trip exactly. A file with a
-missing field, a wrong data length, a non-finite number, a non-integer
-position, a duplicate term, a wrong format_version, a header p/level/N
-that is not a JSON integer or a top level that is not a JSON object is
-refused by its loader with FormatError; the CLI commands that read it exit
-2 and write no output file. (No command reads measure files, so those stop
+missing field, a wrong data length, a non-finite number, a JSON boolean
+where a number belongs, a measure variation that is not a finite JSON
+number, a non-integer position, a duplicate term, a wrong format_version,
+a header p/level/N that is not a JSON integer or a top level that is not a
+JSON object is refused by its loader with FormatError; the CLI commands
+that read it exit 2 and write no output file. (No command reads measure files, so those stop
 at the loader.)
 """
 
@@ -142,6 +143,8 @@ POLY = {
     ],
 }
 NON_FINITE = st.sampled_from((float("nan"), float("inf"), float("-inf")))
+BAD_NUMBERS = st.one_of(NON_FINITE, st.booleans())
+NON_NUMBERS = st.sampled_from((None, "1.0", True, False, [1.0], {"v": 1.0}, 10**400))
 VERSIONS = st.sampled_from((0, 2, "1", None, 1.5, 1.0, True))
 NON_INTEGERS = st.sampled_from((None, "3", 2.5, 3.0, True, [3]))
 NON_OBJECTS = st.sampled_from((5, None, "cells", [], [1, 2]))
@@ -150,7 +153,7 @@ NON_OBJECTS = st.sampled_from((5, None, "cells", [], [1, 2]))
 @st.composite
 def grid_mutations(draw, base):
     payload = json.loads(json.dumps(base))
-    kinds = ("missing", "length", "non-finite", "version", "header", "top-level")
+    kinds = ("missing", "length", "bad-number", "version", "header", "top-level")
     kind = draw(st.sampled_from(kinds))
     if kind == "missing":
         del payload[draw(st.sampled_from(sorted(payload)))]
@@ -158,10 +161,10 @@ def grid_mutations(draw, base):
         size = len(payload["data"])
         length = draw(st.integers(0, 2 * size).filter(lambda n: n != size))
         payload["data"] = [[0.0, 0.0]] * length
-    elif kind == "non-finite":
+    elif kind == "bad-number":
         entry = draw(st.integers(0, len(payload["data"]) - 1))
         pair = list(payload["data"][entry])
-        pair[draw(st.integers(0, 1))] = draw(NON_FINITE)
+        pair[draw(st.integers(0, 1))] = draw(BAD_NUMBERS)
         payload["data"][entry] = pair
     elif kind == "version":
         payload["format_version"] = draw(VERSIONS)
@@ -173,11 +176,20 @@ def grid_mutations(draw, base):
 
 
 @st.composite
+def measure_mutations(draw):
+    if draw(st.booleans()):
+        return draw(grid_mutations(MEASURE))
+    payload = json.loads(json.dumps(MEASURE))
+    payload["variation"] = draw(st.one_of(NON_NUMBERS, NON_FINITE))
+    return payload
+
+
+@st.composite
 def poly_mutations(draw):
     payload = json.loads(json.dumps(POLY))
     terms = payload["terms"]
     kinds = (
-        "missing", "term-field", "non-finite", "position", "duplicate", "version", "header",
+        "missing", "term-field", "bad-number", "position", "duplicate", "version", "header",
         "top-level",
     )
     kind = draw(st.sampled_from(kinds))
@@ -186,8 +198,8 @@ def poly_mutations(draw):
         del payload[draw(st.sampled_from(sorted(payload)))]
     elif kind == "term-field":
         del term[draw(st.sampled_from(("k", "l", "re", "im")))]
-    elif kind == "non-finite":
-        term[draw(st.sampled_from(("re", "im")))] = draw(NON_FINITE)
+    elif kind == "bad-number":
+        term[draw(st.sampled_from(("re", "im")))] = draw(BAD_NUMBERS)
     elif kind == "position":
         spot = draw(st.integers(0, len(term["k"]) - 1))
         k = term["k"][spot]
@@ -221,7 +233,7 @@ def test_mutated_grid_refused(tmp_path, capsys, payload):
 
 
 @PROPERTY
-@given(payload=grid_mutations(MEASURE))
+@given(payload=measure_mutations())
 def test_mutated_measure_refused(tmp_path, payload):
     path = str(tmp_path / "measure.json")
     _write(path, payload)

@@ -20,7 +20,7 @@ from pchaos import (
     inverse,
     naive_forward,
 )
-from pchaos.transform import _group_sub_table, character_matrix
+from pchaos.transform import _dft_matrix, _group_sub_table, _tensor_dft, character_matrix
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -168,6 +168,85 @@ class TestFastVsNaive:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * 2**20
+
+
+def _exp_kernel(p, sign):
+    return np.exp(sign * 2j * np.pi * (np.outer(np.arange(p), np.arange(p)) % p) / p)
+
+
+def _kernel_path(values, p, level, sign):
+    """The complex matmul path with the exp-built kernel, stage by stage."""
+    a = np.ascontiguousarray(values, dtype=np.complex128)
+    for j in range(level):
+        a = np.matmul(_exp_kernel(p, sign), a.reshape(p**j, p, p ** (level - 1 - j)))
+    a = a.reshape((p,) * level).transpose(tuple(reversed(range(level))))
+    return np.ascontiguousarray(a).reshape(p**level)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("p", range(2, 17))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kernel_from_root_table_is_exp_formula(p, sign):
+    np.testing.assert_array_equal(_bits(_dft_matrix(p, sign)), _bits(_exp_kernel(p, sign)))
+
+
+class TestRealBaseTwo:
+    """Real p=2 input runs add/sub butterflies; all other input the kernel."""
+
+    def test_sign_spectrum_synthesises_exact_integers(self):
+        signs = np.random.default_rng(1).choice([-1.0, 1.0], 2**12)
+        values = inverse(Spectrum(2, 12, signs)).values
+        assert not values.imag.any()
+        np.testing.assert_array_equal(values.real, np.round(values.real))
+        assert np.abs(values - _kernel_path(signs, 2, 12, 1)).max() <= 1e-9
+
+    @pytest.mark.parametrize("level", range(1, 12))
+    def test_real_input_matches_naive(self, level):
+        f = StepFunction(2, level, np.random.default_rng(level).standard_normal(2**level))
+        fast = forward(f).coeffs
+        ref = naive_forward(f).coeffs
+        assert np.abs(fast - ref).max() / np.abs(ref).max() <= 1e-12
+
+    def test_round_trip_level_16(self):
+        rng = np.random.default_rng(16)
+        f = StepFunction(2, 16, rng.standard_normal(2**16))
+        back = inverse(forward(f)).values
+        assert np.abs(back - f.values).max() / np.abs(f.values).max() <= 1e-12
+        # integer sums and the 2^-16 scale are exact, so signs come back bit for bit
+        signs = Spectrum(2, 16, rng.choice([-1.0, 1.0], 2**16))
+        np.testing.assert_array_equal(forward(inverse(signs)).coeffs, signs.coeffs)
+
+    def test_level_zero(self):
+        assert forward(StepFunction(2, 0, [3.0])).coeffs.tolist() == [3.0]
+        assert inverse(Spectrum(2, 0, [-2.0])).values.tolist() == [-2.0]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_and_negative_zero_imaginary_input(self, sign):
+        real = np.random.default_rng(4).standard_normal(2**6)
+        expected = _tensor_dft(real + 0j, 2, 6, sign)
+        negative_zero = real.astype(np.complex128)
+        negative_zero.imag = -0.0
+        for values in (real, negative_zero):
+            out = _tensor_dft(values, 2, 6, sign)
+            assert out.dtype == np.complex128
+            np.testing.assert_array_equal(_bits(out), _bits(expected))
+
+    @pytest.mark.parametrize("p,level", [(2, 9), (3, 7), (5, 4), (16, 3)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_other_input_is_the_kernel_path(self, p, level, sign):
+        rng = np.random.default_rng(p + level)
+        size = p**level
+        inputs = [rng.standard_normal(size) + 1j * rng.standard_normal(size)]
+        if p > 2:
+            inputs.append(rng.standard_normal(size) + 0j)
+        for values in inputs:
+            np.testing.assert_array_equal(
+                _bits(_tensor_dft(values, p, level, sign)),
+                _bits(_kernel_path(values, p, level, sign)),
+            )
 
 
 class TestConvolve:
