@@ -124,6 +124,21 @@ def test_polynomial_round_trip(tmp_path, poly):
     assert _read(path) == first
 
 
+@PROPERTY
+@given(poly=polynomials())
+def test_polynomial_file_matches_term_decoding(tmp_path, poly):
+    """save_polynomial reads k/l off the digit matrix; its file is byte for
+    byte the one built by decoding every term."""
+    terms = [
+        {"k": list(t.ks), "l": list(t.ls), "re": c.real, "im": c.imag}
+        for t, c in poly.coeffs.items()
+    ]
+    path = str(tmp_path / "poly.json")
+    ser.save_polynomial(path, poly)
+    expected = {"format_version": 1, "p": poly.p, "N": poly.N, "terms": terms}
+    assert _read(path) == ser.dump_json(expected).encode()
+
+
 # ---------------------------------------------------------------------------
 # Mutated files
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from pchaos import ChaosPolynomial, FormatError, GuardExceeded, StepFunction, enumerate_Nd, forward
 from pchaos import InvalidExponent, MalformedIndex, Spectrum
-from pchaos import lemma1_measure, random_chaos
+from pchaos import MeasureRep, lemma1_measure, random_chaos
 from pchaos import serialization as ser
 
 
@@ -207,3 +207,139 @@ def test_polynomial_terms_refused_as_format_errors(tmp_path, terms):
     _write(path, {"format_version": 1, "p": 3, "N": 2, "terms": terms})
     with pytest.raises(FormatError):
         ser.load_polynomial(path)
+
+
+def _term(k, l, re=1.0):
+    return {"k": k, "l": l, "re": re, "im": 0.0}
+
+
+@pytest.mark.parametrize(
+    "header,terms,error",
+    [
+        ({}, [_term([True], [1])], FormatError),
+        ({}, [_term(["0"], [1])], FormatError),
+        ({}, [_term([0], [True])], FormatError),
+        ({}, [_term([0], [1.0])], FormatError),
+        ({}, [_term(0, [1])], FormatError),
+        ({}, [_term([0], None)], FormatError),
+        ({}, [[0, 1]], FormatError),
+        ({}, [_term([0, 2], [1, 2]), _term([1], [1]), _term([0, 2], [1, 2])], FormatError),
+        ({}, [_term([0], [0])], InvalidExponent),
+        ({}, [_term([0, 1], [1, -1])], InvalidExponent),
+        ({}, [_term([0], [3])], InvalidExponent),
+        ({}, [_term([0], [10**30])], InvalidExponent),
+        ({}, [_term([0], [-(10**30)])], InvalidExponent),
+        ({}, [_term([3], [1])], MalformedIndex),
+        ({}, [_term([0, 10**30], [1, 1])], MalformedIndex),
+        ({}, [_term([1], [1]), _term([1, 0], [1, 1])], MalformedIndex),
+        ({}, [_term([2, 2], [1, 1])], MalformedIndex),
+        ({}, [_term([-1], [1])], MalformedIndex),
+        ({}, [_term([0, 1], [1])], MalformedIndex),
+        ({}, [_term([0], [])], MalformedIndex),
+        ({}, [_term([], [])], MalformedIndex),
+        ({"N": -1}, [_term([0], [1])], MalformedIndex),
+        ({"N": -1}, [], MalformedIndex),
+        ({"p": 1}, [_term([0], [1])], GuardExceeded),
+        ({"p": 17}, [_term([0], [1])], GuardExceeded),
+        ({"N": 63}, [_term([0], [1])], GuardExceeded),
+    ],
+)
+def test_polynomial_refusal_classes(tmp_path, header, terms, error):
+    """Each malformed term or header is refused with one error class (p=3,
+    N=2 unless set); test_malformed_polynomial_terms and
+    test_polynomial_terms_refused_as_format_errors hold further cases."""
+    path = str(tmp_path / "q.json")
+    _write(path, {"format_version": 1, "p": 3, "N": 2, "terms": terms} | header)
+    with pytest.raises(error) as caught:
+        ser.load_polynomial(path)
+    assert type(caught.value) is error
+
+
+# ---------------------------------------------------------------------------
+# Compact data writer
+# ---------------------------------------------------------------------------
+
+
+def _indented(payload):
+    """The fully indented encoding, as every file was written before ``data``
+    became compact."""
+    text = json.dumps(
+        payload, indent=2, sort_keys=True, default=ser.json_default, allow_nan=False
+    )
+    return text + "\n"
+
+
+@pytest.fixture
+def payloads(monkeypatch, rng):
+    """The payloads the save functions hand to the writer, by file kind."""
+    captured = {}
+    monkeypatch.setattr(ser, "write_json_atomic", captured.__setitem__)
+    f = StepFunction(3, 2, rng.standard_normal(9) + 1j * rng.standard_normal(9))
+    ser.save_step_function("grid", f, extras={"config": {"data": [1, 2], "p": 3}})
+    nu = lemma1_measure(3, 2, [1, 2, 1], 3)
+    nested = MeasureRep(nu.spectrum, nu.variation, nu.provenance | {"data": {"data": [0.25]}})
+    ser.save_measure("measure", nested)
+    ser.save_polynomial("polynomial", random_chaos(3, 2, 3, rng, "unimodular"))
+    return captured
+
+
+@pytest.mark.parametrize("kind", ["grid", "measure", "polynomial"])
+def test_compact_writer_encodes_the_same_json(payloads, kind):
+    payload = payloads[kind]
+    assert json.loads(ser.dump_json(payload)) == json.loads(_indented(payload))
+
+
+@pytest.mark.parametrize("kind", ["grid", "measure"])
+def test_top_level_data_is_one_compact_line(payloads, kind):
+    """Only the top-level data value changes: it is the one-line compact
+    encoding, and the rest of the text, nested "data" keys included, is
+    byte for byte the indented encoding."""
+    payload = payloads[kind]
+    text = ser.dump_json(payload)
+    compact = json.dumps(payload["data"], separators=(",", ":"))
+    assert "\n" not in compact
+    assert text.count('  "data": ' + compact) == 1
+    assert text.replace('"data": ' + compact, '"data": null') == _indented(
+        dict(payload, data=None)
+    )
+    decoded = json.loads(text)
+    if kind == "grid":
+        assert decoded["config"]["data"] == [1, 2]
+    else:
+        assert decoded["provenance"]["data"] == {"data": [0.25]}
+        assert '\n      "data": [\n        0.25\n' in text
+
+
+def test_payload_without_data_is_written_as_before(payloads):
+    report = {
+        "format_version": 1,
+        "config": {"p": [2, 3], "data": [0.5, 1.5], "N": np.int64(4)},
+        "checks": [{"name": "parseval", "residual": 1.5e-16, "passed": np.bool_(True)}],
+        "meta": {"check_wall_s": {"parseval": np.float64(0.01)}},
+    }
+    assert ser.dump_json(report) == _indented(report)
+    assert ser.dump_json(payloads["polynomial"]) == _indented(payloads["polynomial"])
+
+
+@pytest.mark.parametrize("kind", ["grid", "measure"])
+def test_indented_files_still_load(tmp_path, payloads, kind):
+    load = ser.load_grid if kind == "grid" else ser.load_measure
+    old, new = str(tmp_path / "old.json"), str(tmp_path / "new.json")
+    with open(old, "w") as handle:
+        handle.write(_indented(payloads[kind]))
+    ser.write_text_atomic(new, ser.dump_json(payloads[kind]))
+    assert os.path.getsize(new) < os.path.getsize(old)
+    a, b = load(old), load(new)
+    a, b = (x.values if kind == "grid" else x.spectrum.coeffs for x in (a, b))
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("part", [0, 1])
+def test_non_finite_data_refused_before_any_file(tmp_path, bad, part):
+    coeffs = np.zeros(4, dtype=np.complex128)
+    coeffs.view(np.float64)[2 + part] = bad
+    path = str(tmp_path / "s.json")
+    with pytest.raises(FormatError, match="invalid JSON"):
+        ser.save_spectrum(path, Spectrum(2, 2, coeffs))
+    assert os.listdir(tmp_path) == []
