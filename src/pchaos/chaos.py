@@ -22,6 +22,7 @@ likewise verifiable against the order-selecting measure.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -115,6 +116,14 @@ def _canonical_order(digits: np.ndarray, orders: np.ndarray, p: int) -> np.ndarr
     return np.lexsort((reversed_index, rank))
 
 
+def _finite_coefficients(values) -> np.ndarray:
+    """A complex128 copy of `values`, refused if any entry is NaN or inf."""
+    values = np.array(values, dtype=np.complex128)
+    if not np.isfinite(values).all():
+        raise NonFiniteValue("chaos coefficients must be finite")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class ChaosPolynomial:
     """Complex coefficients on chaos terms with positions <= N.
@@ -172,9 +181,7 @@ class ChaosPolynomial:
                 f"(positions up to {self.N})"
             )
         indices = indices.astype(np.int64)
-        values = values.astype(np.complex128)
-        if not np.isfinite(values).all():
-            raise NonFiniteValue("chaos coefficients must be finite")
+        values = _finite_coefficients(values)
         digits = digit_matrix(indices, self.p, self.N + 1)
         orders = np.count_nonzero(digits, axis=1)
         if indices.size:
@@ -182,12 +189,28 @@ class ChaosPolynomial:
             indices, values, orders = indices[perm], values[perm], orders[perm]
             if np.any(indices[1:] == indices[:-1]):
                 raise MalformedIndex("a term occurs more than once")
-        for arr in (indices, values, orders):
+        for arr in (indices, orders):
             arr.flags.writeable = False
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "_orders", orders)
-        object.__setattr__(self, "coeffs", _TermMap(self.p, indices, values))
+        self._set_values(values)
+
+    def _with_values(self, values: np.ndarray) -> "ChaosPolynomial":
+        """The same validated terms with new coefficients aligned with
+        ``indices``; only the coefficients are checked."""
+        values = _finite_coefficients(values)
+        if values.shape != self.indices.shape:
+            raise MalformedIndex("values must align with the polynomial's indices")
+        Q = object.__new__(ChaosPolynomial)
+        for name in ("p", "N", "indices", "_orders"):
+            object.__setattr__(Q, name, getattr(self, name))
+        Q._set_values(values)
+        return Q
+
+    def _set_values(self, values: np.ndarray) -> None:
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "coeffs", _TermMap(self.p, self.indices, values))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChaosPolynomial):
@@ -257,10 +280,15 @@ def linf_norm(
     return float(magnitudes[arg]), CellIndex(Q.p, f.level, arg)
 
 
+def check_norm_exponent(q: float) -> None:
+    """Refuse a norm exponent unless it is finite and positive."""
+    if not (math.isfinite(q) and q > 0):
+        raise InvalidExponent(f"norm exponent must be finite and positive, got {q}")
+
+
 def lq_norm(values: Sequence[complex], q: float) -> float:
     """(sum |c|^q)^(1/q) in the order given (0.0 for an empty sequence)."""
-    if q <= 0:
-        raise InvalidExponent(f"norm exponent must be positive, got {q}")
+    check_norm_exponent(q)
     mags = np.abs(np.asarray(values, dtype=np.complex128))
     if mags.size == 0:
         return 0.0

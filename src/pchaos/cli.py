@@ -33,6 +33,7 @@ from .measures import (
     riesz_density,
 )
 from .chaos import (
+    check_norm_exponent,
     convolve_with_measure,
     decomposition_residual,
     linf_norm,
@@ -203,6 +204,8 @@ def cmd_lemma2(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    if args.q is not None:
+        check_norm_exponent(args.q)
     Q = ser.load_polynomial(args.poly)
     sup, cell = linf_norm(Q, args.max_cells)
     vector = Q.values

@@ -9,6 +9,7 @@ outside the reproducible rows.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -172,13 +173,19 @@ class ExperimentReport:
 
 
 def _row(cfg: ExperimentConfig, N: int) -> ExperimentRow:
-    """Ratio statistics over cfg.trials polynomials on the order-d index set."""
+    """Ratio statistics over cfg.trials polynomials on the order-d index set.
+
+    The index set is validated once per row. term_indices lists it in the
+    canonical term order, so each trial's draws align with it and only the
+    coefficients are swapped in and checked per trial.
+    """
     indices = term_indices(cfg.p, cfg.d, N)
+    terms = ChaosPolynomial.from_indices(cfg.p, N, indices, np.zeros(indices.size))
     q = 2 * cfg.d / (cfg.d + 1)
     l1, lq = [], []
     for t in range(cfg.trials):
-        coeffs = draw_coefficients(trial_rng(cfg.seed, N, t), len(indices), cfg.ensemble)
-        Q = ChaosPolynomial.from_indices(cfg.p, N, indices, coeffs)
+        coeffs = draw_coefficients(trial_rng(cfg.seed, N, t), indices.size, cfg.ensemble)
+        Q = terms._with_values(coeffs)
         sup, _ = linf_norm(Q)
         l1.append(lq_norm(Q.values, 1.0) / sup)
         lq.append(lq_norm(Q.values, q) / sup)
@@ -203,11 +210,25 @@ def _run_study(
     verdicts: Callable[[ExperimentConfig, ExperimentReport], list[str]] | None = None,
 ) -> ExperimentReport:
     """One row per N (none when trials == 0), then the study's own
-    `verdicts(cfg, report)` failures, then the baseline comparison."""
+    `verdicts(cfg, report)` failures, then the baseline comparison.
+
+    meta["row_wall_s"] gives each row's wall time with its problem size;
+    timing never enters the rows."""
     start = time.perf_counter()
     report = ExperimentReport(kind=kind, config=cfg.to_dict())
+    row_wall_s: list[dict] = []
+    report.meta["row_wall_s"] = row_wall_s
     if cfg.trials > 0:
-        report.rows.extend(_row(cfg, N) for N in sorted(cfg.N_values))
+        for N in sorted(cfg.N_values):
+            row_start = time.perf_counter()
+            report.rows.append(_row(cfg, N))
+            row_wall_s.append({
+                "N": N,
+                "cells": cfg.p ** (N + 1),
+                "terms": math.comb(N + 1, cfg.d) * (cfg.p - 1) ** cfg.d,
+                "trials": cfg.trials,
+                "wall_s": time.perf_counter() - row_start,
+            })
     if verdicts is not None:
         report.failures.extend(verdicts(cfg, report))
     report.failures.extend(check_against_baselines(report))

@@ -14,16 +14,21 @@ character itself. With this convention convolution of densities,
 (f * g)(x) = integral f(x - z) g(z) dmu(z) over the coordinate group,
 becomes the pointwise product of coefficient arrays.
 
-The fast path runs L stages of p-point DFT contractions, one per digit
-axis, in O(L p^(L+1)) scalar operations. `naive_forward` retains the
-quadratic-cost defining sum as the reference implementation; the two must
-agree to rounding on every input.
+The fast path runs L stages of p-point DFT contractions, one per digit,
+in O(L p^(L+1)) scalar operations, in the layout of a Stockham autosort
+FFT: stage j contracts the top (still unread) digit of the whole array
+with one matrix product and stores the new digit just above the j digits
+already written, so the last stage leaves the output Paley-indexed and no
+final reorder is needed. `naive_forward` retains the quadratic-cost
+defining sum as the reference implementation; the two must agree to
+rounding on every input.
 
 At p=2 the kernel is [[1, 1], [1, -1]], so input whose imaginary part is
 all zero runs as L real add/sub butterfly stages in float64 instead: an
 exact kernel, so a +-1 (or any integer) spectrum synthesises to exact
 integers with imaginary part exactly 0. Complex p=2 input and every p >= 3
-use the complex kernel, whose entries come from one root-of-unity table.
+use the complex kernel, whose entries come from one root-of-unity table;
+their values carry the rounding of the matrix products (BLAS GEMM).
 """
 
 from __future__ import annotations
@@ -141,9 +146,19 @@ def _real_butterflies(values: np.ndarray, level: int) -> np.ndarray:
 
 
 def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray:
-    """Apply the p-point kernel along every digit axis, then relabel output
-    axes so that the flat result is directly Paley-indexed (position k of
-    the output pairs with fractional digit k+1 of the input)."""
+    """Apply the p-point kernel along every digit; the flat result is
+    directly Paley-indexed (position k of the output pairs with fractional
+    digit k+1 of the input).
+
+    Complex input runs L Stockham stages. Before stage j the array is a
+    (p, R, p^j) view, R = p^(L-1-j): the top axis is the input digit
+    c_{j+1}, the bottom axis the output digits l_{j-1}, ..., l_0 written so
+    far. One GEMM, kernel @ a.reshape(p, -1), contracts c_{j+1}, and its
+    (p, R, p^j) product is stored as (R, p, p^j), so l_j lands just above
+    the digits already written. At the last stage R = 1, so that store
+    copies nothing and leaves l_(L-1) on top and l_0 lowest: no final
+    reorder.
+    """
     if level == 0:
         return np.asarray(values, dtype=np.complex128).copy()
     if p == 2:
@@ -153,9 +168,9 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     kernel = _dft_matrix(p, sign)
     a = np.ascontiguousarray(values, dtype=np.complex128)
     for j in range(level):
-        a = np.matmul(kernel, a.reshape(p**j, p, p ** (level - 1 - j)))
-    a = a.reshape((p,) * level).transpose(tuple(reversed(range(level))))
-    return np.ascontiguousarray(a).reshape(p**level)
+        product = (kernel @ a.reshape(p, -1)).reshape(p, p ** (level - 1 - j), p**j)
+        a = np.ascontiguousarray(product.transpose(1, 0, 2))
+    return a.reshape(p**level)
 
 
 def forward(f: StepFunction) -> Spectrum:

@@ -102,6 +102,12 @@ class TestNorms:
         with pytest.raises(InvalidExponent):
             lq_norm([1.0], 0.0)
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_exponent(self, q):
+        # nan gave nan and inf gave 1.0, neither of them a norm
+        with pytest.raises(InvalidExponent):
+            lq_norm([1.0, -2.0], q)
+
     def test_parseval_coefficient_level(self):
         rng = np.random.default_rng(4)
         Q = random_chaos(3, 2, 4, rng, "unimodular")

@@ -109,6 +109,18 @@ def test_norms_reports_values(tmp_path, capsys):
     assert payload["linf"] > 0
 
 
+@pytest.mark.parametrize("q", ["nan", "inf", "-inf", "0", "-1.5"])
+def test_norms_refuses_bad_q_before_loading(tmp_path, monkeypatch, capsys, q):
+    poly = tmp_path / "q.json"
+    out = tmp_path / "norms.json"
+    ser.save_polynomial(str(poly), random_chaos(2, 2, 4, np.random.default_rng(0)))
+    loads = []
+    monkeypatch.setattr(ser, "load_polynomial", lambda path: loads.append(path))
+    assert run("norms", "--poly", poly, f"--q={q}", "--out", out) == 2
+    assert "norm exponent" in capsys.readouterr().err
+    assert loads == [] and not out.exists()
+
+
 def test_norms_missing_file(capsys):
     assert run("norms", "--poly", "missing.json") == 2
     assert "missing.json" in capsys.readouterr().err

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from pchaos import (
+    ChaosPolynomial,
     ExperimentConfig,
     MeasureRep,
     Spectrum,
     growth_study,
     lemma1_measure,
+    linf_norm,
+    lq_norm,
     random_ensemble_study,
+    term_indices,
     verify_suite,
 )
 from pchaos import experiments
@@ -35,7 +39,9 @@ def test_zero_trials_empty_report():
 
 def test_pinned_rows():
     # Row values recorded before polynomials became index arrays; a change
-    # in term order or in the trial substreams shows up as inequality.
+    # in term order or in the trial substreams shows up as inequality. The
+    # p=3 N=4 medians were re-recorded when the complex transform took the
+    # Stockham layout (each moved by 2 ulps).
     ensemble = random_ensemble_study(
         ExperimentConfig(p=3, d=3, N_values=(3, 4), trials=5, seed=11, ensemble="unimodular")
     )
@@ -44,8 +50,8 @@ def test_pinned_rows():
          "q": 1.5, "median_l1_ratio": 2.459652273676698, "max_l1_ratio": 3.020920331621907,
          "median_lq_ratio": 0.7747419187567641, "max_lq_ratio": 0.9515302789664603},
         {"p": 3, "d": 3, "N": 4, "trials": 5, "seed": 11, "ensemble": "unimodular",
-         "q": 1.5, "median_l1_ratio": 3.780352172066397, "max_l1_ratio": 4.372787543231334,
-         "median_lq_ratio": 0.87734202144936, "max_lq_ratio": 1.0148340916211809},
+         "q": 1.5, "median_l1_ratio": 3.780352172066396, "max_l1_ratio": 4.372787543231334,
+         "median_lq_ratio": 0.8773420214493598, "max_lq_ratio": 1.0148340916211809},
     ]
     growth = growth_study(ExperimentConfig(p=2, d=2, N_values=(5,), trials=7, seed=3))
     assert [r.to_dict() for r in growth.rows] == [
@@ -70,6 +76,48 @@ def test_determinism():
     a = random_ensemble_study(cfg)
     b = random_ensemble_study(cfg)
     assert [r.to_dict() for r in a.rows] == [r.to_dict() for r in b.rows]
+
+
+def test_row_wall_times_stay_out_of_rows():
+    cfg = ExperimentConfig(p=3, d=2, N_values=(4, 3), trials=4, seed=2)
+    first, second = random_ensemble_study(cfg), growth_study(cfg)
+    assert [r.to_dict() for r in first.rows] == [r.to_dict() for r in second.rows]
+    for report in (first, second):
+        timings = report.meta["row_wall_s"]
+        assert [{k: v for k, v in t.items() if k != "wall_s"} for t in timings] == [
+            {"N": N, "cells": 3 ** (N + 1), "terms": len(term_indices(3, 2, N)), "trials": 4}
+            for N in (3, 4)
+        ]
+        assert all(t["wall_s"] > 0 for t in timings)
+        assert not any("wall" in key for row in report.rows for key in row.to_dict())
+    assert first.meta["row_wall_s"] is not second.meta["row_wall_s"]
+    empty = random_ensemble_study(ExperimentConfig(p=2, d=2, N_values=(4,), trials=0, seed=0))
+    assert empty.meta["row_wall_s"] == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("ensemble", experiments.ENSEMBLES)
+def test_row_matches_trial_by_trial_recomputation(p, ensemble):
+    # A row validates its index set once and swaps in each trial's draws;
+    # every statistic must be bit-equal to polynomials built and validated
+    # one per trial, here from a shuffled term order.
+    d, trials, seed = 2, 9, 7
+    cfg = ExperimentConfig(p=p, d=d, N_values=(2, 3), trials=trials, seed=seed, ensemble=ensemble)
+    q = 2 * d / (d + 1)
+    for row in random_ensemble_study(cfg).rows:
+        indices = term_indices(p, d, row.N)
+        shuffle = np.random.default_rng(row.N).permutation(indices.size)
+        l1, lq = [], []
+        for t in range(trials):
+            rng = experiments.trial_rng(seed, row.N, t)
+            coeffs = experiments.draw_coefficients(rng, indices.size, ensemble)
+            Q = ChaosPolynomial.from_indices(p, row.N, indices[shuffle], coeffs[shuffle])
+            sup, _ = linf_norm(Q)
+            l1.append(lq_norm(Q.values, 1.0) / sup)
+            lq.append(lq_norm(Q.values, q) / sup)
+        assert (row.median_l1_ratio, row.max_l1_ratio, row.median_lq_ratio, row.max_lq_ratio) == (
+            float(np.median(l1)), float(np.max(l1)), float(np.median(lq)), float(np.max(lq))
+        )
 
 
 def test_growth_study_monotone():
@@ -168,12 +216,14 @@ class TestVerifySuite:
         # Residuals and contexts recorded before the checks shared one
         # worst-case reducer: each check keeps its first strict maximum,
         # {} when no residual exceeds 0, and sidon-exact-d1 its fixed context.
+        # transform-roundtrip and convolution-theorem were re-recorded when
+        # the complex transform took the Stockham layout.
         checks = [c.to_dict() for c in verify_suite((2, 3), (1, 2), 3, seed=0).checks]
         expected = [
-            ("transform-roundtrip", 7.65505744940984e-16, 1e-10, {"p": 3, "level": 7}),
+            ("transform-roundtrip", 7.525520899156334e-16, 1e-10, {"p": 3, "level": 7}),
             ("parseval", 3.3614182700908125e-16, 1e-10, {"p": 3, "level": 7}),
             ("fast-vs-naive", 5.117875266520903e-16, 1e-12, {"p": 3, "level": 2}),
-            ("convolution-theorem", 2.4655053005362233e-17, 1e-12, {"p": 3, "level": 6}),
+            ("convolution-theorem", 2.359479019930958e-17, 1e-12, {"p": 3, "level": 6}),
             ("character-multiplicativity", 8.95090418262362e-16, 1e-14, {"p": 3, "m": 15}),
             ("riesz-mass", 4.440892098500626e-16, 1e-12, {"p": 2, "level": 12}),
             ("lemma1-pattern", 1.6613700224990385e-14, 1e-06, {"p": 2, "d": 2, "J": [1, 1, 1, 1]}),

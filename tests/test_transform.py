@@ -20,6 +20,7 @@ from pchaos import (
     inverse,
     naive_forward,
 )
+from pchaos.config import MAX_DIRECT_CELLS
 from pchaos.transform import _dft_matrix, _group_sub_table, _tensor_dft, character_matrix
 
 OMEGA3 = np.exp(2j * np.pi / 3)
@@ -133,13 +134,18 @@ class TestInverse:
 
 
 class TestFastVsNaive:
-    @pytest.mark.parametrize("p", [2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("p", range(2, 17))
     def test_all_small_sizes(self, p):
-        level = 1
-        while p**level <= 3**7:
+        # complex input at every base and level the reference admits, both
+        # kernel signs: inverse(s) = conj(p^L naive_forward(conj s))
+        level = 0
+        while p**level <= MAX_DIRECT_CELLS:
             f = random_function(p, level, seed=13 * p + level)
-            fast = forward(f).coeffs
             ref = naive_forward(f).coeffs
+            assert np.abs(forward(f).coeffs - ref).max() / np.abs(ref).max() <= 1e-12
+            flipped = StepFunction(p, level, np.conjugate(f.values))
+            ref = np.conjugate(naive_forward(flipped).coeffs) * p**level
+            fast = inverse(Spectrum(p, level, f.values)).values
             assert np.abs(fast - ref).max() / np.abs(ref).max() <= 1e-12
             level += 1
 
@@ -175,12 +181,14 @@ def _exp_kernel(p, sign):
 
 
 def _kernel_path(values, p, level, sign):
-    """The complex matmul path with the exp-built kernel, stage by stage."""
+    """The complex path with the exp-built kernel in Stockham layout: each
+    stage is one product with the top digit, whose new digit is stored just
+    above the digits already written."""
     a = np.ascontiguousarray(values, dtype=np.complex128)
     for j in range(level):
-        a = np.matmul(_exp_kernel(p, sign), a.reshape(p**j, p, p ** (level - 1 - j)))
-    a = a.reshape((p,) * level).transpose(tuple(reversed(range(level))))
-    return np.ascontiguousarray(a).reshape(p**level)
+        a = (_exp_kernel(p, sign) @ a.reshape(p, -1)).reshape(p, p ** (level - 1 - j), p**j)
+        a = np.ascontiguousarray(a.transpose(1, 0, 2))
+    return a.reshape(p**level)
 
 
 def _bits(values):
