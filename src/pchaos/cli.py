@@ -22,7 +22,7 @@ from .config import (
     MASS_TOL,
     Tolerances,
 )
-from .errors import ChaosError
+from .errors import ChaosError, DegenerateInput
 from .measures import (
     MeasureRep,
     density_variation,
@@ -41,7 +41,6 @@ from .chaos import (
     polynomial_spectrum,
     project_J,
     project_order,
-    sidon_ratio,
 )
 from .experiments import (
     ExperimentConfig,
@@ -210,12 +209,15 @@ def cmd_norms(args) -> int:
     sup, cell = linf_norm(Q, args.max_cells)
     vector = Q.values
     q = args.q if args.q is not None else Q.sidon_exponent
+    if not np.any(vector):
+        raise DegenerateInput("the zero polynomial has no norm ratio")
     payload = _echo({"poly": args.poly, "q": q}) | {
         "linf": sup,
         "argmax_cell": cell.index,
         "l1": lq_norm(vector, 1.0),
         "lq": lq_norm(vector, q),
-        "sidon_ratio": sidon_ratio(Q, args.max_cells),
+        # sidon_ratio(Q) from the one synthesis above
+        "sidon_ratio": lq_norm(vector, Q.sidon_exponent) / sup,
         "orders": list(Q.orders),
         "terms": len(vector),
     }

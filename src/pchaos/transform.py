@@ -14,25 +14,19 @@ character itself. With this convention convolution of densities,
 (f * g)(x) = integral f(x - z) g(z) dmu(z) over the coordinate group,
 becomes the pointwise product of coefficient arrays.
 
-The fast path runs L stages of p-point DFT contractions, one per digit,
-in O(L p^(L+1)) scalar operations, in the layout of a Stockham autosort
-FFT: stage j contracts the top (still unread) digit of the whole array
-with one matrix product and stores the new digit just above the j digits
-already written, so the last stage leaves the output Paley-indexed and no
-final reorder is needed. `naive_forward` retains the quadratic-cost
-defining sum as the reference implementation; the two must agree to
-rounding on every input.
-
-At p=2 the kernel is [[1, 1], [1, -1]], so input whose imaginary part is
-all zero runs as L real add/sub butterfly stages in float64 instead: an
-exact kernel, so a +-1 (or any integer) spectrum synthesises to exact
-integers with imaginary part exactly 0. Complex p=2 input and every p >= 3
-use the complex kernel, whose entries come from one root-of-unity table;
-their values carry the rounding of the matrix products (BLAS GEMM).
+The fast path contracts the digits g at a time, one matrix product (BLAS
+GEMM) with the level-g character table per stage, in the layout of a
+Stockham autosort FFT, so no final reorder is needed (see `_tensor_dft`).
+At p=2, input whose imaginary part is all zero runs in float64 with the
+exact +-1 table, so integer spectra synthesise to exact integers; other
+values carry the rounding of the complex root-of-unity table and of the
+GEMMs. `naive_forward` retains the quadratic-cost defining sum as the
+reference; the two must agree to rounding on every input.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,37 +106,28 @@ def character_value(m: int, cell: CellIndex) -> complex:
     return complex(np.exp(2j * np.pi * (phase % cell.p) / cell.p))
 
 
-def _dft_matrix(p: int, sign: int) -> np.ndarray:
-    """p x p kernel omega^(sign * l * c), indexed from the root-of-unity table."""
+# Cells one stage contracts at most: g=5 digits at p=2, 3 at p=3, 2 at p=4
+# and p=5, 1 from p=7 up. A cap of 64 measured slower at p=2 and p=4.
+_STAGE_CELLS = 32
+
+
+@functools.cache
+def _stage_kernel(p: int, g: int, sign: int, real: bool) -> np.ndarray:
+    """Level-g character table omega^(sign * sum_i v_i u_(g-1-i)) from the
+    root-of-unity table (v_i, u_i: base-p digits of row v and column u,
+    least significant first). `real` takes the real part, at p=2 the exact
+    +-1 table. Read-only, as it is cached."""
     powers = root_of_unity_powers(p)
     if sign < 0:
         # conj(omega^0) is 1-0j; + 0.0 gives it the +0.0 imaginary part the
         # row and column of ones have always carried.
         powers = np.conjugate(powers) + 0.0
-    return powers[np.outer(np.arange(p), np.arange(p)) % p]
-
-
-def _real_butterflies(values: np.ndarray, level: int) -> np.ndarray:
-    """The p=2 transform of the real parts of `values` (either sign).
-
-    Stage j takes the top digit of a (2, R, 2^j) view and writes its sum
-    and difference as digit j from the bottom of an (R, 2, 2^j) view, in
-    the manner of a Stockham autosort FFT. After L stages the digit read
-    first (c_1) sits lowest, so the result is Paley-indexed with no final
-    reorder. The last stage writes straight into the complex output.
-    """
-    size = 2**level
-    out = np.zeros(size, dtype=np.complex128)
-    buffers = (np.empty(size), np.empty(size)) if level > 1 else ()
-    a = values.real
-    for j in range(level):
-        dst = out.real if j == level - 1 else buffers[j % 2]
-        src = a.reshape(2, 2 ** (level - 1 - j), 2**j)
-        pairs = dst.reshape(2 ** (level - 1 - j), 2, 2**j)
-        np.add(src[0], src[1], out=pairs[:, 0, :])
-        np.subtract(src[0], src[1], out=pairs[:, 1, :])
-        a = dst
-    return out
+    d = digit_matrix(np.arange(p**g), p, g)
+    kernel = powers[(d @ d[:, ::-1].T) % p]
+    if real:
+        kernel = np.ascontiguousarray(kernel.real)
+    kernel.flags.writeable = False
+    return kernel
 
 
 def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray:
@@ -150,27 +135,43 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     directly Paley-indexed (position k of the output pairs with fractional
     digit k+1 of the input).
 
-    Complex input runs L Stockham stages. Before stage j the array is a
-    (p, R, p^j) view, R = p^(L-1-j): the top axis is the input digit
-    c_{j+1}, the bottom axis the output digits l_{j-1}, ..., l_0 written so
-    far. One GEMM, kernel @ a.reshape(p, -1), contracts c_{j+1}, and its
-    (p, R, p^j) product is stored as (R, p, p^j), so l_j lands just above
-    the digits already written. At the last stage R = 1, so that store
-    copies nothing and leaves l_(L-1) on top and l_0 lowest: no final
-    reorder.
+    Stockham stages of g digits each, g the largest with p^g <= _STAGE_CELLS
+    (the last stage takes what is left). Before a stage that has written j
+    output digits the array is a (p^g, R, p^j) view, R = p^(L-j-g): the top
+    axis holds the input digits c_(j+1), ..., c_(j+g), c_(j+1) most
+    significant, and the bottom axis the output digits l_(j-1), ..., l_0
+    written so far. The level-g character table contracts the top axis and
+    the product is stored as (R, p^g, p^j), so l_j, ..., l_(j+g-1) land just
+    above the digits already written, l_j lowest. After the last stage
+    (R = 1) the array is Paley-indexed: no final reorder. Real p=2 input
+    runs the same stages in float64 with the exact +-1 table.
     """
     if level == 0:
         return np.asarray(values, dtype=np.complex128).copy()
-    if p == 2:
-        values = np.asarray(values)
-        if not (np.iscomplexobj(values) and values.imag.any()):
-            return _real_butterflies(values, level)
-    kernel = _dft_matrix(p, sign)
-    a = np.ascontiguousarray(values, dtype=np.complex128)
-    for j in range(level):
-        product = (kernel @ a.reshape(p, -1)).reshape(p, p ** (level - 1 - j), p**j)
-        a = np.ascontiguousarray(product.transpose(1, 0, 2))
-    return a.reshape(p**level)
+    real = p == 2 and not np.imag(values).any()
+    a = np.ascontiguousarray(np.real(values) if real else values, dtype=float if real else complex)
+    width = 1
+    while p ** (width + 1) <= _STAGE_CELLS:
+        width += 1
+    j = 0
+    while j < level:
+        g = min(width, level - j)
+        kernel = _stage_kernel(p, g, sign, real)
+        rows = p ** (level - j - g)
+        if j == 0:
+            # The table is symmetric, so a^T K is the product already stored
+            # as (R, p^g): BLAS reads the transpose in place.
+            a = a.reshape(p**g, rows).T @ kernel
+        elif rows == 1 or p**j >= _STAGE_CELLS:
+            # One GEMM per row block writes (R, p^g, p^j) in place.
+            a = kernel @ a.reshape(p**g, rows, p**j).transpose(1, 0, 2)
+        else:
+            # Blocks narrower than a stage make GEMMs too small to pay for
+            # their calls: one GEMM, then a transposing copy.
+            product = (kernel @ a.reshape(p**g, -1)).reshape(p**g, rows, p**j)
+            a = np.ascontiguousarray(product.transpose(1, 0, 2))
+        j += g
+    return np.asarray(a.reshape(p**level), dtype=np.complex128)
 
 
 def forward(f: StepFunction) -> Spectrum:
@@ -199,18 +200,12 @@ def _check_direct(p: int, level: int, what: str) -> None:
 
 def _reference_digits(p: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Paley digit rows (p^L, L) and cell digit columns (L, p^L) as float64
-    operands of the phase product. Row k of the cell operand holds c_{k+1},
+    operands of the phase product: entry [m, c] is the phase sum
+    sum_k l_k c_{k+1} of chi[m, c], an integer at most L (p-1)^2 < 2^53, so
+    the float64 product is exact. Row k of the cell operand holds c_{k+1},
     which is digit L-1-k of the cell index read least significant first."""
     digits = digit_matrix(np.arange(p**level), p, level).astype(np.float64)
     return digits, np.ascontiguousarray(digits[:, ::-1].T)
-
-
-def _character_phases(mdig: np.ndarray, cdig_t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the phase sums sum_k l_k c_{k+1} of chi[m, c] for the Paley digit
-    rows `mdig` against every cell into the intp array `out`. Each sum is an
-    integer at most L (p-1)^2 < 2^53, so the float64 product is exact."""
-    out[...] = mdig @ cdig_t
-    return out
 
 
 def _phase_powers(p: int, level: int) -> np.ndarray:
@@ -224,8 +219,7 @@ def character_matrix(p: int, level: int) -> np.ndarray:
     guarded to small grids."""
     _check_direct(p, level, "character matrix")
     mdig, cdig_t = _reference_digits(p, level)
-    phase = np.empty((p**level, p**level), dtype=np.intp)
-    return _phase_powers(p, level)[_character_phases(mdig, cdig_t, phase)]
+    return _phase_powers(p, level)[(mdig @ cdig_t).astype(np.intp)]
 
 
 def naive_forward(f: StepFunction) -> Spectrum:
@@ -242,14 +236,19 @@ def naive_forward(f: StepFunction) -> Spectrum:
     rows = min(size, _REFERENCE_BLOCK_ROWS)
     # Block buffers are reused: a fresh multi-MiB temporary per block is
     # handed back to the OS and page-faulted in again on every block.
+    product = np.empty((rows, size))
     phase = np.empty((rows, size), dtype=np.intp)
     chi = np.empty((rows, size), dtype=np.complex128)
     coeffs = np.empty(size, dtype=np.complex128)
     for start in range(0, size, rows):
         stop = min(start + rows, size)
-        block_phase = _character_phases(mdig[start:stop], cdig_t, phase[: stop - start])
-        block_chi = np.take(conj_powers, block_phase, out=chi[: stop - start])
-        np.matmul(block_chi, f.values, out=coeffs[start:stop])
+        block = slice(0, stop - start)
+        np.matmul(mdig[start:stop], cdig_t, out=product[block])
+        phase[block] = product[block]
+        # Phase sums lie in 0..L (p-1)^2, the whole table, so "clip" never
+        # clips; unlike the default "raise" it gathers without buffering.
+        np.take(conj_powers, phase[block], out=chi[block], mode="clip")
+        np.matmul(chi[block], f.values, out=coeffs[start:stop])
     coeffs *= p ** (-level)
     return Spectrum(p, level, coeffs)
 

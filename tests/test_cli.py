@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pchaos
-from pchaos import StepFunction, experiments, random_chaos
+from pchaos import StepFunction, chaos, experiments, random_chaos
 from pchaos import serialization as ser
 from pchaos.cli import _tolerances, build_parser, main
 
@@ -107,6 +107,34 @@ def test_norms_reports_values(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["terms"] == len(Q.coeffs)
     assert payload["linf"] > 0
+
+
+def test_norms_synthesises_once(tmp_path, monkeypatch, capsys):
+    poly = tmp_path / "q.json"
+    Q = random_chaos(3, 3, 5, np.random.default_rng(1), "unimodular")
+    ser.save_polynomial(str(poly), Q)
+    calls = []
+    synthesize = chaos.synthesize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(chaos, "synthesize", counting)
+    assert run("norms", "--poly", poly) == 0
+    assert len(calls) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sidon_ratio"] == chaos.sidon_ratio(ser.load_polynomial(str(poly)))
+
+
+def test_norms_refuses_zero_polynomial(tmp_path, capsys):
+    poly = tmp_path / "q.json"
+    Q = random_chaos(2, 2, 4, np.random.default_rng(0))
+    zero = pchaos.ChaosPolynomial.from_indices(2, 4, Q.indices, np.zeros(Q.indices.size))
+    ser.save_polynomial(str(poly), zero)
+    assert run("norms", "--poly", poly, "--out", tmp_path / "norms.json") == 2
+    assert "no norm ratio" in capsys.readouterr().err
+    assert not (tmp_path / "norms.json").exists()
 
 
 @pytest.mark.parametrize("q", ["nan", "inf", "-inf", "0", "-1.5"])

@@ -21,7 +21,8 @@ from pchaos import (
     naive_forward,
 )
 from pchaos.config import MAX_DIRECT_CELLS
-from pchaos.transform import _dft_matrix, _group_sub_table, _tensor_dft, character_matrix
+from pchaos import transform
+from pchaos.transform import _group_sub_table, _stage_kernel, _tensor_dft, character_matrix
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -156,6 +157,25 @@ class TestFastVsNaive:
         full = (np.conjugate(character_matrix(p, level)) @ f.values) * p**-level
         assert np.abs(naive_forward(f).coeffs - full).max() <= 1e-15
 
+    @pytest.mark.parametrize("p", range(2, 17))
+    def test_every_stage_split(self, p, monkeypatch):
+        # levels 1..2g+1: one short stage, full stages, and full stages with
+        # a shorter last one; the guard is raised to reach 5^5 and 13^3..16^3
+        g = _stage_digits(p)
+        monkeypatch.setattr(transform, "MAX_DIRECT_CELLS", p ** (2 * g + 1))
+        rng = np.random.default_rng(p)
+        for level in range(1, 2 * g + 2):
+            size = p**level
+            real = rng.standard_normal(size)
+            for values in (real, real + 1j * rng.standard_normal(size)):
+                f = StepFunction(p, level, values)
+                ref = naive_forward(f).coeffs
+                assert np.abs(forward(f).coeffs - ref).max() / np.abs(ref).max() <= 1e-12
+                flipped = StepFunction(p, level, np.conjugate(f.values))
+                ref = np.conjugate(naive_forward(flipped).coeffs) * size
+                fast = inverse(Spectrum(p, level, f.values)).values
+                assert np.abs(fast - ref).max() / np.abs(ref).max() <= 1e-12
+
     def test_character_matrix_guard(self):
         with pytest.raises(GuardExceeded):
             character_matrix(2, 15)
@@ -176,19 +196,46 @@ class TestFastVsNaive:
         assert peak <= 24 * 2**20
 
 
-def _exp_kernel(p, sign):
-    return np.exp(sign * 2j * np.pi * (np.outer(np.arange(p), np.arange(p)) % p) / p)
+def _stage_digits(p):
+    """Digits per stage: the largest g with p^g within the stage cap."""
+    g = 1
+    while p ** (g + 1) <= transform._STAGE_CELLS:
+        g += 1
+    return g
 
 
-def _kernel_path(values, p, level, sign):
-    """The complex path with the exp-built kernel in Stockham layout: each
-    stage is one product with the top digit, whose new digit is stored just
-    above the digits already written."""
-    a = np.ascontiguousarray(values, dtype=np.complex128)
-    for j in range(level):
-        a = (_exp_kernel(p, sign) @ a.reshape(p, -1)).reshape(p, p ** (level - 1 - j), p**j)
-        a = np.ascontiguousarray(a.transpose(1, 0, 2))
-    return a.reshape(p**level)
+def _exp_kernel(p, g, sign):
+    """Level-g character table from the exp formula: row v, column u,
+    phase sum_i v_i u_(g-1-i) over base-p digits least significant first."""
+    digits = np.arange(p**g)[:, None] // p ** np.arange(g) % p
+    phase = (digits @ digits[:, ::-1].T) % p
+    return np.exp(sign * 2j * np.pi * phase / p)
+
+
+def _kernel_path(values, p, level, sign, real=False):
+    """The stage loop with exp-built kernels: stages of _stage_digits(p)
+    digits and a shorter last one. Each contracts the top digits and stores
+    the new ones just above the digits already written: the first stage as
+    a^T K (the table is symmetric), blocks at least a stage wide as one
+    product per block, narrower ones as one product and a transposing copy.
+    `real` runs float64 operands with the kernel's real part."""
+    a = np.ascontiguousarray(values, dtype=np.float64 if real else np.complex128)
+    j = 0
+    while j < level:
+        g = min(_stage_digits(p), level - j)
+        kernel = _exp_kernel(p, g, sign)
+        if real:
+            kernel = np.ascontiguousarray(kernel.real)
+        rows = p ** (level - j - g)
+        if j == 0:
+            a = a.reshape(p**g, rows).T @ kernel
+        elif rows == 1 or p**j >= transform._STAGE_CELLS:
+            a = kernel @ a.reshape(p**g, rows, p**j).transpose(1, 0, 2)
+        else:
+            a = (kernel @ a.reshape(p**g, -1)).reshape(p**g, rows, p**j)
+            a = np.ascontiguousarray(a.transpose(1, 0, 2))
+        j += g
+    return np.asarray(a.reshape(p**level), dtype=np.complex128)
 
 
 def _bits(values):
@@ -198,18 +245,30 @@ def _bits(values):
 @pytest.mark.parametrize("p", range(2, 17))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_kernel_from_root_table_is_exp_formula(p, sign):
-    np.testing.assert_array_equal(_bits(_dft_matrix(p, sign)), _bits(_exp_kernel(p, sign)))
+    for g in range(1, _stage_digits(p) + 1):
+        expected = _exp_kernel(p, g, sign)
+        np.testing.assert_array_equal(_bits(_stage_kernel(p, g, sign, False)), _bits(expected))
+        if p == 2:
+            real = _stage_kernel(p, g, sign, True)
+            assert set(np.unique(real)) == {-1.0, 1.0}
+            np.testing.assert_array_equal(_bits(real), _bits(expected.real))
 
 
 class TestRealBaseTwo:
-    """Real p=2 input runs add/sub butterflies; all other input the kernel."""
+    """Real p=2 input runs the stages in float64 with the exact +-1 kernel;
+    all other input the complex kernel."""
 
     def test_sign_spectrum_synthesises_exact_integers(self):
-        signs = np.random.default_rng(1).choice([-1.0, 1.0], 2**12)
-        values = inverse(Spectrum(2, 12, signs)).values
-        assert not values.imag.any()
-        np.testing.assert_array_equal(values.real, np.round(values.real))
-        assert np.abs(values - _kernel_path(signs, 2, 12, 1)).max() <= 1e-9
+        # every level through three full stages and a shorter last one; the
+        # exact values are the complex exp-kernel path's, rounded
+        rng = np.random.default_rng(1)
+        for level in range(1, 18):
+            signs = rng.choice([-1.0, 1.0], 2**level)
+            values = inverse(Spectrum(2, level, signs)).values
+            assert not values.imag.any()
+            np.testing.assert_array_equal(
+                values.real, np.round(_kernel_path(signs, 2, level, 1).real)
+            )
 
     @pytest.mark.parametrize("level", range(1, 12))
     def test_real_input_matches_naive(self, level):
@@ -242,18 +301,18 @@ class TestRealBaseTwo:
             assert out.dtype == np.complex128
             np.testing.assert_array_equal(_bits(out), _bits(expected))
 
-    @pytest.mark.parametrize("p,level", [(2, 9), (3, 7), (5, 4), (16, 3)])
+    @pytest.mark.parametrize("p,level", [(2, 9), (3, 7), (5, 4), (16, 3), (2, 12), (7, 4)])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_other_input_is_the_kernel_path(self, p, level, sign):
         rng = np.random.default_rng(p + level)
         size = p**level
         inputs = [rng.standard_normal(size) + 1j * rng.standard_normal(size)]
-        if p > 2:
-            inputs.append(rng.standard_normal(size) + 0j)
+        inputs.append(rng.standard_normal(size) + 0j)
         for values in inputs:
+            real = p == 2 and not values.imag.any()
             np.testing.assert_array_equal(
                 _bits(_tensor_dft(values, p, level, sign)),
-                _bits(_kernel_path(values, p, level, sign)),
+                _bits(_kernel_path(values.real if real else values, p, level, sign, real)),
             )
 
 
