@@ -13,11 +13,14 @@ synthesis, sup-norm and every convolution identity below are exact finite
 computations (up to rounding), never sampled approximations.
 
 The sup-norm is computed by full enumeration of the p^(N+1) cells through
-the fast synthesis. Exponent projection is defined by coefficient
-selection; convolution with the matching selector measure is the
-verification route, kept separate so the two can be compared. The
-order projection extracts one chaos order of a mixed polynomial and is
-likewise verifiable against the order-selecting measure.
+the fast synthesis. A p=2 polynomial with all-real coefficients stays
+float64 throughout (coefficient scatter, transform stages, abs and
+argmax); any other polynomial is synthesised in complex128. Exponent
+projection is defined by coefficient selection; convolution with the
+matching selector measure is the verification route, kept separate so the
+two can be compared. The order projection extracts one chaos order of a
+mixed polynomial and is likewise verifiable against the order-selecting
+measure.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .padic import (
     paley_decode,
     paley_encode,
 )
-from .transform import Spectrum, StepFunction, convolve, inverse
+from .transform import Spectrum, StepFunction, _tensor_dft, convolve
 
 # Bound on the (sequences, terms) match mask of one chunk of exponent sequences (bytes).
 _CHUNK_BYTES = 2**20
@@ -248,18 +251,36 @@ class ChaosPolynomial:
         return 2 * d / (d + 1)
 
 
-def polynomial_spectrum(
-    Q: ChaosPolynomial, level: int, max_cells: int | None = None
-) -> Spectrum:
-    """Coefficient array of Q at the given level (exact placement)."""
+def _placed(Q: ChaosPolynomial, level: int, max_cells: int | None, real: bool) -> np.ndarray:
+    """Q's coefficients scattered to their Paley indices on a level-`level`
+    array: float64 real parts when `real`, else complex128. The level and
+    the cell guard are checked before the array is allocated."""
     if level < Q.N + 1:
         raise InsufficientLevel(
             f"level {level} cannot hold positions up to {Q.N}"
         )
     check_cell_guard(Q.p, level, max_cells)
-    coeffs = np.zeros(Q.p**level, dtype=np.complex128)
-    coeffs[Q.indices] = Q.values
-    return Spectrum(Q.p, level, coeffs)
+    coeffs = np.zeros(Q.p**level, dtype=float if real else complex)
+    coeffs[Q.indices] = Q.values.real if real else Q.values
+    return coeffs
+
+
+def polynomial_spectrum(
+    Q: ChaosPolynomial, level: int, max_cells: int | None = None
+) -> Spectrum:
+    """Coefficient array of Q at the given level (exact placement)."""
+    return Spectrum(Q.p, level, _placed(Q, level, max_cells, real=False))
+
+
+def _cell_values(Q: ChaosPolynomial, level: int, max_cells: int | None) -> np.ndarray:
+    """Q on every cell of the given level as the stage loop's raw array.
+
+    A p=2 polynomial whose coefficients are all real (a -0.0 imaginary part
+    counts as zero) is scattered into float64 and stays float64 through
+    the stages; any other polynomial is scattered into complex128. Only
+    the term array is scanned, never the grid."""
+    real = Q.p == 2 and not Q.values.imag.any()
+    return _tensor_dft(_placed(Q, level, max_cells, real), Q.p, level, sign=+1)
 
 
 def synthesize(
@@ -267,17 +288,20 @@ def synthesize(
 ) -> StepFunction:
     """Evaluate Q on every cell of the given level (default N+1)."""
     level = Q.N + 1 if level is None else level
-    return inverse(polynomial_spectrum(Q, level, max_cells))
+    return StepFunction(Q.p, level, _cell_values(Q, level, max_cells))
 
 
 def linf_norm(
     Q: ChaosPolynomial, max_cells: int | None = None
 ) -> tuple[float, CellIndex]:
-    """Exact sup-norm over the p^(N+1) cells and the first cell attaining it."""
-    f = synthesize(Q, max_cells=max_cells)
-    magnitudes = np.abs(f.values)
+    """Exact sup-norm over the p^(N+1) cells and the first cell attaining it.
+
+    Real p=2 values are never widened to complex: abs and argmax run on
+    the float64 array (|x| of a float is hypot(x, 0) exactly)."""
+    level = Q.N + 1
+    magnitudes = np.abs(_cell_values(Q, level, max_cells))
     arg = int(np.argmax(magnitudes))
-    return float(magnitudes[arg]), CellIndex(Q.p, f.level, arg)
+    return float(magnitudes[arg]), CellIndex(Q.p, level, arg)
 
 
 def check_norm_exponent(q: float) -> None:

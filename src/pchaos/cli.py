@@ -4,13 +4,18 @@ Subcommands: transform, riesz, lemma1, lemma2, norms, project, decompose,
 ensemble, growth, verify. Exit codes: 0 success with every check inside
 tolerance, 1 a check failed, 2 usage or input-format error. All files are
 written atomically and every JSON artifact echoes the fully resolved
-configuration that produced it. This module is the only place performing
-file I/O; the math modules stay pure.
+configuration that produced it. The reports of norms, ensemble, growth and
+verify also carry a top-level ``env`` block (pchaos, numpy and Python
+versions, platform), so a drift in their numbers can be traced to its
+cause. This module is the only place performing file I/O; the math modules
+stay pure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import platform
 import sys
 from dataclasses import replace
 
@@ -49,6 +54,7 @@ from .experiments import (
     verify_suite,
 )
 from .transform import Spectrum, StepFunction, forward, inverse
+from . import __version__
 from . import serialization as ser
 
 
@@ -81,7 +87,24 @@ def _echo(config: dict) -> dict:
     return {"format_version": ser.FORMAT_VERSION, "config": config}
 
 
+@functools.cache
+def _env() -> dict:
+    """Environment fingerprint of a report, built once per process.
+
+    The platform is os.uname's system, release and machine: platform.platform()
+    would also scan the interpreter binary for its libc version and import
+    subprocess, about 0.5 MiB of resident memory for one more field."""
+    return {
+        "pchaos": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
+    }
+
+
 def _emit(args, payload: dict) -> None:
+    """Write a report, with the ``env`` block, to --out or stdout."""
+    payload = payload | {"env": dict(_env())}
     if getattr(args, "out", None):
         ser.write_json_atomic(args.out, payload)
         print(f"wrote {args.out}")

@@ -17,11 +17,13 @@ becomes the pointwise product of coefficient arrays.
 The fast path contracts the digits g at a time, one matrix product (BLAS
 GEMM) with the level-g character table per stage, in the layout of a
 Stockham autosort FFT, so no final reorder is needed (see `_tensor_dft`).
-At p=2, input whose imaginary part is all zero runs in float64 with the
-exact +-1 table, so integer spectra synthesise to exact integers; other
-values carry the rounding of the complex root-of-unity table and of the
-GEMMs. `naive_forward` retains the quadratic-cost defining sum as the
-reference; the two must agree to rounding on every input.
+At p=2, real-dtype input and complex input whose imaginary part is all
+zero run in float64 with the exact +-1 table, so integer spectra
+synthesise to exact integers; the stage loop returns float64 for them, and `forward`/`inverse`
+widen that to complex128 (chaos's sup-norm keeps it float64). Other values
+carry the rounding of the complex root-of-unity table and of the GEMMs.
+`naive_forward` retains the quadratic-cost defining sum as the reference;
+the two must agree to rounding on every input.
 """
 
 from __future__ import annotations
@@ -143,13 +145,17 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     written so far. The level-g character table contracts the top axis and
     the product is stored as (R, p^g, p^j), so l_j, ..., l_(j+g-1) land just
     above the digits already written, l_j lowest. After the last stage
-    (R = 1) the array is Paley-indexed: no final reorder. Real p=2 input
-    runs the same stages in float64 with the exact +-1 table.
+    (R = 1) the array is Paley-indexed: no final reorder.
+
+    Real p=2 input runs the same stages in float64 with the exact +-1
+    table, and the result stays float64: the loop returns its working
+    dtype. A real-dtype array is taken as real without a scan; a complex
+    one is real when its imaginary part is all zero (-0.0 included).
     """
+    real = p == 2 and (values.dtype.kind != "c" or not values.imag.any())
+    a = np.ascontiguousarray(values.real if real else values, dtype=float if real else complex)
     if level == 0:
-        return np.asarray(values, dtype=np.complex128).copy()
-    real = p == 2 and not np.imag(values).any()
-    a = np.ascontiguousarray(np.real(values) if real else values, dtype=float if real else complex)
+        return a.copy()
     width = 1
     while p ** (width + 1) <= _STAGE_CELLS:
         width += 1
@@ -171,7 +177,7 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
             product = (kernel @ a.reshape(p**g, -1)).reshape(p**g, rows, p**j)
             a = np.ascontiguousarray(product.transpose(1, 0, 2))
         j += g
-    return np.asarray(a.reshape(p**level), dtype=np.complex128)
+    return a.reshape(p**level)
 
 
 def forward(f: StepFunction) -> Spectrum:

@@ -1,5 +1,7 @@
 """Chaos polynomial norms, projections and the decomposition identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pchaos import (
     ChaosTerm,
     CombinatorialBlowup,
     DegenerateInput,
+    GuardExceeded,
     InsufficientLevel,
     InvalidExponent,
     InvalidOrder,
@@ -29,7 +32,9 @@ from pchaos import (
     random_chaos,
     rho_y_measure,
     sidon_ratio,
+    term_indices,
 )
+from pchaos import chaos
 from pchaos.chaos import synthesize
 
 
@@ -125,6 +130,81 @@ class TestNorms:
                 2, 4, {t: A.coeffs[t] + B.coeffs[t] for t in A.coeffs}
             )
             assert linf_norm(combined)[0] <= linf_norm(A)[0] + linf_norm(B)[0] + 1e-12
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _real_coefficients(d, N, rng):
+    indices = term_indices(2, d, N)
+    return ChaosPolynomial.from_indices(2, N, indices, rng.standard_normal(indices.size))
+
+
+class TestRealBaseTwoSup:
+    """A p=2 polynomial with all-real coefficients is scattered, synthesised
+    and reduced to its sup in float64; every other one in complex128. Both
+    give the sup and cell of the complex grid, bit for bit."""
+
+    @staticmethod
+    def _assert_sup_of_grid(Q):
+        sup, cell = linf_norm(Q)
+        level = Q.N + 1
+        for values in (synthesize(Q).values, inverse(polynomial_spectrum(Q, level)).values):
+            assert values.dtype == np.complex128
+            magnitudes = np.abs(values)
+            arg = int(np.argmax(magnitudes))
+            assert _bits(np.float64(sup)) == _bits(magnitudes[arg])
+            assert (cell.p, cell.level, cell.index) == (Q.p, level, arg)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sign_and_real_polynomials_every_level(self, d):
+        # levels 1..17: up to three full 5-digit stages and a shorter last one
+        rng = np.random.default_rng(d)
+        for N in range(d - 1, 17):
+            for Q in (random_chaos(2, d, N, rng, "signs"), _real_coefficients(d, N, rng)):
+                assert chaos._cell_values(Q, N + 1, None).dtype == np.float64
+                self._assert_sup_of_grid(Q)
+
+    def test_sign_sup_is_an_exact_integer(self):
+        Q = random_chaos(2, 2, 16, np.random.default_rng(3), "signs")
+        sup, _ = linf_norm(Q)
+        assert sup == int(sup) > 0
+
+    def test_negative_zero_imaginary_parts_take_the_float_path(self):
+        Q = _real_coefficients(2, 9, np.random.default_rng(5))
+        values = Q.values.astype(np.complex128)
+        values.imag = -0.0
+        negative = ChaosPolynomial.from_indices(2, 9, Q.indices, values)
+        assert _bits(negative.values.imag).all()
+        assert chaos._cell_values(negative, 10, None).dtype == np.float64
+        (sup, cell), (plain_sup, plain_cell) = linf_norm(negative), linf_norm(Q)
+        assert _bits(np.float64(sup)) == _bits(np.float64(plain_sup))
+        assert cell.index == plain_cell.index
+        self._assert_sup_of_grid(negative)
+
+    @pytest.mark.parametrize("p,d,N", [(2, 2, 9), (2, 3, 12), (3, 2, 6), (3, 3, 8), (5, 2, 4), (7, 1, 3)])
+    def test_complex_and_higher_bases_stay_complex(self, p, d, N):
+        rng = np.random.default_rng(p * N)
+        Q = random_chaos(p, d, N, rng, "unimodular")
+        assert chaos._cell_values(Q, N + 1, None).dtype == np.complex128
+        self._assert_sup_of_grid(Q)
+        if p > 2:
+            signs = random_chaos(p, d, N, rng, "signs")
+            assert chaos._cell_values(signs, N + 1, None).dtype == np.complex128
+            self._assert_sup_of_grid(signs)
+
+    @pytest.mark.parametrize("ensemble", ["signs", "unimodular"])
+    def test_guard_refuses_before_allocating(self, ensemble):
+        Q = random_chaos(2, 2, 16, np.random.default_rng(0), ensemble)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceeded):
+                linf_norm(Q, max_cells=2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # the 2^17-cell grid alone is 1 MiB
 
 
 class TestSidonRatio:

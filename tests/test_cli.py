@@ -4,6 +4,7 @@ surface: the README's commands and the package's public names."""
 import argparse
 import inspect
 import json
+import platform
 import re
 import shlex
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import pchaos
-from pchaos import StepFunction, chaos, experiments, random_chaos
+from pchaos import StepFunction, chaos, cli, experiments, random_chaos
 from pchaos import serialization as ser
 from pchaos.cli import _tolerances, build_parser, main
 
@@ -114,15 +115,16 @@ def test_norms_synthesises_once(tmp_path, monkeypatch, capsys):
     Q = random_chaos(3, 3, 5, np.random.default_rng(1), "unimodular")
     ser.save_polynomial(str(poly), Q)
     calls = []
-    synthesize = chaos.synthesize
+    cell_values = chaos._cell_values
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return synthesize(*args, **kwargs)
+    # every synthesis (synthesize and linf_norm alike) runs this helper
+    def counting(Q, level, max_cells):
+        calls.append(Q.p**level)
+        return cell_values(Q, level, max_cells)
 
-    monkeypatch.setattr(chaos, "synthesize", counting)
+    monkeypatch.setattr(chaos, "_cell_values", counting)
     assert run("norms", "--poly", poly) == 0
-    assert len(calls) == 1
+    assert calls == [3**6]
     payload = json.loads(capsys.readouterr().out)
     assert payload["sidon_ratio"] == chaos.sidon_ratio(ser.load_polynomial(str(poly)))
 
@@ -217,6 +219,48 @@ def test_growth_exit_code(tmp_path):
     )
     assert code == 0
     assert json.load(open(out))["passed"] is True
+
+
+def _expected_env():
+    return {
+        "pchaos": pchaos.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
+    }
+
+
+def test_reports_carry_the_env_block(tmp_path, capsys):
+    poly = tmp_path / "q.json"
+    ser.save_polynomial(str(poly), random_chaos(2, 2, 4, np.random.default_rng(0), "signs"))
+    study = ["--p", "2", "--d", "2", "--N", "3,4", "--trials", "2"]
+    for argv in (
+        ["norms", "--poly", poly],
+        ["verify", "--p", "2", "--d", "1", "--N", "3"],
+        ["ensemble", *study],
+        ["growth", *study],
+    ):
+        run(*argv)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["env"] == _expected_env(), argv[0]
+        assert "env" not in payload["config"]
+    assert cli._env() is cli._env()  # built once per process
+
+
+@pytest.mark.parametrize("command", ["growth", "ensemble"])
+def test_env_block_leaves_seeded_rows_byte_identical(tmp_path, command):
+    argv = [command, "--p", "2", "--d", "2", "--N", "4,6", "--trials", "12", "--seed", "5"]
+    cfg = experiments.ExperimentConfig(p=2, d=2, N_values=(4, 6), trials=12, seed=5)
+    study = experiments.growth_study if command == "growth" else experiments.random_ensemble_study
+    expected = ser.dump_json({"rows": study(cfg).to_dict()["rows"]})
+    for name in ("a", "b"):
+        out, csv_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        run(*argv, "--out", out, "--csv", csv_path)
+        payload = json.load(open(out))
+        assert payload["env"] == _expected_env()
+        assert ser.dump_json({"rows": payload["rows"]}) == expected
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert "env" not in (tmp_path / "a.csv").read_text()
 
 
 def test_usage_error_exit_code():

@@ -235,7 +235,7 @@ def _kernel_path(values, p, level, sign, real=False):
             a = (kernel @ a.reshape(p**g, -1)).reshape(p**g, rows, p**j)
             a = np.ascontiguousarray(a.transpose(1, 0, 2))
         j += g
-    return np.asarray(a.reshape(p**level), dtype=np.complex128)
+    return a.reshape(p**level)
 
 
 def _bits(values):
@@ -292,14 +292,30 @@ class TestRealBaseTwo:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_float_and_negative_zero_imaginary_input(self, sign):
+        # all three run the float64 stages and return their float64 result
         real = np.random.default_rng(4).standard_normal(2**6)
         expected = _tensor_dft(real + 0j, 2, 6, sign)
+        assert expected.dtype == np.float64
         negative_zero = real.astype(np.complex128)
         negative_zero.imag = -0.0
         for values in (real, negative_zero):
             out = _tensor_dft(values, 2, 6, sign)
-            assert out.dtype == np.complex128
+            assert out.dtype == np.float64
             np.testing.assert_array_equal(_bits(out), _bits(expected))
+
+    @pytest.mark.parametrize("p,level", [(2, 0), (2, 1), (2, 7), (2, 13), (3, 4)])
+    def test_public_results_stay_complex(self, p, level):
+        # forward and inverse widen the loop's result to complex128, the
+        # float64 one with +0.0 imaginary parts, after forward's scaling
+        real = np.random.default_rng(level).standard_normal(p**level)
+        coeffs = forward(StepFunction(p, level, real)).coeffs
+        values = inverse(Spectrum(p, level, real)).values
+        scaled = _tensor_dft(real, p, level, -1) * p ** (-level)
+        for out, raw in ((coeffs, scaled), (values, _tensor_dft(real, p, level, 1))):
+            assert out.dtype == np.complex128
+            np.testing.assert_array_equal(_bits(out), _bits(raw.astype(np.complex128)))
+            if p == 2:
+                assert not _bits(out.imag).any()
 
     @pytest.mark.parametrize("p,level", [(2, 9), (3, 7), (5, 4), (16, 3), (2, 12), (7, 4)])
     @pytest.mark.parametrize("sign", [1, -1])
