@@ -273,7 +273,8 @@ def polynomial_spectrum(
 
 
 def _cell_values(Q: ChaosPolynomial, level: int, max_cells: int | None) -> np.ndarray:
-    """Q on every cell of the given level as the stage loop's raw array.
+    """Q on every cell of the given level as the stage loop's raw array,
+    valid only until the next stage loop on this thread (see `_tensor_dft`).
 
     A p=2 polynomial whose coefficients are all real (a -0.0 imaginary part
     counts as zero) is scattered into float64 and stays float64 through
@@ -288,7 +289,7 @@ def synthesize(
 ) -> StepFunction:
     """Evaluate Q on every cell of the given level (default N+1)."""
     level = Q.N + 1 if level is None else level
-    return StepFunction(Q.p, level, _cell_values(Q, level, max_cells))
+    return StepFunction(Q.p, level, _cell_values(Q, level, max_cells).astype(np.complex128))
 
 
 def linf_norm(
@@ -296,12 +297,18 @@ def linf_norm(
 ) -> tuple[float, CellIndex]:
     """Exact sup-norm over the p^(N+1) cells and the first cell attaining it.
 
-    Real p=2 values are never widened to complex: abs and argmax run on
-    the float64 array (|x| of a float is hypot(x, 0) exactly)."""
+    Real p=2 values are never widened to complex: abs and argmax run in
+    place on the float64 array (|x| of a float is hypot(x, 0) exactly).
+    Finite coefficients can still synthesise past the float64 range: a sup
+    that is not finite is refused."""
     level = Q.N + 1
-    magnitudes = np.abs(_cell_values(Q, level, max_cells))
+    values = _cell_values(Q, level, max_cells)
+    magnitudes = np.abs(values, out=values) if values.dtype.kind == "f" else np.abs(values)
     arg = int(np.argmax(magnitudes))
-    return float(magnitudes[arg]), CellIndex(Q.p, level, arg)
+    sup = float(magnitudes[arg])
+    if not math.isfinite(sup):
+        raise NonFiniteValue(f"the sup-norm overflows float64 (cell {arg} gives {sup})")
+    return sup, CellIndex(Q.p, level, arg)
 
 
 def check_norm_exponent(q: float) -> None:
@@ -311,12 +318,25 @@ def check_norm_exponent(q: float) -> None:
 
 
 def lq_norm(values: Sequence[complex], q: float) -> float:
-    """(sum |c|^q)^(1/q) in the order given (0.0 for an empty sequence)."""
+    """(sum |c|^q)^(1/q) in the order given (0.0 for an empty sequence).
+
+    When the plain sum overflows, or underflows to 0 while some |c| > 0, it
+    is recomputed as m (sum (|c|/m)^q)^(1/q) with m = max |c|; a norm that
+    is still not finite is refused. In-range sums are never rescaled. An
+    overflow still emits numpy's RuntimeWarning: silencing it with
+    np.errstate adds about half to the cost of a study trial's norm."""
     check_norm_exponent(q)
     mags = np.abs(np.asarray(values, dtype=np.complex128))
     if mags.size == 0:
         return 0.0
-    return float((mags**q).sum() ** (1.0 / q))
+    total = float((mags**q).sum() ** (1.0 / q))
+    if total == 0.0 or not math.isfinite(total):
+        top = float(mags.max())
+        if 0.0 < top < math.inf:
+            total = top * float(((mags / top) ** q).sum() ** (1.0 / q))
+    if not math.isfinite(total):
+        raise NonFiniteValue(f"the l{q} norm is not finite in float64")
+    return total
 
 
 def sidon_ratio(Q: ChaosPolynomial, max_cells: int | None = None) -> float:

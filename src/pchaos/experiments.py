@@ -40,6 +40,7 @@ from .padic import (
 )
 from .transform import (
     StepFunction,
+    _reused_buffers,
     character_value,
     convolve,
     convolve_functions,
@@ -177,18 +178,20 @@ def _row(cfg: ExperimentConfig, N: int) -> ExperimentRow:
 
     The index set is validated once per row. term_indices lists it in the
     canonical term order, so each trial's draws align with it and only the
-    coefficients are swapped in and checked per trial.
+    coefficients are swapped in and checked per trial. The trials share
+    the stage loop's buffers, freed when the row ends.
     """
     indices = term_indices(cfg.p, cfg.d, N)
     terms = ChaosPolynomial.from_indices(cfg.p, N, indices, np.zeros(indices.size))
     q = 2 * cfg.d / (cfg.d + 1)
     l1, lq = [], []
-    for t in range(cfg.trials):
-        coeffs = draw_coefficients(trial_rng(cfg.seed, N, t), indices.size, cfg.ensemble)
-        Q = terms._with_values(coeffs)
-        sup, _ = linf_norm(Q)
-        l1.append(lq_norm(Q.values, 1.0) / sup)
-        lq.append(lq_norm(Q.values, q) / sup)
+    with _reused_buffers():
+        for t in range(cfg.trials):
+            coeffs = draw_coefficients(trial_rng(cfg.seed, N, t), indices.size, cfg.ensemble)
+            Q = terms._with_values(coeffs)
+            sup, _ = linf_norm(Q)
+            l1.append(lq_norm(Q.values, 1.0) / sup)
+            lq.append(lq_norm(Q.values, q) / sup)
     return ExperimentRow(
         p=cfg.p,
         d=cfg.d,
@@ -368,6 +371,10 @@ def verify_suite(
 
     Each check contributes one named entry with its worst residual and the
     tolerance it was held to; an empty grid yields an empty passing report.
+    meta["check_wall_s"] and meta["check_sizes"] give each check's wall
+    time, the cases it evaluated and the largest grid they touched, in
+    cells (p^level from the case's context, level N+1 where it names none);
+    neither enters `checks`.
     """
     tol = tolerances or DEFAULT_TOLERANCES
     p_values = sorted(set(int(p) for p in p_values))
@@ -383,7 +390,9 @@ def verify_suite(
     )
     start = time.perf_counter()
     check_wall_s: dict[str, float] = {}
+    check_sizes: dict[str, dict] = {}
     report.meta["check_wall_s"] = check_wall_s
+    report.meta["check_sizes"] = check_sizes
     if not p_values or not d_values:
         report.meta["wall_time_s"] = time.perf_counter() - start
         return report
@@ -398,8 +407,12 @@ def verify_suite(
         that `cases()` yields; `where` is the context while none exceeds 0."""
         check_start = time.perf_counter()
         worst, where = 0.0, where or {}
+        sizes = check_sizes[name] = {"cases": 0, "max_cells": 0}
         try:
             for residual, context in cases():
+                sizes["cases"] += 1
+                cells = context["p"] ** context.get("level", level)
+                sizes["max_cells"] = max(sizes["max_cells"], cells)
                 if residual > worst:
                     worst, where = residual, context
         except ChaosError as exc:

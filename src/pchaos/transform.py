@@ -28,7 +28,9 @@ the two must agree to rounding on every input.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +134,45 @@ def _stage_kernel(p: int, g: int, sign: int, real: bool) -> np.ndarray:
     return kernel
 
 
+class _Pool(threading.local):
+    """Per-thread stage buffers: None outside a `_reused_buffers` scope,
+    else a dict from (dtype, 0 or 1) to the scope's two buffers."""
+
+    buffers: dict | None = None
+
+
+_pool = _Pool()
+
+
+@contextlib.contextmanager
+def _reused_buffers():
+    """Within this scope the stage loop on this thread reuses two buffers
+    per dtype, grown to the largest size asked for, instead of allocating
+    each stage's output: a fresh multi-MiB array is handed back to the OS
+    when freed and page-faulted in again on the next call. The buffers are
+    dropped on exit, exceptions included; a nested scope keeps the outer
+    pool."""
+    if _pool.buffers is not None:
+        yield
+        return
+    _pool.buffers = {}
+    try:
+        yield
+    finally:
+        _pool.buffers = None
+
+
+def _stage_buffer(index: int, size: int, dtype: np.dtype) -> np.ndarray:
+    """Stage buffer `index` (0 or 1) of `size` elements: the scope's pooled
+    one inside `_reused_buffers`, a fresh array outside it."""
+    if _pool.buffers is None:
+        return np.empty(size, dtype)
+    buffer = _pool.buffers.get((dtype, index))
+    if buffer is None or buffer.size < size:
+        buffer = _pool.buffers[dtype, index] = np.empty(size, dtype)
+    return buffer[:size]
+
+
 def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray:
     """Apply the p-point kernel along every digit; the flat result is
     directly Paley-indexed (position k of the output pairs with fractional
@@ -151,6 +192,12 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     table, and the result stays float64: the loop returns its working
     dtype. A real-dtype array is taken as real without a scan; a complex
     one is real when its imaginary part is all zero (-0.0 included).
+
+    Every stage writes into one of two buffers from `_stage_buffer`, and
+    `values` is never written. The result is one of them: inside a
+    `_reused_buffers` scope it stays valid only until the next call on
+    this thread (and `values` must not be such a result), so public
+    callers copy it.
     """
     real = p == 2 and (values.dtype.kind != "c" or not values.imag.any())
     a = np.ascontiguousarray(values.real if real else values, dtype=float if real else complex)
@@ -159,6 +206,7 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     width = 1
     while p ** (width + 1) <= _STAGE_CELLS:
         width += 1
+    out = _stage_buffer(0, a.size, a.dtype)
     j = 0
     while j < level:
         g = min(width, level - j)
@@ -167,30 +215,35 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
         if j == 0:
             # The table is symmetric, so a^T K is the product already stored
             # as (R, p^g): BLAS reads the transpose in place.
-            a = a.reshape(p**g, rows).T @ kernel
+            np.matmul(a.reshape(p**g, rows).T, kernel, out=out.reshape(rows, p**g))
+            # The second buffer is taken only when another stage follows.
+            a, out = out, _stage_buffer(1, a.size, a.dtype) if level > g else None
         elif rows == 1 or p**j >= _STAGE_CELLS:
             # One GEMM per row block writes (R, p^g, p^j) in place.
-            a = kernel @ a.reshape(p**g, rows, p**j).transpose(1, 0, 2)
+            stacked = a.reshape(p**g, rows, p**j).transpose(1, 0, 2)
+            np.matmul(kernel, stacked, out=out.reshape(rows, p**g, p**j))
+            a, out = out, a
         else:
             # Blocks narrower than a stage make GEMMs too small to pay for
-            # their calls: one GEMM, then a transposing copy.
-            product = (kernel @ a.reshape(p**g, -1)).reshape(p**g, rows, p**j)
-            a = np.ascontiguousarray(product.transpose(1, 0, 2))
+            # their calls: one GEMM into the free buffer, then a transposing
+            # copy back into the buffer just read (j > 0, so not `values`).
+            np.matmul(kernel, a.reshape(p**g, -1), out=out.reshape(p**g, -1))
+            product = out.reshape(p**g, rows, p**j).transpose(1, 0, 2)
+            np.copyto(a.reshape(rows, p**g, p**j), product)
         j += g
     return a.reshape(p**level)
 
 
 def forward(f: StepFunction) -> Spectrum:
     """Fast transform: coeffs[m] = p^-L sum_c values[c] conj(character_m(c))."""
-    coeffs = _tensor_dft(f.values, f.p, f.level, sign=-1)
-    coeffs *= f.p ** (-f.level)
+    coeffs = _tensor_dft(f.values, f.p, f.level, sign=-1) * f.p ** (-f.level)
     return Spectrum(f.p, f.level, coeffs)
 
 
 def inverse(s: Spectrum) -> StepFunction:
     """Fast synthesis: values[c] = sum_m coeffs[m] character_m(c)."""
     values = _tensor_dft(s.coeffs, s.p, s.level, sign=+1)
-    return StepFunction(s.p, s.level, values)
+    return StepFunction(s.p, s.level, values.astype(np.complex128))
 
 
 # Rows the reference oracles hold at once (`convolve_functions` rounds up to

@@ -15,6 +15,7 @@ from pchaos import (
     InsufficientLevel,
     InvalidExponent,
     InvalidOrder,
+    NonFiniteValue,
     character_value,
     convolve_with_measure,
     decomposition_residual,
@@ -112,6 +113,39 @@ class TestNorms:
         # nan gave nan and inf gave 1.0, neither of them a norm
         with pytest.raises(InvalidExponent):
             lq_norm([1.0, -2.0], q)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_linf_refuses_a_sup_past_float64(self, p):
+        # finite coefficients whose sum overflows: inf at p=2, nan at p=3
+        Q = ChaosPolynomial.from_indices(p, 1, [1, p], [1e308, 1e308])
+        with pytest.raises(NonFiniteValue):
+            linf_norm(Q)
+        with pytest.raises(NonFiniteValue):
+            sidon_ratio(Q)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_lq_rescales_at_the_ends_of_float64(self):
+        # the plain sums overflow to inf and underflow to 0
+        assert lq_norm([1e200, 1e200], 2) == pytest.approx(2**0.5 * 1e200, rel=1e-15)
+        assert lq_norm([1e-200, 1e-200], 2) == pytest.approx(2**0.5 * 1e-200, rel=1e-15)
+        assert lq_norm([0.0, 0.0], 2) == 0.0
+        # the ratio is scale-free, so huge coefficients give that of ones
+        big = ChaosPolynomial.from_indices(2, 2, [3, 5], [1e300, 1e300])
+        ones = ChaosPolynomial.from_indices(2, 2, [3, 5], [1.0, 1.0])
+        assert sidon_ratio(big) == pytest.approx(sidon_ratio(ones), rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, np.nan], [np.inf]])
+    def test_lq_refuses_a_norm_past_float64(self, values):
+        with pytest.raises(NonFiniteValue):
+            lq_norm(values, 1.0)
+
+    def test_lq_in_range_keeps_the_plain_sum(self):
+        values = np.random.default_rng(3).standard_normal(50) * 1e3 + 1j
+        for q in (0.5, 1.0, 4 / 3, 2.0):
+            assert lq_norm(values, q) == float((np.abs(values) ** q).sum() ** (1.0 / q))
 
     def test_parseval_coefficient_level(self):
         rng = np.random.default_rng(4)

@@ -151,6 +151,18 @@ def test_norms_refuses_bad_q_before_loading(tmp_path, monkeypatch, capsys, q):
     assert loads == [] and not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [2, 3])
+def test_norms_refuses_a_sup_past_float64(tmp_path, capsys, p):
+    poly = tmp_path / "q.json"
+    out = tmp_path / "norms.json"
+    ser.save_polynomial(str(poly), pchaos.ChaosPolynomial.from_indices(p, 1, [1, p], [1e308] * 2))
+    assert run("norms", "--poly", poly, "--out", out) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_norms_missing_file(capsys):
     assert run("norms", "--poly", "missing.json") == 2
     assert "missing.json" in capsys.readouterr().err

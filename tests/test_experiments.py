@@ -190,6 +190,18 @@ class TestVerifySuite:
         wall = a.meta["check_wall_s"]
         assert list(wall) == [c.name for c in a.checks]
         assert all(math.isfinite(t) and t >= 0.0 for t in wall.values())
+        assert list(a.meta["check_sizes"]) == list(wall)
+        assert not any({"cases", "max_cells"} & set(c.context) for c in a.checks)
+
+    def test_check_sizes(self):
+        # N=3: level 4 where a case names no level of its own
+        sizes = verify_suite([2, 3], [1, 2], N=3, seed=2).meta["check_sizes"]
+        assert sizes["fast-vs-naive"] == {"cases": 11 + 7, "max_cells": 3**7}
+        assert sizes["transform-roundtrip"] == {"cases": 2, "max_cells": 2**12}
+        assert sizes["character-multiplicativity"] == {"cases": 40, "max_cells": 3**4}
+        assert sizes["lemma2-pattern"] == {"cases": 1 + 2 + 1 + 2, "max_cells": 3**4}
+        assert sizes["sidon-exact-d1"] == {"cases": 10, "max_cells": 2**4}
+        assert verify_suite([], [1], N=4).meta["check_sizes"] == {}
 
     def test_corrupted_lemma1_yields_named_failure(self, monkeypatch):
         def corrupted(p, d, J, level, max_cells=None):
