@@ -57,7 +57,7 @@ from .padic import (
     paley_decode,
     paley_encode,
 )
-from .transform import Spectrum, StepFunction, _tensor_dft, convolve
+from .transform import Spectrum, _tensor_dft, convolve
 
 # Bound on the (sequences, terms) match mask of one chunk of exponent sequences (bytes).
 _CHUNK_BYTES = 2**20
@@ -251,7 +251,7 @@ class ChaosPolynomial:
         return 2 * d / (d + 1)
 
 
-def _placed(Q: ChaosPolynomial, level: int, max_cells: int | None, real: bool) -> np.ndarray:
+def _placed(Q: ChaosPolynomial, level: int, real: bool) -> np.ndarray:
     """Q's coefficients scattered to their Paley indices on a level-`level`
     array: float64 real parts when `real`, else complex128. The level and
     the cell guard are checked before the array is allocated."""
@@ -259,20 +259,19 @@ def _placed(Q: ChaosPolynomial, level: int, max_cells: int | None, real: bool) -
         raise InsufficientLevel(
             f"level {level} cannot hold positions up to {Q.N}"
         )
-    check_cell_guard(Q.p, level, max_cells)
+    check_cell_guard(Q.p, level)
     coeffs = np.zeros(Q.p**level, dtype=float if real else complex)
     coeffs[Q.indices] = Q.values.real if real else Q.values
     return coeffs
 
 
-def polynomial_spectrum(
-    Q: ChaosPolynomial, level: int, max_cells: int | None = None
-) -> Spectrum:
-    """Coefficient array of Q at the given level (exact placement)."""
-    return Spectrum(Q.p, level, _placed(Q, level, max_cells, real=False))
+def polynomial_spectrum(Q: ChaosPolynomial, level: int) -> Spectrum:
+    """Coefficient array of Q at the given level (exact placement); its
+    `inverse` is Q on every cell of that level."""
+    return Spectrum(Q.p, level, _placed(Q, level, real=False))
 
 
-def _cell_values(Q: ChaosPolynomial, level: int, max_cells: int | None) -> np.ndarray:
+def _cell_values(Q: ChaosPolynomial, level: int) -> np.ndarray:
     """Q on every cell of the given level as the stage loop's raw array,
     valid only until the next stage loop on this thread (see `_tensor_dft`).
 
@@ -281,20 +280,10 @@ def _cell_values(Q: ChaosPolynomial, level: int, max_cells: int | None) -> np.nd
     the stages; any other polynomial is scattered into complex128. Only
     the term array is scanned, never the grid."""
     real = Q.p == 2 and not Q.values.imag.any()
-    return _tensor_dft(_placed(Q, level, max_cells, real), Q.p, level, sign=+1)
+    return _tensor_dft(_placed(Q, level, real), Q.p, level, sign=+1)
 
 
-def synthesize(
-    Q: ChaosPolynomial, level: int | None = None, max_cells: int | None = None
-) -> StepFunction:
-    """Evaluate Q on every cell of the given level (default N+1)."""
-    level = Q.N + 1 if level is None else level
-    return StepFunction(Q.p, level, _cell_values(Q, level, max_cells).astype(np.complex128))
-
-
-def linf_norm(
-    Q: ChaosPolynomial, max_cells: int | None = None
-) -> tuple[float, CellIndex]:
+def linf_norm(Q: ChaosPolynomial) -> tuple[float, CellIndex]:
     """Exact sup-norm over the p^(N+1) cells and the first cell attaining it.
 
     Real p=2 values are never widened to complex: abs and argmax run in
@@ -302,7 +291,7 @@ def linf_norm(
     Finite coefficients can still synthesise past the float64 range: a sup
     that is not finite is refused."""
     level = Q.N + 1
-    values = _cell_values(Q, level, max_cells)
+    values = _cell_values(Q, level)
     magnitudes = np.abs(values, out=values) if values.dtype.kind == "f" else np.abs(values)
     arg = int(np.argmax(magnitudes))
     sup = float(magnitudes[arg])
@@ -339,12 +328,12 @@ def lq_norm(values: Sequence[complex], q: float) -> float:
     return total
 
 
-def sidon_ratio(Q: ChaosPolynomial, max_cells: int | None = None) -> float:
+def sidon_ratio(Q: ChaosPolynomial) -> float:
     """Coefficient norm over sup-norm: lq(coeffs, 2d/(d+1)) / linf(Q)."""
     vector = Q.values
     if vector.size == 0 or not np.any(vector):
         raise DegenerateInput("the zero polynomial has no norm ratio")
-    sup, _ = linf_norm(Q, max_cells=max_cells)
+    sup, _ = linf_norm(Q)
     return lq_norm(vector, Q.sidon_exponent) / sup
 
 
@@ -380,9 +369,7 @@ def convolve_with_measure(Q: ChaosPolynomial, measure: MeasureRep) -> Spectrum:
     return convolve(polynomial_spectrum(Q, measure.level), measure.spectrum)
 
 
-def decomposition_residual(
-    Q: ChaosPolynomial, max_sequences: int | None = None
-) -> float:
+def decomposition_residual(Q: ChaosPolynomial) -> float:
     """Coefficient-level residual of averaging the exponent projections.
 
     Summing project_J over all (p-1)^(N+1) exponent sequences counts every
@@ -395,11 +382,11 @@ def decomposition_residual(
     if not Q.is_pure:
         raise InvalidOrder("the decomposition identity needs a pure-order polynomial")
     width, base = Q.N + 1, Q.p - 1
-    cap = MAX_DECOMPOSITION_SEQUENCES if max_sequences is None else max_sequences
     count = base**width
-    if count > cap:
+    if count > MAX_DECOMPOSITION_SEQUENCES:
         raise CombinatorialBlowup(
-            f"(p-1)^(N+1) = {count} exponent sequences exceed the guard {cap}"
+            f"(p-1)^(N+1) = {count} exponent sequences exceed the guard "
+            f"{MAX_DECOMPOSITION_SEQUENCES}"
         )
     place = base ** np.arange(width)
     agreeing = np.zeros(Q.indices.size, dtype=np.int64)

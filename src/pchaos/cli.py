@@ -139,7 +139,7 @@ def cmd_transform(args) -> int:
 def cmd_riesz(args) -> int:
     a = _complex_list(args.a)
     j = _int_list(args.j)
-    density = riesz_density(args.p, args.level, a, j, args.max_cells)
+    density = riesz_density(args.p, args.level, a, j)
     spectrum = forward(density)
     variation = density_variation(density)
     integral = density.integral()
@@ -178,7 +178,7 @@ def cmd_riesz(args) -> int:
 def cmd_lemma1(args) -> int:
     J = _int_list(args.J)
     level = args.N + 1
-    measure = lemma1_measure(args.p, args.d, J, level, args.max_cells)
+    measure = lemma1_measure(args.p, args.d, J, level)
     matched, mismatched = lemma1_pattern_residual(measure, args.d, J, args.N)
     ok = matched <= LEMMA1_PATTERN_TOL and mismatched <= LEMMA1_PATTERN_TOL
     config = {"p": args.p, "d": args.d, "J": J, "N": args.N}
@@ -203,7 +203,7 @@ def cmd_lemma1(args) -> int:
 def cmd_lemma2(args) -> int:
     tol = _tolerances(args)
     level = args.N + 1
-    measure = lemma2_measure(args.p, args.d, args.s, level, args.max_cells)
+    measure = lemma2_measure(args.p, args.d, args.s, level)
     kept, killed = lemma2_pattern_residual(measure, args.d, args.s, args.N)
     ok = kept <= tol.construction and killed <= tol.construction
     config = {"p": args.p, "d": args.d, "s": args.s, "N": args.N}
@@ -229,11 +229,11 @@ def cmd_norms(args) -> int:
     if args.q is not None:
         check_norm_exponent(args.q)
     Q = ser.load_polynomial(args.poly)
-    sup, cell = linf_norm(Q, args.max_cells)
     vector = Q.values
     q = args.q if args.q is not None else Q.sidon_exponent
     if not np.any(vector):
         raise DegenerateInput("the zero polynomial has no norm ratio")
+    sup, cell = linf_norm(Q)
     payload = _echo({"poly": args.poly, "q": q}) | {
         "linf": sup,
         "argmax_cell": cell.index,
@@ -257,11 +257,11 @@ def cmd_project(args) -> int:
     if args.J is not None:
         J = _int_list(args.J)
         result = project_J(Q, J)
-        measure = lemma1_measure(Q.p, Q.order, J, level, args.max_cells)
+        measure = lemma1_measure(Q.p, Q.order, J, level)
         mode = {"J": J}
     else:
         result = project_order(Q, args.order)
-        measure = lemma2_measure(Q.p, Q.order, args.order, level, args.max_cells)
+        measure = lemma2_measure(Q.p, Q.order, args.order, level)
         mode = {"order": args.order}
     route = convolve_with_measure(Q, measure)
     direct = polynomial_spectrum(result, level)
@@ -284,7 +284,7 @@ def cmd_project(args) -> int:
 def cmd_decompose(args) -> int:
     tol = _tolerances(args)
     Q = ser.load_polynomial(args.poly)
-    residual = decomposition_residual(Q, args.max_sequences)
+    residual = decomposition_residual(Q)
     ok = residual <= tol.transform
     print(
         f"decompose: p={Q.p} N={Q.N} order={Q.order} residual={residual:.3e} "
@@ -323,7 +323,6 @@ def cmd_study(args) -> int:
         trials=args.trials,
         seed=args.seed,
         ensemble=args.ensemble,
-        max_cells=args.max_cells,
     )
     report = study(cfg)
     payload = {"format_version": ser.FORMAT_VERSION} | report.to_dict()
@@ -344,7 +343,6 @@ def cmd_verify(args) -> int:
         args.N,
         seed=args.seed,
         tolerances=tol,
-        max_cells=args.max_cells,
     )
     payload = {"format_version": ser.FORMAT_VERSION} | report.to_dict()
     _emit(args, payload)
@@ -371,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def max_cells(p):
-        p.add_argument("--max-cells", type=int, default=None, help="cell guard override")
-
     def tol(p):
         p.add_argument(
             "--tol",
@@ -396,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="comma-separated complex coefficients")
     p.add_argument("--j", required=True, help="comma-separated exponents")
     p.add_argument("--out")
-    max_cells(p)
     p.set_defaults(func=cmd_riesz)
 
     p = sub.add_parser("lemma1", help="build the exponent-selector measure")
@@ -405,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", required=True, help="comma-separated exponents, length N+1")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out")
-    max_cells(p)
     p.set_defaults(func=cmd_lemma1)
 
     p = sub.add_parser("lemma2", help="build the order-selector measure")
@@ -414,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out")
-    max_cells(p)
     tol(p)
     p.set_defaults(func=cmd_lemma2)
 
@@ -422,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--out")
-    max_cells(p)
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("project", help="exponent or order projection")
@@ -430,13 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", help="comma-separated exponents, length N+1")
     p.add_argument("--order", type=int)
     p.add_argument("--out")
-    max_cells(p)
     tol(p)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("decompose", help="exponent-averaging identity residual")
     p.add_argument("--poly", required=True)
-    p.add_argument("--max-sequences", type=int, default=None)
     tol(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -450,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         p.add_argument("--csv")
         p.add_argument("--seed", type=int, default=0)
-        max_cells(p)
         p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("verify", help="run the full verification suite")
@@ -459,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
-    max_cells(p)
     tol(p)
     p.set_defaults(func=cmd_verify)
 

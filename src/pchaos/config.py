@@ -5,7 +5,8 @@ overridden per run: measure-construction identities (1e-8) and transform
 identities (1e-10). The interpolation-solve residual gate (1e-6) is fixed,
 and a handful of checks carry their own sharper constants (mass
 identities, exact transform agreement, character arithmetic) because those
-quantities are exact up to rounding.
+quantities are exact up to rounding. The resource guards are fixed caps,
+checked before any size-dependent work.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import GuardExceeded
 MAX_BASE = 16
 MAX_LEVEL = 24
 
-# Soft cap on allocated cell grids; overridable per call.
+# Cap on allocated cell grids (p^level cells), checked before allocation.
 MAX_CELLS = 2**24
 
 # Cap on the number of exponent sequences enumerated by the decomposition identity.
@@ -65,9 +66,9 @@ def check_base_level(p: int, level: int) -> None:
         raise GuardExceeded(f"level {level} exceeds the supported cap {MAX_LEVEL}")
 
 
-def check_cell_guard(p: int, level: int, max_cells: int | None = None) -> None:
-    """Validate that a p^level cell grid fits the allocation guard."""
+def check_cell_guard(p: int, level: int) -> None:
+    """Validate the base and level caps and that a p^level cell grid fits
+    MAX_CELLS. Callers run it before allocating the grid."""
     check_base_level(p, level)
-    cap = MAX_CELLS if max_cells is None else max_cells
-    if p**level > cap:
-        raise GuardExceeded(f"p^level = {p}^{level} exceeds the cell guard {cap}")
+    if p**level > MAX_CELLS:
+        raise GuardExceeded(f"p^level = {p}^{level} exceeds the cell guard {MAX_CELLS}")

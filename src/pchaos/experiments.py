@@ -105,7 +105,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     ensemble: str = "signs"
-    max_cells: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "N_values", tuple(int(n) for n in self.N_values))
@@ -116,7 +115,7 @@ class ExperimentConfig:
         if self.trials < 0:
             raise ChaosError(f"trial count must be >= 0, got {self.trials}")
         for N in self.N_values:
-            check_cell_guard(self.p, N + 1, self.max_cells)
+            check_cell_guard(self.p, N + 1)
             check_chaos_order(self.p, self.d, N)
 
     def to_dict(self) -> dict:
@@ -365,7 +364,6 @@ def verify_suite(
     N: int,
     seed: int = 0,
     tolerances: Tolerances | None = None,
-    max_cells: int | None = None,
 ) -> SuiteReport:
     """Run every module invariant over the (p, d) grid at top position N.
 
@@ -400,7 +398,7 @@ def verify_suite(
     grid = [(p, d) for p in p_values for d in d_values if d <= N]
     level = N + 1
     for p, _ in grid:
-        check_cell_guard(p, level, max_cells)
+        check_cell_guard(p, level)
 
     def run(name: str, tolerance: float, cases, where: dict | None = None) -> None:
         """Record the first strict maximum of the (residual, context) pairs
@@ -472,7 +470,7 @@ def verify_suite(
                 z = CellIndex(p, L, int(rng.integers(0, size)))
                 lhs = character_value(m, group_sub(x, z))
                 rhs = character_value(m, x) * np.conjugate(character_value(m, z))
-                yield abs(lhs - rhs), {"p": p, "m": m}
+                yield abs(lhs - rhs), {"p": p, "m": m, "level": L}
 
     run("transform-roundtrip", tol.transform, transform_roundtrip)
     run("parseval", tol.transform, parseval)
@@ -505,7 +503,7 @@ def verify_suite(
             rng = trial_rng(seed, 7, p, d)
             for _ in range(2):
                 J = [int(x) for x in rng.integers(1, p, size=level)]
-                nu = lemma1_measure(p, d, J, level, max_cells)
+                nu = lemma1_measure(p, d, J, level)
                 matched, mismatched = lemma1_pattern_residual(nu, d, J, N)
                 yield max(matched, mismatched), {"p": p, "d": d, "J": J}
 
@@ -513,7 +511,7 @@ def verify_suite(
         for p, d in grid:
             rng = trial_rng(seed, 8, p, d)
             J = [int(x) for x in rng.integers(1, p, size=level)]
-            rho_hat = _lemma1_base_spectrum(p, d, J, level, max_cells)
+            rho_hat = _lemma1_base_spectrum(p, d, J, level)
             values = rho_hat.coeffs[term_indices(p, d, N)]
             alphabet, _ = selector_nodes(d)
             residual = float(np.abs(values[:, None] - alphabet).min(axis=1).max())
@@ -522,7 +520,7 @@ def verify_suite(
     def lemma2_pattern():
         for p, d in grid:
             for s in range(1, d + 1):
-                nu = lemma2_measure(p, d, s, level, max_cells)
+                nu = lemma2_measure(p, d, s, level)
                 kept, killed = lemma2_pattern_residual(nu, d, s, N)
                 yield max(kept, killed), {"p": p, "d": d, "s": s}
 
@@ -531,7 +529,7 @@ def verify_suite(
             rng = trial_rng(seed, 9, p, d)
             J = [int(x) for x in rng.integers(1, p, size=level)]
             signs = [int(x) for x in rng.integers(0, 2, size=level) * 2 - 1]
-            rho = rho_y_measure(p, J, signs, level, max_cells)
+            rho = rho_y_measure(p, J, signs, level)
             indices = term_indices(p, d, N)
             matched = indices[exponent_match(indices, p, J)]
             coeffs = draw_coefficients(rng, len(matched), "unimodular")
@@ -557,8 +555,8 @@ def verify_suite(
             Q = random_chaos(p, d, N, rng, "unimodular")
             sup, _ = linf_norm(Q)
             for nu in (
-                lemma1_measure(p, d, J, level, max_cells),
-                lemma2_measure(p, d, max(1, d - 1) if d > 1 else 1, level, max_cells),
+                lemma1_measure(p, d, J, level),
+                lemma2_measure(p, d, max(1, d - 1) if d > 1 else 1, level),
             ):
                 convolved = inverse(convolve_with_measure(Q, nu))
                 out_sup = float(np.abs(convolved.values).max())
@@ -573,7 +571,7 @@ def verify_suite(
             sup, _ = linf_norm(Q)
             for s in range(1, d + 1):
                 part = project_order(Q, s)
-                nu = lemma2_measure(p, d, s, level, max_cells)
+                nu = lemma2_measure(p, d, s, level)
                 route = convolve_with_measure(Q, nu)
                 direct = polynomial_spectrum(part, level)
                 residual = float(np.abs(route.coeffs - direct.coeffs).max())

@@ -118,17 +118,13 @@ def _product_density(p: int, level: int, factors: Sequence[np.ndarray]) -> StepF
 
 
 def riesz_density(
-    p: int,
-    level: int,
-    a: Sequence[complex],
-    j: Sequence[int],
-    max_cells: int | None = None,
+    p: int, level: int, a: Sequence[complex], j: Sequence[int]
 ) -> StepFunction:
     """Level-L Riesz product density prod_k (1 + Re(a_k R_k^{j_k})).
 
     Real, non-negative, Haar integral 1 for any admissible coefficients.
     """
-    check_cell_guard(p, level, max_cells)
+    check_cell_guard(p, level)
     a = [complex(x) for x in a]
     j = _validate_exponents(p, j)
     if len(a) != level or len(j) != level:
@@ -148,12 +144,12 @@ def riesz_density(
     return _product_density(p, level, factors)
 
 
-def lemma2_base_density(p: int, level: int, max_cells: int | None = None) -> StepFunction:
+def lemma2_base_density(p: int, level: int) -> StepFunction:
     """Exponent-symmetric product prod_k (1 + (R_k + ... + R_k^(p-1))/p).
 
     Its coefficient at any index with s nonzero digits equals p^-s.
     """
-    check_cell_guard(p, level, max_cells)
+    check_cell_guard(p, level)
     digits = np.arange(p)
     table = np.zeros(p, dtype=np.complex128)
     for l in range(1, p):
@@ -247,7 +243,7 @@ def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     return node_arr, target_arr
 
 
-def lemma1_system(d: int, residual_tol: float | None = None) -> VandermondeSystem:
+def lemma1_system(d: int) -> VandermondeSystem:
     """Build and solve the exponent-selector interpolation system.
 
     The solution is the float64 monomial coefficient vector; its residual
@@ -257,15 +253,14 @@ def lemma1_system(d: int, residual_tol: float | None = None) -> VandermondeSyste
     for d <= 3. Larger orders raise IllConditionedSystem rather than
     degrade silently.
     """
-    tol = SOLVE_RESIDUAL_TOL if residual_tol is None else residual_tol
     node_arr, target_arr = selector_nodes(d)
     degree = (d + 1) * (d + 2) // 2
     coeffs = interpolate_monomial(node_arr, target_arr)
     powers = node_arr[:, None] ** np.arange(degree + 1)[None, :]
     residual = float(np.max(np.abs(powers @ coeffs - target_arr)))
-    if residual > tol:
+    if residual > SOLVE_RESIDUAL_TOL:
         raise IllConditionedSystem(
-            f"interpolation residual {residual:.3e} exceeds {tol:.1e}"
+            f"interpolation residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e}"
         )
     return VandermondeSystem(d, node_arr, target_arr, coeffs, residual)
 
@@ -292,24 +287,16 @@ def _shaped_measure(base: Spectrum, coefficients: np.ndarray, provenance: dict) 
     return MeasureRep(spectrum, density_variation(inverse(spectrum)), provenance)
 
 
-def _lemma1_base_spectrum(
-    p: int, d: int, J: Sequence[int], level: int, max_cells: int | None = None
-) -> Spectrum:
+def _lemma1_base_spectrum(p: int, d: int, J: Sequence[int], level: int) -> Spectrum:
     """Coefficients of the Riesz product that lemma1_measure shapes:
     a = exp(2 pi i / (2d+1)) on every factor whose power R^(J_k) is not
     self-conjugate, 1 on the rest."""
     a = complex(np.exp(2j * np.pi / (2 * d + 1)))
     factors = [1.0 + 0j if is_self_conjugate(p, jk) else a for jk in J]
-    return forward(riesz_density(p, level, factors, J, max_cells))
+    return forward(riesz_density(p, level, factors, J))
 
 
-def lemma1_measure(
-    p: int,
-    d: int,
-    J: Sequence[int],
-    level: int,
-    max_cells: int | None = None,
-) -> MeasureRep:
+def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     """Measure whose coefficients select order-d terms with exponents J.
 
     On every order-d index the coefficient is 1 when all exponents match
@@ -321,7 +308,7 @@ def lemma1_measure(
     if len(J) != level:
         raise LevelMismatch(f"need {level} exponents, got {len(J)}")
     system = lemma1_system(d)
-    rho_hat = _lemma1_base_spectrum(p, d, J, level, max_cells)
+    rho_hat = _lemma1_base_spectrum(p, d, J, level)
     provenance = {
         "construction": "lemma1",
         "p": p,
@@ -347,28 +334,18 @@ def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
     return interpolate_monomial(nodes, values).real
 
 
-def lemma2_measure(
-    p: int,
-    d: int,
-    s: int,
-    level: int,
-    max_cells: int | None = None,
-) -> MeasureRep:
+def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     """Measure keeping chaos order s and killing every other order <= d."""
     coeffs = lemma2_polynomial(p, d, s)
     if level < 1:
         raise LevelMismatch(f"level must be at least 1, got {level}")
-    rho_hat = forward(lemma2_base_density(p, level, max_cells))
+    rho_hat = forward(lemma2_base_density(p, level))
     provenance = {"construction": "lemma2", "p": p, "d": d, "s": s}
     return _shaped_measure(rho_hat, coeffs, provenance)
 
 
 def rho_y_measure(
-    p: int,
-    J: Sequence[int],
-    signs: Sequence[int],
-    level: int,
-    max_cells: int | None = None,
+    p: int, J: Sequence[int], signs: Sequence[int], level: int
 ) -> MeasureRep:
     """Sign-modulated Riesz product: a_k = signs[k] on non-self-conjugate
     factors and signs[k]/2 on self-conjugate ones.
@@ -389,7 +366,7 @@ def rho_y_measure(
         complex(sk) / 2 if is_self_conjugate(p, jk) else complex(sk)
         for sk, jk in zip(signs, J)
     ]
-    density = riesz_density(p, level, a, J, max_cells)
+    density = riesz_density(p, level, a, J)
     provenance = {
         "construction": "rho_y",
         "p": p,

@@ -35,36 +35,46 @@ from pchaos import (
     sidon_ratio,
     term_indices,
 )
-from pchaos import chaos
-from pchaos.chaos import synthesize
+from pchaos import chaos, config
 
 
 def all_ones(p, d, N):
     return ChaosPolynomial(p, N, {t: 1.0 for t in enumerate_Nd(p, d, N)})
 
 
+def on_cells(Q, level=None):
+    """Q on every cell of `level` (default N+1), by the public route."""
+    return inverse(polynomial_spectrum(Q, Q.N + 1 if level is None else level))
+
+
 class TestSynthesize:
     def test_single_term_is_character(self):
         term = ChaosTerm((0, 2), (1, 2))
         Q = ChaosPolynomial(3, 2, {term: 1.0})
-        f = synthesize(Q)
+        f = on_cells(Q)
         m = paley_encode(term, 3)
         expected = [character_value(m, CellIndex(3, 3, c)) for c in range(27)]
         np.testing.assert_allclose(f.values, expected, atol=1e-13)
+        np.testing.assert_array_equal(chaos._cell_values(Q, 3), f.values)
 
     def test_order2_all_ones_by_hand(self):
-        f = synthesize(all_ones(2, 2, 2))
-        np.testing.assert_allclose(
-            f.values.real, [3, -1, -1, -1, -1, -1, -1, 3], atol=1e-13
-        )
+        # exact integers at p=2, by the public route and the sup-norm's helper
+        Q = all_ones(2, 2, 2)
+        expected = [3, -1, -1, -1, -1, -1, -1, 3]
+        np.testing.assert_array_equal(on_cells(Q).values, expected)
+        np.testing.assert_array_equal(chaos._cell_values(Q, 3), expected)
 
     def test_zero_polynomial(self):
         Q = ChaosPolynomial(2, 2, {})
-        assert not synthesize(Q).values.any()
+        assert not on_cells(Q).values.any()
+        assert not chaos._cell_values(Q, 3).any()
 
     def test_level_too_small(self):
+        Q = all_ones(2, 1, 3)
         with pytest.raises(InsufficientLevel):
-            synthesize(all_ones(2, 1, 3), level=2)
+            on_cells(Q, level=2)
+        with pytest.raises(InsufficientLevel):
+            chaos._cell_values(Q, 2)
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
@@ -74,8 +84,8 @@ class TestSynthesize:
             3, 3, {t: A.coeffs.get(t, 0) + 2j * B.coeffs.get(t, 0)
                    for t in set(A.coeffs) | set(B.coeffs)}
         )
-        lhs = synthesize(combined).values
-        rhs = synthesize(A).values + 2j * synthesize(B).values
+        lhs = on_cells(combined).values
+        rhs = on_cells(A).values + 2j * on_cells(B).values
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -150,7 +160,7 @@ class TestNorms:
     def test_parseval_coefficient_level(self):
         rng = np.random.default_rng(4)
         Q = random_chaos(3, 2, 4, rng, "unimodular")
-        f = synthesize(Q)
+        f = on_cells(Q)
         l2_function = np.sqrt((np.abs(f.values) ** 2).sum() * 3.0**-f.level)
         l2_coeffs = lq_norm(Q.values, 2.0)
         assert abs(l2_function - l2_coeffs) <= 1e-10
@@ -184,7 +194,7 @@ class TestRealBaseTwoSup:
     def _assert_sup_of_grid(Q):
         sup, cell = linf_norm(Q)
         level = Q.N + 1
-        for values in (synthesize(Q).values, inverse(polynomial_spectrum(Q, level)).values):
+        for values in (chaos._cell_values(Q, level).astype(np.complex128), on_cells(Q).values):
             assert values.dtype == np.complex128
             magnitudes = np.abs(values)
             arg = int(np.argmax(magnitudes))
@@ -197,7 +207,7 @@ class TestRealBaseTwoSup:
         rng = np.random.default_rng(d)
         for N in range(d - 1, 17):
             for Q in (random_chaos(2, d, N, rng, "signs"), _real_coefficients(d, N, rng)):
-                assert chaos._cell_values(Q, N + 1, None).dtype == np.float64
+                assert chaos._cell_values(Q, N + 1).dtype == np.float64
                 self._assert_sup_of_grid(Q)
 
     def test_sign_sup_is_an_exact_integer(self):
@@ -211,7 +221,7 @@ class TestRealBaseTwoSup:
         values.imag = -0.0
         negative = ChaosPolynomial.from_indices(2, 9, Q.indices, values)
         assert _bits(negative.values.imag).all()
-        assert chaos._cell_values(negative, 10, None).dtype == np.float64
+        assert chaos._cell_values(negative, 10).dtype == np.float64
         (sup, cell), (plain_sup, plain_cell) = linf_norm(negative), linf_norm(Q)
         assert _bits(np.float64(sup)) == _bits(np.float64(plain_sup))
         assert cell.index == plain_cell.index
@@ -221,20 +231,21 @@ class TestRealBaseTwoSup:
     def test_complex_and_higher_bases_stay_complex(self, p, d, N):
         rng = np.random.default_rng(p * N)
         Q = random_chaos(p, d, N, rng, "unimodular")
-        assert chaos._cell_values(Q, N + 1, None).dtype == np.complex128
+        assert chaos._cell_values(Q, N + 1).dtype == np.complex128
         self._assert_sup_of_grid(Q)
         if p > 2:
             signs = random_chaos(p, d, N, rng, "signs")
-            assert chaos._cell_values(signs, N + 1, None).dtype == np.complex128
+            assert chaos._cell_values(signs, N + 1).dtype == np.complex128
             self._assert_sup_of_grid(signs)
 
     @pytest.mark.parametrize("ensemble", ["signs", "unimodular"])
-    def test_guard_refuses_before_allocating(self, ensemble):
+    def test_guard_refuses_before_allocating(self, ensemble, monkeypatch):
         Q = random_chaos(2, 2, 16, np.random.default_rng(0), ensemble)
+        monkeypatch.setattr(config, "MAX_CELLS", 2**16)
         tracemalloc.start()
         try:
             with pytest.raises(GuardExceeded):
-                linf_norm(Q, max_cells=2**16)
+                linf_norm(Q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

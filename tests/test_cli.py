@@ -7,13 +7,14 @@ import json
 import platform
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pchaos
-from pchaos import StepFunction, chaos, cli, experiments, random_chaos
+from pchaos import StepFunction, chaos, cli, config, experiments, random_chaos
 from pchaos import serialization as ser
 from pchaos.cli import _tolerances, build_parser, main
 
@@ -117,10 +118,10 @@ def test_norms_synthesises_once(tmp_path, monkeypatch, capsys):
     calls = []
     cell_values = chaos._cell_values
 
-    # every synthesis (synthesize and linf_norm alike) runs this helper
-    def counting(Q, level, max_cells):
+    # every synthesis on the sup-norm path runs this helper
+    def counting(Q, level):
         calls.append(Q.p**level)
-        return cell_values(Q, level, max_cells)
+        return cell_values(Q, level)
 
     monkeypatch.setattr(chaos, "_cell_values", counting)
     assert run("norms", "--poly", poly) == 0
@@ -129,14 +130,60 @@ def test_norms_synthesises_once(tmp_path, monkeypatch, capsys):
     assert payload["sidon_ratio"] == chaos.sidon_ratio(ser.load_polynomial(str(poly)))
 
 
-def test_norms_refuses_zero_polynomial(tmp_path, capsys):
+def test_norms_refuses_zero_polynomial(tmp_path, monkeypatch, capsys):
     poly = tmp_path / "q.json"
     Q = random_chaos(2, 2, 4, np.random.default_rng(0))
     zero = pchaos.ChaosPolynomial.from_indices(2, 4, Q.indices, np.zeros(Q.indices.size))
     ser.save_polynomial(str(poly), zero)
+    calls = []
+    monkeypatch.setattr(chaos, "_cell_values", lambda *args: calls.append(args))
     assert run("norms", "--poly", poly, "--out", tmp_path / "norms.json") == 2
     assert "no norm ratio" in capsys.readouterr().err
     assert not (tmp_path / "norms.json").exists()
+    assert calls == []  # refused before the synthesis
+
+
+_SEVENTEEN = ",".join(["1"] * 17)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("riesz", "--p", "2", "--level", "17", "--a", _SEVENTEEN, "--j", _SEVENTEEN),
+        ("lemma1", "--p", "2", "--d", "1", "--J", _SEVENTEEN, "--N", "16"),
+        ("lemma2", "--p", "2", "--d", "1", "--s", "1", "--N", "16"),
+        ("norms", "--poly", "q.json"),
+        ("project", "--poly", "q.json", "--J", _SEVENTEEN),
+        ("project", "--poly", "q.json", "--order", "1"),
+        ("ensemble", "--p", "2", "--d", "1", "--N", "3,16", "--trials", "2"),
+        ("growth", "--p", "2", "--d", "1", "--N", "3,16", "--trials", "2"),
+        ("verify", "--p", "2", "--d", "1", "--N", "16"),
+    ],
+    ids=["riesz", "lemma1", "lemma2", "norms", "project-J", "project-order", "ensemble", "growth", "verify"],
+)
+def test_cell_guard_refuses_before_allocating(argv, tmp_path, monkeypatch, capsys):
+    # 2^17 cells pass the default guard; a lowered one refuses them before
+    # any grid is built, any trial drawn or any file written
+    poly = tmp_path / "q.json"
+    ser.save_polynomial(str(poly), random_chaos(2, 1, 16, np.random.default_rng(0), "signs"))
+    monkeypatch.setattr(config, "MAX_CELLS", 2**16)
+    draws = []
+    monkeypatch.setattr(experiments, "trial_rng", lambda *key: draws.append(key))
+    out = tmp_path / "out.json"
+    argv = [str(poly) if a == "q.json" else a for a in argv]
+    # one-time imports (argparse's gettext, numpy.ma in np.unique) stay out of the peak
+    build_parser().parse_args(argv)
+    ser.load_polynomial(str(poly))
+    tracemalloc.start()
+    try:
+        code = run(*argv, "--out", out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "exceeds the cell guard 65536" in capsys.readouterr().err
+    assert draws == [] and not out.exists()
+    assert peak < 2**19  # one 2^17-cell float64 grid alone is 1 MiB
 
 
 @pytest.mark.parametrize("q", ["nan", "inf", "-inf", "0", "-1.5"])
@@ -346,15 +393,15 @@ def test_nan_grid_transform_refused(tmp_path, capsys):
 
 SUBCOMMAND_OPTIONS = {
     "transform": {"--in", "--out", "--direction"},
-    "riesz": {"--p", "--level", "--a", "--j", "--out", "--max-cells"},
-    "lemma1": {"--p", "--d", "--J", "--N", "--out", "--max-cells"},
-    "lemma2": {"--p", "--d", "--s", "--N", "--out", "--max-cells", "--tol"},
-    "norms": {"--poly", "--q", "--out", "--max-cells"},
-    "project": {"--poly", "--J", "--order", "--out", "--max-cells", "--tol"},
-    "decompose": {"--poly", "--max-sequences", "--tol"},
-    "ensemble": {"--p", "--d", "--N", "--trials", "--ensemble", "--out", "--csv", "--seed", "--max-cells"},
-    "growth": {"--p", "--d", "--N", "--trials", "--ensemble", "--out", "--csv", "--seed", "--max-cells"},
-    "verify": {"--p", "--d", "--N", "--out", "--seed", "--max-cells", "--tol"},
+    "riesz": {"--p", "--level", "--a", "--j", "--out"},
+    "lemma1": {"--p", "--d", "--J", "--N", "--out"},
+    "lemma2": {"--p", "--d", "--s", "--N", "--out", "--tol"},
+    "norms": {"--poly", "--q", "--out"},
+    "project": {"--poly", "--J", "--order", "--out", "--tol"},
+    "decompose": {"--poly", "--tol"},
+    "ensemble": {"--p", "--d", "--N", "--trials", "--ensemble", "--out", "--csv", "--seed"},
+    "growth": {"--p", "--d", "--N", "--trials", "--ensemble", "--out", "--csv", "--seed"},
+    "verify": {"--p", "--d", "--N", "--out", "--seed", "--tol"},
 }
 
 
@@ -373,10 +420,20 @@ def test_subcommand_option_sets():
     "argv",
     [
         ("transform", "--in", "cells.json", "--out", "paley.json", "--tol", "transform=1e-9"),
-        ("transform", "--in", "cells.json", "--out", "paley.json", "--max-cells", "10"),
-        ("decompose", "--poly", "q.json", "--max-cells", "10"),
+        ("transform", "--in", "cells.json", "--out", "paley.json", "--seed", "1"),
+        ("decompose", "--poly", "q.json", "--out", "r.json"),
         ("norms", "--poly", "q.json", "--tol", "construction=1e-9"),
         ("riesz", "--p", "2", "--level", "1", "--a", "0", "--j", "1", "--seed", "1"),
+        # the cell and decomposition guards are fixed caps, not options
+        ("riesz", "--p", "2", "--level", "1", "--a", "0", "--j", "1", "--max-cells", "10"),
+        ("lemma1", "--p", "3", "--d", "1", "--J", "1,2", "--N", "1", "--max-cells", "10"),
+        ("lemma2", "--p", "3", "--d", "1", "--s", "1", "--N", "1", "--max-cells", "10"),
+        ("norms", "--poly", "q.json", "--max-cells", "10"),
+        ("project", "--poly", "q.json", "--order", "1", "--max-cells", "10"),
+        ("ensemble", "--p", "2", "--d", "1", "--N", "3", "--max-cells", "10"),
+        ("growth", "--p", "2", "--d", "1", "--N", "3", "--max-cells", "10"),
+        ("verify", "--p", "2", "--d", "1", "--max-cells", "10"),
+        ("decompose", "--poly", "q.json", "--max-sequences", "10"),
     ],
 )
 def test_stray_option_is_usage_error(argv, capsys):

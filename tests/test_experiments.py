@@ -18,7 +18,7 @@ from pchaos import (
     term_indices,
     verify_suite,
 )
-from pchaos import experiments
+from pchaos import config, experiments
 from pchaos.baselines import LEMMA1_C1_BOUND
 
 
@@ -155,6 +155,13 @@ def test_c1_bound_baselines_match():
 
 
 class TestVerifySuite:
+    def test_checks_stay_inside_the_admitted_grid(self, monkeypatch):
+        # with the cap at p^(N+1) itself, no check meets the guard again
+        monkeypatch.setattr(config, "MAX_CELLS", 3**8)
+        report = verify_suite([3], [1, 2], N=7, seed=1)
+        assert report.passed
+        assert max(s["max_cells"] for s in report.meta["check_sizes"].values()) == 3**8
+
     def test_default_small_grid_passes(self):
         report = verify_suite([2, 3], [1, 2], N=4, seed=1)
         assert report.passed, report.failures()
@@ -202,10 +209,15 @@ class TestVerifySuite:
         assert sizes["lemma2-pattern"] == {"cases": 1 + 2 + 1 + 2, "max_cells": 3**4}
         assert sizes["sidon-exact-d1"] == {"cases": 10, "max_cells": 2**4}
         assert verify_suite([], [1], N=4).meta["check_sizes"] == {}
+        # N+1 = 8 exceeds the level 7 that fits 4096 cells at p=3, so the
+        # characters run on 3^7 cells, not on the 3^8 the fallback would give
+        sizes = verify_suite([3], [1], N=7, seed=2).meta["check_sizes"]
+        assert sizes["character-multiplicativity"] == {"cases": 20, "max_cells": 3**7}
+        assert sizes["lemma1-pattern"]["max_cells"] == 3**8
 
     def test_corrupted_lemma1_yields_named_failure(self, monkeypatch):
-        def corrupted(p, d, J, level, max_cells=None):
-            nu = lemma1_measure(p, d, J, level, max_cells)
+        def corrupted(p, d, J, level):
+            nu = lemma1_measure(p, d, J, level)
             coeffs = nu.spectrum.coeffs.copy()
             coeffs[1] += 0.25  # index 1 is always a matched or mismatched order-1..d index
             return MeasureRep(
@@ -238,7 +250,7 @@ class TestVerifySuite:
             ("parseval", 2.2184254304971438e-16, 1e-10, {"p": 2, "level": 12}),
             ("fast-vs-naive", 2.2357038141839077e-16, 1e-12, {"p": 2, "level": 4}),
             ("convolution-theorem", 1.1837184066238754e-17, 1e-12, {"p": 3, "level": 6}),
-            ("character-multiplicativity", 8.95090418262362e-16, 1e-14, {"p": 3, "m": 15}),
+            ("character-multiplicativity", 8.95090418262362e-16, 1e-14, {"p": 3, "m": 15, "level": 4}),
             ("riesz-mass", 4.440892098500626e-16, 1e-12, {"p": 2, "level": 12}),
             ("lemma1-pattern", 1.6613700224990385e-14, 1e-06, {"p": 2, "d": 2, "J": [1, 1, 1, 1]}),
             ("lemma1-membership", 4.163336342344337e-16, 1e-08, {"p": 3, "d": 2}),

@@ -24,6 +24,7 @@ from pchaos import (
     rho_y_measure,
     riesz_density,
 )
+from pchaos import measures
 from pchaos.measures import MeasureRep, density_variation, lemma2_base_density, selector_nodes
 
 
@@ -81,9 +82,10 @@ class TestSelectorSystem:
         assert np.abs(values - system.targets).max() <= 1e-8
         assert system.coefficients[0] == 0  # point-mass weight vanishes exactly
 
-    def test_rejects_unreachable_residual(self):
+    def test_rejects_unreachable_residual(self, monkeypatch):
+        monkeypatch.setattr(measures, "SOLVE_RESIDUAL_TOL", 1e-30)
         with pytest.raises(IllConditionedSystem):
-            lemma1_system(2, residual_tol=1e-30)
+            lemma1_system(2)
 
     def test_double_precision_limit(self):
         # the exact monomial coefficients exceed float64 resolution from d=4 on
