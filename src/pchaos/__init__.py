@@ -20,7 +20,6 @@ from .errors import (
     NonFiniteValue,
     NotAChaosIndex,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .padic import (
     CellIndex,
     ChaosTerm,

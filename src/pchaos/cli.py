@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: transform, riesz, lemma1, lemma2, norms, project, decompose,
-ensemble, growth, verify. Exit codes: 0 success with every check inside
-tolerance, 1 a check failed, 2 usage or input-format error. All files are
+ensemble, growth, verify. Every self-check is held to a fixed tolerance
+from pchaos.config, and transform infers its direction from the input
+file's kind. Exit codes: 0 success with every check inside tolerance, 1 a
+check failed, 2 usage or input-format error. All files are
 written atomically and every JSON artifact echoes the fully resolved
 configuration that produced it. The reports of norms, ensemble, growth and
 verify also carry a top-level ``env`` block (pchaos, numpy and Python
@@ -17,16 +19,10 @@ import argparse
 import functools
 import platform
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .config import (
-    DEFAULT_TOLERANCES,
-    LEMMA1_PATTERN_TOL,
-    MASS_TOL,
-    Tolerances,
-)
+from .config import CONSTRUCTION_TOL, LEMMA1_PATTERN_TOL, MASS_TOL, TRANSFORM_TOL
 from .errors import ChaosError, DegenerateInput
 from .measures import (
     MeasureRep,
@@ -53,7 +49,7 @@ from .experiments import (
     random_ensemble_study,
     verify_suite,
 )
-from .transform import Spectrum, StepFunction, forward, inverse
+from .transform import StepFunction, forward, inverse
 from . import __version__
 from . import serialization as ser
 
@@ -71,16 +67,6 @@ def _int_list(text: str) -> list[int]:
 
 def _complex_list(text: str) -> list[complex]:
     return [_number(x, complex) for x in text.split(",") if x != ""]
-
-
-def _tolerances(args) -> Tolerances:
-    tol = DEFAULT_TOLERANCES
-    for item in args.tol or []:
-        name, _, value = item.partition("=")
-        if name not in ("construction", "transform") or not value:
-            raise ChaosError(f"--tol expects construction|transform=VALUE, got {item!r}")
-        tol = replace(tol, **{name: _number(value, float)})
-    return tol
 
 
 def _echo(config: dict) -> dict:
@@ -119,19 +105,12 @@ def _emit(args, payload: dict) -> None:
 
 def cmd_transform(args) -> int:
     obj = ser.load_grid(args.input)
-    direction = args.direction
-    if direction == "auto":
-        direction = "forward" if isinstance(obj, StepFunction) else "inverse"
-    if direction == "forward":
-        if not isinstance(obj, StepFunction):
-            raise ChaosError(f"{args.input}: forward transform needs kind 'cells'")
-        result = forward(obj)
-        ser.save_spectrum(args.out, result, extras=_echo({"direction": "forward"}))
+    if isinstance(obj, StepFunction):
+        direction = "forward"
+        ser.save_spectrum(args.out, forward(obj), extras=_echo({"direction": direction}))
     else:
-        if not isinstance(obj, Spectrum):
-            raise ChaosError(f"{args.input}: inverse transform needs kind 'paley'")
-        result = inverse(obj)
-        ser.save_step_function(args.out, result, extras=_echo({"direction": "inverse"}))
+        direction = "inverse"
+        ser.save_step_function(args.out, inverse(obj), extras=_echo({"direction": direction}))
     print(f"{direction}: p={obj.p} level={obj.level} -> {args.out}")
     return 0
 
@@ -201,16 +180,15 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_lemma2(args) -> int:
-    tol = _tolerances(args)
     level = args.N + 1
     measure = lemma2_measure(args.p, args.d, args.s, level)
     kept, killed = lemma2_pattern_residual(measure, args.d, args.s, args.N)
-    ok = kept <= tol.construction and killed <= tol.construction
+    ok = kept <= CONSTRUCTION_TOL and killed <= CONSTRUCTION_TOL
     config = {"p": args.p, "d": args.d, "s": args.s, "N": args.N}
     summary = {
         "kept_residual": kept,
         "killed_residual": killed,
-        "tolerance": tol.construction,
+        "tolerance": CONSTRUCTION_TOL,
         "passed": ok,
     }
     if args.out:
@@ -249,10 +227,9 @@ def cmd_norms(args) -> int:
 
 
 def cmd_project(args) -> int:
-    tol = _tolerances(args)
-    Q = ser.load_polynomial(args.poly)
     if (args.J is None) == (args.order is None):
         raise ChaosError("exactly one of --J and --order is required")
+    Q = ser.load_polynomial(args.poly)
     level = Q.N + 1
     if args.J is not None:
         J = _int_list(args.J)
@@ -266,7 +243,7 @@ def cmd_project(args) -> int:
     route = convolve_with_measure(Q, measure)
     direct = polynomial_spectrum(result, level)
     residual = float(np.abs(route.coeffs - direct.coeffs).max())
-    ok = residual <= tol.construction
+    ok = residual <= CONSTRUCTION_TOL
     config = _echo({"poly": args.poly} | mode)
     if args.out:
         ser.save_polynomial(
@@ -282,10 +259,9 @@ def cmd_project(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    tol = _tolerances(args)
     Q = ser.load_polynomial(args.poly)
     residual = decomposition_residual(Q)
-    ok = residual <= tol.transform
+    ok = residual <= TRANSFORM_TOL
     print(
         f"decompose: p={Q.p} N={Q.N} order={Q.order} residual={residual:.3e} "
         f"[{'ok' if ok else 'FAIL'}]"
@@ -336,14 +312,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerances(args)
-    report = verify_suite(
-        _int_list(args.p),
-        _int_list(args.d),
-        args.N,
-        seed=args.seed,
-        tolerances=tol,
-    )
+    report = verify_suite(_int_list(args.p), _int_list(args.d), args.N, seed=args.seed)
     payload = {"format_version": ser.FORMAT_VERSION} | report.to_dict()
     _emit(args, payload)
     for check in report.checks:
@@ -369,20 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def tol(p):
-        p.add_argument(
-            "--tol",
-            action="append",
-            metavar="NAME=VALUE",
-            help="override a tolerance tier (construction, transform)",
-        )
-
-    p = sub.add_parser("transform", help="apply the fast transform to a grid file")
+    p = sub.add_parser("transform", help="transform a cells file forward or a paley file back")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--direction", choices=("auto", "forward", "inverse"), default="auto"
-    )
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("riesz", help="build a Riesz product measure")
@@ -407,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out")
-    tol(p)
     p.set_defaults(func=cmd_lemma2)
 
     p = sub.add_parser("norms", help="norms and ratio of a polynomial file")
@@ -421,12 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", help="comma-separated exponents, length N+1")
     p.add_argument("--order", type=int)
     p.add_argument("--out")
-    tol(p)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("decompose", help="exponent-averaging identity residual")
     p.add_argument("--poly", required=True)
-    tol(p)
     p.set_defaults(func=cmd_decompose)
 
     for name in ("ensemble", "growth"):
@@ -447,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
-    tol(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,17 +1,15 @@
 """Shared numerical tolerances and resource guards.
 
-Tolerances are stated exactly once, here. Two broad tiers can be
-overridden per run: measure-construction identities (1e-8) and transform
-identities (1e-10). The interpolation-solve residual gate (1e-6) is fixed,
-and a handful of checks carry their own sharper constants (mass
+Every tolerance is stated exactly once, here, and none can be overridden
+per run. Two broad tiers cover measure-construction identities (1e-8) and
+transform identities (1e-10); the interpolation-solve residual gate is
+1e-6, and a handful of checks carry their own sharper constants (mass
 identities, exact transform agreement, character arithmetic) because those
 quantities are exact up to rounding. The resource guards are fixed caps,
 checked before any size-dependent work.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import GuardExceeded
 
@@ -32,6 +30,10 @@ MAX_SELECTOR_ORDER = 6
 # (naive transform, direct cell-domain convolution) are permitted.
 MAX_DIRECT_CELLS = 3**7
 
+# The two shared tiers: measure-construction and transform identities.
+CONSTRUCTION_TOL = 1e-8
+TRANSFORM_TOL = 1e-10
+
 # Sharp per-check constants (identities exact up to float rounding).
 MASS_TOL = 1e-12
 EXACT_TRANSFORM_TOL = 1e-12
@@ -42,16 +44,11 @@ LEMMA1_PATTERN_TOL = 1e-6
 # Largest Vandermonde residual accepted from the exponent-selector solve.
 SOLVE_RESIDUAL_TOL = 1e-6
 
+# Rounding slack on the Riesz coefficient bound |a_k| <= 1.
+UNIT_DISC_SLACK = 1e-12
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The two shared tolerance tiers."""
-
-    construction: float = 1e-8
-    transform: float = 1e-10
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Smallest gap accepted between two exponent-selector interpolation nodes.
+NODE_GAP_FLOOR = 1e-9
 
 
 def check_base_level(p: int, level: int) -> None:

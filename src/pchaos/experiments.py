@@ -19,17 +19,17 @@ import numpy as np
 from . import baselines
 from .config import (
     CHARACTER_TOL,
-    DEFAULT_TOLERANCES,
+    CONSTRUCTION_TOL,
     EXACT_RATIO_TOL,
     EXACT_TRANSFORM_TOL,
     LEMMA1_PATTERN_TOL,
     MASS_TOL,
     MAX_DECOMPOSITION_SEQUENCES,
     MAX_DIRECT_CELLS,
-    Tolerances,
+    TRANSFORM_TOL,
     check_cell_guard,
 )
-from .errors import ChaosError
+from .errors import ChaosError, InvalidOrder, MalformedIndex
 from .padic import (
     CellIndex,
     check_chaos_order,
@@ -363,28 +363,25 @@ def verify_suite(
     d_values: Sequence[int],
     N: int,
     seed: int = 0,
-    tolerances: Tolerances | None = None,
 ) -> SuiteReport:
     """Run every module invariant over the (p, d) grid at top position N.
 
     Each check contributes one named entry with its worst residual and the
-    tolerance it was held to; an empty grid yields an empty passing report.
+    fixed tolerance it was held to; an empty grid yields an empty passing
+    report. An order below 1 or a negative N is refused before any check.
     meta["check_wall_s"] and meta["check_sizes"] give each check's wall
     time, the cases it evaluated and the largest grid they touched, in
     cells (p^level from the case's context, level N+1 where it names none);
     neither enters `checks`.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
     p_values = sorted(set(int(p) for p in p_values))
     d_values = sorted(set(int(d) for d in d_values))
+    if d_values and d_values[0] < 1:
+        raise InvalidOrder(f"order must be at least 1, got {d_values[0]}")
+    if N < 0:
+        raise MalformedIndex(f"top position must be >= 0, got {N}")
     report = SuiteReport(
-        config={
-            "p_values": p_values,
-            "d_values": d_values,
-            "N": N,
-            "seed": seed,
-            "tolerances": asdict(tol),
-        }
+        config={"p_values": p_values, "d_values": d_values, "N": N, "seed": seed}
     )
     start = time.perf_counter()
     check_wall_s: dict[str, float] = {}
@@ -472,8 +469,8 @@ def verify_suite(
                 rhs = character_value(m, x) * np.conjugate(character_value(m, z))
                 yield abs(lhs - rhs), {"p": p, "m": m, "level": L}
 
-    run("transform-roundtrip", tol.transform, transform_roundtrip)
-    run("parseval", tol.transform, parseval)
+    run("transform-roundtrip", TRANSFORM_TOL, transform_roundtrip)
+    run("parseval", TRANSFORM_TOL, parseval)
     run("fast-vs-naive", EXACT_TRANSFORM_TOL, fast_vs_naive)
     run("convolution-theorem", EXACT_TRANSFORM_TOL, convolution_theorem)
     run("character-multiplicativity", CHARACTER_TOL, character_multiplicativity)
@@ -580,12 +577,12 @@ def verify_suite(
                 yield residual, {"p": p, "d": d, "s": s}
 
     run("lemma1-pattern", LEMMA1_PATTERN_TOL, lemma1_pattern)
-    run("lemma1-membership", tol.construction, lemma1_membership)
-    run("lemma2-pattern", tol.construction, lemma2_pattern)
-    run("rho-y-scaling", tol.transform, rho_y_scaling)
-    run("decomposition", tol.transform, decomposition)
-    run("young-bound", tol.construction, young_bound)
-    run("order-projection", tol.construction, order_projection)
+    run("lemma1-membership", CONSTRUCTION_TOL, lemma1_membership)
+    run("lemma2-pattern", CONSTRUCTION_TOL, lemma2_pattern)
+    run("rho-y-scaling", TRANSFORM_TOL, rho_y_scaling)
+    run("decomposition", TRANSFORM_TOL, decomposition)
+    run("young-bound", CONSTRUCTION_TOL, young_bound)
+    run("order-projection", CONSTRUCTION_TOL, order_projection)
 
     # --- the exact first-order case -------------------------------------
     if 2 in p_values and 1 in d_values:

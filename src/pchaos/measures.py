@@ -49,7 +49,13 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .config import MAX_SELECTOR_ORDER, SOLVE_RESIDUAL_TOL, check_cell_guard
+from .config import (
+    MAX_SELECTOR_ORDER,
+    NODE_GAP_FLOOR,
+    SOLVE_RESIDUAL_TOL,
+    UNIT_DISC_SLACK,
+    check_cell_guard,
+)
 from .errors import (
     CoefficientOutOfRange,
     GuardExceeded,
@@ -134,7 +140,7 @@ def riesz_density(
     for ak in a:
         if not cmath.isfinite(ak):
             raise CoefficientOutOfRange(f"coefficient {ak} is not finite")
-        if abs(ak) > 1 + 1e-12:
+        if abs(ak) > 1 + UNIT_DISC_SLACK:
             raise CoefficientOutOfRange(f"|a_k| = {abs(ak)} exceeds 1")
     digits = np.arange(p)
     factors = [
@@ -238,7 +244,7 @@ def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     target_arr = np.array(targets, dtype=np.complex128)
     gaps = np.abs(node_arr[:, None] - node_arr[None, :])
     np.fill_diagonal(gaps, np.inf)
-    if gaps.min() < 1e-9:
+    if gaps.min() < NODE_GAP_FLOOR:
         raise IllConditionedSystem("interpolation nodes are not pairwise distinct")
     return node_arr, target_arr
 

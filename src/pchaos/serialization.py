@@ -7,8 +7,8 @@ Grid files (JSON, format_version 1):
 
 ``data`` has exactly p^level entries, in cell order for kind "cells" and
 Paley order for kind "paley". Measure files use kind "paley" and add
-{"variation": float, "provenance": {...}}; complex provenance entries are
-encoded as [re, im] pairs.
+{"variation": float, "provenance": {...}}; complex provenance numbers are
+encoded as [re, im] pairs and complex arrays as {"complex_array": pairs}.
 
 Polynomial files:
 
@@ -68,7 +68,8 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def json_default(value: Any):
-    """Fold numpy scalars and arrays into plain JSON types."""
+    """Fold numpy scalars and arrays into plain JSON types; a complex array
+    becomes {"complex_array": [[re, im], ...]}."""
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -78,6 +79,8 @@ def json_default(value: Any):
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            return {"complex_array": _encode_array(value)}
         return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value)}")
 
@@ -175,24 +178,6 @@ def _decode_array(data: Any, expected: int, path: str, field: str = "data") -> n
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
 
 
-def _encode_provenance(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _encode_provenance(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return {"complex_array": _encode_array(value)}
-        return [float(v) for v in value]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (tuple, list)):
-        return [_encode_provenance(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def _decode_provenance(value: Any, path: str) -> Any:
     if isinstance(value, dict):
         if set(value) == {"complex_array"}:
@@ -232,7 +217,7 @@ def save_spectrum(path: str, s: Spectrum, extras: dict | None = None) -> None:
 def save_measure(path: str, m: MeasureRep, extras: dict | None = None) -> None:
     payload = _grid_payload("paley", m.p, m.level, m.spectrum.coeffs)
     payload["variation"] = m.variation
-    payload["provenance"] = _encode_provenance(m.provenance)
+    payload["provenance"] = m.provenance
     payload.update(extras or {})
     write_json_atomic(path, payload)
 

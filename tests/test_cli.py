@@ -5,7 +5,6 @@ import argparse
 import inspect
 import json
 import platform
-import re
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -16,7 +15,7 @@ import pytest
 import pchaos
 from pchaos import StepFunction, chaos, cli, config, experiments, random_chaos
 from pchaos import serialization as ser
-from pchaos.cli import _tolerances, build_parser, main
+from pchaos.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -53,6 +52,21 @@ def test_verify_check_that_raises_fails_with_report(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[FAIL] young-bound: error: order 7 exceeds" in err
     assert "[ok] decomposition: residual" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--d", "0", "--N", "2"), "order must be at least 1, got 0"),
+        (("--d", "1", "--N", "-1"), "top position must be >= 0, got -1"),
+    ],
+    ids=["d0", "N-1"],
+)
+def test_verify_refuses_bad_order_or_top_position(argv, message, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run("verify", "--p", "2", *argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lemma1_writes_measure_and_summary(tmp_path):
@@ -235,6 +249,11 @@ def test_project_requires_exactly_one_mode(tmp_path, capsys):
     poly = tmp_path / "q.json"
     ser.save_polynomial(str(poly), random_chaos(2, 1, 2, np.random.default_rng(3)))
     assert run("project", "--poly", poly) == 2
+    assert "exactly one of --J and --order" in capsys.readouterr().err
+    # the usage check comes before the file is read
+    assert run("project", "--poly", tmp_path / "missing.json") == 2
+    err = capsys.readouterr().err
+    assert "exactly one of --J and --order" in err and "missing.json" not in err
 
 
 def test_decompose(tmp_path):
@@ -334,29 +353,24 @@ def test_malformed_input_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def test_tol_override(tmp_path, capsys):
-    poly = tmp_path / "q.json"
-    Q = random_chaos(2, 1, 2, np.random.default_rng(5), "signs")
-    ser.save_polynomial(str(poly), Q)
-    # an absurdly tight construction tolerance turns the route check into a failure
-    code = run("project", "--poly", poly, "--order", "1", "--tol", "construction=1e-30")
-    assert code in (0, 1)  # residual may be exactly zero for p=2 selections
-    assert run("project", "--poly", poly, "--order", "1", "--tol", "bogus=1") == 2
-
-
 @pytest.mark.parametrize(
-    "argv",
+    "constant, argv",
     [
-        ("verify", "--p", "2,3", "--d", "1,2", "--N", "3"),
-        ("lemma2", "--p", "3", "--d", "2", "--s", "1", "--N", "3"),
+        ("MASS_TOL", ("riesz", "--p", "3", "--level", "3", "--a", "1,0.5+0.5j,0", "--j", "1,2,1")),
+        ("LEMMA1_PATTERN_TOL", ("lemma1", "--p", "3", "--d", "2", "--J", "1,2,1,2", "--N", "3")),
+        ("CONSTRUCTION_TOL", ("lemma2", "--p", "3", "--d", "2", "--s", "1", "--N", "3")),
+        ("CONSTRUCTION_TOL", ("project", "--poly", "q.json", "--order", "1")),
+        ("TRANSFORM_TOL", ("decompose", "--poly", "q.json")),
     ],
+    ids=["riesz", "lemma1", "lemma2", "project", "decompose"],
 )
-def test_solve_residual_is_not_a_tolerance(argv, tmp_path, capsys):
-    # the 1e-6 solve-residual gate is fixed; an override would be echoed but never read
-    out = tmp_path / "out.json"
-    assert run(*argv, "--tol", "solve-residual=1e-30", "--out", out) == 2
-    assert not out.exists()
-    assert "--tol expects construction|transform=VALUE" in capsys.readouterr().err
+def test_self_check_below_its_residual_fails(constant, argv, tmp_path, monkeypatch, capsys):
+    # a tolerance below every residual (all are >= 0) must turn the check into exit 1
+    poly = tmp_path / "q.json"
+    ser.save_polynomial(str(poly), random_chaos(3, 2, 3, np.random.default_rng(5), "unimodular"))
+    monkeypatch.setattr(cli, constant, -1.0)
+    assert run(*[str(poly) if a == "q.json" else a for a in argv]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -366,7 +380,7 @@ def test_solve_residual_is_not_a_tolerance(argv, tmp_path, capsys):
         ("riesz", "--p", "3", "--level", "2", "--a", "0.5,0", "--j", "1,1.5"),
         ("verify", "--p", "2,x", "--d", "1"),
         ("lemma1", "--p", "3", "--d", "1", "--J", "1,two", "--N", "1"),
-        ("verify", "--p", "2", "--d", "1", "--tol", "construction=tight"),
+        ("growth", "--p", "2", "--d", "1", "--N", "4,x"),
     ],
 )
 def test_malformed_number_exit_code(argv, capsys):
@@ -392,16 +406,16 @@ def test_nan_grid_transform_refused(tmp_path, capsys):
 
 
 SUBCOMMAND_OPTIONS = {
-    "transform": {"--in", "--out", "--direction"},
+    "transform": {"--in", "--out"},
     "riesz": {"--p", "--level", "--a", "--j", "--out"},
     "lemma1": {"--p", "--d", "--J", "--N", "--out"},
-    "lemma2": {"--p", "--d", "--s", "--N", "--out", "--tol"},
+    "lemma2": {"--p", "--d", "--s", "--N", "--out"},
     "norms": {"--poly", "--q", "--out"},
-    "project": {"--poly", "--J", "--order", "--out", "--tol"},
-    "decompose": {"--poly", "--tol"},
+    "project": {"--poly", "--J", "--order", "--out"},
+    "decompose": {"--poly"},
     "ensemble": {"--p", "--d", "--N", "--trials", "--ensemble", "--out", "--csv", "--seed"},
     "growth": {"--p", "--d", "--N", "--trials", "--ensemble", "--out", "--csv", "--seed"},
-    "verify": {"--p", "--d", "--N", "--out", "--seed", "--tol"},
+    "verify": {"--p", "--d", "--N", "--out", "--seed"},
 }
 
 
@@ -434,6 +448,13 @@ def test_subcommand_option_sets():
         ("growth", "--p", "2", "--d", "1", "--N", "3", "--max-cells", "10"),
         ("verify", "--p", "2", "--d", "1", "--max-cells", "10"),
         ("decompose", "--poly", "q.json", "--max-sequences", "10"),
+        # the tolerance tiers are fixed, and transform infers its direction
+        ("lemma2", "--p", "3", "--d", "1", "--s", "1", "--N", "1", "--tol", "construction=1e-8"),
+        ("project", "--poly", "q.json", "--order", "1", "--tol", "construction=1e-8"),
+        ("decompose", "--poly", "q.json", "--tol", "transform=1e-10"),
+        ("verify", "--p", "2", "--d", "1", "--tol", "transform=1e-10"),
+        ("transform", "--in", "cells.json", "--out", "paley.json", "--direction", "forward"),
+        ("transform", "--in", "paley.json", "--out", "back.json", "--direction", "auto"),
     ],
 )
 def test_stray_option_is_usage_error(argv, capsys):
@@ -449,24 +470,15 @@ def _readme_commands():
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
 def test_readme_command_parses(argv):
-    args = build_parser().parse_args(argv)
-    if hasattr(args, "tol"):
-        _tolerances(args)
-
-
-def test_readme_tolerance_overrides_parse():
-    # the overrides the README documents in prose, outside the CLI block
-    items = re.findall(r"--tol ([^\s`]+)", README)
-    assert items
-    _tolerances(argparse.Namespace(tol=items))
+    build_parser().parse_args(argv)
 
 
 PUBLIC_NAMES = [
     "CellIndex", "ChaosError", "ChaosPolynomial", "ChaosTerm", "CoefficientOutOfRange",
-    "CombinatorialBlowup", "DEFAULT_TOLERANCES", "DegenerateInput", "EmptyIndexSet",
+    "CombinatorialBlowup", "DegenerateInput", "EmptyIndexSet",
     "ExperimentConfig", "FormatError", "GuardExceeded", "IllConditionedSystem",
     "InsufficientLevel", "InvalidExponent", "InvalidOrder", "LevelMismatch", "MalformedIndex",
-    "MeasureRep", "NonFiniteValue", "NotAChaosIndex", "Spectrum", "StepFunction", "Tolerances",
+    "MeasureRep", "NonFiniteValue", "NotAChaosIndex", "Spectrum", "StepFunction",
     "character_value", "convolve", "convolve_functions", "convolve_with_measure",
     "decomposition_residual", "enumerate_Nd", "forward", "group_sub", "growth_study", "inverse",
     "lemma1_measure", "lemma1_pattern_residual", "lemma1_system", "lemma2_measure",

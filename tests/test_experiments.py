@@ -8,6 +8,8 @@ import pytest
 from pchaos import (
     ChaosPolynomial,
     ExperimentConfig,
+    InvalidOrder,
+    MalformedIndex,
     MeasureRep,
     Spectrum,
     growth_study,
@@ -189,6 +191,18 @@ class TestVerifySuite:
         report = verify_suite([], [1], N=4)
         assert report.checks == [] and report.passed
         assert report.meta["check_wall_s"] == {}
+
+    @pytest.mark.parametrize(
+        "d_values, N, error",
+        [([0, 1], 2, InvalidOrder), ([1], -1, MalformedIndex)],
+        ids=["d0", "N-1"],
+    )
+    def test_refuses_bad_order_or_top_position(self, monkeypatch, d_values, N, error):
+        draws = []
+        monkeypatch.setattr(experiments, "trial_rng", lambda *key: draws.append(key))
+        with pytest.raises(error):
+            verify_suite([2], d_values, N=N)
+        assert draws == []  # refused before any check
 
     def test_check_wall_times_stay_out_of_checks(self):
         a = verify_suite([2, 3], [1, 2], N=3, seed=2)
