@@ -21,7 +21,6 @@ from .errors import (
     NotAChaosIndex,
 )
 from .padic import (
-    CellIndex,
     ChaosTerm,
     enumerate_Nd,
     group_sub,

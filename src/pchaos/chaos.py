@@ -49,7 +49,6 @@ from .errors import (
 )
 from .measures import MeasureRep, _validate_exponents
 from .padic import (
-    CellIndex,
     ChaosTerm,
     _check_index_width,
     digit_matrix,
@@ -283,8 +282,9 @@ def _cell_values(Q: ChaosPolynomial, level: int) -> np.ndarray:
     return _tensor_dft(_placed(Q, level, real), Q.p, level, sign=+1)
 
 
-def linf_norm(Q: ChaosPolynomial) -> tuple[float, CellIndex]:
-    """Exact sup-norm over the p^(N+1) cells and the first cell attaining it.
+def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
+    """Exact sup-norm over the p^(N+1) cells and the first cell attaining it,
+    an int on the level-(N+1) grid.
 
     Real p=2 values are never widened to complex: abs and argmax run in
     place on the float64 array (|x| of a float is hypot(x, 0) exactly).
@@ -297,7 +297,7 @@ def linf_norm(Q: ChaosPolynomial) -> tuple[float, CellIndex]:
     sup = float(magnitudes[arg])
     if not math.isfinite(sup):
         raise NonFiniteValue(f"the sup-norm overflows float64 (cell {arg} gives {sup})")
-    return sup, CellIndex(Q.p, level, arg)
+    return sup, arg
 
 
 def check_norm_exponent(q: float) -> None:

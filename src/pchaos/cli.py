@@ -9,8 +9,8 @@ written atomically and every JSON artifact echoes the fully resolved
 configuration that produced it. The reports of norms, ensemble, growth and
 verify also carry a top-level ``env`` block (pchaos, numpy and Python
 versions, platform), so a drift in their numbers can be traced to its
-cause. This module is the only place performing file I/O; the math modules
-stay pure.
+cause. All file I/O goes through `serialization`, which only this module
+calls; the math modules stay pure.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def cmd_norms(args) -> int:
     sup, cell = linf_norm(Q)
     payload = _echo({"poly": args.poly, "q": q}) | {
         "linf": sup,
-        "argmax_cell": cell.index,
+        "argmax_cell": cell,
         "l1": lq_norm(vector, 1.0),
         "lq": lq_norm(vector, q),
         # sidon_ratio(Q) from the one synthesis above

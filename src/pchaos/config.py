@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .errors import GuardExceeded
 
-# Hard caps: p^level must stay machine-word indexable.
+# Hard caps on base and level. The size bounds are MAX_CELLS on allocated
+# grids and the int64 range on Paley indices (padic._check_index_width).
 MAX_BASE = 16
 MAX_LEVEL = 24
 

@@ -24,14 +24,12 @@ from .config import (
     EXACT_TRANSFORM_TOL,
     LEMMA1_PATTERN_TOL,
     MASS_TOL,
-    MAX_DECOMPOSITION_SEQUENCES,
     MAX_DIRECT_CELLS,
     TRANSFORM_TOL,
     check_cell_guard,
 )
-from .errors import ChaosError, InvalidOrder, MalformedIndex
+from .errors import ChaosError
 from .padic import (
-    CellIndex,
     check_chaos_order,
     digit_matrix,
     exponent_match,
@@ -61,6 +59,7 @@ from .measures import (
 )
 from .chaos import (
     ChaosPolynomial,
+    _check_positions,
     convolve_with_measure,
     decomposition_residual,
     linf_norm,
@@ -182,7 +181,7 @@ def _row(cfg: ExperimentConfig, N: int) -> ExperimentRow:
     """
     indices = term_indices(cfg.p, cfg.d, N)
     terms = ChaosPolynomial.from_indices(cfg.p, N, indices, np.zeros(indices.size))
-    q = 2 * cfg.d / (cfg.d + 1)
+    q = terms.sidon_exponent
     l1, lq = [], []
     with _reused_buffers():
         for t in range(cfg.trials):
@@ -346,8 +345,8 @@ def _scaled(diff: float, reference: float) -> float:
     return float(diff) / max(1.0, float(reference))
 
 
-def _fit_level(p: int, target_cells: int, minimum: int = 1) -> int:
-    level = minimum
+def _fit_level(p: int, target_cells: int) -> int:
+    level = 1
     while p ** (level + 1) <= target_cells:
         level += 1
     return level
@@ -368,7 +367,10 @@ def verify_suite(
 
     Each check contributes one named entry with its worst residual and the
     fixed tolerance it was held to; an empty grid yields an empty passing
-    report. An order below 1 or a negative N is refused before any check.
+    report. Before any check, every (p, d) pair must pass the library's own
+    guards on positions 0..N, on the level-(N+1) cell grid and on the
+    order-d index set, so an order below 1 or above N+1, or a negative N,
+    is refused.
     meta["check_wall_s"] and meta["check_sizes"] give each check's wall
     time, the cases it evaluated and the largest grid they touched, in
     cells (p^level from the case's context, level N+1 where it names none);
@@ -376,10 +378,6 @@ def verify_suite(
     """
     p_values = sorted(set(int(p) for p in p_values))
     d_values = sorted(set(int(d) for d in d_values))
-    if d_values and d_values[0] < 1:
-        raise InvalidOrder(f"order must be at least 1, got {d_values[0]}")
-    if N < 0:
-        raise MalformedIndex(f"top position must be >= 0, got {N}")
     report = SuiteReport(
         config={"p_values": p_values, "d_values": d_values, "N": N, "seed": seed}
     )
@@ -392,10 +390,13 @@ def verify_suite(
         report.meta["wall_time_s"] = time.perf_counter() - start
         return report
 
-    grid = [(p, d) for p in p_values for d in d_values if d <= N]
     level = N + 1
-    for p, _ in grid:
+    for p in p_values:
+        _check_positions(p, N)
         check_cell_guard(p, level)
+        for d in d_values:
+            check_chaos_order(p, d, N)
+    grid = [(p, d) for p in p_values for d in d_values]
 
     def run(name: str, tolerance: float, cases, where: dict | None = None) -> None:
         """Record the first strict maximum of the (residual, context) pairs
@@ -463,10 +464,10 @@ def verify_suite(
             size = p**L
             for _ in range(20):
                 m = int(rng.integers(0, size))
-                x = CellIndex(p, L, int(rng.integers(0, size)))
-                z = CellIndex(p, L, int(rng.integers(0, size)))
-                lhs = character_value(m, group_sub(x, z))
-                rhs = character_value(m, x) * np.conjugate(character_value(m, z))
+                x = int(rng.integers(0, size))
+                z = int(rng.integers(0, size))
+                lhs = character_value(m, p, L, group_sub(p, L, x, z))
+                rhs = character_value(m, p, L, x) * np.conjugate(character_value(m, p, L, z))
                 yield abs(lhs - rhs), {"p": p, "m": m, "level": L}
 
     run("transform-roundtrip", TRANSFORM_TOL, transform_roundtrip)
@@ -540,8 +541,6 @@ def verify_suite(
 
     def decomposition():
         for p, d in grid:
-            if (p - 1) ** (N + 1) > MAX_DECOMPOSITION_SEQUENCES:
-                continue
             Q = random_chaos(p, d, N, trial_rng(seed, 10, p, d), "unimodular")
             yield decomposition_residual(Q), {"p": p, "d": d}
 

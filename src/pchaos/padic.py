@@ -3,19 +3,19 @@
 Conventions fixed here and relied on everywhere else:
 
 * Rademacher positions k are 0-based.
-* A level-L cell is the interval [c p^-L, (c+1) p^-L); its digit view
-  (c_1, ..., c_L) lists the first L fractional base-p digits, so
-  c = sum_j c_j p^(L-j).
+* A level-L cell is the plain int c of the interval [c p^-L, (c+1) p^-L),
+  0 <= c < p^L. Its fractional base-p digits (c_1, ..., c_L) satisfy
+  c = sum_j c_j p^(L-j), so c_j is to_digits(c, p, L)[L-j].
 * Paley indices are read least-significant digit first: digit k of the
   index n = sum_k l_k p^k is the exponent attached to position k.
 * Index enumerations are lexicographic in (positions, exponents), so
   coefficient vectors, norms and reports are reproducible byte for byte.
 
-A Paley index is a plain int everywhere. ``term_indices`` and
+A Paley index and a cell are plain ints everywhere. ``term_indices`` and
 ``digit_matrix`` are the array layer every hot path uses: whole index sets
 as int64 Paley values and their exponent digits, with no per-term object.
-``ChaosTerm``, ``CellIndex`` and ``group_sub`` are the scalar reference for
-single terms and cells.
+``ChaosTerm`` and ``group_sub`` are the scalar reference for single terms
+and cells, and ``check_cell`` is the one guard on a cell.
 
 All operations are pure functions on immutable values; they are safe to
 call from any number of concurrent workers.
@@ -33,10 +33,8 @@ from .config import check_base_level
 from .errors import (
     EmptyIndexSet,
     GuardExceeded,
-    InsufficientLevel,
     InvalidExponent,
     InvalidOrder,
-    LevelMismatch,
     MalformedIndex,
     NotAChaosIndex,
 )
@@ -128,49 +126,20 @@ def paley_decode(n: int, p: int) -> ChaosTerm:
     return ChaosTerm(tuple(ks), tuple(ls))
 
 
-@dataclass(frozen=True)
-class CellIndex:
-    """Address of one p-adic interval [index p^-level, (index+1) p^-level)."""
-
-    p: int
-    level: int
-    index: int
-
-    def __post_init__(self) -> None:
-        check_base_level(self.p, self.level)
-        if not 0 <= self.index < self.p**self.level:
-            raise MalformedIndex(
-                f"cell index {self.index} out of range for level {self.level}"
-            )
-
-    @classmethod
-    def from_digits(cls, p: int, digits: Sequence[int]) -> "CellIndex":
-        """Build a cell from its digit view (c_1, ..., c_L)."""
-        index = from_digits(tuple(reversed(tuple(digits))), p)
-        return cls(p, len(tuple(digits)), index)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        """Digit view (c_1, ..., c_L), first fractional digit first."""
-        return tuple(reversed(to_digits(self.index, self.p, self.level)))
-
-    def digit(self, j: int) -> int:
-        """The j-th fractional digit c_j (1-based)."""
-        if not 1 <= j <= self.level:
-            raise InsufficientLevel(
-                f"digit {j} requested from a level-{self.level} cell"
-            )
-        return (self.index // self.p ** (self.level - j)) % self.p
+def check_cell(p: int, level: int, c: int) -> None:
+    """Refuse a cell c outside the p^level cells [c p^-level, (c+1) p^-level)."""
+    check_base_level(p, level)
+    if not 0 <= c < p**level:
+        raise MalformedIndex(f"cell index {c} out of range for level {level}")
 
 
-def group_sub(x: CellIndex, z: CellIndex) -> CellIndex:
-    """Digitwise difference x - z mod p, the coordinate-group subtraction."""
-    if x.p != z.p or x.level != z.level:
-        raise LevelMismatch(
-            f"cells live on different grids: ({x.p},{x.level}) vs ({z.p},{z.level})"
-        )
-    digits = tuple((a - b) % x.p for a, b in zip(x.digits, z.digits))
-    return CellIndex.from_digits(x.p, digits) if x.level else x
+def group_sub(p: int, level: int, x: int, z: int) -> int:
+    """Digitwise difference x - z mod p of two level-`level` cells, the
+    coordinate-group subtraction."""
+    check_cell(p, level, x)
+    check_cell(p, level, z)
+    digits = zip(to_digits(x, p, level), to_digits(z, p, level))
+    return from_digits(((a - b) % p for a, b in digits), p)
 
 
 def check_chaos_order(p: int, d: int, N: int) -> None:

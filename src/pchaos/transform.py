@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import MAX_DIRECT_CELLS, check_base_level
 from .errors import GuardExceeded, InsufficientLevel, LevelMismatch, MalformedIndex
-from .padic import CellIndex, digit_matrix, to_digits
+from .padic import check_cell, digit_matrix, to_digits
 
 
 def root_of_unity_powers(p: int) -> np.ndarray:
@@ -94,20 +94,22 @@ class Spectrum:
         return f"Spectrum(p={self.p}, level={self.level}, size={self.coeffs.size})"
 
 
-def character_value(m: int, cell: CellIndex) -> complex:
-    """Value of the character with Paley index m on a cell.
+def character_value(m: int, p: int, level: int, c: int) -> complex:
+    """Value of the character with Paley index m on the level-`level` cell c.
 
     Multiplicative over the coordinate group: the value at x - z equals the
     value at x times the conjugate value at z.
     """
+    check_cell(p, level, c)
     if m < 0:
         raise MalformedIndex(f"expected a natural number, got {m}")
-    if m >= cell.p**cell.level:
-        raise InsufficientLevel(f"index {m} needs more than {cell.level} digits")
+    if m >= p**level:
+        raise InsufficientLevel(f"index {m} needs more than {level} digits")
+    cell_digits = to_digits(c, p, level)
     phase = 0
-    for k, l in enumerate(to_digits(m, cell.p, cell.level)):
-        phase += l * cell.digit(k + 1)
-    return complex(np.exp(2j * np.pi * (phase % cell.p) / cell.p))
+    for k, l in enumerate(to_digits(m, p, level)):
+        phase += l * cell_digits[level - 1 - k]
+    return complex(np.exp(2j * np.pi * (phase % p) / p))
 
 
 # Cells one stage contracts at most: g=5 digits at p=2, 3 at p=3, 2 at p=4

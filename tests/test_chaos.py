@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pchaos import (
-    CellIndex,
     ChaosPolynomial,
     ChaosTerm,
     CombinatorialBlowup,
@@ -53,7 +52,7 @@ class TestSynthesize:
         Q = ChaosPolynomial(3, 2, {term: 1.0})
         f = on_cells(Q)
         m = paley_encode(term, 3)
-        expected = [character_value(m, CellIndex(3, 3, c)) for c in range(27)]
+        expected = [character_value(m, 3, 3, c) for c in range(27)]
         np.testing.assert_allclose(f.values, expected, atol=1e-13)
         np.testing.assert_array_equal(chaos._cell_values(Q, 3), f.values)
 
@@ -94,7 +93,16 @@ class TestNorms:
         Q = all_ones(2, 1, 3)
         sup, cell = linf_norm(Q)
         assert sup == pytest.approx(4.0)
-        assert cell.index == 0
+        assert cell == 0
+
+    @pytest.mark.parametrize("p,d,N", [(2, 2, 6), (3, 2, 4), (5, 1, 3)])
+    def test_argmax_cell_is_a_plain_int(self, p, d, N):
+        Q = random_chaos(p, d, N, np.random.default_rng(p + d + N), "unimodular")
+        sup, cell = linf_norm(Q)
+        values = np.abs(inverse(polynomial_spectrum(Q, N + 1)).values)
+        assert type(cell) is int
+        assert cell == int(np.argmax(values))
+        assert sup == pytest.approx(values.max(), rel=1e-12)
 
     def test_order2_sup(self):
         sup, _ = linf_norm(all_ones(2, 2, 2))
@@ -199,7 +207,7 @@ class TestRealBaseTwoSup:
             magnitudes = np.abs(values)
             arg = int(np.argmax(magnitudes))
             assert _bits(np.float64(sup)) == _bits(magnitudes[arg])
-            assert (cell.p, cell.level, cell.index) == (Q.p, level, arg)
+            assert type(cell) is int and cell == arg
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sign_and_real_polynomials_every_level(self, d):
@@ -224,7 +232,7 @@ class TestRealBaseTwoSup:
         assert chaos._cell_values(negative, 10).dtype == np.float64
         (sup, cell), (plain_sup, plain_cell) = linf_norm(negative), linf_norm(Q)
         assert _bits(np.float64(sup)) == _bits(np.float64(plain_sup))
-        assert cell.index == plain_cell.index
+        assert cell == plain_cell
         self._assert_sup_of_grid(negative)
 
     @pytest.mark.parametrize("p,d,N", [(2, 2, 9), (2, 3, 12), (3, 2, 6), (3, 3, 8), (5, 2, 4), (7, 1, 3)])

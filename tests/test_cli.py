@@ -57,14 +57,16 @@ def test_verify_check_that_raises_fails_with_report(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--d", "0", "--N", "2"), "order must be at least 1, got 0"),
-        (("--d", "1", "--N", "-1"), "top position must be >= 0, got -1"),
+        (("--p", "2", "--d", "0", "--N", "2"), "order must be at least 1, got 0"),
+        (("--p", "2", "--d", "1", "--N", "-1"), "top position must be >= 0, got -1"),
+        # order 3 needs three of the two positions 0..1
+        (("--p", "3", "--d", "3", "--N", "1"), "order 3 exceeds the 2 available positions"),
     ],
-    ids=["d0", "N-1"],
+    ids=["d0", "N-1", "d-above-N+1"],
 )
 def test_verify_refuses_bad_order_or_top_position(argv, message, tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert run("verify", "--p", "2", *argv, "--out", out) == 2
+    assert run("verify", *argv, "--out", out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -474,7 +476,7 @@ def test_readme_command_parses(argv):
 
 
 PUBLIC_NAMES = [
-    "CellIndex", "ChaosError", "ChaosPolynomial", "ChaosTerm", "CoefficientOutOfRange",
+    "ChaosError", "ChaosPolynomial", "ChaosTerm", "CoefficientOutOfRange",
     "CombinatorialBlowup", "DegenerateInput", "EmptyIndexSet",
     "ExperimentConfig", "FormatError", "GuardExceeded", "IllConditionedSystem",
     "InsufficientLevel", "InvalidExponent", "InvalidOrder", "LevelMismatch", "MalformedIndex",

@@ -7,6 +7,7 @@ import pytest
 
 from pchaos import (
     ChaosPolynomial,
+    EmptyIndexSet,
     ExperimentConfig,
     InvalidOrder,
     MalformedIndex,
@@ -20,7 +21,7 @@ from pchaos import (
     term_indices,
     verify_suite,
 )
-from pchaos import config, experiments
+from pchaos import chaos, config, experiments
 from pchaos.baselines import LEMMA1_C1_BOUND
 
 
@@ -194,8 +195,8 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize(
         "d_values, N, error",
-        [([0, 1], 2, InvalidOrder), ([1], -1, MalformedIndex)],
-        ids=["d0", "N-1"],
+        [([0, 1], 2, InvalidOrder), ([1], -1, MalformedIndex), ([1, 3], 1, EmptyIndexSet)],
+        ids=["d0", "N-1", "d-above-N+1"],
     )
     def test_refuses_bad_order_or_top_position(self, monkeypatch, d_values, N, error):
         draws = []
@@ -203,6 +204,25 @@ class TestVerifySuite:
         with pytest.raises(error):
             verify_suite([2], d_values, N=N)
         assert draws == []  # refused before any check
+
+    def test_order_on_every_position_runs(self):
+        # d = N+1: one position combination, so every shaped check has cases
+        report = verify_suite([2, 3], [2], N=1)
+        assert report.passed, report.failures()
+        assert report.meta["check_sizes"]["lemma1-pattern"]["cases"] > 0
+        assert report.meta["check_sizes"]["decomposition"]["cases"] == 2
+
+    def test_decomposition_past_its_guard_fails_with_the_error(self, monkeypatch):
+        # (p-1)^(N+1) = 16 sequences at p=3, N=3: one over a cap of 15, set
+        # in every module that binds it, so no check can skip the case
+        for module in (config, chaos, experiments):
+            if hasattr(module, "MAX_DECOMPOSITION_SEQUENCES"):
+                monkeypatch.setattr(module, "MAX_DECOMPOSITION_SEQUENCES", 15)
+        report = verify_suite([3], [1], N=3)
+        (check,) = [c for c in report.checks if c.name == "decomposition"]
+        assert check.residual is None and not check.passed
+        assert "exceed the guard 15" in check.context["error"]
+        assert report.failures() == ["decomposition"]
 
     def test_check_wall_times_stay_out_of_checks(self):
         a = verify_suite([2, 3], [1, 2], N=3, seed=2)

@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pchaos import (
-    CellIndex,
     ChaosTerm,
     EmptyIndexSet,
     GuardExceeded,
-    LevelMismatch,
     MalformedIndex,
     NotAChaosIndex,
     enumerate_Nd,
@@ -21,7 +19,14 @@ from pchaos import (
     paley_encode,
     term_indices,
 )
-from pchaos.padic import digit_matrix, exponent_match, from_digits, paley_decode, to_digits
+from pchaos.padic import (
+    check_cell,
+    digit_matrix,
+    exponent_match,
+    from_digits,
+    paley_decode,
+    to_digits,
+)
 
 
 @pytest.mark.parametrize(
@@ -89,11 +94,27 @@ def test_chaos_term_invariants():
         ChaosTerm((), ())
 
 
+def _cell(p, digits):
+    """The cell with digit view (c_1, ..., c_L), first fractional digit first."""
+    return from_digits(reversed(digits), p)
+
+
 def test_cell_digits_round_trip():
-    cell = CellIndex(3, 2, 7)
-    assert cell.digits == (2, 1)
-    assert CellIndex.from_digits(3, (2, 1)) == cell
-    assert cell.digit(1) == 2 and cell.digit(2) == 1
+    # cell 7 of level 2 at p=3 is [7/9, 8/9): c_1 = 2, c_2 = 1
+    assert to_digits(7, 3, 2)[::-1] == (2, 1)
+    assert _cell(3, (2, 1)) == 7
+    check_cell(3, 2, 7)
+
+
+@pytest.mark.parametrize(
+    "p, level, c, error",
+    [(3, 2, 9, MalformedIndex), (3, 2, -1, MalformedIndex), (17, 1, 0, GuardExceeded),
+     (2, 25, 0, GuardExceeded)],
+    ids=["past-grid", "negative", "base", "level"],
+)
+def test_check_cell_refuses(p, level, c, error):
+    with pytest.raises(error):
+        check_cell(p, level, c)
 
 
 @pytest.mark.parametrize(
@@ -104,21 +125,20 @@ def test_cell_digits_round_trip():
     ],
 )
 def test_group_sub(p, x, z, expected):
-    result = group_sub(CellIndex.from_digits(p, x), CellIndex.from_digits(p, z))
-    assert result.digits == expected
+    level = len(x)
+    assert group_sub(p, level, _cell(p, x), _cell(p, z)) == _cell(p, expected)
 
 
 def test_group_sub_identity():
-    x = CellIndex(5, 3, 88)
-    zero = CellIndex(5, 3, 0)
-    assert group_sub(x, zero) == x
+    assert group_sub(5, 3, 88, 0) == 88
 
 
-def test_group_sub_level_mismatch():
-    with pytest.raises(LevelMismatch):
-        group_sub(CellIndex(3, 2, 0), CellIndex(3, 3, 0))
-    with pytest.raises(LevelMismatch):
-        group_sub(CellIndex(3, 2, 0), CellIndex(2, 2, 0))
+def test_group_sub_refuses_cell_off_grid():
+    # both cells share one (p, level) grid; a cell past it is refused
+    with pytest.raises(MalformedIndex):
+        group_sub(3, 2, 9, 0)
+    with pytest.raises(MalformedIndex):
+        group_sub(3, 2, 0, 9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,12 +147,11 @@ def test_group_axioms(data):
     p = data.draw(st.integers(min_value=2, max_value=7))
     level = data.draw(st.integers(min_value=1, max_value=5))
     size = p**level
-    x = CellIndex(p, level, data.draw(st.integers(min_value=0, max_value=size - 1)))
-    y = CellIndex(p, level, data.draw(st.integers(min_value=0, max_value=size - 1)))
-    zero = CellIndex(p, level, 0)
-    x_plus_y = group_sub(x, group_sub(zero, y))  # x - (0 - y)
-    assert group_sub(x, x).index == 0
-    assert group_sub(x_plus_y, y) == x
+    x = data.draw(st.integers(min_value=0, max_value=size - 1))
+    y = data.draw(st.integers(min_value=0, max_value=size - 1))
+    x_plus_y = group_sub(p, level, x, group_sub(p, level, 0, y))  # x - (0 - y)
+    assert group_sub(p, level, x, x) == 0
+    assert group_sub(p, level, x_plus_y, y) == x
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from pchaos import (
-    CellIndex,
     ExperimentConfig,
     GuardExceeded,
     InsufficientLevel,
     LevelMismatch,
+    MalformedIndex,
     Spectrum,
     StepFunction,
     character_value,
@@ -45,34 +45,43 @@ class TestRademacher:
 
     def test_first_third_cell(self):
         # cell [1/3, 2/3) has first digit 1, so R_0 = omega there
-        cell = CellIndex(3, 1, 1)
-        assert character_value(1 * 3**0, cell) == pytest.approx(OMEGA3)
+        assert character_value(1 * 3**0, 3, 1, 1) == pytest.approx(OMEGA3)
 
     def test_zero_exponent(self):
-        assert character_value(0 * 5**2, CellIndex(5, 4, 77)) == pytest.approx(1.0)
+        assert character_value(0 * 5**2, 5, 4, 77) == pytest.approx(1.0)
 
     def test_classical_sign(self):
         # cell [1/2, 1) at p=2
-        assert character_value(1 * 2**0, CellIndex(2, 1, 1)) == pytest.approx(-1.0)
+        assert character_value(1 * 2**0, 2, 1, 1) == pytest.approx(-1.0)
 
     def test_insufficient_level(self):
         with pytest.raises(InsufficientLevel):
-            character_value(1 * 2**3, CellIndex(2, 3, 0))
+            character_value(1 * 2**3, 2, 3, 0)
+
+    def test_cell_off_grid(self):
+        with pytest.raises(MalformedIndex):
+            character_value(1, 2, 3, 8)
+        with pytest.raises(GuardExceeded):
+            character_value(1, 17, 1, 0)
 
 
 class TestCharacter:
     def test_trivial(self):
         for c in range(9):
-            assert character_value(0, CellIndex(3, 2, c)) == pytest.approx(1.0)
+            assert character_value(0, 3, 2, c) == pytest.approx(1.0)
 
     def test_p2_product_of_signs(self):
-        cell = CellIndex.from_digits(2, (1, 1))
-        assert character_value(3, cell) == pytest.approx(1.0)
+        # cell 3 has digits (1, 1)
+        assert character_value(3, 2, 2, 3) == pytest.approx(1.0)
 
     def test_p3_digit_powers(self):
-        # index 5 = 2 + 1*3 on cell (1,1): omega^2 * omega = 1
-        cell = CellIndex.from_digits(3, (1, 1))
-        assert character_value(5, cell) == pytest.approx(1.0)
+        # index 5 = 2 + 1*3 on cell 4 = (1,1): omega^2 * omega = 1
+        assert character_value(5, 3, 2, 4) == pytest.approx(1.0)
+
+    def test_position_reads_its_fractional_digit(self):
+        # cell 7 = (c_1, c_2) = (2, 1) at p=3: position 0 reads c_1, position 1 reads c_2
+        assert character_value(1, 3, 2, 7) == pytest.approx(OMEGA3**2)
+        assert character_value(3, 3, 2, 7) == pytest.approx(OMEGA3)
 
     @pytest.mark.parametrize("p,level", [(2, 5), (3, 4), (5, 3)])
     def test_multiplicativity(self, p, level):
@@ -80,10 +89,10 @@ class TestCharacter:
         size = p**level
         for _ in range(25):
             m = int(rng.integers(0, size))
-            x = CellIndex(p, level, int(rng.integers(0, size)))
-            z = CellIndex(p, level, int(rng.integers(0, size)))
-            lhs = character_value(m, group_sub(x, z))
-            rhs = character_value(m, x) * np.conjugate(character_value(m, z))
+            x = int(rng.integers(0, size))
+            z = int(rng.integers(0, size))
+            lhs = character_value(m, p, level, group_sub(p, level, x, z))
+            rhs = character_value(m, p, level, x) * np.conjugate(character_value(m, p, level, z))
             assert abs(lhs - rhs) <= 1e-14
 
 
@@ -103,7 +112,7 @@ class TestForward:
     def test_orthonormality(self, p, level):
         size = p**level
         for m in range(size):
-            values = [character_value(m, CellIndex(p, level, c)) for c in range(size)]
+            values = [character_value(m, p, level, c) for c in range(size)]
             s = forward(StepFunction(p, level, values))
             expected = np.zeros(size, complex)
             expected[m] = 1.0
@@ -137,7 +146,7 @@ class TestInverse:
         e = np.zeros(p**level, complex)
         e[m] = 1.0
         f = inverse(Spectrum(p, level, e))
-        expected = [character_value(m, CellIndex(p, level, c)) for c in range(p**level)]
+        expected = [character_value(m, p, level, c) for c in range(p**level)]
         np.testing.assert_allclose(f.values, expected, atol=1e-13)
 
 
@@ -373,8 +382,7 @@ class TestConvolve:
         expected = np.zeros(size, dtype=complex)
         for x in range(size):
             for z in range(size):
-                diff = group_sub(CellIndex(p, level, x), CellIndex(p, level, z))
-                expected[x] += f.values[diff.index] * g.values[z]
+                expected[x] += f.values[group_sub(p, level, x, z)] * g.values[z]
         expected *= p ** (-level)
         assert np.abs(convolve_functions(f, g).values - expected).max() <= 1e-12
 
@@ -396,8 +404,7 @@ class TestConvolve:
         size = p**level
         for x in range(size):
             for z in range(size):
-                diff = group_sub(CellIndex(p, level, x), CellIndex(p, level, z))
-                assert table[x, z] == diff.index
+                assert table[x, z] == group_sub(p, level, x, z)
 
 
 def test_step_function_validation():
