@@ -12,8 +12,10 @@ A polynomial with top position N is constant on level-(N+1) cells, so its
 synthesis, sup-norm and every convolution identity below are exact finite
 computations (up to rounding), never sampled approximations.
 
-The sup-norm is computed by full enumeration of the p^(N+1) cells through
-the fast synthesis. A p=2 polynomial with all-real coefficients stays
+The sup-norm is computed by enumeration of the p^(N+1) cells through the
+fast synthesis; a p=2 polynomial with integer coefficients and orders of
+one parity takes it over the half grid, with the same result bit for bit
+(see `linf_norm`). A p=2 polynomial with all-real coefficients stays
 float64 throughout (coefficient scatter, transform stages, abs and
 argmax); any other polynomial is synthesised in complex128. Exponent
 projection is defined by coefficient selection; convolution with the
@@ -230,7 +232,7 @@ class ChaosPolynomial:
 
     @property
     def orders(self) -> tuple[int, ...]:
-        return tuple(int(s) for s in np.unique(self._orders))
+        return tuple(np.flatnonzero(np.bincount(self._orders)).tolist())
 
     @property
     def is_pure(self) -> bool:
@@ -250,15 +252,21 @@ class ChaosPolynomial:
         return 2 * d / (d + 1)
 
 
-def _placed(Q: ChaosPolynomial, level: int, real: bool) -> np.ndarray:
-    """Q's coefficients scattered to their Paley indices on a level-`level`
-    array: float64 real parts when `real`, else complex128. The level and
-    the cell guard are checked before the array is allocated."""
+def _check_level(Q: ChaosPolynomial, level: int) -> None:
+    """Refuse a level below Q's top position or past the cell guard; run
+    before any level-sized array is allocated."""
     if level < Q.N + 1:
         raise InsufficientLevel(
             f"level {level} cannot hold positions up to {Q.N}"
         )
     check_cell_guard(Q.p, level)
+
+
+def _placed(Q: ChaosPolynomial, level: int, real: bool) -> np.ndarray:
+    """Q's coefficients scattered to their Paley indices on a level-`level`
+    array: float64 real parts when `real`, else complex128. The level and
+    the cell guard are checked before the array is allocated."""
+    _check_level(Q, level)
     coeffs = np.zeros(Q.p**level, dtype=float if real else complex)
     coeffs[Q.indices] = Q.values.real if real else Q.values
     return coeffs
@@ -286,12 +294,38 @@ def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     """Exact sup-norm over the p^(N+1) cells and the first cell attaining it,
     an int on the level-(N+1) grid.
 
+    Half grid: when p=2 and Q has terms, all of one order parity, with real
+    integer coefficients summing in absolute value below 2^53, only the
+    cells with top digit c_1 = 0 are synthesised. Flipping every digit
+    multiplies a term of order d by (-1)^d, so |Q| is the same on a cell
+    and its complement and the first maximal cell has c_1 = 0. There the
+    exponent at position 0 drops out and, with one parity, `indices >> 1`
+    is injective: the folded coefficients synthesise at level N, and those
+    cell ints are the level-(N+1) ones. Every partial sum is an integer
+    below 2^53, hence exact in any order, so sup and cell are the full
+    grid's bit for bit. Both routes check the full level N+1 before
+    allocating.
+
     Real p=2 values are never widened to complex: abs and argmax run in
     place on the float64 array (|x| of a float is hypot(x, 0) exactly).
     Finite coefficients can still synthesise past the float64 range: a sup
     that is not finite is refused."""
     level = Q.N + 1
-    values = _cell_values(Q, level)
+    real, odd = Q.values.real, Q._orders & 1
+    if (
+        Q.p == 2
+        and odd.size
+        and (odd == odd[0]).all()
+        and not Q.values.imag.any()
+        and (real == np.rint(real)).all()
+        and np.abs(real).sum() < 2.0**53
+    ):
+        _check_level(Q, level)
+        folded = np.zeros(2 ** (level - 1))
+        folded[Q.indices >> 1] = real
+        values = _tensor_dft(folded, 2, level - 1, sign=+1)
+    else:
+        values = _cell_values(Q, level)
     magnitudes = np.abs(values, out=values) if values.dtype.kind == "f" else np.abs(values)
     arg = int(np.argmax(magnitudes))
     sup = float(magnitudes[arg])

@@ -318,6 +318,7 @@ def load_polynomial(path: str) -> ChaosPolynomial:
     if (exponents >= p).any():
         raise InvalidExponent(f"{path}: an exponent is out of range for base {p}")
     indices = np.add.reduceat(exponents * np.int64(p) ** positions, starts)
-    if np.unique(indices).size != indices.size:
+    ordered = np.sort(indices)
+    if (ordered[1:] == ordered[:-1]).any():
         raise FormatError(f"{path}: a term is listed more than once")
     return ChaosPolynomial.from_indices(p, N, indices, values)

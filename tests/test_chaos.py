@@ -260,6 +260,77 @@ class TestRealBaseTwoSup:
         assert peak < 2**16  # the 2^17-cell grid alone is 1 MiB
 
 
+def _with_orders(orders, N, values):
+    """p=2 polynomial on every term of the given orders at top position N,
+    coefficients from `values(size)`."""
+    indices = np.concatenate([term_indices(2, d, N) for d in orders])
+    return ChaosPolynomial.from_indices(2, N, indices, values(indices.size))
+
+
+class TestHalfGridSup:
+    """A p=2 polynomial with integer coefficients (sum |c| < 2^53) and
+    orders of one parity has its sup taken on the half grid of cells with
+    top digit 0; every other polynomial on the full grid. Both give the
+    full grid's sup and first maximal cell bit for bit."""
+
+    @staticmethod
+    def _sup(Q, full_route):
+        calls, cell_values = [], chaos._cell_values
+
+        def spy(*args):
+            calls.append(args)
+            return cell_values(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chaos, "_cell_values", spy)
+            sup, cell = linf_norm(Q)
+        assert bool(calls) is full_route
+        magnitudes = np.abs(on_cells(Q).values)
+        arg = int(np.argmax(magnitudes))
+        assert _bits(np.float64(sup)) == _bits(magnitudes[arg])
+        assert type(cell) is int and cell == arg
+        return sup
+
+    @pytest.mark.parametrize("orders", [(1, 3), (2, 4), (2,)])
+    def test_one_parity_signs_take_the_half_grid(self, orders):
+        rng = np.random.default_rng(sum(orders))
+        for N in range(max(orders) - 1, 13):
+            Q = _with_orders(orders, N, lambda n: rng.choice([-1.0, 1.0], n))
+            self._sup(Q, full_route=False)
+
+    def test_level_one(self):
+        # N=0: the folded grid has level 0, a single cell
+        for c in (1.0, -3.0):
+            Q = ChaosPolynomial.from_indices(2, 0, [1], [c])
+            assert self._sup(Q, full_route=False) == abs(c)
+
+    @pytest.mark.parametrize(
+        "orders, values",
+        [
+            ((1, 2), lambda rng, n: rng.choice([-1.0, 1.0], n)),
+            ((2,), lambda rng, n: rng.choice([-1.0, 1.0], n) + 0.5),
+            ((2,), lambda rng, n: rng.choice([-1.0, 1.0], n) * 2.0**51),
+            ((2,), lambda rng, n: rng.choice([-1.0, 1.0], n) * (1 + 1j)),
+            ((), None),
+        ],
+        ids=["mixed-parity", "non-integer", "sum-past-2^53", "complex", "zero-terms"],
+    )
+    def test_other_polynomials_take_the_full_grid(self, orders, values):
+        rng = np.random.default_rng(len(orders))
+        for N in (3, 8, 11):
+            if orders:
+                Q = _with_orders(orders, N, lambda n: values(rng, n))
+            else:
+                Q = ChaosPolynomial.from_indices(2, N, [], [])
+            self._sup(Q, full_route=True)
+
+    def test_guard_reads_the_full_level(self):
+        # the folded grid would have level 24, within the cap
+        Q = ChaosPolynomial.from_indices(2, 24, [3, 5, 2**24 + 1], [1.0, -1.0, 1.0])
+        with pytest.raises(GuardExceeded, match="level 25 exceeds the supported cap 24"):
+            linf_norm(Q)
+
+
 class TestSidonRatio:
     def test_order2_all_ones(self):
         assert sidon_ratio(all_ones(2, 2, 2)) == pytest.approx(3**-0.25)

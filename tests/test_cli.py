@@ -4,8 +4,11 @@ surface: the README's commands and the package's public names."""
 import argparse
 import inspect
 import json
+import os
 import platform
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -263,6 +266,29 @@ def test_decompose(tmp_path):
     Q = random_chaos(3, 2, 3, np.random.default_rng(4), "unimodular")
     ser.save_polynomial(str(poly), Q)
     assert run("decompose", "--poly", poly) == 0
+
+
+def test_one_shot_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call in a process (about 15 ms)
+    Q = random_chaos(3, 2, 3, np.random.default_rng(4), "unimodular")
+    ser.save_polynomial(str(tmp_path / "q.json"), Q)
+    script = """
+import sys
+from pchaos.cli import main
+for argv in (
+    ["norms", "--poly", "q.json"],
+    ["project", "--poly", "q.json", "--order", "2"],
+    ["decompose", "--poly", "q.json"],
+):
+    assert main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+    src = str(Path(pchaos.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ensemble_writes_csv_and_json(tmp_path):
