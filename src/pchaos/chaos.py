@@ -15,9 +15,11 @@ computations (up to rounding), never sampled approximations.
 The sup-norm is computed by enumeration of the p^(N+1) cells through the
 fast synthesis; a p=2 polynomial with integer coefficients and orders of
 one parity takes it over the half grid, with the same result bit for bit
-(see `linf_norm`). A p=2 polynomial with all-real coefficients stays
-float64 throughout (coefficient scatter, transform stages, abs and
-argmax); any other polynomial is synthesised in complex128. Exponent
+(see `linf_norm`). A p=2 polynomial with all-real coefficients stays in
+one float dtype throughout (coefficient scatter, transform stages, abs
+and argmax): float32 when they are integers with sum |c| < 2^24, so that
+every partial sum is an integer float32 holds exactly, else float64; any
+other polynomial is synthesised in complex128. Exponent
 projection is defined by coefficient selection; convolution with the
 matching selector measure is the verification route, kept separate so the
 two can be compared. The order projection extracts one chaos order of a
@@ -262,37 +264,63 @@ def _check_level(Q: ChaosPolynomial, level: int) -> None:
     check_cell_guard(Q.p, level)
 
 
-def _placed(Q: ChaosPolynomial, level: int, real: bool) -> np.ndarray:
+def _working_dtype(Q: ChaosPolynomial) -> tuple[np.dtype, bool]:
+    """The dtype Q is synthesised in, and whether every partial sum of the
+    synthesis is an exact integer in it.
+
+    A p=2 polynomial whose coefficients are all real (a -0.0 imaginary part
+    counts as zero) runs in float32 when they are integers with sum |c| <
+    2^24, else in float64, exact when they are integers with sum |c| <
+    2^53; any other polynomial runs in complex128. Every partial sum of a
+    +-1 stage is a signed sum of a subset of the coefficients, so with
+    integers it stays an integer at most sum |c|, which the dtype holds
+    exactly. The bounds are strict, so that numpy's float sum being below
+    them proves the true sum is. Only the term array is scanned."""
+    if Q.p != 2 or Q.values.imag.any():
+        return np.dtype(complex), False
+    real = Q.values.real
+    if not (real == np.rint(real)).all():
+        return np.dtype(float), False
+    total = np.abs(real).sum()
+    if total < 2.0**24:
+        return np.dtype(np.float32), True
+    return np.dtype(float), bool(total < 2.0**53)
+
+
+def _placed(Q: ChaosPolynomial, level: int, dtype: np.dtype) -> np.ndarray:
     """Q's coefficients scattered to their Paley indices on a level-`level`
-    array: float64 real parts when `real`, else complex128. The level and
-    the cell guard are checked before the array is allocated."""
+    array of `dtype`, the real parts for a float dtype. The level and the
+    cell guard are checked before the array is allocated."""
     _check_level(Q, level)
-    coeffs = np.zeros(Q.p**level, dtype=float if real else complex)
-    coeffs[Q.indices] = Q.values.real if real else Q.values
+    coeffs = np.zeros(Q.p**level, dtype=dtype)
+    coeffs[Q.indices] = Q.values if dtype.kind == "c" else Q.values.real
     return coeffs
 
 
 def polynomial_spectrum(Q: ChaosPolynomial, level: int) -> Spectrum:
     """Coefficient array of Q at the given level (exact placement); its
     `inverse` is Q on every cell of that level."""
-    return Spectrum(Q.p, level, _placed(Q, level, real=False))
+    return Spectrum(Q.p, level, _placed(Q, level, np.dtype(complex)))
 
 
 def _cell_values(Q: ChaosPolynomial, level: int) -> np.ndarray:
-    """Q on every cell of the given level as the stage loop's raw array,
-    valid only until the next stage loop on this thread (see `_tensor_dft`).
-
-    A p=2 polynomial whose coefficients are all real (a -0.0 imaginary part
-    counts as zero) is scattered into float64 and stays float64 through
-    the stages; any other polynomial is scattered into complex128. Only
-    the term array is scanned, never the grid."""
-    real = Q.p == 2 and not Q.values.imag.any()
-    return _tensor_dft(_placed(Q, level, real), Q.p, level, sign=+1)
+    """Q on every cell of the given level as the stage loop's raw array in
+    Q's working dtype (see `_working_dtype`), valid only until the next
+    stage loop on this thread (see `_tensor_dft`)."""
+    dtype, _ = _working_dtype(Q)
+    return _tensor_dft(_placed(Q, level, dtype), Q.p, level, sign=+1)
 
 
 def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     """Exact sup-norm over the p^(N+1) cells and the first cell attaining it,
     an int on the level-(N+1) grid.
+
+    Both routes synthesise in Q's working dtype (see `_working_dtype`):
+    float32 for a p=2 polynomial with real integer coefficients summing in
+    absolute value below 2^24, float64 for any other real p=2 polynomial,
+    complex128 otherwise. In float32 every partial sum is an integer below
+    2^24, exact in any order and with or without FMA, so sup and cell are
+    the float64 grid's bit for bit.
 
     Half grid: when p=2 and Q has terms, all of one order parity, with real
     integer coefficients summing in absolute value below 2^53, only the
@@ -302,27 +330,21 @@ def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     exponent at position 0 drops out and, with one parity, `indices >> 1`
     is injective: the folded coefficients synthesise at level N, and those
     cell ints are the level-(N+1) ones. Every partial sum is an integer
-    below 2^53, hence exact in any order, so sup and cell are the full
+    that the working dtype holds exactly, so sup and cell are the full
     grid's bit for bit. Both routes check the full level N+1 before
     allocating.
 
     Real p=2 values are never widened to complex: abs and argmax run in
-    place on the float64 array (|x| of a float is hypot(x, 0) exactly).
+    place on the float array (|x| of a float is hypot(x, 0) exactly).
     Finite coefficients can still synthesise past the float64 range: a sup
     that is not finite is refused."""
     level = Q.N + 1
-    real, odd = Q.values.real, Q._orders & 1
-    if (
-        Q.p == 2
-        and odd.size
-        and (odd == odd[0]).all()
-        and not Q.values.imag.any()
-        and (real == np.rint(real)).all()
-        and np.abs(real).sum() < 2.0**53
-    ):
+    dtype, exact = _working_dtype(Q)
+    odd = Q._orders & 1
+    if exact and odd.size and (odd == odd[0]).all():
         _check_level(Q, level)
-        folded = np.zeros(2 ** (level - 1))
-        folded[Q.indices >> 1] = real
+        folded = np.zeros(2 ** (level - 1), dtype=dtype)
+        folded[Q.indices >> 1] = Q.values.real
         values = _tensor_dft(folded, 2, level - 1, sign=+1)
     else:
         values = _cell_values(Q, level)

@@ -72,6 +72,12 @@ from .chaos import (
 ENSEMBLES = ("signs", "unimodular")
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that SeedSequence would reject: it must be >= 0."""
+    if seed < 0:
+        raise ChaosError(f"seed must be >= 0, got {seed}")
+
+
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent substream for one trial, keyed by (seed, *key)."""
     return np.random.Generator(
@@ -113,6 +119,9 @@ class ExperimentConfig:
             )
         if self.trials < 0:
             raise ChaosError(f"trial count must be >= 0, got {self.trials}")
+        _check_seed(self.seed)
+        if len(set(self.N_values)) != len(self.N_values):
+            raise ChaosError(f"top positions must be distinct, got {list(self.N_values)}")
         for N in self.N_values:
             check_cell_guard(self.p, N + 1)
             check_chaos_order(self.p, self.d, N)
@@ -370,12 +379,13 @@ def verify_suite(
     report. Before any check, every (p, d) pair must pass the library's own
     guards on positions 0..N, on the level-(N+1) cell grid and on the
     order-d index set, so an order below 1 or above N+1, or a negative N,
-    is refused.
+    is refused; a negative seed is refused before anything else.
     meta["check_wall_s"] and meta["check_sizes"] give each check's wall
     time, the cases it evaluated and the largest grid they touched, in
     cells (p^level from the case's context, level N+1 where it names none);
     neither enters `checks`.
     """
+    _check_seed(seed)
     p_values = sorted(set(int(p) for p in p_values))
     d_values = sorted(set(int(d) for d in d_values))
     report = SuiteReport(

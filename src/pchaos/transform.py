@@ -18,10 +18,13 @@ The fast path contracts the digits g at a time, one matrix product (BLAS
 GEMM) with the level-g character table per stage, in the layout of a
 Stockham autosort FFT, so no final reorder is needed (see `_tensor_dft`).
 At p=2, real-dtype input and complex input whose imaginary part is all
-zero run in float64 with the exact +-1 table, so integer spectra
-synthesise to exact integers; the stage loop returns float64 for them, and `forward`/`inverse`
-widen that to complex128 (chaos's sup-norm keeps it float64). Other values
-carry the rounding of the complex root-of-unity table and of the GEMMs.
+zero run in a float dtype with the exact +-1 table, so integer spectra
+synthesise to exact integers: float32 input stays float32, any other runs
+in float64. The stage loop returns that working dtype; `forward`/`inverse`
+pass it float64 and widen its result to complex128, while chaos's sup-norm
+keeps it, and passes float32 only for integers with sum |c| < 2^24, whose
+every partial sum float32 holds exactly. Other values carry the rounding
+of the complex root-of-unity table and of the GEMMs.
 `naive_forward` retains the quadratic-cost defining sum as the reference;
 the two must agree to rounding on every input.
 """
@@ -118,11 +121,11 @@ _STAGE_CELLS = 32
 
 
 @functools.cache
-def _stage_kernel(p: int, g: int, sign: int, real: bool) -> np.ndarray:
+def _stage_kernel(p: int, g: int, sign: int, dtype: np.dtype) -> np.ndarray:
     """Level-g character table omega^(sign * sum_i v_i u_(g-1-i)) from the
     root-of-unity table (v_i, u_i: base-p digits of row v and column u,
-    least significant first). `real` takes the real part, at p=2 the exact
-    +-1 table. Read-only, as it is cached."""
+    least significant first), in `dtype`. A real dtype takes the real
+    part, at p=2 the exact +-1 table. Read-only, as it is cached."""
     powers = root_of_unity_powers(p)
     if sign < 0:
         # conj(omega^0) is 1-0j; + 0.0 gives it the +0.0 imaginary part the
@@ -130,8 +133,8 @@ def _stage_kernel(p: int, g: int, sign: int, real: bool) -> np.ndarray:
         powers = np.conjugate(powers) + 0.0
     d = digit_matrix(np.arange(p**g), p, g)
     kernel = powers[(d @ d[:, ::-1].T) % p]
-    if real:
-        kernel = np.ascontiguousarray(kernel.real)
+    if dtype.kind == "f":
+        kernel = np.ascontiguousarray(kernel.real, dtype=dtype)
     kernel.flags.writeable = False
     return kernel
 
@@ -190,10 +193,13 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     above the digits already written, l_j lowest. After the last stage
     (R = 1) the array is Paley-indexed: no final reorder.
 
-    Real p=2 input runs the same stages in float64 with the exact +-1
-    table, and the result stays float64: the loop returns its working
-    dtype. A real-dtype array is taken as real without a scan; a complex
-    one is real when its imaginary part is all zero (-0.0 included).
+    Real p=2 input runs the same stages with the exact +-1 table in its
+    float dtype, float32 for float32 input and float64 for any other, and
+    the loop returns that working dtype. A float32 result is exact when
+    the input holds integers with sum |c| < 2^24: every partial sum of a
+    +-1 stage is a signed sum of a subset of them. A real-dtype array is
+    taken as real without a scan; a complex one is real when its imaginary
+    part is all zero (-0.0 included).
 
     Every stage writes into one of two buffers from `_stage_buffer`, and
     `values` is never written. The result is one of them: inside a
@@ -201,8 +207,12 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     this thread (and `values` must not be such a result), so public
     callers copy it.
     """
-    real = p == 2 and (values.dtype.kind != "c" or not values.imag.any())
-    a = np.ascontiguousarray(values.real if real else values, dtype=float if real else complex)
+    if p == 2 and (values.dtype.kind != "c" or not values.imag.any()):
+        dtype = np.dtype(np.float32 if values.dtype == np.float32 else float)
+        values = values.real
+    else:
+        dtype = np.dtype(complex)
+    a = np.ascontiguousarray(values, dtype=dtype)
     if level == 0:
         return a.copy()
     width = 1
@@ -212,7 +222,7 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     j = 0
     while j < level:
         g = min(width, level - j)
-        kernel = _stage_kernel(p, g, sign, real)
+        kernel = _stage_kernel(p, g, sign, a.dtype)
         rows = p ** (level - j - g)
         if j == 0:
             # The table is symmetric, so a^T K is the product already stored

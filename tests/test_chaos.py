@@ -195,8 +195,9 @@ def _real_coefficients(d, N, rng):
 
 class TestRealBaseTwoSup:
     """A p=2 polynomial with all-real coefficients is scattered, synthesised
-    and reduced to its sup in float64; every other one in complex128. Both
-    give the sup and cell of the complex grid, bit for bit."""
+    and reduced to its sup in a float dtype (float32 for integers with sum
+    |c| < 2^24, else float64); every other one in complex128. All give the
+    sup and cell of the complex grid, bit for bit."""
 
     @staticmethod
     def _assert_sup_of_grid(Q):
@@ -214,8 +215,9 @@ class TestRealBaseTwoSup:
         # levels 1..17: up to three full 5-digit stages and a shorter last one
         rng = np.random.default_rng(d)
         for N in range(d - 1, 17):
-            for Q in (random_chaos(2, d, N, rng, "signs"), _real_coefficients(d, N, rng)):
-                assert chaos._cell_values(Q, N + 1).dtype == np.float64
+            signs, real = random_chaos(2, d, N, rng, "signs"), _real_coefficients(d, N, rng)
+            for Q, dtype in ((signs, np.float32), (real, np.float64)):
+                assert chaos._cell_values(Q, N + 1).dtype == dtype
                 self._assert_sup_of_grid(Q)
 
     def test_sign_sup_is_an_exact_integer(self):
@@ -329,6 +331,82 @@ class TestHalfGridSup:
         Q = ChaosPolynomial.from_indices(2, 24, [3, 5, 2**24 + 1], [1.0, -1.0, 1.0])
         with pytest.raises(GuardExceeded, match="level 25 exceeds the supported cap 24"):
             linf_norm(Q)
+
+
+def _with_total(orders, N, total, rng):
+    """p=2 polynomial on every term of the given orders at top position N,
+    positive integer coefficients summing to `total`: its sup is `total`,
+    attained first on cell 0, where every character is 1."""
+    indices = np.concatenate([term_indices(2, d, N) for d in orders])
+    weights = rng.integers(1, 1000, indices.size)
+    values = weights * (total // weights.sum())
+    values[-1] += total - values.sum()
+    return ChaosPolynomial.from_indices(2, N, indices, values.astype(np.float64))
+
+
+class TestFloat32Tier:
+    """A p=2 polynomial with real integer coefficients and sum |c| < 2^24 is
+    synthesised in float32 on either route, where every partial sum is an
+    exact integer; from 2^24 on, and with non-integer real coefficients, in
+    float64; complex and p >= 3 polynomials in complex128. Sup and cell are
+    the complex grid's bit for bit."""
+
+    @staticmethod
+    def _routed(Q):
+        """linf_norm(Q), whether it took the full grid, and the dtype of
+        every array the stage loop was handed."""
+        full, dtypes = [], []
+        cell_values, tensor_dft = chaos._cell_values, chaos._tensor_dft
+
+        def spy_cells(*args):
+            full.append(args)
+            return cell_values(*args)
+
+        def spy_stages(values, *args, **kwargs):
+            dtypes.append(values.dtype)
+            return tensor_dft(values, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chaos, "_cell_values", spy_cells)
+            patch.setattr(chaos, "_tensor_dft", spy_stages)
+            sup, cell = linf_norm(Q)
+        magnitudes = np.abs(on_cells(Q).values)
+        arg = int(np.argmax(magnitudes))
+        assert _bits(np.float64(sup)) == _bits(magnitudes[arg])
+        assert type(cell) is int and cell == arg
+        return (sup, cell), bool(full), dtypes
+
+    @pytest.mark.parametrize(
+        "total, dtype", [(2**24 - 1, np.float32), (2**24, np.float64), (2**24 + 1, np.float64)]
+    )
+    @pytest.mark.parametrize("orders, full_route", [((2,), False), ((1, 2), True)])
+    def test_sum_of_magnitudes_picks_the_dtype(self, total, dtype, orders, full_route):
+        # 2^24 + 1 has no float32 value: only a float64 route returns it
+        Q = _with_total(orders, 8, total, np.random.default_rng(total))
+        assert np.abs(Q.values).sum() == total
+        (sup, cell), full, dtypes = self._routed(Q)
+        assert (sup, cell) == (total, 0)
+        assert full is full_route and dtypes == [dtype]
+
+    @pytest.mark.parametrize(
+        "p, orders, values, dtype",
+        [
+            (2, (1, 2), lambda rng, n: rng.integers(-3, 4, n) + 0j, np.float32),
+            (2, (2,), lambda rng, n: rng.choice([-1.0, 1.0], n) + 0.5, np.float64),
+            (2, (2,), lambda rng, n: rng.choice([-1.0, 1.0], n) * (1 + 1j), np.complex128),
+            (2, (2,), lambda rng, n: np.conj(rng.choice([-1.0, 1.0], n) + 0j), np.float32),
+            (3, (2,), lambda rng, n: rng.choice([-1.0, 1.0], n) + 0j, np.complex128),
+        ],
+        ids=["mixed-parity-integer", "non-integer", "complex", "negative-zero-imaginary", "p=3"],
+    )
+    def test_dtype_of_other_polynomials(self, p, orders, values, dtype):
+        rng = np.random.default_rng(p + len(orders))
+        for N in (3, 8):
+            indices = np.concatenate([term_indices(p, d, N) for d in orders])
+            Q = ChaosPolynomial.from_indices(p, N, indices, values(rng, indices.size))
+            _, _, dtypes = self._routed(Q)
+            assert dtypes == [dtype]
+            assert chaos._cell_values(Q, N + 1).dtype == dtype
 
 
 class TestSidonRatio:

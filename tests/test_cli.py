@@ -74,6 +74,42 @@ def test_verify_refuses_bad_order_or_top_position(argv, message, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "--p", "2", "--d", "2", "--N", "4,6"),
+        ("ensemble", "--p", "2", "--d", "2", "--N", "4"),
+        ("verify", "--p", "2", "--d", "1", "--N", "2"),
+    ],
+    ids=["growth", "ensemble", "verify"],
+)
+def test_negative_seed_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(*argv, "--seed", "-1", "--out", out) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_top_position_exits_2(tmp_path, capsys):
+    # two identical rows can never grow strictly: refused, not reported as a failure
+    out = tmp_path / "report.json"
+    argv = ("growth", "--p", "2", "--d", "2", "--N", "4,4", "--trials", "3", "--seed", "1")
+    assert run(*argv, "--out", out) == 2
+    assert "error: top positions must be distinct, got [4, 4]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(pchaos.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pchaos", "--help"], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: pchaos")
+    assert all(command in proc.stdout for command in ("verify", "growth", "ensemble"))
+
+
 def test_lemma1_writes_measure_and_summary(tmp_path):
     out = tmp_path / "nu.json"
     code = run(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pchaos import (
+    ChaosError,
     ChaosPolynomial,
     EmptyIndexSet,
     ExperimentConfig,
@@ -80,6 +81,16 @@ def test_determinism():
     a = random_ensemble_study(cfg)
     b = random_ensemble_study(cfg)
     assert [r.to_dict() for r in a.rows] == [r.to_dict() for r in b.rows]
+
+
+@pytest.mark.parametrize(
+    "N_values, seed, message",
+    [((4, 6), -1, "seed must be >= 0, got -1"), ((4, 6, 4), 1, r"distinct, got \[4, 6, 4\]")],
+    ids=["negative-seed", "repeated-N"],
+)
+def test_config_refuses_a_negative_seed_or_a_repeated_N(N_values, seed, message):
+    with pytest.raises(ChaosError, match=message):
+        ExperimentConfig(p=2, d=2, N_values=N_values, trials=3, seed=seed)
 
 
 def test_row_wall_times_stay_out_of_rows():
@@ -204,6 +215,14 @@ class TestVerifySuite:
         with pytest.raises(error):
             verify_suite([2], d_values, N=N)
         assert draws == []  # refused before any check
+
+    @pytest.mark.parametrize("p_values", [[2], []])
+    def test_refuses_a_negative_seed_first(self, monkeypatch, p_values):
+        draws = []
+        monkeypatch.setattr(experiments, "trial_rng", lambda *key: draws.append(key))
+        with pytest.raises(ChaosError, match="seed must be >= 0, got -1"):
+            verify_suite(p_values, [1], N=2, seed=-1)
+        assert draws == []
 
     def test_order_on_every_position_runs(self):
         # d = N+1: one position combination, so every shaped check has cases

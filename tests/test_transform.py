@@ -263,11 +263,14 @@ def _bits(values):
 def test_kernel_from_root_table_is_exp_formula(p, sign):
     for g in range(1, _stage_digits(p) + 1):
         expected = _exp_kernel(p, g, sign)
-        np.testing.assert_array_equal(_bits(_stage_kernel(p, g, sign, False)), _bits(expected))
+        complex_kernel = _stage_kernel(p, g, sign, np.dtype(np.complex128))
+        np.testing.assert_array_equal(_bits(complex_kernel), _bits(expected))
         if p == 2:
-            real = _stage_kernel(p, g, sign, True)
-            assert set(np.unique(real)) == {-1.0, 1.0}
-            np.testing.assert_array_equal(_bits(real), _bits(expected.real))
+            for dtype in (np.float64, np.float32):
+                real = _stage_kernel(p, g, sign, np.dtype(dtype))
+                assert real.dtype == dtype and not real.flags.writeable
+                assert set(np.unique(real)) == {-1.0, 1.0}
+                np.testing.assert_array_equal(real, expected.real)
 
 
 class TestRealBaseTwo:
@@ -318,6 +321,17 @@ class TestRealBaseTwo:
             out = _tensor_dft(values, 2, 6, sign)
             assert out.dtype == np.float64
             np.testing.assert_array_equal(_bits(out), _bits(expected))
+
+    @pytest.mark.parametrize("level", [0, 1, 5, 6, 11, 17])
+    def test_float32_input_stays_float32(self, level):
+        # integers with sum |c| < 2^24: every partial sum is exact in float32
+        ints = np.random.default_rng(level).integers(-60, 61, 2**level).astype(np.float64)
+        assert np.abs(ints).sum() < 2**24
+        for sign in (1, -1):
+            out = _tensor_dft(ints.astype(np.float32), 2, level, sign)
+            assert out.dtype == np.float32
+            np.testing.assert_array_equal(out, _tensor_dft(ints, 2, level, sign))
+        assert _tensor_dft(np.ones(9, np.float32), 3, 2, 1).dtype == np.complex128
 
     @pytest.mark.parametrize("p,level", [(2, 0), (2, 1), (2, 7), (2, 13), (3, 4)])
     def test_public_results_stay_complex(self, p, level):
