@@ -19,7 +19,10 @@ one parity takes it over the half grid, with the same result bit for bit
 one float dtype throughout (coefficient scatter, transform stages, abs
 and argmax): float32 when they are integers with sum |c| < 2^24, so that
 every partial sum is an integer float32 holds exactly, else float64; any
-other polynomial is synthesised in complex128. Exponent
+other polynomial is synthesised in complex128. One core, `_row_sups`,
+takes these sup-norms for a block of coefficient rows on shared terms, as
+a study row does for its trials; `linf_norm` is its one-row case, and
+`lq_norm` is likewise the one-row case of `_row_lq_norms`. Exponent
 projection is defined by coefficient selection; convolution with the
 matching selector measure is the verification route, kept separate so the
 two can be compared. The order projection extracts one chaos order of a
@@ -195,28 +198,12 @@ class ChaosPolynomial:
             indices, values, orders = indices[perm], values[perm], orders[perm]
             if np.any(indices[1:] == indices[:-1]):
                 raise MalformedIndex("a term occurs more than once")
-        for arr in (indices, orders):
+        for arr in (indices, orders, values):
             arr.flags.writeable = False
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "_orders", orders)
-        self._set_values(values)
-
-    def _with_values(self, values: np.ndarray) -> "ChaosPolynomial":
-        """The same validated terms with new coefficients aligned with
-        ``indices``; only the coefficients are checked."""
-        values = _finite_coefficients(values)
-        if values.shape != self.indices.shape:
-            raise MalformedIndex("values must align with the polynomial's indices")
-        Q = object.__new__(ChaosPolynomial)
-        for name in ("p", "N", "indices", "_orders"):
-            object.__setattr__(Q, name, getattr(self, name))
-        Q._set_values(values)
-        return Q
-
-    def _set_values(self, values: np.ndarray) -> None:
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "coeffs", _TermMap(self.p, self.indices, values))
+        object.__setattr__(self, "coeffs", _TermMap(self.p, indices, values))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChaosPolynomial):
@@ -264,59 +251,87 @@ def _check_level(Q: ChaosPolynomial, level: int) -> None:
     check_cell_guard(Q.p, level)
 
 
-def _working_dtype(Q: ChaosPolynomial) -> tuple[np.dtype, bool]:
-    """The dtype Q is synthesised in, and whether every partial sum of the
-    synthesis is an exact integer in it.
-
-    A p=2 polynomial whose coefficients are all real (a -0.0 imaginary part
-    counts as zero) runs in float32 when they are integers with sum |c| <
-    2^24, else in float64, exact when they are integers with sum |c| <
-    2^53; any other polynomial runs in complex128. Every partial sum of a
-    +-1 stage is a signed sum of a subset of the coefficients, so with
-    integers it stays an integer at most sum |c|, which the dtype holds
-    exactly. The bounds are strict, so that numpy's float sum being below
-    them proves the true sum is. Only the term array is scanned."""
-    if Q.p != 2 or Q.values.imag.any():
-        return np.dtype(complex), False
-    real = Q.values.real
-    if not (real == np.rint(real)).all():
-        return np.dtype(float), False
-    total = np.abs(real).sum()
-    if total < 2.0**24:
-        return np.dtype(np.float32), True
-    return np.dtype(float), bool(total < 2.0**53)
-
-
-def _placed(Q: ChaosPolynomial, level: int, dtype: np.dtype) -> np.ndarray:
-    """Q's coefficients scattered to their Paley indices on a level-`level`
-    array of `dtype`, the real parts for a float dtype. The level and the
-    cell guard are checked before the array is allocated."""
-    _check_level(Q, level)
-    coeffs = np.zeros(Q.p**level, dtype=dtype)
-    coeffs[Q.indices] = Q.values if dtype.kind == "c" else Q.values.real
-    return coeffs
-
-
 def polynomial_spectrum(Q: ChaosPolynomial, level: int) -> Spectrum:
     """Coefficient array of Q at the given level (exact placement); its
-    `inverse` is Q on every cell of that level."""
-    return Spectrum(Q.p, level, _placed(Q, level, np.dtype(complex)))
+    `inverse` is Q on every cell of that level. The level and the cell
+    guard are checked before the array is allocated."""
+    _check_level(Q, level)
+    coeffs = np.zeros(Q.p**level, dtype=complex)
+    coeffs[Q.indices] = Q.values
+    return Spectrum(Q.p, level, coeffs)
 
 
-def _cell_values(Q: ChaosPolynomial, level: int) -> np.ndarray:
-    """Q on every cell of the given level as the stage loop's raw array in
-    Q's working dtype (see `_working_dtype`), valid only until the next
-    stage loop on this thread (see `_tensor_dft`)."""
-    dtype, _ = _working_dtype(Q)
-    return _tensor_dft(_placed(Q, level, dtype), Q.p, level, sign=+1)
+def _working_dtypes(p: int, block: np.ndarray) -> tuple[list[np.dtype], np.ndarray]:
+    """Per row of a (rows x terms) coefficient block: the dtype the row is
+    synthesised in, and whether every partial sum of its synthesis is an
+    exact integer in it.
+
+    At p=2 a row whose coefficients are all real (a -0.0 imaginary part
+    counts as zero) runs in float32 when they are integers with sum |c| <
+    2^24, else in float64, exact when they are integers with sum |c| <
+    2^53; any other row runs in complex128. Every partial sum of a +-1
+    stage is a signed sum of a subset of the coefficients, so with
+    integers it stays an integer at most sum |c|, which the dtype holds
+    exactly. The bounds are strict, so that numpy's float sum being below
+    them proves the true sum is. Only the block is scanned."""
+    if p != 2:
+        return [np.dtype(complex)] * len(block), np.zeros(len(block), dtype=bool)
+    real = block.real
+    is_real = ~block.imag.any(axis=1)
+    integer = is_real & (real == np.rint(real)).all(axis=1)
+    total = np.abs(real).sum(axis=1)
+    single = integer & (total < 2.0**24)
+    dtypes = [
+        np.dtype(np.float32 if s else float) if r else np.dtype(complex)
+        for r, s in zip(is_real.tolist(), single.tolist())
+    ]
+    return dtypes, integer & (total < 2.0**53)
+
+
+def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """`linf_norm` of Q's terms with each row of a finite (rows x terms)
+    complex128 block, aligned with ``Q.indices``, as their coefficients:
+    every row's sup and first maximal cell. Q's own values are not read.
+
+    The level and the cell guard are checked once, before any grid is
+    allocated, and each row's dtype and half-grid route are decided
+    together (see `_working_dtypes`). Rows that share a (dtype, half grid)
+    pair share one zeroed scatter grid: every row writes the same entries,
+    so the grid is never re-zeroed. Each row is one stage loop, whose
+    result is reduced in place when real."""
+    level = Q.N + 1
+    _check_level(Q, level)
+    dtypes, exact = _working_dtypes(Q.p, block)
+    odd = Q._orders & 1
+    one_parity = odd.size > 0 and bool((odd == odd[0]).all())
+    halves = (exact & one_parity).tolist()
+    grids: dict[tuple[np.dtype, bool], tuple[np.ndarray, np.ndarray]] = {}
+    sups, cells = np.empty(len(block)), []
+    for r, (row, dtype, half) in enumerate(zip(block, dtypes, halves)):
+        if (dtype, half) not in grids:
+            grid = np.zeros(Q.p ** (level - half), dtype=dtype)
+            grids[dtype, half] = grid, Q.indices >> half
+        grid, positions = grids[dtype, half]
+        grid[positions] = row if dtype.kind == "c" else row.real
+        values = _tensor_dft(grid, Q.p, level - half, sign=+1)
+        magnitudes = np.abs(values) if dtype.kind == "c" else np.abs(values, out=values)
+        arg = int(np.argmax(magnitudes))
+        sups[r] = magnitudes[arg]
+        if not math.isfinite(sups[r]):
+            raise NonFiniteValue(
+                f"the sup-norm overflows float64 (cell {arg} gives {sups[r]})"
+            )
+        cells.append(arg)
+    return sups, cells
 
 
 def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     """Exact sup-norm over the p^(N+1) cells and the first cell attaining it,
-    an int on the level-(N+1) grid.
+    an int on the level-(N+1) grid: the one-row case of the sup-norm core
+    that a study row runs on all its trials at once.
 
-    Both routes synthesise in Q's working dtype (see `_working_dtype`):
-    float32 for a p=2 polynomial with real integer coefficients summing in
+    Q is synthesised in its working dtype (see `_working_dtypes`): float32
+    for a p=2 polynomial with real integer coefficients summing in
     absolute value below 2^24, float64 for any other real p=2 polynomial,
     complex128 otherwise. In float32 every partial sum is an integer below
     2^24, exact in any order and with or without FMA, so sup and cell are
@@ -338,28 +353,35 @@ def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     place on the float array (|x| of a float is hypot(x, 0) exactly).
     Finite coefficients can still synthesise past the float64 range: a sup
     that is not finite is refused."""
-    level = Q.N + 1
-    dtype, exact = _working_dtype(Q)
-    odd = Q._orders & 1
-    if exact and odd.size and (odd == odd[0]).all():
-        _check_level(Q, level)
-        folded = np.zeros(2 ** (level - 1), dtype=dtype)
-        folded[Q.indices >> 1] = Q.values.real
-        values = _tensor_dft(folded, 2, level - 1, sign=+1)
-    else:
-        values = _cell_values(Q, level)
-    magnitudes = np.abs(values, out=values) if values.dtype.kind == "f" else np.abs(values)
-    arg = int(np.argmax(magnitudes))
-    sup = float(magnitudes[arg])
-    if not math.isfinite(sup):
-        raise NonFiniteValue(f"the sup-norm overflows float64 (cell {arg} gives {sup})")
-    return sup, arg
+    sups, cells = _row_sups(Q, Q.values[None])
+    return float(sups[0]), cells[0]
 
 
 def check_norm_exponent(q: float) -> None:
     """Refuse a norm exponent unless it is finite and positive."""
     if not (math.isfinite(q) and q > 0):
         raise InvalidExponent(f"norm exponent must be finite and positive, got {q}")
+
+
+def _row_lq_norms(block: np.ndarray, q: float) -> np.ndarray:
+    """`lq_norm` of every row of a (rows x terms) block.
+
+    Each row's |c|^q is summed along the row in one reduction over the
+    block; the 1/q power is taken per row on the numpy scalar, which
+    numpy's array power can differ from in the last bit."""
+    check_norm_exponent(q)
+    mags = np.abs(block)
+    norms = np.empty(len(mags))
+    for r, total in enumerate((mags**q).sum(axis=1)):
+        total = total ** (1.0 / q)
+        if total == 0.0 or not math.isfinite(total):
+            top = mags[r].max(initial=0.0)
+            if 0.0 < top < math.inf:
+                total = top * ((mags[r] / top) ** q).sum() ** (1.0 / q)
+        if not math.isfinite(total):
+            raise NonFiniteValue(f"the l{q} norm is not finite in float64")
+        norms[r] = total
+    return norms
 
 
 def lq_norm(values: Sequence[complex], q: float) -> float:
@@ -369,19 +391,11 @@ def lq_norm(values: Sequence[complex], q: float) -> float:
     is recomputed as m (sum (|c|/m)^q)^(1/q) with m = max |c|; a norm that
     is still not finite is refused. In-range sums are never rescaled. An
     overflow still emits numpy's RuntimeWarning: silencing it with
-    np.errstate adds about half to the cost of a study trial's norm."""
-    check_norm_exponent(q)
-    mags = np.abs(np.asarray(values, dtype=np.complex128))
-    if mags.size == 0:
-        return 0.0
-    total = float((mags**q).sum() ** (1.0 / q))
-    if total == 0.0 or not math.isfinite(total):
-        top = float(mags.max())
-        if 0.0 < top < math.inf:
-            total = top * float(((mags / top) ** q).sum() ** (1.0 / q))
-    if not math.isfinite(total):
-        raise NonFiniteValue(f"the l{q} norm is not finite in float64")
-    return total
+    np.errstate would add about a quarter to the cost of a one-shot norm.
+    This is the one-row case of `_row_lq_norms`, which norms every trial
+    of a study row in one call."""
+    block = np.asarray(values, dtype=np.complex128).reshape(1, -1)
+    return float(_row_lq_norms(block, q)[0])
 
 
 def sidon_ratio(Q: ChaosPolynomial) -> float:

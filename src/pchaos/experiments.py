@@ -60,10 +60,12 @@ from .measures import (
 from .chaos import (
     ChaosPolynomial,
     _check_positions,
+    _finite_coefficients,
+    _row_lq_norms,
+    _row_sups,
     convolve_with_measure,
     decomposition_residual,
     linf_norm,
-    lq_norm,
     polynomial_spectrum,
     project_order,
     sidon_ratio,
@@ -117,8 +119,8 @@ class ExperimentConfig:
             raise ChaosError(
                 f"unknown ensemble {self.ensemble!r} (expected one of {ENSEMBLES})"
             )
-        if self.trials < 0:
-            raise ChaosError(f"trial count must be >= 0, got {self.trials}")
+        if self.trials < 1:
+            raise ChaosError(f"trial count must be >= 1, got {self.trials}")
         _check_seed(self.seed)
         if len(set(self.N_values)) != len(self.N_values):
             raise ChaosError(f"top positions must be distinct, got {list(self.N_values)}")
@@ -180,26 +182,32 @@ class ExperimentReport:
         }
 
 
-def _row(cfg: ExperimentConfig, N: int) -> ExperimentRow:
-    """Ratio statistics over cfg.trials polynomials on the order-d index set.
+def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, float]:
+    """Ratio statistics over cfg.trials polynomials on the order-d index
+    set, and the seconds the row spent in the sup-norm core.
 
     The index set is validated once per row. term_indices lists it in the
-    canonical term order, so each trial's draws align with it and only the
-    coefficients are swapped in and checked per trial. The trials share
-    the stage loop's buffers, freed when the row ends.
+    canonical term order, so trial t's draws, from its own substream, are
+    row t of one (trials x terms) coefficient block, checked for
+    finiteness once. One `_row_sups` call takes every trial's sup through
+    one scatter grid and the stage loop's buffers, freed when the row
+    ends; the l1 and lq norms are one row-wise call each. The per-trial
+    ratio arrays are reduced to their median and max.
     """
     indices = term_indices(cfg.p, cfg.d, N)
     terms = ChaosPolynomial.from_indices(cfg.p, N, indices, np.zeros(indices.size))
     q = terms.sidon_exponent
-    l1, lq = [], []
+    block = _finite_coefficients([
+        draw_coefficients(trial_rng(cfg.seed, N, t), indices.size, cfg.ensemble)
+        for t in range(cfg.trials)
+    ])
+    start = time.perf_counter()
     with _reused_buffers():
-        for t in range(cfg.trials):
-            coeffs = draw_coefficients(trial_rng(cfg.seed, N, t), indices.size, cfg.ensemble)
-            Q = terms._with_values(coeffs)
-            sup, _ = linf_norm(Q)
-            l1.append(lq_norm(Q.values, 1.0) / sup)
-            lq.append(lq_norm(Q.values, q) / sup)
-    return ExperimentRow(
+        sups, _ = _row_sups(terms, block)
+    synthesis_s = time.perf_counter() - start
+    l1 = _row_lq_norms(block, 1.0) / sups
+    lq = _row_lq_norms(block, q) / sups
+    row = ExperimentRow(
         p=cfg.p,
         d=cfg.d,
         N=N,
@@ -212,6 +220,7 @@ def _row(cfg: ExperimentConfig, N: int) -> ExperimentRow:
         median_lq_ratio=float(np.median(lq)),
         max_lq_ratio=float(np.max(lq)),
     )
+    return row, synthesis_s
 
 
 def _run_study(
@@ -219,26 +228,28 @@ def _run_study(
     cfg: ExperimentConfig,
     verdicts: Callable[[ExperimentConfig, ExperimentReport], list[str]] | None = None,
 ) -> ExperimentReport:
-    """One row per N (none when trials == 0), then the study's own
-    `verdicts(cfg, report)` failures, then the baseline comparison.
+    """One row per N, then the study's own `verdicts(cfg, report)`
+    failures, then the baseline comparison.
 
-    meta["row_wall_s"] gives each row's wall time with its problem size;
-    timing never enters the rows."""
+    meta["row_wall_s"] gives each row's wall time, and `synthesis_s`, its
+    time inside the sup-norm core, with its problem size; timing never
+    enters the rows."""
     start = time.perf_counter()
     report = ExperimentReport(kind=kind, config=cfg.to_dict())
     row_wall_s: list[dict] = []
     report.meta["row_wall_s"] = row_wall_s
-    if cfg.trials > 0:
-        for N in sorted(cfg.N_values):
-            row_start = time.perf_counter()
-            report.rows.append(_row(cfg, N))
-            row_wall_s.append({
-                "N": N,
-                "cells": cfg.p ** (N + 1),
-                "terms": math.comb(N + 1, cfg.d) * (cfg.p - 1) ** cfg.d,
-                "trials": cfg.trials,
-                "wall_s": time.perf_counter() - row_start,
-            })
+    for N in sorted(cfg.N_values):
+        row_start = time.perf_counter()
+        row, synthesis_s = _row(cfg, N)
+        report.rows.append(row)
+        row_wall_s.append({
+            "N": N,
+            "cells": cfg.p ** (N + 1),
+            "terms": math.comb(N + 1, cfg.d) * (cfg.p - 1) ** cfg.d,
+            "trials": cfg.trials,
+            "wall_s": time.perf_counter() - row_start,
+            "synthesis_s": synthesis_s,
+        })
     if verdicts is not None:
         report.failures.extend(verdicts(cfg, report))
     report.failures.extend(check_against_baselines(report))
@@ -247,7 +258,7 @@ def _run_study(
 
 
 def random_ensemble_study(cfg: ExperimentConfig) -> ExperimentReport:
-    """Ratio statistics per N; empty report when trials == 0."""
+    """Ratio statistics per N."""
     return _run_study("ensemble", cfg)
 
 

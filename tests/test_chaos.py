@@ -46,6 +46,22 @@ def on_cells(Q, level=None):
     return inverse(polynomial_spectrum(Q, Q.N + 1 if level is None else level))
 
 
+def stage_loops(Q):
+    """linf_norm(Q) and every stage loop it ran, as (level, dtype handed
+    in, copy of the result before the sup-norm reduces it in place)."""
+    calls, tensor_dft = [], chaos._tensor_dft
+
+    def spy(values, p, level, **kwargs):
+        result = tensor_dft(values, p, level, **kwargs)
+        calls.append((level, values.dtype, result.copy()))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chaos, "_tensor_dft", spy)
+        sup_and_cell = linf_norm(Q)
+    return sup_and_cell, calls
+
+
 class TestSynthesize:
     def test_single_term_is_character(self):
         term = ChaosTerm((0, 2), (1, 2))
@@ -54,26 +70,30 @@ class TestSynthesize:
         m = paley_encode(term, 3)
         expected = [character_value(m, 3, 3, c) for c in range(27)]
         np.testing.assert_allclose(f.values, expected, atol=1e-13)
-        np.testing.assert_array_equal(chaos._cell_values(Q, 3), f.values)
+        _, [(level, _, values)] = stage_loops(Q)
+        assert level == 3
+        np.testing.assert_array_equal(values, f.values)
 
     def test_order2_all_ones_by_hand(self):
-        # exact integers at p=2, by the public route and the sup-norm's helper
+        # exact integers at p=2, by the public route and by the sup-norm's
+        # stage loop, which takes the cells with top digit 0 (the first half)
         Q = all_ones(2, 2, 2)
         expected = [3, -1, -1, -1, -1, -1, -1, 3]
         np.testing.assert_array_equal(on_cells(Q).values, expected)
-        np.testing.assert_array_equal(chaos._cell_values(Q, 3), expected)
+        _, [(level, _, values)] = stage_loops(Q)
+        assert level == 2
+        np.testing.assert_array_equal(values, expected[:4])
 
     def test_zero_polynomial(self):
         Q = ChaosPolynomial(2, 2, {})
         assert not on_cells(Q).values.any()
-        assert not chaos._cell_values(Q, 3).any()
+        _, [(level, _, values)] = stage_loops(Q)
+        assert level == 3 and not values.any()
 
     def test_level_too_small(self):
         Q = all_ones(2, 1, 3)
         with pytest.raises(InsufficientLevel):
             on_cells(Q, level=2)
-        with pytest.raises(InsufficientLevel):
-            chaos._cell_values(Q, 2)
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
@@ -165,6 +185,16 @@ class TestNorms:
         for q in (0.5, 1.0, 4 / 3, 2.0):
             assert lq_norm(values, q) == float((np.abs(values) ** q).sum() ** (1.0 / q))
 
+    def test_row_lq_norms_keep_the_scalar_power(self):
+        # numpy's array power rounds some 1/q powers differently from the
+        # scalar one in the last bit; every row and lq_norm keep the scalar's
+        rng = np.random.default_rng(4)
+        block = np.exp(2j * np.pi * rng.random((64, 36))) * rng.integers(1, 5, (64, 1))
+        for q in (0.5, 1.0, 4 / 3, 1.5, 2.0):
+            expected = _bits(np.array([(m**q).sum() ** (1.0 / q) for m in np.abs(block)]))
+            assert _bits(chaos._row_lq_norms(block, q)).tolist() == expected.tolist()
+            assert _bits(np.array([lq_norm(row, q) for row in block])).tolist() == expected.tolist()
+
     def test_parseval_coefficient_level(self):
         rng = np.random.default_rng(4)
         Q = random_chaos(3, 2, 4, rng, "unimodular")
@@ -201,14 +231,16 @@ class TestRealBaseTwoSup:
 
     @staticmethod
     def _assert_sup_of_grid(Q):
-        sup, cell = linf_norm(Q)
-        level = Q.N + 1
-        for values in (chaos._cell_values(Q, level).astype(np.complex128), on_cells(Q).values):
+        """Check linf_norm(Q) against the grid its stage loop returned and
+        the public route's; return the dtype the stage loop returned."""
+        (sup, cell), [(_, _, working)] = stage_loops(Q)
+        for values in (working.astype(np.complex128), on_cells(Q).values):
             assert values.dtype == np.complex128
             magnitudes = np.abs(values)
             arg = int(np.argmax(magnitudes))
             assert _bits(np.float64(sup)) == _bits(magnitudes[arg])
             assert type(cell) is int and cell == arg
+        return working.dtype
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sign_and_real_polynomials_every_level(self, d):
@@ -217,8 +249,7 @@ class TestRealBaseTwoSup:
         for N in range(d - 1, 17):
             signs, real = random_chaos(2, d, N, rng, "signs"), _real_coefficients(d, N, rng)
             for Q, dtype in ((signs, np.float32), (real, np.float64)):
-                assert chaos._cell_values(Q, N + 1).dtype == dtype
-                self._assert_sup_of_grid(Q)
+                assert self._assert_sup_of_grid(Q) == dtype
 
     def test_sign_sup_is_an_exact_integer(self):
         Q = random_chaos(2, 2, 16, np.random.default_rng(3), "signs")
@@ -231,22 +262,19 @@ class TestRealBaseTwoSup:
         values.imag = -0.0
         negative = ChaosPolynomial.from_indices(2, 9, Q.indices, values)
         assert _bits(negative.values.imag).all()
-        assert chaos._cell_values(negative, 10).dtype == np.float64
         (sup, cell), (plain_sup, plain_cell) = linf_norm(negative), linf_norm(Q)
         assert _bits(np.float64(sup)) == _bits(np.float64(plain_sup))
         assert cell == plain_cell
-        self._assert_sup_of_grid(negative)
+        assert self._assert_sup_of_grid(negative) == np.float64
 
     @pytest.mark.parametrize("p,d,N", [(2, 2, 9), (2, 3, 12), (3, 2, 6), (3, 3, 8), (5, 2, 4), (7, 1, 3)])
     def test_complex_and_higher_bases_stay_complex(self, p, d, N):
         rng = np.random.default_rng(p * N)
         Q = random_chaos(p, d, N, rng, "unimodular")
-        assert chaos._cell_values(Q, N + 1).dtype == np.complex128
-        self._assert_sup_of_grid(Q)
+        assert self._assert_sup_of_grid(Q) == np.complex128
         if p > 2:
             signs = random_chaos(p, d, N, rng, "signs")
-            assert chaos._cell_values(signs, N + 1).dtype == np.complex128
-            self._assert_sup_of_grid(signs)
+            assert self._assert_sup_of_grid(signs) == np.complex128
 
     @pytest.mark.parametrize("ensemble", ["signs", "unimodular"])
     def test_guard_refuses_before_allocating(self, ensemble, monkeypatch):
@@ -277,16 +305,8 @@ class TestHalfGridSup:
 
     @staticmethod
     def _sup(Q, full_route):
-        calls, cell_values = [], chaos._cell_values
-
-        def spy(*args):
-            calls.append(args)
-            return cell_values(*args)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(chaos, "_cell_values", spy)
-            sup, cell = linf_norm(Q)
-        assert bool(calls) is full_route
+        (sup, cell), calls = stage_loops(Q)
+        assert [level == Q.N + 1 for level, _, _ in calls] == [full_route]
         magnitudes = np.abs(on_cells(Q).values)
         arg = int(np.argmax(magnitudes))
         assert _bits(np.float64(sup)) == _bits(magnitudes[arg])
@@ -353,28 +373,15 @@ class TestFloat32Tier:
 
     @staticmethod
     def _routed(Q):
-        """linf_norm(Q), whether it took the full grid, and the dtype of
-        every array the stage loop was handed."""
-        full, dtypes = [], []
-        cell_values, tensor_dft = chaos._cell_values, chaos._tensor_dft
-
-        def spy_cells(*args):
-            full.append(args)
-            return cell_values(*args)
-
-        def spy_stages(values, *args, **kwargs):
-            dtypes.append(values.dtype)
-            return tensor_dft(values, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(chaos, "_cell_values", spy_cells)
-            patch.setattr(chaos, "_tensor_dft", spy_stages)
-            sup, cell = linf_norm(Q)
+        """linf_norm(Q), whether it took the full grid, the dtype of every
+        array the stage loop was handed and that of every one it returned."""
+        (sup, cell), calls = stage_loops(Q)
         magnitudes = np.abs(on_cells(Q).values)
         arg = int(np.argmax(magnitudes))
         assert _bits(np.float64(sup)) == _bits(magnitudes[arg])
         assert type(cell) is int and cell == arg
-        return (sup, cell), bool(full), dtypes
+        full = any(level == Q.N + 1 for level, _, _ in calls)
+        return (sup, cell), full, [dtype for _, dtype, _ in calls], [r.dtype for _, _, r in calls]
 
     @pytest.mark.parametrize(
         "total, dtype", [(2**24 - 1, np.float32), (2**24, np.float64), (2**24 + 1, np.float64)]
@@ -384,7 +391,7 @@ class TestFloat32Tier:
         # 2^24 + 1 has no float32 value: only a float64 route returns it
         Q = _with_total(orders, 8, total, np.random.default_rng(total))
         assert np.abs(Q.values).sum() == total
-        (sup, cell), full, dtypes = self._routed(Q)
+        (sup, cell), full, dtypes, _ = self._routed(Q)
         assert (sup, cell) == (total, 0)
         assert full is full_route and dtypes == [dtype]
 
@@ -404,9 +411,64 @@ class TestFloat32Tier:
         for N in (3, 8):
             indices = np.concatenate([term_indices(p, d, N) for d in orders])
             Q = ChaosPolynomial.from_indices(p, N, indices, values(rng, indices.size))
-            _, _, dtypes = self._routed(Q)
-            assert dtypes == [dtype]
-            assert chaos._cell_values(Q, N + 1).dtype == dtype
+            _, _, dtypes, returned = self._routed(Q)
+            assert dtypes == returned == [dtype]
+
+
+class TestSupNormCore:
+    """`_row_sups` takes the sup-norm of every row of a coefficient block on
+    one polynomial's terms, with one scatter grid per (dtype, half grid)
+    pair; each row's sup and cell are linf_norm's on that row alone, bit
+    for bit, through the same stage loop."""
+
+    @pytest.mark.parametrize(
+        "p, orders, N, grids",
+        [(2, (2,), 8, 4), (2, (1, 2), 8, 3), (3, (2,), 5, 1)],
+        ids=["p=2-one-parity", "p=2-mixed-parity", "p=3"],
+    )
+    def test_rows_match_linf_norm_alone(self, p, orders, N, grids):
+        rng = np.random.default_rng(N + len(orders))
+        indices = np.concatenate([term_indices(p, d, N) for d in orders])
+        # the block's columns follow Q.indices, the canonical term order
+        Q = ChaosPolynomial.from_indices(p, N, indices, np.zeros(indices.size))
+        n = indices.size
+        block = np.array([
+            rng.choice([-1.0, 1.0], n),  # float32, half grid at one parity
+            rng.choice([-1.0, 1.0], n) * 2.0**19,  # sum |c| >= 2^24: exact float64
+            rng.choice([-1.0, 1.0], n) + 0.5,  # inexact float64, full grid
+            rng.choice([-1.0, 1.0], n) * (1 + 1j),  # complex128
+            np.conj(rng.choice([-1.0, 1.0], n) + 0j),  # -0.0 imaginary parts
+            rng.choice([-1.0, 1.0], n),  # the first pair's grid again
+        ])
+        assert np.abs(block[1]).sum() >= 2**24 and _bits(block[4].imag).all()
+        handed, tensor_dft = [], chaos._tensor_dft
+
+        def spy(values, p, level, **kwargs):
+            handed.append((values, level, values.dtype))
+            return tensor_dft(values, p, level, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chaos, "_tensor_dft", spy)
+            sups, cells = chaos._row_sups(Q, block)
+        assert len({id(values) for values, _, _ in handed}) == grids
+        assert handed[0][0] is handed[5][0]
+        for row, sup, cell, (_, level, dtype) in zip(block, sups, cells, handed):
+            alone = ChaosPolynomial.from_indices(p, N, Q.indices, row)
+            (alone_sup, alone_cell), [(alone_level, alone_dtype, _)] = stage_loops(alone)
+            assert _bits(np.float64(sup)) == _bits(np.float64(alone_sup))
+            assert type(cell) is int and cell == alone_cell
+            assert (level, dtype) == (alone_level, alone_dtype)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf-j"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_non_finite_coefficient_in_any_row_is_refused(self, p, bad):
+        Q = random_chaos(p, 2, 5, np.random.default_rng(p), "signs")
+        for r in range(3):
+            block = np.ones((3, Q.indices.size), dtype=np.complex128)
+            block[r, r] = bad
+            with pytest.raises(NonFiniteValue):
+                chaos._row_sups(Q, block)
 
 
 class TestSidonRatio:

@@ -99,6 +99,17 @@ def test_repeated_top_position_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["growth", "ensemble"])
+def test_zero_trials_exit_2(command, tmp_path, capsys):
+    # a study over no trials would pass over nothing: refused before any row
+    out = tmp_path / "report.json"
+    argv = (command, "--p", "2", "--d", "2", "--N", "4,6", "--trials", "0", "--seed", "1")
+    assert run(*argv, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert "error: trial count must be >= 1, got 0" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(pchaos.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -171,14 +182,14 @@ def test_norms_synthesises_once(tmp_path, monkeypatch, capsys):
     Q = random_chaos(3, 3, 5, np.random.default_rng(1), "unimodular")
     ser.save_polynomial(str(poly), Q)
     calls = []
-    cell_values = chaos._cell_values
+    tensor_dft = chaos._tensor_dft
 
-    # every synthesis on the sup-norm path runs this helper
-    def counting(Q, level):
-        calls.append(Q.p**level)
-        return cell_values(Q, level)
+    # every synthesis on the sup-norm path runs chaos's stage loop
+    def counting(values, p, level, **kwargs):
+        calls.append(p**level)
+        return tensor_dft(values, p, level, **kwargs)
 
-    monkeypatch.setattr(chaos, "_cell_values", counting)
+    monkeypatch.setattr(chaos, "_tensor_dft", counting)
     assert run("norms", "--poly", poly) == 0
     assert calls == [3**6]
     payload = json.loads(capsys.readouterr().out)
@@ -191,7 +202,7 @@ def test_norms_refuses_zero_polynomial(tmp_path, monkeypatch, capsys):
     zero = pchaos.ChaosPolynomial.from_indices(2, 4, Q.indices, np.zeros(Q.indices.size))
     ser.save_polynomial(str(poly), zero)
     calls = []
-    monkeypatch.setattr(chaos, "_cell_values", lambda *args: calls.append(args))
+    monkeypatch.setattr(chaos, "_tensor_dft", lambda *args, **kwargs: calls.append(args))
     assert run("norms", "--poly", poly, "--out", tmp_path / "norms.json") == 2
     assert "no norm ratio" in capsys.readouterr().err
     assert not (tmp_path / "norms.json").exists()

@@ -13,6 +13,7 @@ from pchaos import (
     InvalidOrder,
     MalformedIndex,
     MeasureRep,
+    NonFiniteValue,
     Spectrum,
     growth_study,
     lemma1_measure,
@@ -35,10 +36,30 @@ def test_exact_first_order_ratios():
     assert row.median_lq_ratio == pytest.approx(1.0, abs=1e-12)
 
 
-def test_zero_trials_empty_report():
-    cfg = ExperimentConfig(p=2, d=2, N_values=(4,), trials=0, seed=0)
-    report = random_ensemble_study(cfg)
-    assert report.rows == [] and report.passed
+def test_zero_trials_refused():
+    # a study over no trials would report a pass over nothing
+    for trials in (0, -1):
+        with pytest.raises(ChaosError, match=f"trial count must be >= 1, got {trials}"):
+            ExperimentConfig(p=2, d=2, N_values=(4,), trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf-j"])
+def test_a_non_finite_draw_is_refused_before_the_sup_norm(bad, monkeypatch):
+    # the row's coefficient block is checked once, before any synthesis;
+    # here the third trial's draw holds the bad value
+    draw, draws, cores = experiments.draw_coefficients, [], []
+
+    def spoiled(rng, count, ensemble):
+        draws.append(draw(rng, count, ensemble))
+        if len(draws) == 3:
+            draws[-1][count // 2] = bad
+        return draws[-1]
+
+    monkeypatch.setattr(experiments, "draw_coefficients", spoiled)
+    monkeypatch.setattr(experiments, "_row_sups", lambda *args: cores.append(args))
+    with pytest.raises(NonFiniteValue):
+        random_ensemble_study(ExperimentConfig(p=3, d=2, N_values=(4,), trials=5, seed=1))
+    assert cores == []
 
 
 def test_pinned_rows():
@@ -99,25 +120,41 @@ def test_row_wall_times_stay_out_of_rows():
     assert [r.to_dict() for r in first.rows] == [r.to_dict() for r in second.rows]
     for report in (first, second):
         timings = report.meta["row_wall_s"]
-        assert [{k: v for k, v in t.items() if k != "wall_s"} for t in timings] == [
+        sizes = [{k: v for k, v in t.items() if not k.endswith("_s")} for t in timings]
+        assert sizes == [
             {"N": N, "cells": 3 ** (N + 1), "terms": len(term_indices(3, 2, N)), "trials": 4}
             for N in (3, 4)
         ]
-        assert all(t["wall_s"] > 0 for t in timings)
-        assert not any("wall" in key for row in report.rows for key in row.to_dict())
+        assert all(set(t) - set(s) == {"wall_s", "synthesis_s"} for t, s in zip(timings, sizes))
+        assert all(0 < t["synthesis_s"] < t["wall_s"] for t in timings)
+        keys = [key for row in report.rows for key in row.to_dict()]
+        assert not any("wall" in key or "synthesis" in key for key in keys)
     assert first.meta["row_wall_s"] is not second.meta["row_wall_s"]
-    empty = random_ensemble_study(ExperimentConfig(p=2, d=2, N_values=(4,), trials=0, seed=0))
-    assert empty.meta["row_wall_s"] == []
+    # no study runs on zero trials, so there is no empty row_wall_s
+    with pytest.raises(ChaosError, match="trial count must be >= 1"):
+        ExperimentConfig(p=2, d=2, N_values=(4,), trials=0, seed=0)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("ensemble", experiments.ENSEMBLES)
-def test_row_matches_trial_by_trial_recomputation(p, ensemble):
-    # A row validates its index set once and swaps in each trial's draws;
-    # every statistic must be bit-equal to polynomials built and validated
-    # one per trial, here from a shuffled term order.
-    d, trials, seed = 2, 9, 7
-    cfg = ExperimentConfig(p=p, d=d, N_values=(2, 3), trials=trials, seed=seed, ensemble=ensemble)
+@pytest.mark.parametrize(
+    "ensemble, p, N_values, trials",
+    [
+        *(
+            pytest.param(ensemble, p, (2, 3), 9, id=f"{ensemble}-{p}")
+            for p in (2, 3, 5)
+            for ensemble in experiments.ENSEMBLES
+        ),
+        # the float32 half grid at study-deep size, and a complex p=3 row
+        pytest.param("signs", 2, (11, 12), 3, id="signs-2-N11-12"),
+        pytest.param("unimodular", 3, (6,), 3, id="unimodular-3-N6"),
+    ],
+)
+def test_row_matches_trial_by_trial_recomputation(ensemble, p, N_values, trials):
+    # A row validates its index set once and takes every trial's draws as
+    # one coefficient block; every statistic must be bit-equal to
+    # polynomials built and validated one per trial, here from a shuffled
+    # term order, and normed one at a time.
+    d, seed = 2, 7
+    cfg = ExperimentConfig(p=p, d=d, N_values=N_values, trials=trials, seed=seed, ensemble=ensemble)
     q = 2 * d / (d + 1)
     for row in random_ensemble_study(cfg).rows:
         indices = term_indices(p, d, row.N)

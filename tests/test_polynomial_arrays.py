@@ -81,23 +81,6 @@ def test_pure_order_keeps_enumeration_order():
     assert not Q.values.flags.writeable
 
 
-def test_with_values_swaps_only_the_coefficients():
-    indices = term_indices(3, 2, 4)
-    terms = ChaosPolynomial.from_indices(3, 4, indices, np.zeros(len(indices)))
-    values = np.exp(1j * np.arange(len(indices)))
-    Q = terms._with_values(values)
-    assert Q == ChaosPolynomial.from_indices(3, 4, indices, values)
-    assert Q.indices is terms.indices and Q.order == 2
-    values[0] = 5.0  # the polynomial keeps its own read-only copy
-    assert Q.values[0] != 5.0 and not Q.values.flags.writeable
-    with pytest.raises(MalformedIndex):
-        terms._with_values(values[1:])
-    for bad in (np.inf, np.nan, complex(0, -np.inf)):
-        values[-1] = bad
-        with pytest.raises(NonFiniteValue):
-            terms._with_values(values)
-
-
 def test_validation():
     with pytest.raises(MalformedIndex):
         ChaosPolynomial.from_indices(2, 2, [1, 1], [1.0, 2.0])  # duplicate term
