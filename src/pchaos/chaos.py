@@ -65,7 +65,9 @@ from .padic import (
 )
 from .transform import Spectrum, _tensor_dft, convolve
 
-# Bound on the (sequences, terms) match mask of one chunk of exponent sequences (bytes).
+# Bound in bytes on one chunk of a per-term array over many rows: the
+# (sequences x terms) match mask of `decomposition_residual`, and a study
+# row's (trials x terms) complex128 coefficient block.
 _CHUNK_BYTES = 2**20
 
 
@@ -297,8 +299,9 @@ def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[i
     allocated, and each row's dtype and half-grid route are decided
     together (see `_working_dtypes`). Rows that share a (dtype, half grid)
     pair share one zeroed scatter grid: every row writes the same entries,
-    so the grid is never re-zeroed. Each row is one stage loop, whose
-    result is reduced in place when real."""
+    so the grid is never re-zeroed. Each row is one stage loop into the
+    call's two stage buffers per dtype, whose result is reduced in place
+    when real. Grids and buffers live exactly as long as the call."""
     level = Q.N + 1
     _check_level(Q, level)
     dtypes, exact = _working_dtypes(Q.p, block)
@@ -306,6 +309,7 @@ def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[i
     one_parity = odd.size > 0 and bool((odd == odd[0]).all())
     halves = (exact & one_parity).tolist()
     grids: dict[tuple[np.dtype, bool], tuple[np.ndarray, np.ndarray]] = {}
+    buffers: dict = {}
     sups, cells = np.empty(len(block)), []
     for r, (row, dtype, half) in enumerate(zip(block, dtypes, halves)):
         if (dtype, half) not in grids:
@@ -313,7 +317,7 @@ def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[i
             grids[dtype, half] = grid, Q.indices >> half
         grid, positions = grids[dtype, half]
         grid[positions] = row if dtype.kind == "c" else row.real
-        values = _tensor_dft(grid, Q.p, level - half, sign=+1)
+        values = _tensor_dft(grid, Q.p, level - half, sign=+1, buffers=buffers)
         magnitudes = np.abs(values) if dtype.kind == "c" else np.abs(values, out=values)
         arg = int(np.argmax(magnitudes))
         sups[r] = magnitudes[arg]

@@ -38,7 +38,6 @@ from .padic import (
 )
 from .transform import (
     StepFunction,
-    _reused_buffers,
     character_value,
     convolve,
     convolve_functions,
@@ -58,6 +57,7 @@ from .measures import (
     selector_nodes,
 )
 from .chaos import (
+    _CHUNK_BYTES,
     ChaosPolynomial,
     _check_positions,
     _finite_coefficients,
@@ -78,6 +78,18 @@ def _check_seed(seed: int) -> None:
     """Refuse a seed that SeedSequence would reject: it must be >= 0."""
     if seed < 0:
         raise ChaosError(f"seed must be >= 0, got {seed}")
+
+
+def _int_values(name: str, values) -> tuple[int, ...]:
+    """`values` as a tuple of ints, refused when empty or when an entry is
+    a bool or not an integer: int() would run 4.7 as 4 and True as 1."""
+    values = tuple(values)
+    if not values:
+        raise ChaosError(f"{name} must not be empty")
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ChaosError(f"{name} must hold integers, got {value!r}")
+    return tuple(int(value) for value in values)
 
 
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
@@ -114,7 +126,6 @@ class ExperimentConfig:
     ensemble: str = "signs"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "N_values", tuple(int(n) for n in self.N_values))
         if self.ensemble not in ENSEMBLES:
             raise ChaosError(
                 f"unknown ensemble {self.ensemble!r} (expected one of {ENSEMBLES})"
@@ -122,6 +133,7 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ChaosError(f"trial count must be >= 1, got {self.trials}")
         _check_seed(self.seed)
+        object.__setattr__(self, "N_values", _int_values("N_values", self.N_values))
         if len(set(self.N_values)) != len(self.N_values):
             raise ChaosError(f"top positions must be distinct, got {list(self.N_values)}")
         for N in self.N_values:
@@ -188,25 +200,29 @@ def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, float]:
 
     The index set is validated once per row. term_indices lists it in the
     canonical term order, so trial t's draws, from its own substream, are
-    row t of one (trials x terms) coefficient block, checked for
-    finiteness once. One `_row_sups` call takes every trial's sup through
-    one scatter grid and the stage loop's buffers, freed when the row
-    ends; the l1 and lq norms are one row-wise call each. The per-trial
-    ratio arrays are reduced to their median and max.
+    one row of a (trials x terms) coefficient block. The block is taken in
+    chunks of at most _CHUNK_BYTES (at least one trial), so memory does not
+    grow with the trial count; each chunk is checked for finiteness once,
+    its sups are one `_row_sups` call and its l1 and lq norms one row-wise
+    call each. Every statistic is per trial, so the chunking never changes
+    a row. The per-trial ratio arrays are reduced to their median and max.
     """
     indices = term_indices(cfg.p, cfg.d, N)
     terms = ChaosPolynomial.from_indices(cfg.p, N, indices, np.zeros(indices.size))
     q = terms.sidon_exponent
-    block = _finite_coefficients([
-        draw_coefficients(trial_rng(cfg.seed, N, t), indices.size, cfg.ensemble)
-        for t in range(cfg.trials)
-    ])
-    start = time.perf_counter()
-    with _reused_buffers():
+    chunk = max(1, _CHUNK_BYTES // (16 * indices.size))
+    synthesis_s, l1, lq = 0.0, [], []
+    for first in range(0, cfg.trials, chunk):
+        block = _finite_coefficients([
+            draw_coefficients(trial_rng(cfg.seed, N, t), indices.size, cfg.ensemble)
+            for t in range(first, min(first + chunk, cfg.trials))
+        ])
+        start = time.perf_counter()
         sups, _ = _row_sups(terms, block)
-    synthesis_s = time.perf_counter() - start
-    l1 = _row_lq_norms(block, 1.0) / sups
-    lq = _row_lq_norms(block, q) / sups
+        synthesis_s += time.perf_counter() - start
+        l1.append(_row_lq_norms(block, 1.0) / sups)
+        lq.append(_row_lq_norms(block, q) / sups)
+    l1, lq = np.concatenate(l1), np.concatenate(lq)
     row = ExperimentRow(
         p=cfg.p,
         d=cfg.d,
@@ -386,19 +402,20 @@ def verify_suite(
     """Run every module invariant over the (p, d) grid at top position N.
 
     Each check contributes one named entry with its worst residual and the
-    fixed tolerance it was held to; an empty grid yields an empty passing
-    report. Before any check, every (p, d) pair must pass the library's own
-    guards on positions 0..N, on the level-(N+1) cell grid and on the
-    order-d index set, so an order below 1 or above N+1, or a negative N,
-    is refused; a negative seed is refused before anything else.
+    fixed tolerance it was held to. Before any check, both value lists must
+    be non-empty lists of integers, and every (p, d) pair must pass the
+    library's own guards on positions 0..N, on the level-(N+1) cell grid and
+    on the order-d index set, so an empty grid, an order below 1 or above
+    N+1, or a negative N is refused; a negative seed is refused before
+    anything else.
     meta["check_wall_s"] and meta["check_sizes"] give each check's wall
     time, the cases it evaluated and the largest grid they touched, in
     cells (p^level from the case's context, level N+1 where it names none);
     neither enters `checks`.
     """
     _check_seed(seed)
-    p_values = sorted(set(int(p) for p in p_values))
-    d_values = sorted(set(int(d) for d in d_values))
+    p_values = sorted(set(_int_values("p_values", p_values)))
+    d_values = sorted(set(_int_values("d_values", d_values)))
     report = SuiteReport(
         config={"p_values": p_values, "d_values": d_values, "N": N, "seed": seed}
     )
@@ -407,10 +424,6 @@ def verify_suite(
     check_sizes: dict[str, dict] = {}
     report.meta["check_wall_s"] = check_wall_s
     report.meta["check_sizes"] = check_sizes
-    if not p_values or not d_values:
-        report.meta["wall_time_s"] = time.perf_counter() - start
-        return report
-
     level = N + 1
     for p in p_values:
         _check_positions(p, N)

@@ -31,9 +31,7 @@ the two must agree to rounding on every input.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,46 +137,23 @@ def _stage_kernel(p: int, g: int, sign: int, dtype: np.dtype) -> np.ndarray:
     return kernel
 
 
-class _Pool(threading.local):
-    """Per-thread stage buffers: None outside a `_reused_buffers` scope,
-    else a dict from (dtype, 0 or 1) to the scope's two buffers."""
-
-    buffers: dict | None = None
-
-
-_pool = _Pool()
-
-
-@contextlib.contextmanager
-def _reused_buffers():
-    """Within this scope the stage loop on this thread reuses two buffers
-    per dtype, grown to the largest size asked for, instead of allocating
-    each stage's output: a fresh multi-MiB array is handed back to the OS
-    when freed and page-faulted in again on the next call. The buffers are
-    dropped on exit, exceptions included; a nested scope keeps the outer
-    pool."""
-    if _pool.buffers is not None:
-        yield
-        return
-    _pool.buffers = {}
-    try:
-        yield
-    finally:
-        _pool.buffers = None
-
-
-def _stage_buffer(index: int, size: int, dtype: np.dtype) -> np.ndarray:
-    """Stage buffer `index` (0 or 1) of `size` elements: the scope's pooled
-    one inside `_reused_buffers`, a fresh array outside it."""
-    if _pool.buffers is None:
+def _stage_buffer(buffers: dict | None, index: int, size: int, dtype: np.dtype) -> np.ndarray:
+    """Stage buffer `index` (0 or 1) of `size` elements: a fresh array
+    without `buffers`, else the dict's (dtype, index) buffer, grown to the
+    largest size asked for. Reusing one across calls spares a fresh
+    multi-MiB array per call, which is handed back to the OS when freed and
+    page-faulted in again on the next call."""
+    if buffers is None:
         return np.empty(size, dtype)
-    buffer = _pool.buffers.get((dtype, index))
+    buffer = buffers.get((dtype, index))
     if buffer is None or buffer.size < size:
-        buffer = _pool.buffers[dtype, index] = np.empty(size, dtype)
+        buffer = buffers[dtype, index] = np.empty(size, dtype)
     return buffer[:size]
 
 
-def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray:
+def _tensor_dft(
+    values: np.ndarray, p: int, level: int, sign: int, buffers: dict | None = None
+) -> np.ndarray:
     """Apply the p-point kernel along every digit; the flat result is
     directly Paley-indexed (position k of the output pairs with fractional
     digit k+1 of the input).
@@ -202,10 +177,9 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     part is all zero (-0.0 included).
 
     Every stage writes into one of two buffers from `_stage_buffer`, and
-    `values` is never written. The result is one of them: inside a
-    `_reused_buffers` scope it stays valid only until the next call on
-    this thread (and `values` must not be such a result), so public
-    callers copy it.
+    `values` is never written. The result is one of them: with a
+    `buffers` dict it stays valid only until that dict's next use (and
+    `values` must not be such a result), without one it is a fresh array.
     """
     if p == 2 and (values.dtype.kind != "c" or not values.imag.any()):
         dtype = np.dtype(np.float32 if values.dtype == np.float32 else float)
@@ -218,7 +192,7 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
     width = 1
     while p ** (width + 1) <= _STAGE_CELLS:
         width += 1
-    out = _stage_buffer(0, a.size, a.dtype)
+    out = _stage_buffer(buffers, 0, a.size, a.dtype)
     j = 0
     while j < level:
         g = min(width, level - j)
@@ -229,7 +203,7 @@ def _tensor_dft(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray
             # as (R, p^g): BLAS reads the transpose in place.
             np.matmul(a.reshape(p**g, rows).T, kernel, out=out.reshape(rows, p**g))
             # The second buffer is taken only when another stage follows.
-            a, out = out, _stage_buffer(1, a.size, a.dtype) if level > g else None
+            a, out = out, _stage_buffer(buffers, 1, a.size, a.dtype) if level > g else None
         elif rows == 1 or p**j >= _STAGE_CELLS:
             # One GEMM per row block writes (R, p^g, p^j) in place.
             stacked = a.reshape(p**g, rows, p**j).transpose(1, 0, 2)
@@ -255,7 +229,7 @@ def forward(f: StepFunction) -> Spectrum:
 def inverse(s: Spectrum) -> StepFunction:
     """Fast synthesis: values[c] = sum_m coeffs[m] character_m(c)."""
     values = _tensor_dft(s.coeffs, s.p, s.level, sign=+1)
-    return StepFunction(s.p, s.level, values.astype(np.complex128))
+    return StepFunction(s.p, s.level, values)
 
 
 # Rows the reference oracles hold at once (`convolve_functions` rounds up to

@@ -30,7 +30,7 @@ def run(*argv):
 def test_verify_small_grid(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run("verify", "--p", "2,3", "--d", "1,2", "--N", "4", "--seed", "1", "--out", out) == 0
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     assert payload["passed"] is True
     assert payload["config"]["p_values"] == [2, 3]
     assert any(c["name"] == "lemma1-pattern" for c in payload["checks"])
@@ -47,7 +47,7 @@ def test_verify_check_that_raises_fails_with_report(tmp_path, capsys):
     # order 7 passes the cell guard but exceeds the selector cap of the lemma 1 checks
     out = tmp_path / "report.json"
     assert run("verify", "--p", "2", "--d", "7", "--N", "7", "--out", out) == 1
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     assert payload["passed"] is False
     errored = {c["name"]: c for c in payload["checks"] if c["residual"] is None}
     assert set(errored) == {"lemma1-pattern", "lemma1-membership", "young-bound"}
@@ -99,6 +99,25 @@ def test_repeated_top_position_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("growth", "--p", "2", "--d", "2", "--N", ",", "--trials", "3"), "N_values must not be empty"),
+        (("verify", "--p", "", "--d", "1", "--N", "3"), "p_values must not be empty"),
+        (("verify", "--p", "2", "--d", ",", "--N", "3"), "d_values must not be empty"),
+    ],
+    ids=["growth-N", "verify-p", "verify-d"],
+)
+def test_empty_grid_exits_2(argv, message, tmp_path, capsys):
+    # a run over no grid point would report a pass over nothing
+    out, csv_path = tmp_path / "report.json", tmp_path / "rows.csv"
+    extra = ("--csv", csv_path) if argv[0] == "growth" else ()
+    assert run(*argv, "--out", out, *extra) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == "" and not out.exists() and not csv_path.exists()
+
+
 @pytest.mark.parametrize("command", ["growth", "ensemble"])
 def test_zero_trials_exit_2(command, tmp_path, capsys):
     # a study over no trials would pass over nothing: refused before any row
@@ -127,7 +146,7 @@ def test_lemma1_writes_measure_and_summary(tmp_path):
         "lemma1", "--p", "3", "--d", "2", "--J", "1,2,1,2,1,2", "--N", "5", "--out", out
     )
     assert code == 0
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     assert payload["pattern_check"]["passed"] is True
     assert payload["config"]["J"] == [1, 2, 1, 2, 1, 2]
     measure = ser.load_measure(str(out))
@@ -137,7 +156,7 @@ def test_lemma1_writes_measure_and_summary(tmp_path):
 def test_lemma2_pattern(tmp_path):
     out = tmp_path / "nu2.json"
     assert run("lemma2", "--p", "3", "--d", "2", "--s", "1", "--N", "4", "--out", out) == 0
-    assert json.load(open(out))["pattern_check"]["passed"] is True
+    assert json.loads(Path(out).read_text())["pattern_check"]["passed"] is True
 
 
 def test_riesz_mass_output(tmp_path):
@@ -147,7 +166,7 @@ def test_riesz_mass_output(tmp_path):
         "--out", out,
     )
     assert code == 0
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     assert payload["checks"]["integral_error"] <= 1e-12
     measure = ser.load_measure(str(out))
     assert abs(measure.variation - 1.0) <= 1e-12
@@ -287,7 +306,7 @@ def test_project_exponent_route(tmp_path):
     Q = random_chaos(3, 2, 3, np.random.default_rng(1), "unimodular")
     ser.save_polynomial(str(poly), Q)
     assert run("project", "--poly", poly, "--J", "1,2,1,2", "--out", out) == 0
-    assert json.load(open(out))["passed"] is True
+    assert json.loads(Path(out).read_text())["passed"] is True
 
 
 def test_project_order_route(tmp_path):
@@ -346,9 +365,9 @@ def test_ensemble_writes_csv_and_json(tmp_path):
         "--seed", "7", "--out", out, "--csv", csv_path,
     )
     assert code == 0
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     assert len(payload["rows"]) == 2
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0].startswith("format_version,p,d,N")
     assert len(lines) == 3
 
@@ -358,7 +377,7 @@ def test_ensemble_reports_failures_on_stderr(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report.json"
     code = run("ensemble", "--p", "2", "--d", "1", "--N", "3", "--trials", "2", "--out", out)
     assert code == 1
-    assert json.load(open(out))["failures"] == ["baseline-drift: x"]
+    assert json.loads(Path(out).read_text())["failures"] == ["baseline-drift: x"]
     captured = capsys.readouterr()
     assert captured.err == "FAIL baseline-drift: x\n"
     assert "FAIL" not in captured.out
@@ -371,7 +390,7 @@ def test_growth_exit_code(tmp_path):
         "--seed", "42", "--out", out,
     )
     assert code == 0
-    assert json.load(open(out))["passed"] is True
+    assert json.loads(Path(out).read_text())["passed"] is True
 
 
 def _expected_env():
@@ -409,7 +428,7 @@ def test_env_block_leaves_seeded_rows_byte_identical(tmp_path, command):
     for name in ("a", "b"):
         out, csv_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
         run(*argv, "--out", out, "--csv", csv_path)
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["env"] == _expected_env()
         assert ser.dump_json({"rows": payload["rows"]}) == expected
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -1,6 +1,7 @@
 """Studies, determinism, baselines and the verification suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,63 @@ def test_determinism():
 def test_config_refuses_a_negative_seed_or_a_repeated_N(N_values, seed, message):
     with pytest.raises(ChaosError, match=message):
         ExperimentConfig(p=2, d=2, N_values=N_values, trials=3, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "N_values, message",
+    [
+        ((), "N_values must not be empty"),
+        ((4.7, 5), "N_values must hold integers, got 4.7"),
+        ((4, True), "N_values must hold integers, got True"),
+        (("4",), "N_values must hold integers, got '4'"),
+    ],
+    ids=["empty", "float", "bool", "str"],
+)
+def test_config_refuses_N_values_that_are_empty_or_not_integers(N_values, message):
+    with pytest.raises(ChaosError, match=message):
+        ExperimentConfig(p=2, d=2, N_values=N_values, trials=3, seed=0)
+    # the negative-seed check still comes first
+    with pytest.raises(ChaosError, match="seed must be >= 0"):
+        ExperimentConfig(p=2, d=2, N_values=N_values, trials=3, seed=-1)
+
+
+def test_config_keeps_numpy_integers_as_ints():
+    cfg = ExperimentConfig(p=2, d=2, N_values=np.arange(4, 6), trials=3, seed=0)
+    assert cfg.N_values == (4, 5) and all(type(N) is int for N in cfg.N_values)
+
+
+@pytest.mark.parametrize(
+    "ensemble, p, d, N_values, trials",
+    [("signs", 2, 2, (6, 9), 7), ("unimodular", 3, 2, (4, 5), 5), ("signs", 2, 3, (7,), 4)],
+)
+def test_rows_do_not_depend_on_the_chunk_bound(monkeypatch, ensemble, p, d, N_values, trials):
+    cfg = ExperimentConfig(p=p, d=d, N_values=N_values, trials=trials, seed=5, ensemble=ensemble)
+    blocks = []
+    row_sups = experiments._row_sups
+    monkeypatch.setattr(
+        experiments, "_row_sups", lambda Q, block: blocks.append(len(block)) or row_sups(Q, block)
+    )
+    whole = [r.to_dict() for r in growth_study(cfg).rows]
+    assert blocks == [trials] * len(N_values)
+    blocks.clear()
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)
+    assert [r.to_dict() for r in growth_study(cfg).rows] == whole
+    assert blocks == [1] * trials * len(N_values)
+
+
+def test_row_memory_does_not_grow_with_trials():
+    # 8,008 terms: one trial's coefficients take 125 KiB, so 400 trials in
+    # one block would take about 49 MiB
+    def peak(trials):
+        cfg = ExperimentConfig(p=2, d=6, N_values=(15,), trials=trials, seed=0)
+        tracemalloc.start()
+        try:
+            random_ensemble_study(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) <= 2 * peak(4)
 
 
 def test_row_wall_times_stay_out_of_rows():
@@ -236,10 +294,22 @@ class TestVerifySuite:
         for check in report.checks:
             assert check.residual <= check.tolerance
 
-    def test_empty_grid(self):
-        report = verify_suite([], [1], N=4)
-        assert report.checks == [] and report.passed
-        assert report.meta["check_wall_s"] == {}
+    def test_empty_grid(self, monkeypatch):
+        # a suite over no (p, d) pair would pass over nothing: refused
+        draws = []
+        monkeypatch.setattr(experiments, "trial_rng", lambda *key: draws.append(key))
+        for p_values, d_values in (([], [1]), ([2], []), ([], [])):
+            with pytest.raises(ChaosError, match="must not be empty"):
+                verify_suite(p_values, d_values, N=4)
+        assert draws == []
+
+    @pytest.mark.parametrize(
+        "p_values, d_values, bad", [([2.9], [1], "2.9"), ([2], [1.5], "1.5"), ([True], [1], "True")]
+    )
+    def test_refuses_values_that_are_not_integers(self, p_values, d_values, bad):
+        # int() would run p=2, d=1 in their place
+        with pytest.raises(ChaosError, match=f"must hold integers, got {bad}"):
+            verify_suite(p_values, d_values, N=3)
 
     @pytest.mark.parametrize(
         "d_values, N, error",
@@ -298,7 +368,6 @@ class TestVerifySuite:
         assert sizes["character-multiplicativity"] == {"cases": 40, "max_cells": 3**4}
         assert sizes["lemma2-pattern"] == {"cases": 1 + 2 + 1 + 2, "max_cells": 3**4}
         assert sizes["sidon-exact-d1"] == {"cases": 10, "max_cells": 2**4}
-        assert verify_suite([], [1], N=4).meta["check_sizes"] == {}
         # N+1 = 8 exceeds the level 7 that fits 4096 cells at p=3, so the
         # characters run on 3^7 cells, not on the 3^8 the fallback would give
         sizes = verify_suite([3], [1], N=7, seed=2).meta["check_sizes"]

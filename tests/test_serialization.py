@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_polynomial_term_order_is_deterministic(tmp_path):
     path_a, path_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     ser.save_polynomial(path_a, Q)
     ser.save_polynomial(path_b, ChaosPolynomial(3, 2, dict(reversed(list(Q.coeffs.items())))))
-    assert open(path_a).read() == open(path_b).read()
+    assert Path(path_a).read_text() == Path(path_b).read_text()
 
 
 def test_missing_file():
@@ -111,14 +112,14 @@ def test_wrong_data_length(tmp_path):
 def test_atomic_write_leaves_no_partial(tmp_path):
     path = str(tmp_path / "out.json")
     ser.write_json_atomic(path, {"ok": True})
-    assert json.load(open(path)) == {"ok": True}
+    assert json.loads(Path(path).read_text()) == {"ok": True}
     assert [p for p in os.listdir(tmp_path) if p.endswith(".part")] == []
 
 
 def test_csv_writer(tmp_path):
     path = str(tmp_path / "rows.csv")
     ser.write_csv_atomic(path, ["a", "b"], [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "a,b"
     assert lines[1:] == ["1,2", "3,4"]
 
@@ -142,7 +143,7 @@ def test_non_finite_measure_fields_refused(tmp_path):
     nu = lemma1_measure(3, 1, [1, 2], 2)
     path = str(tmp_path / "nu.json")
     ser.save_measure(path, nu)
-    payload = json.load(open(path))
+    payload = json.loads(Path(path).read_text())
     for field, value in (("variation", float("nan")), ("provenance", {"bound": float("inf")})):
         broken = dict(payload, **{field: value})
         _write(path, broken)

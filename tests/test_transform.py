@@ -434,14 +434,14 @@ def test_integral():
 
 
 class TestReusedBuffers:
-    """Inside `_reused_buffers` the stage loop on one thread reuses two
-    buffers per dtype; its results are bit-identical to fresh buffers."""
+    """With a caller-owned `buffers` dict the stage loop reuses two buffers
+    per dtype across calls; its results are bit-identical to fresh buffers."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 16])
     def test_bit_identical_inside_and_outside(self, p):
         # levels 1..2g+1 take the first stage alone, stacked GEMMs, narrow
         # blocks with a transposing copy (p >= 3) and a short last stage;
-        # the scope replays them smallest first, growing the buffers, and
+        # one dict replays them smallest first, growing the buffers, and
         # then largest first, reusing them inside a larger allocation
         rng = np.random.default_rng(p)
         cases = []
@@ -450,17 +450,17 @@ class TestReusedBuffers:
             for values in (real, real + 1j * rng.standard_normal(p**level)):
                 for sign in (1, -1):
                     cases.append((values, level, sign, _tensor_dft(values, p, level, sign)))
-        with transform._reused_buffers():
-            for values, level, sign, expected in cases + cases[::-1]:
-                before = values.copy()
-                out = _tensor_dft(values, p, level, sign)
-                np.testing.assert_array_equal(_bits(out), _bits(expected))
-                np.testing.assert_array_equal(_bits(values), _bits(before))
+        buffers = {}
+        for values, level, sign, expected in cases + cases[::-1]:
+            before = values.copy()
+            out = _tensor_dft(values, p, level, sign, buffers)
+            np.testing.assert_array_equal(_bits(out), _bits(expected))
+            np.testing.assert_array_equal(_bits(values), _bits(before))
 
     @pytest.mark.parametrize("p,level", [(2, 12), (3, 7), (5, 5), (16, 3)])
     def test_public_results_are_owned(self, p, level):
-        # a second call in the same scope leaves the first call's result
-        # and its input as they were
+        # a second call leaves the first call's result and its input as
+        # they were
         rng = np.random.default_rng(level)
         size = p**level
         for ensemble in ("signs", "unimodular"):
@@ -469,51 +469,29 @@ class TestReusedBuffers:
                 values = rng.standard_normal(size)
                 return values if ensemble == "signs" else values + 1j * rng.standard_normal(size)
 
-            with transform._reused_buffers():
-                f, s = StepFunction(p, level, draw()), Spectrum(p, level, draw())
-                Q = random_chaos(p, 1, level - 1, rng, ensemble)
-                results = [forward(f).coeffs, inverse(s).values]
-                results.append(inverse(polynomial_spectrum(Q, level)).values)
-                kept = [r.copy() for r in results + [f.values, s.coeffs]]
-                forward(StepFunction(p, level, draw()))
-                inverse(Spectrum(p, level, draw()))
-                other = random_chaos(p, 1, level - 1, rng, ensemble)
-                inverse(polynomial_spectrum(other, level))
-                linf_norm(other)
-                for result, copy in zip(results + [f.values, s.coeffs], kept):
-                    np.testing.assert_array_equal(_bits(result), _bits(copy))
+            f, s = StepFunction(p, level, draw()), Spectrum(p, level, draw())
+            Q = random_chaos(p, 1, level - 1, rng, ensemble)
+            results = [forward(f).coeffs, inverse(s).values]
+            results.append(inverse(polynomial_spectrum(Q, level)).values)
+            kept = [r.copy() for r in results + [f.values, s.coeffs]]
+            forward(StepFunction(p, level, draw()))
+            inverse(Spectrum(p, level, draw()))
+            other = random_chaos(p, 1, level - 1, rng, ensemble)
+            inverse(polynomial_spectrum(other, level))
+            linf_norm(other)
+            for result, copy in zip(results + [f.values, s.coeffs], kept):
+                np.testing.assert_array_equal(_bits(result), _bits(copy))
 
-    def test_calls_in_one_scope_share_memory(self):
+    def test_calls_share_memory_only_through_one_dict(self):
         values = np.random.default_rng(0).standard_normal(2**12)
         assert not np.shares_memory(_tensor_dft(values, 2, 12, 1), _tensor_dft(values, 2, 12, 1))
-        with transform._reused_buffers():
-            first = _tensor_dft(values, 2, 12, 1)
-            assert np.shares_memory(first, _tensor_dft(values, 2, 12, -1))
-            # three stages again, in the front of the same buffer
-            assert np.shares_memory(first, _tensor_dft(values[:2**11], 2, 11, 1))
-
-    def test_pool_dropped_on_exit(self):
-        values = np.random.default_rng(1).standard_normal(3**5)
-        assert transform._pool.buffers is None
-        with transform._reused_buffers():
-            _tensor_dft(values, 3, 5, 1)
-            pool = transform._pool.buffers
-            assert pool
-            with transform._reused_buffers():
-                assert transform._pool.buffers is pool
-            assert transform._pool.buffers is pool
-            with pytest.raises(ValueError):
-                with transform._reused_buffers():
-                    raise ValueError
-            assert transform._pool.buffers is pool
-        assert transform._pool.buffers is None
-        with pytest.raises(ValueError):
-            with transform._reused_buffers():
-                _tensor_dft(values, 3, 5, 1)
-                raise ValueError
-        assert transform._pool.buffers is None
-        growth_study(ExperimentConfig(p=2, d=2, N_values=(4, 5), trials=2, seed=0))
-        assert transform._pool.buffers is None
+        buffers = {}
+        first = _tensor_dft(values, 2, 12, 1, buffers)
+        assert np.shares_memory(first, _tensor_dft(values, 2, 12, -1, buffers))
+        # three stages again, in the front of the same buffer
+        assert np.shares_memory(first, _tensor_dft(values[:2**11], 2, 11, 1, buffers))
+        assert not np.shares_memory(first, _tensor_dft(values, 2, 12, 1, {}))
+        assert not np.shares_memory(first, _tensor_dft(values, 2, 12, 1))
 
     def test_threads_keep_their_own_buffers(self):
         # more threads than cores and a short switch interval interleave the
