@@ -13,15 +13,15 @@ synthesis, sup-norm and every convolution identity below are exact finite
 computations (up to rounding), never sampled approximations.
 
 The sup-norm is computed by enumeration of the p^(N+1) cells through the
-fast synthesis; a p=2 polynomial with integer coefficients and orders of
-one parity takes it over the half grid, with the same result bit for bit
-(see `linf_norm`). A p=2 polynomial with all-real coefficients stays in
-one float dtype throughout (coefficient scatter, transform stages, abs
-and argmax): float32 when they are integers with sum |c| < 2^24, so that
-every partial sum is an integer float32 holds exactly, else float64; any
-other polynomial is synthesised in complex128. One core, `_row_sups`,
-takes these sup-norms for a block of coefficient rows on shared terms, as
-a study row does for its trials; `linf_norm` is its one-row case, and
+fast synthesis. A p=2 polynomial with all-real coefficients stays in one
+float dtype throughout (coefficient scatter, transform stages, abs and
+argmax): float32 when they are integers with sum |c| < 2^24, so that every
+partial sum is an integer float32 holds exactly, else float64; any other
+polynomial is synthesised in complex128. In float32, orders of one parity
+take the sup over the half grid, with the same result bit for bit (see
+`linf_norm`). One core, `_row_sups`, takes these sup-norms for a block of
+coefficient rows on shared terms in one dtype, as a study row does for its
+trials; `linf_norm` is its one-row case, and
 `lq_norm` is likewise the one-row case of `_row_lq_norms`. Exponent
 projection is defined by coefficient selection; convolution with the
 matching selector measure is the verification route, kept separate so the
@@ -263,31 +263,23 @@ def polynomial_spectrum(Q: ChaosPolynomial, level: int) -> Spectrum:
     return Spectrum(Q.p, level, coeffs)
 
 
-def _working_dtypes(p: int, block: np.ndarray) -> tuple[list[np.dtype], np.ndarray]:
-    """Per row of a (rows x terms) coefficient block: the dtype the row is
-    synthesised in, and whether every partial sum of its synthesis is an
-    exact integer in it.
+def _working_dtype(p: int, block: np.ndarray) -> np.dtype:
+    """The one dtype a (rows x terms) coefficient block is synthesised in.
 
-    At p=2 a row whose coefficients are all real (a -0.0 imaginary part
-    counts as zero) runs in float32 when they are integers with sum |c| <
-    2^24, else in float64, exact when they are integers with sum |c| <
-    2^53; any other row runs in complex128. Every partial sum of a +-1
-    stage is a signed sum of a subset of the coefficients, so with
-    integers it stays an integer at most sum |c|, which the dtype holds
-    exactly. The bounds are strict, so that numpy's float sum being below
-    them proves the true sum is. Only the block is scanned."""
-    if p != 2:
-        return [np.dtype(complex)] * len(block), np.zeros(len(block), dtype=bool)
+    At p=2 a block whose coefficients are all real (a -0.0 imaginary part
+    counts as zero) runs in float32 when they are integers and every row
+    has sum |c| < 2^24, else in float64; any other block runs in
+    complex128. Every partial sum of a +-1 stage is a signed sum of a
+    subset of a row's coefficients, so with integers it stays an integer
+    at most sum |c|, which float32 holds exactly below 2^24. The bound is
+    strict, so that numpy's float sum being below it proves the true sum
+    is. Only the block is scanned."""
+    if p != 2 or block.imag.any():
+        return np.dtype(complex)
     real = block.real
-    is_real = ~block.imag.any(axis=1)
-    integer = is_real & (real == np.rint(real)).all(axis=1)
-    total = np.abs(real).sum(axis=1)
-    single = integer & (total < 2.0**24)
-    dtypes = [
-        np.dtype(np.float32 if s else float) if r else np.dtype(complex)
-        for r, s in zip(is_real.tolist(), single.tolist())
-    ]
-    return dtypes, integer & (total < 2.0**53)
+    if (real == np.rint(real)).all() and (np.abs(real).sum(axis=1) < 2.0**24).all():
+        return np.dtype(np.float32)
+    return np.dtype(float)
 
 
 def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -295,28 +287,26 @@ def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[i
     complex128 block, aligned with ``Q.indices``, as their coefficients:
     every row's sup and first maximal cell. Q's own values are not read.
 
-    The level and the cell guard are checked once, before any grid is
-    allocated, and each row's dtype and half-grid route are decided
-    together (see `_working_dtypes`). Rows that share a (dtype, half grid)
-    pair share one zeroed scatter grid: every row writes the same entries,
-    so the grid is never re-zeroed. Each row is one stage loop into the
-    call's two stage buffers per dtype, whose result is reduced in place
-    when real. Grids and buffers live exactly as long as the call."""
+    The level and the cell guard are checked once, before the grid is
+    allocated. The whole block runs in one dtype (see `_working_dtype`),
+    on the half grid when that is float32 and Q's orders share one parity.
+    Its rows share one zeroed scatter grid: every row writes the same
+    entries, so the grid is never re-zeroed. Each row is one stage loop
+    into the call's two stage buffers, whose result is reduced in place
+    when real. Grid and buffers live exactly as long as the call. A block
+    that mixes real and complex rows (no caller builds one) runs in
+    complex128, correct to rounding."""
     level = Q.N + 1
     _check_level(Q, level)
-    dtypes, exact = _working_dtypes(Q.p, block)
+    dtype = _working_dtype(Q.p, block)
     odd = Q._orders & 1
-    one_parity = odd.size > 0 and bool((odd == odd[0]).all())
-    halves = (exact & one_parity).tolist()
-    grids: dict[tuple[np.dtype, bool], tuple[np.ndarray, np.ndarray]] = {}
-    buffers: dict = {}
+    half = int(dtype == np.float32 and odd.size > 0 and bool((odd == odd[0]).all()))
+    grid = np.zeros(Q.p ** (level - half), dtype=dtype)
+    buffers = np.empty_like(grid), np.empty_like(grid)
+    positions = Q.indices >> half
     sups, cells = np.empty(len(block)), []
-    for r, (row, dtype, half) in enumerate(zip(block, dtypes, halves)):
-        if (dtype, half) not in grids:
-            grid = np.zeros(Q.p ** (level - half), dtype=dtype)
-            grids[dtype, half] = grid, Q.indices >> half
-        grid, positions = grids[dtype, half]
-        grid[positions] = row if dtype.kind == "c" else row.real
+    for r, row in enumerate(block if dtype.kind == "c" else block.real):
+        grid[positions] = row
         values = _tensor_dft(grid, Q.p, level - half, sign=+1, buffers=buffers)
         magnitudes = np.abs(values) if dtype.kind == "c" else np.abs(values, out=values)
         arg = int(np.argmax(magnitudes))
@@ -334,24 +324,23 @@ def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     an int on the level-(N+1) grid: the one-row case of the sup-norm core
     that a study row runs on all its trials at once.
 
-    Q is synthesised in its working dtype (see `_working_dtypes`): float32
+    Q is synthesised in its working dtype (see `_working_dtype`): float32
     for a p=2 polynomial with real integer coefficients summing in
     absolute value below 2^24, float64 for any other real p=2 polynomial,
     complex128 otherwise. In float32 every partial sum is an integer below
     2^24, exact in any order and with or without FMA, so sup and cell are
     the float64 grid's bit for bit.
 
-    Half grid: when p=2 and Q has terms, all of one order parity, with real
-    integer coefficients summing in absolute value below 2^53, only the
-    cells with top digit c_1 = 0 are synthesised. Flipping every digit
-    multiplies a term of order d by (-1)^d, so |Q| is the same on a cell
-    and its complement and the first maximal cell has c_1 = 0. There the
-    exponent at position 0 drops out and, with one parity, `indices >> 1`
-    is injective: the folded coefficients synthesise at level N, and those
-    cell ints are the level-(N+1) ones. Every partial sum is an integer
-    that the working dtype holds exactly, so sup and cell are the full
-    grid's bit for bit. Both routes check the full level N+1 before
-    allocating.
+    Half grid: when Q runs in float32 and has terms, all of one order
+    parity, only the cells with top digit c_1 = 0 are synthesised.
+    Flipping every digit multiplies a term of order d by (-1)^d, so |Q| is
+    the same on a cell and its complement and the first maximal cell has
+    c_1 = 0. There the exponent at position 0 drops out and, with one
+    parity, `indices >> 1` is injective: the folded coefficients
+    synthesise at level N, and those cell ints are the level-(N+1) ones.
+    Every partial sum is an integer that float32 holds exactly, so sup and
+    cell are the full grid's bit for bit. Both routes check the full level
+    N+1 before allocating.
 
     Real p=2 values are never widened to complex: abs and argmax run in
     place on the float array (|x| of a float is hypot(x, 0) exactly).

@@ -11,7 +11,9 @@ checked before any size-dependent work.
 
 from __future__ import annotations
 
-from .errors import GuardExceeded
+import numbers
+
+from .errors import GuardExceeded, MalformedIndex
 
 # Hard caps on base and level. The size bounds are MAX_CELLS on allocated
 # grids and the int64 range on Paley indices (padic._check_index_width).
@@ -50,6 +52,14 @@ UNIT_DISC_SLACK = 1e-12
 
 # Smallest gap accepted between two exponent-selector interpolation nodes.
 NODE_GAP_FLOOR = 1e-9
+
+
+def check_int(value, rule: str) -> int:
+    """`value` as an int, refused with `rule` unless it is an integer (numpy
+    integers included): int() would run 4.7 as 4 and True as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise MalformedIndex(f"{rule}, got {value!r}")
+    return int(value)
 
 
 def check_base_level(p: int, level: int) -> None:

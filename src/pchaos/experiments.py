@@ -27,6 +27,7 @@ from .config import (
     MAX_DIRECT_CELLS,
     TRANSFORM_TOL,
     check_cell_guard,
+    check_int,
 )
 from .errors import ChaosError
 from .padic import (
@@ -82,14 +83,11 @@ def _check_seed(seed: int) -> None:
 
 def _int_values(name: str, values) -> tuple[int, ...]:
     """`values` as a tuple of ints, refused when empty or when an entry is
-    a bool or not an integer: int() would run 4.7 as 4 and True as 1."""
+    not an integer (see `check_int`)."""
     values = tuple(values)
     if not values:
         raise ChaosError(f"{name} must not be empty")
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ChaosError(f"{name} must hold integers, got {value!r}")
-    return tuple(int(value) for value in values)
+    return tuple(check_int(value, f"{name} must hold integers") for value in values)
 
 
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
@@ -126,6 +124,9 @@ class ExperimentConfig:
     ensemble: str = "signs"
 
     def __post_init__(self) -> None:
+        for name in ("p", "d", "trials", "seed"):
+            value = check_int(getattr(self, name), f"{name} must be an integer")
+            object.__setattr__(self, name, value)
         if self.ensemble not in ENSEMBLES:
             raise ChaosError(
                 f"unknown ensemble {self.ensemble!r} (expected one of {ENSEMBLES})"
@@ -402,17 +403,19 @@ def verify_suite(
     """Run every module invariant over the (p, d) grid at top position N.
 
     Each check contributes one named entry with its worst residual and the
-    fixed tolerance it was held to. Before any check, both value lists must
-    be non-empty lists of integers, and every (p, d) pair must pass the
-    library's own guards on positions 0..N, on the level-(N+1) cell grid and
-    on the order-d index set, so an empty grid, an order below 1 or above
-    N+1, or a negative N is refused; a negative seed is refused before
-    anything else.
+    fixed tolerance it was held to. Before any check, N and the seed must
+    be integers, the seed non-negative, both value lists non-empty lists of
+    integers, and every (p, d) pair must pass the library's own guards on
+    positions 0..N, on the level-(N+1) cell grid and on the order-d index
+    set, so an empty grid, an order below 1 or above N+1, or a negative N
+    is refused.
     meta["check_wall_s"] and meta["check_sizes"] give each check's wall
     time, the cases it evaluated and the largest grid they touched, in
     cells (p^level from the case's context, level N+1 where it names none);
     neither enters `checks`.
     """
+    N = check_int(N, "N must be an integer")
+    seed = check_int(seed, "seed must be an integer")
     _check_seed(seed)
     p_values = sorted(set(_int_values("p_values", p_values)))
     d_values = sorted(set(_int_values("d_values", d_values)))

@@ -55,6 +55,7 @@ from .config import (
     SOLVE_RESIDUAL_TOL,
     UNIT_DISC_SLACK,
     check_cell_guard,
+    check_int,
 )
 from .errors import (
     CoefficientOutOfRange,
@@ -105,7 +106,7 @@ def is_self_conjugate(p: int, j: int) -> bool:
 
 
 def _validate_exponents(p: int, j: Sequence[int]) -> list[int]:
-    out = [int(x) for x in j]
+    out = [check_int(x, "exponents must be integers") for x in j]
     for jk in out:
         if not 1 <= jk <= p - 1:
             raise InvalidExponent(f"exponent {jk} out of range 1..{p - 1}")
@@ -360,7 +361,7 @@ def rho_y_measure(
     equals (prod_i signs[k_i]) / 2^d, and its total variation is 1.
     """
     J = _validate_exponents(p, J)
-    signs = [int(x) for x in signs]
+    signs = [check_int(x, "signs must be integers") for x in signs]
     if len(J) != level or len(signs) != level:
         raise LevelMismatch(
             f"need {level} exponents and signs, got {len(J)} and {len(signs)}"

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import check_base_level
+from .config import check_base_level, check_int
 from .errors import (
     EmptyIndexSet,
     GuardExceeded,
@@ -81,8 +81,10 @@ class ChaosTerm:
     ls: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
-        object.__setattr__(self, "ls", tuple(int(l) for l in self.ls))
+        ks = tuple(check_int(k, "positions must be integers") for k in self.ks)
+        ls = tuple(check_int(l, "exponents must be integers") for l in self.ls)
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "ls", ls)
         if len(self.ks) != len(self.ls):
             raise MalformedIndex("position and exponent tuples differ in length")
         if not self.ks:
@@ -146,6 +148,7 @@ def check_chaos_order(p: int, d: int, N: int) -> None:
     """Refuse a malformed or empty order-d index set over positions 0..N."""
     if p < 2:
         raise MalformedIndex(f"base must be >= 2, got {p}")
+    check_base_level(p, 0)
     if d < 1:
         raise InvalidOrder(f"order must be at least 1, got {d}")
     if d > N + 1:

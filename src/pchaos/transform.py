@@ -21,10 +21,12 @@ At p=2, real-dtype input and complex input whose imaginary part is all
 zero run in a float dtype with the exact +-1 table, so integer spectra
 synthesise to exact integers: float32 input stays float32, any other runs
 in float64. The stage loop returns that working dtype; `forward`/`inverse`
-pass it float64 and widen its result to complex128, while chaos's sup-norm
-keeps it, and passes float32 only for integers with sum |c| < 2^24, whose
-every partial sum float32 holds exactly. Other values carry the rounding
-of the complex root-of-unity table and of the GEMMs.
+pass it float64 and widen its result to complex128. Chaos's sup-norm picks
+the dtype itself, once per call, and hands the loop its grid in that dtype
+with a pair of stage buffers; it passes float32 only for integers with
+sum |c| < 2^24, whose every partial sum float32 holds exactly. Other
+values carry the rounding of the complex root-of-unity table and of the
+GEMMs.
 `naive_forward` retains the quadratic-cost defining sum as the reference;
 the two must agree to rounding on every input.
 """
@@ -137,22 +139,8 @@ def _stage_kernel(p: int, g: int, sign: int, dtype: np.dtype) -> np.ndarray:
     return kernel
 
 
-def _stage_buffer(buffers: dict | None, index: int, size: int, dtype: np.dtype) -> np.ndarray:
-    """Stage buffer `index` (0 or 1) of `size` elements: a fresh array
-    without `buffers`, else the dict's (dtype, index) buffer, grown to the
-    largest size asked for. Reusing one across calls spares a fresh
-    multi-MiB array per call, which is handed back to the OS when freed and
-    page-faulted in again on the next call."""
-    if buffers is None:
-        return np.empty(size, dtype)
-    buffer = buffers.get((dtype, index))
-    if buffer is None or buffer.size < size:
-        buffer = buffers[dtype, index] = np.empty(size, dtype)
-    return buffer[:size]
-
-
 def _tensor_dft(
-    values: np.ndarray, p: int, level: int, sign: int, buffers: dict | None = None
+    values: np.ndarray, p: int, level: int, sign: int, buffers: tuple | None = None
 ) -> np.ndarray:
     """Apply the p-point kernel along every digit; the flat result is
     directly Paley-indexed (position k of the output pairs with fractional
@@ -168,31 +156,34 @@ def _tensor_dft(
     above the digits already written, l_j lowest. After the last stage
     (R = 1) the array is Paley-indexed: no final reorder.
 
-    Real p=2 input runs the same stages with the exact +-1 table in its
-    float dtype, float32 for float32 input and float64 for any other, and
-    the loop returns that working dtype. A float32 result is exact when
-    the input holds integers with sum |c| < 2^24: every partial sum of a
-    +-1 stage is a signed sum of a subset of them. A real-dtype array is
-    taken as real without a scan; a complex one is real when its imaginary
-    part is all zero (-0.0 included).
+    Without `buffers`, real p=2 input runs the same stages with the exact
+    +-1 table in its float dtype, float32 for float32 input and float64 for
+    any other, and the loop returns that working dtype. A real-dtype array
+    is taken as real without a scan; a complex one is real when its
+    imaginary part is all zero (-0.0 included). A float32 result is exact
+    when the input holds integers with sum |c| < 2^24: every partial sum of
+    a +-1 stage is a signed sum of a subset of them.
 
-    Every stage writes into one of two buffers from `_stage_buffer`, and
-    `values` is never written. The result is one of them: with a
-    `buffers` dict it stays valid only until that dict's next use (and
-    `values` must not be such a result), without one it is a fresh array.
+    Every stage writes into one of two stage buffers, and `values` is never
+    written. Without `buffers` both are fresh, and so is the result. With a
+    caller's pair (contiguous, of `values`'s size and dtype) the loop runs
+    in `values`'s dtype with no scan, so the caller picks it (real only at
+    p=2); the result is one of the pair, valid until its next use, and
+    `values` must be neither.
     """
-    if p == 2 and (values.dtype.kind != "c" or not values.imag.any()):
-        dtype = np.dtype(np.float32 if values.dtype == np.float32 else float)
-        values = values.real
-    else:
-        dtype = np.dtype(complex)
-    a = np.ascontiguousarray(values, dtype=dtype)
+    a = values
+    if buffers is None:
+        if p == 2 and (a.dtype.kind != "c" or not a.imag.any()):
+            a = np.ascontiguousarray(a.real, np.float32 if a.dtype == np.float32 else float)
+        else:
+            a = np.ascontiguousarray(a, complex)
+        buffers = np.empty_like(a), np.empty_like(a)
     if level == 0:
         return a.copy()
     width = 1
     while p ** (width + 1) <= _STAGE_CELLS:
         width += 1
-    out = _stage_buffer(buffers, 0, a.size, a.dtype)
+    out = buffers[0]
     j = 0
     while j < level:
         g = min(width, level - j)
@@ -202,8 +193,7 @@ def _tensor_dft(
             # The table is symmetric, so a^T K is the product already stored
             # as (R, p^g): BLAS reads the transpose in place.
             np.matmul(a.reshape(p**g, rows).T, kernel, out=out.reshape(rows, p**g))
-            # The second buffer is taken only when another stage follows.
-            a, out = out, _stage_buffer(buffers, 1, a.size, a.dtype) if level > g else None
+            a, out = out, buffers[1]
         elif rows == 1 or p**j >= _STAGE_CELLS:
             # One GEMM per row block writes (R, p^g, p^j) in place.
             stacked = a.reshape(p**g, rows, p**j).transpose(1, 0, 2)

@@ -298,7 +298,7 @@ def _with_orders(orders, N, values):
 
 
 class TestHalfGridSup:
-    """A p=2 polynomial with integer coefficients (sum |c| < 2^53) and
+    """A p=2 polynomial with integer coefficients (sum |c| < 2^24) and
     orders of one parity has its sup taken on the half grid of cells with
     top digit 0; every other polynomial on the full grid. Both give the
     full grid's sup and first maximal cell bit for bit."""
@@ -368,8 +368,8 @@ class TestFloat32Tier:
     """A p=2 polynomial with real integer coefficients and sum |c| < 2^24 is
     synthesised in float32 on either route, where every partial sum is an
     exact integer; from 2^24 on, and with non-integer real coefficients, in
-    float64; complex and p >= 3 polynomials in complex128. Sup and cell are
-    the complex grid's bit for bit."""
+    float64 on the full grid; complex and p >= 3 polynomials in complex128.
+    Sup and cell are the complex grid's bit for bit."""
 
     @staticmethod
     def _routed(Q):
@@ -386,14 +386,15 @@ class TestFloat32Tier:
     @pytest.mark.parametrize(
         "total, dtype", [(2**24 - 1, np.float32), (2**24, np.float64), (2**24 + 1, np.float64)]
     )
-    @pytest.mark.parametrize("orders, full_route", [((2,), False), ((1, 2), True)])
-    def test_sum_of_magnitudes_picks_the_dtype(self, total, dtype, orders, full_route):
-        # 2^24 + 1 has no float32 value: only a float64 route returns it
+    @pytest.mark.parametrize("orders, mixed_parity", [((2,), False), ((1, 2), True)])
+    def test_sum_of_magnitudes_picks_the_dtype(self, total, dtype, orders, mixed_parity):
+        # 2^24 + 1 has no float32 value: only a float64 route returns it,
+        # and float64 always takes the full grid
         Q = _with_total(orders, 8, total, np.random.default_rng(total))
         assert np.abs(Q.values).sum() == total
         (sup, cell), full, dtypes, _ = self._routed(Q)
         assert (sup, cell) == (total, 0)
-        assert full is full_route and dtypes == [dtype]
+        assert full is (mixed_parity or dtype is np.float64) and dtypes == [dtype]
 
     @pytest.mark.parametrize(
         "p, orders, values, dtype",
@@ -417,30 +418,15 @@ class TestFloat32Tier:
 
 class TestSupNormCore:
     """`_row_sups` takes the sup-norm of every row of a coefficient block on
-    one polynomial's terms, with one scatter grid per (dtype, half grid)
-    pair; each row's sup and cell are linf_norm's on that row alone, bit
-    for bit, through the same stage loop."""
+    one polynomial's terms, in one dtype on one scatter grid; a row's sup
+    and cell are linf_norm's on that row alone, bit for bit when the block
+    runs in the row's own dtype and to rounding when a mixed block widens
+    it to complex128."""
 
-    @pytest.mark.parametrize(
-        "p, orders, N, grids",
-        [(2, (2,), 8, 4), (2, (1, 2), 8, 3), (3, (2,), 5, 1)],
-        ids=["p=2-one-parity", "p=2-mixed-parity", "p=3"],
-    )
-    def test_rows_match_linf_norm_alone(self, p, orders, N, grids):
-        rng = np.random.default_rng(N + len(orders))
-        indices = np.concatenate([term_indices(p, d, N) for d in orders])
-        # the block's columns follow Q.indices, the canonical term order
-        Q = ChaosPolynomial.from_indices(p, N, indices, np.zeros(indices.size))
-        n = indices.size
-        block = np.array([
-            rng.choice([-1.0, 1.0], n),  # float32, half grid at one parity
-            rng.choice([-1.0, 1.0], n) * 2.0**19,  # sum |c| >= 2^24: exact float64
-            rng.choice([-1.0, 1.0], n) + 0.5,  # inexact float64, full grid
-            rng.choice([-1.0, 1.0], n) * (1 + 1j),  # complex128
-            np.conj(rng.choice([-1.0, 1.0], n) + 0j),  # -0.0 imaginary parts
-            rng.choice([-1.0, 1.0], n),  # the first pair's grid again
-        ])
-        assert np.abs(block[1]).sum() >= 2**24 and _bits(block[4].imag).all()
+    @staticmethod
+    def _core(Q, block):
+        """_row_sups(Q, block) and every (grid, level, dtype) handed to the
+        stage loop."""
         handed, tensor_dft = [], chaos._tensor_dft
 
         def spy(values, p, level, **kwargs):
@@ -450,14 +436,58 @@ class TestSupNormCore:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(chaos, "_tensor_dft", spy)
             sups, cells = chaos._row_sups(Q, block)
-        assert len({id(values) for values, _, _ in handed}) == grids
-        assert handed[0][0] is handed[5][0]
-        for row, sup, cell, (_, level, dtype) in zip(block, sups, cells, handed):
+        assert len(handed) == len(block)
+        assert len({id(values) for values, _, _ in handed}) == 1
+        return sups, cells, handed
+
+    @pytest.mark.parametrize(
+        "p, orders, N",
+        [(2, (2,), 8), (2, (1, 2), 8), (3, (2,), 5)],
+        ids=["p=2-one-parity", "p=2-mixed-parity", "p=3"],
+    )
+    def test_rows_match_linf_norm_alone(self, p, orders, N):
+        rng = np.random.default_rng(N + len(orders))
+        indices = np.concatenate([term_indices(p, d, N) for d in orders])
+        # the block's columns follow Q.indices, the canonical term order
+        Q = ChaosPolynomial.from_indices(p, N, indices, np.zeros(indices.size))
+        n = indices.size
+        block = np.array([
+            rng.choice([-1.0, 1.0], n),  # float32 alone, half grid at one parity
+            rng.choice([-1.0, 1.0], n) * 2.0**19,  # sum |c| >= 2^24: float64 alone
+            rng.choice([-1.0, 1.0], n) + 0.5,  # non-integer: float64 alone
+            rng.choice([-1.0, 1.0], n) * (1 + 1j),  # complex128
+            np.conj(rng.choice([-1.0, 1.0], n) + 0j),  # -0.0 imaginary parts
+        ])
+        assert np.abs(block[1]).sum() >= 2**24 and _bits(block[4].imag).all()
+        sups, cells, handed = self._core(Q, block)
+        # the complex row widens the whole block, its real rows included
+        assert [(level, dtype) for _, level, dtype in handed] == [(N + 1, np.complex128)] * 5
+        for row, sup, cell in zip(block, sups, cells):
             alone = ChaosPolynomial.from_indices(p, N, Q.indices, row)
+            assert sup == pytest.approx(linf_norm(alone)[0], rel=1e-12, abs=0)
+            # a tie between cells may fall either way under rounding
+            assert type(cell) is int
+            assert abs(on_cells(alone).values[cell]) == pytest.approx(sup, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "orders, N, level",
+        [((2,), 8, 8), ((1, 2), 8, 9), ((1,), 0, 0)],
+        ids=["one-parity", "mixed-parity", "level-one"],
+    )
+    def test_sign_rows_are_linf_norm_alone_bit_for_bit(self, orders, N, level):
+        # a block of +-1 rows runs in float32, as each row does alone
+        rng = np.random.default_rng(N + len(orders))
+        indices = np.concatenate([term_indices(2, d, N) for d in orders])
+        Q = ChaosPolynomial.from_indices(2, N, indices, np.zeros(indices.size))
+        block = rng.choice([-1.0, 1.0], (6, indices.size)) + 0j
+        sups, cells, handed = self._core(Q, block)
+        assert [(lv, dtype) for _, lv, dtype in handed] == [(level, np.float32)] * 6
+        for row, sup, cell in zip(block, sups, cells):
+            alone = ChaosPolynomial.from_indices(2, N, Q.indices, row)
             (alone_sup, alone_cell), [(alone_level, alone_dtype, _)] = stage_loops(alone)
             assert _bits(np.float64(sup)) == _bits(np.float64(alone_sup))
             assert type(cell) is int and cell == alone_cell
-            assert (level, dtype) == (alone_level, alone_dtype)
+            assert (alone_level, alone_dtype) == (level, np.float32)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf-j"])

@@ -133,9 +133,27 @@ def test_config_refuses_N_values_that_are_empty_or_not_integers(N_values, messag
         ExperimentConfig(p=2, d=2, N_values=N_values, trials=3, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("d", True), ("trials", True), ("p", 2.0), ("trials", 3.0), ("seed", 0.5), ("seed", -1.5)],
+    ids=["bool-d", "bool-trials", "float-p", "float-trials", "float-seed", "negative-float-seed"],
+)
+def test_config_refuses_scalars_that_are_not_integers(field, value):
+    # bools ran as d=1 and one trial, floats ended in a TypeError; the type
+    # check comes before the seed's sign check
+    fields = {"p": 2, "d": 2, "N_values": (4,), "trials": 3, "seed": 0, field: value}
+    with pytest.raises(ChaosError, match=f"{field} must be an integer, got {value!r}"):
+        ExperimentConfig(**fields)
+
+
 def test_config_keeps_numpy_integers_as_ints():
     cfg = ExperimentConfig(p=2, d=2, N_values=np.arange(4, 6), trials=3, seed=0)
     assert cfg.N_values == (4, 5) and all(type(N) is int for N in cfg.N_values)
+    cfg = ExperimentConfig(
+        p=np.int64(2), d=np.int32(2), N_values=(4,), trials=np.uint8(3), seed=np.int16(0)
+    )
+    assert cfg.to_dict() == ExperimentConfig(p=2, d=2, N_values=(4,), trials=3, seed=0).to_dict()
+    assert all(type(getattr(cfg, name)) is int for name in ("p", "d", "trials", "seed"))
 
 
 @pytest.mark.parametrize(
@@ -170,6 +188,35 @@ def test_row_memory_does_not_grow_with_trials():
             tracemalloc.stop()
 
     assert peak(400) <= 2 * peak(4)
+
+
+def test_study_blocks_run_in_one_dtype_per_call(monkeypatch):
+    # the largest p=2 order-d index set the guards admit has C(24, 12)
+    # terms, so a +-1 row sums below 2^24 in absolute value: float32
+    assert math.comb(config.MAX_LEVEL, config.MAX_LEVEL // 2) < 2**24
+    row_sups, tensor_dft, calls = experiments._row_sups, chaos._tensor_dft, []
+
+    def spy(Q, block):
+        calls.append(set())
+        return row_sups(Q, block)
+
+    def stage_loop(values, p, level, **kwargs):
+        calls[-1].add(values.dtype)
+        return tensor_dft(values, p, level, **kwargs)
+
+    monkeypatch.setattr(experiments, "_row_sups", spy)
+    monkeypatch.setattr(chaos, "_tensor_dft", stage_loop)
+    for ensemble, p, d, N_values, dtype in [
+        ("signs", 2, 2, (6, 9), np.float32),
+        ("signs", 2, 3, (7,), np.float32),
+        ("unimodular", 2, 2, (6,), np.complex128),
+        ("signs", 3, 2, (4, 5), np.complex128),
+        ("unimodular", 3, 2, (4,), np.complex128),
+    ]:
+        calls.clear()
+        cfg = ExperimentConfig(p=p, d=d, N_values=N_values, trials=5, seed=1, ensemble=ensemble)
+        growth_study(cfg)
+        assert calls == [{np.dtype(dtype)}] * len(N_values)
 
 
 def test_row_wall_times_stay_out_of_rows():
@@ -310,6 +357,18 @@ class TestVerifySuite:
         # int() would run p=2, d=1 in their place
         with pytest.raises(ChaosError, match=f"must hold integers, got {bad}"):
             verify_suite(p_values, d_values, N=3)
+
+    @pytest.mark.parametrize(
+        "N, seed, bad", [(True, 0, "N must be an integer, got True"), (3.0, 0, "N must be an integer"),
+                         (3, 1.0, "seed must be an integer"), (3, -0.5, "seed must be an integer")]
+    )
+    def test_refuses_N_or_seed_that_are_not_integers(self, monkeypatch, N, seed, bad):
+        # N=True ran as N=1
+        draws = []
+        monkeypatch.setattr(experiments, "trial_rng", lambda *key: draws.append(key))
+        with pytest.raises(ChaosError, match=bad):
+            verify_suite([2], [1], N=N, seed=seed)
+        assert draws == []
 
     @pytest.mark.parametrize(
         "d_values, N, error",

@@ -8,6 +8,7 @@ from pchaos import (
     GuardExceeded,
     IllConditionedSystem,
     InvalidOrder,
+    MalformedIndex,
     Spectrum,
     StepFunction,
     convolve_functions,
@@ -244,3 +245,31 @@ class TestSpectralVsLiteralConvolutionPowers:
 def test_riesz_density_refuses_non_finite(bad):
     with pytest.raises(CoefficientOutOfRange, match="not finite"):
         riesz_density(3, 2, [0.5, bad], [1, 2])
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: lemma1_measure(2, 1, [1.9], 1), "exponents must be integers, got 1.9"),
+        (lambda: riesz_density(3, 1, [0.5], [2.9]), "exponents must be integers, got 2.9"),
+        (lambda: riesz_density(3, 1, [0.5], [True]), "exponents must be integers, got True"),
+        (lambda: rho_y_measure(2, [1], [True], 1), "signs must be integers, got True"),
+        (lambda: rho_y_measure(3, [1.0], [1], 1), "exponents must be integers, got 1.0"),
+    ],
+    ids=["lemma1-J", "riesz-j", "riesz-j-bool", "rho-y-signs", "rho-y-J"],
+)
+def test_refuses_exponents_and_signs_that_are_not_integers(build, bad):
+    # int() would run J=(1,), j=2 and signs (1,) in their place
+    with pytest.raises(MalformedIndex, match=bad):
+        build()
+
+
+def test_integer_exponents_and_signs_of_any_integer_type():
+    np.testing.assert_array_equal(
+        riesz_density(3, 2, [0.5, 0.5], np.array([1, 2])).values,
+        riesz_density(3, 2, [0.5, 0.5], [1, 2]).values,
+    )
+    measure = rho_y_measure(2, np.array([1]), np.array([-1]), 1)
+    assert measure.provenance["signs"] == (-1,) and type(measure.provenance["signs"][0]) is int
+    # an empty level-0 density stays valid
+    assert riesz_density(3, 0, [], []).values.tolist() == [1.0]

@@ -94,6 +94,16 @@ def test_chaos_term_invariants():
         ChaosTerm((), ())
 
 
+def test_chaos_term_refuses_values_that_are_not_integers():
+    # int() would build ChaosTerm(ks=(0,), ls=(1,)) from these
+    for ks, ls, bad in [((0.5,), (1,), "0.5"), ((0,), (1.7,), "1.7"), ((True,), (1,), "True")]:
+        with pytest.raises(MalformedIndex, match=f"must be integers, got {bad}"):
+            ChaosTerm(ks, ls)
+    term = ChaosTerm((np.int64(0), np.int32(2)), (np.int64(1), np.uint8(1)))
+    assert term == ChaosTerm((0, 2), (1, 1))
+    assert all(type(x) is int for x in term.ks + term.ls)
+
+
 def _cell(p, digits):
     """The cell with digit view (c_1, ..., c_L), first fractional digit first."""
     return from_digits(reversed(digits), p)
@@ -207,6 +217,16 @@ def test_term_indices_guards():
         term_indices(1, 1, 1)
     with pytest.raises(GuardExceeded):
         term_indices(16, 1, 16)  # 16^17 Paley indices do not fit in int64
+
+
+@pytest.mark.parametrize("enumerate_terms", [term_indices, enumerate_Nd])
+def test_index_sets_refuse_a_base_past_the_cap(enumerate_terms):
+    # p=17 would list 48 terms where every other entry point refuses it
+    with pytest.raises(GuardExceeded, match="base 17 exceeds the supported cap 16"):
+        enumerate_terms(17, 1, 2)
+    with pytest.raises(MalformedIndex, match="base must be >= 2, got 1"):
+        enumerate_terms(1, 1, 2)
+    assert len(enumerate_terms(16, 1, 2)) == 45
 
 
 @pytest.mark.parametrize("p,d,N", [(2, 2, 3), (3, 2, 3), (5, 1, 2)])

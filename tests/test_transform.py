@@ -434,28 +434,36 @@ def test_integral():
 
 
 class TestReusedBuffers:
-    """With a caller-owned `buffers` dict the stage loop reuses two buffers
-    per dtype across calls; its results are bit-identical to fresh buffers."""
+    """With a caller-owned pair of stage buffers the stage loop runs in its
+    input's dtype and writes only into that pair; its results are
+    bit-identical to fresh buffers."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 16])
     def test_bit_identical_inside_and_outside(self, p):
         # levels 1..2g+1 take the first stage alone, stacked GEMMs, narrow
         # blocks with a transposing copy (p >= 3) and a short last stage;
-        # one dict replays them smallest first, growing the buffers, and
-        # then largest first, reusing them inside a larger allocation
+        # each (level, dtype) gets one pair, reused by every call on it
         rng = np.random.default_rng(p)
-        cases = []
         for level in range(1, 2 * _stage_digits(p) + 2):
             real = rng.standard_normal(p**level)
-            for values in (real, real + 1j * rng.standard_normal(p**level)):
+            inputs = [real, real + 1j * rng.standard_normal(p**level)]
+            if p == 2:
+                inputs.append(rng.integers(-3, 4, p**level).astype(np.float32))
+            pairs = {}
+            for values in inputs:
                 for sign in (1, -1):
-                    cases.append((values, level, sign, _tensor_dft(values, p, level, sign)))
-        buffers = {}
-        for values, level, sign, expected in cases + cases[::-1]:
-            before = values.copy()
-            out = _tensor_dft(values, p, level, sign, buffers)
-            np.testing.assert_array_equal(_bits(out), _bits(expected))
-            np.testing.assert_array_equal(_bits(values), _bits(before))
+                    expected = _tensor_dft(values, p, level, sign)
+                    # the loop's own working dtype, which the caller picks
+                    given = values.astype(expected.dtype)
+                    pair = pairs.setdefault(
+                        expected.dtype, (np.empty_like(given), np.empty_like(given))
+                    )
+                    before = given.copy()
+                    out = _tensor_dft(given, p, level, sign, pair)
+                    assert out.dtype == expected.dtype
+                    assert any(np.shares_memory(out, buffer) for buffer in pair)
+                    np.testing.assert_array_equal(_bits(out), _bits(expected))
+                    np.testing.assert_array_equal(_bits(given), _bits(before))
 
     @pytest.mark.parametrize("p,level", [(2, 12), (3, 7), (5, 5), (16, 3)])
     def test_public_results_are_owned(self, p, level):
@@ -482,15 +490,14 @@ class TestReusedBuffers:
             for result, copy in zip(results + [f.values, s.coeffs], kept):
                 np.testing.assert_array_equal(_bits(result), _bits(copy))
 
-    def test_calls_share_memory_only_through_one_dict(self):
+    def test_calls_share_memory_only_through_one_pair(self):
         values = np.random.default_rng(0).standard_normal(2**12)
         assert not np.shares_memory(_tensor_dft(values, 2, 12, 1), _tensor_dft(values, 2, 12, 1))
-        buffers = {}
-        first = _tensor_dft(values, 2, 12, 1, buffers)
-        assert np.shares_memory(first, _tensor_dft(values, 2, 12, -1, buffers))
-        # three stages again, in the front of the same buffer
-        assert np.shares_memory(first, _tensor_dft(values[:2**11], 2, 11, 1, buffers))
-        assert not np.shares_memory(first, _tensor_dft(values, 2, 12, 1, {}))
+        pair = np.empty_like(values), np.empty_like(values)
+        first = _tensor_dft(values, 2, 12, 1, pair)
+        assert np.shares_memory(first, _tensor_dft(values, 2, 12, -1, pair))
+        other = np.empty_like(values), np.empty_like(values)
+        assert not np.shares_memory(first, _tensor_dft(values, 2, 12, 1, other))
         assert not np.shares_memory(first, _tensor_dft(values, 2, 12, 1))
 
     def test_threads_keep_their_own_buffers(self):
