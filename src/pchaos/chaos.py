@@ -43,6 +43,7 @@ from .config import (
     MAX_DECOMPOSITION_SEQUENCES,
     check_base_level,
     check_cell_guard,
+    check_int,
 )
 from .errors import (
     CombinatorialBlowup,
@@ -105,6 +106,7 @@ class _TermMap(Mapping):
 
 def _check_positions(p: int, N: int) -> None:
     check_base_level(p, 0)
+    check_int(N, "N must be an integer")
     if N < 0:
         raise MalformedIndex(f"top position must be >= 0, got {N}")
     _check_index_width(p, N + 1)

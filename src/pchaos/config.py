@@ -57,13 +57,17 @@ NODE_GAP_FLOOR = 1e-9
 def check_int(value, rule: str) -> int:
     """`value` as an int, refused with `rule` unless it is an integer (numpy
     integers included): int() would run 4.7 as 4 and True as 1."""
+    if type(value) is int:  # the common case, without the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise MalformedIndex(f"{rule}, got {value!r}")
     return int(value)
 
 
 def check_base_level(p: int, level: int) -> None:
-    """Validate the hard caps on base and level."""
+    """Validate the hard caps on base and level, both integers."""
+    check_int(p, "p must be an integer")
+    check_int(level, "level must be an integer")
     if p < 2:
         raise GuardExceeded(f"base must be >= 2, got {p}")
     if p > MAX_BASE:

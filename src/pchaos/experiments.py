@@ -3,8 +3,15 @@
 Determinism contract: every trial draws from its own PCG64 substream keyed
 by SeedSequence(entropy=seed, spawn_key=(N, trial)), so statistics do not
 depend on execution order or worker count and identical configurations
-reproduce identical rows. Wall time is reported at the report level only,
-outside the reproducible rows.
+reproduce identical rows. `trial_rng` defines that substream. A study row
+draws its trials as one block through `_substreams.block_draw`, which
+reimplements the trial's part of numpy's SeedSequence pool hash and its
+`generate_state`, and the `integers(0, 2)` and `random()` mappings of
+`draw_coefficients`, so that it builds no SeedSequence or Generator per
+trial (numpy seeds each trial's PCG64 from the words computed for it);
+numpy's own Generator remains the reference the tests hold it to, byte for
+byte. Wall time is reported at the report level only, outside the
+reproducible rows.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baselines
+from ._substreams import ENSEMBLES, block_draw
 from .config import (
     CHARACTER_TOL,
     CONSTRUCTION_TOL,
@@ -71,8 +79,6 @@ from .chaos import (
     project_order,
     sidon_ratio,
 )
-
-ENSEMBLES = ("signs", "unimodular")
 
 
 def _check_seed(seed: int) -> None:
@@ -195,32 +201,37 @@ class ExperimentReport:
         }
 
 
-def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, float]:
+def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, dict[str, float]]:
     """Ratio statistics over cfg.trials polynomials on the order-d index
-    set, and the seconds the row spent in the sup-norm core.
+    set, and the seconds the row spent drawing its coefficients (`draw_s`)
+    and in the sup-norm core (`synthesis_s`).
 
     The index set is validated once per row. term_indices lists it in the
     canonical term order, so trial t's draws, from its own substream, are
-    one row of a (trials x terms) coefficient block. The block is taken in
-    chunks of at most _CHUNK_BYTES (at least one trial), so memory does not
-    grow with the trial count; each chunk is checked for finiteness once,
-    its sups are one `_row_sups` call and its l1 and lq norms one row-wise
-    call each. Every statistic is per trial, so the chunking never changes
-    a row. The per-trial ratio arrays are reduced to their median and max.
+    one row of a (trials x terms) coefficient block, drawn by one
+    `block_draw`. The block is taken in chunks of at most _CHUNK_BYTES (at
+    least one trial), so memory does not grow with the trial count; each
+    chunk is checked for finiteness once, its sups are one `_row_sups` call
+    and its l1 and lq norms one row-wise call each. Every statistic is per
+    trial, so the chunking never changes a row. The per-trial ratio arrays
+    are reduced to their median and max.
     """
     indices = term_indices(cfg.p, cfg.d, N)
     terms = ChaosPolynomial.from_indices(cfg.p, N, indices, np.zeros(indices.size))
     q = terms.sidon_exponent
     chunk = max(1, _CHUNK_BYTES // (16 * indices.size))
-    synthesis_s, l1, lq = 0.0, [], []
+    start = time.perf_counter()
+    draw = block_draw(cfg.seed, N, indices.size, cfg.ensemble)
+    timings = {"draw_s": time.perf_counter() - start, "synthesis_s": 0.0}
+    l1, lq = [], []
     for first in range(0, cfg.trials, chunk):
-        block = _finite_coefficients([
-            draw_coefficients(trial_rng(cfg.seed, N, t), indices.size, cfg.ensemble)
-            for t in range(first, min(first + chunk, cfg.trials))
-        ])
+        start = time.perf_counter()
+        block = draw(range(first, min(first + chunk, cfg.trials)))
+        timings["draw_s"] += time.perf_counter() - start
+        block = _finite_coefficients(block)
         start = time.perf_counter()
         sups, _ = _row_sups(terms, block)
-        synthesis_s += time.perf_counter() - start
+        timings["synthesis_s"] += time.perf_counter() - start
         l1.append(_row_lq_norms(block, 1.0) / sups)
         lq.append(_row_lq_norms(block, q) / sups)
     l1, lq = np.concatenate(l1), np.concatenate(lq)
@@ -237,7 +248,7 @@ def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, float]:
         median_lq_ratio=float(np.median(lq)),
         max_lq_ratio=float(np.max(lq)),
     )
-    return row, synthesis_s
+    return row, timings
 
 
 def _run_study(
@@ -248,16 +259,16 @@ def _run_study(
     """One row per N, then the study's own `verdicts(cfg, report)`
     failures, then the baseline comparison.
 
-    meta["row_wall_s"] gives each row's wall time, and `synthesis_s`, its
-    time inside the sup-norm core, with its problem size; timing never
-    enters the rows."""
+    meta["row_wall_s"] gives each row's wall time, its time in the block
+    draw (`draw_s`) and inside the sup-norm core (`synthesis_s`), with its
+    problem size; timing never enters the rows."""
     start = time.perf_counter()
     report = ExperimentReport(kind=kind, config=cfg.to_dict())
     row_wall_s: list[dict] = []
     report.meta["row_wall_s"] = row_wall_s
     for N in sorted(cfg.N_values):
         row_start = time.perf_counter()
-        row, synthesis_s = _row(cfg, N)
+        row, timings = _row(cfg, N)
         report.rows.append(row)
         row_wall_s.append({
             "N": N,
@@ -265,7 +276,7 @@ def _run_study(
             "terms": math.comb(N + 1, cfg.d) * (cfg.p - 1) ** cfg.d,
             "trials": cfg.trials,
             "wall_s": time.perf_counter() - row_start,
-            "synthesis_s": synthesis_s,
+            **timings,
         })
     if verdicts is not None:
         report.failures.extend(verdicts(cfg, report))

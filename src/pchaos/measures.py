@@ -105,6 +105,12 @@ def is_self_conjugate(p: int, j: int) -> bool:
     return (2 * j) % p == 0
 
 
+def _check_ints(**scalars) -> None:
+    """Refuse a scalar argument that is not an integer (see `check_int`)."""
+    for name, value in scalars.items():
+        check_int(value, f"{name} must be an integer")
+
+
 def _validate_exponents(p: int, j: Sequence[int]) -> list[int]:
     out = [check_int(x, "exponents must be integers") for x in j]
     for jk in out:
@@ -311,6 +317,7 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     variation is returned; the l1 norm of the shaping coefficients, an
     upper bound for it independent of J, is recorded in the provenance.
     """
+    _check_ints(p=p, d=d, level=level)
     J = _validate_exponents(p, J)
     if len(J) != level:
         raise LevelMismatch(f"need {level} exponents, got {len(J)}")
@@ -343,6 +350,7 @@ def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
 
 def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     """Measure keeping chaos order s and killing every other order <= d."""
+    _check_ints(p=p, d=d, s=s, level=level)
     coeffs = lemma2_polynomial(p, d, s)
     if level < 1:
         raise LevelMismatch(f"level must be at least 1, got {level}")
@@ -360,6 +368,7 @@ def rho_y_measure(
     Its coefficient at the J-matched index over positions k_1 < ... < k_d
     equals (prod_i signs[k_i]) / 2^d, and its total variation is 1.
     """
+    _check_ints(p=p, level=level)
     J = _validate_exponents(p, J)
     signs = [check_int(x, "signs must be integers") for x in signs]
     if len(J) != level or len(signs) != level:

@@ -47,16 +47,20 @@ def test_zero_trials_refused():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf-j"])
 def test_a_non_finite_draw_is_refused_before_the_sup_norm(bad, monkeypatch):
     # the row's coefficient block is checked once, before any synthesis;
-    # here the third trial's draw holds the bad value
-    draw, draws, cores = experiments.draw_coefficients, [], []
+    # here the third trial of the block draw holds the bad value
+    block_draw, cores = experiments.block_draw, []
 
-    def spoiled(rng, count, ensemble):
-        draws.append(draw(rng, count, ensemble))
-        if len(draws) == 3:
-            draws[-1][count // 2] = bad
-        return draws[-1]
+    def spoiled(*args):
+        draw = block_draw(*args)
 
-    monkeypatch.setattr(experiments, "draw_coefficients", spoiled)
+        def spoiled_draw(trials):
+            block = draw(trials)
+            block[2, block.shape[1] // 2] = bad
+            return block
+
+        return spoiled_draw
+
+    monkeypatch.setattr(experiments, "block_draw", spoiled)
     monkeypatch.setattr(experiments, "_row_sups", lambda *args: cores.append(args))
     with pytest.raises(NonFiniteValue):
         random_ensemble_study(ExperimentConfig(p=3, d=2, N_values=(4,), trials=5, seed=1))
@@ -230,10 +234,13 @@ def test_row_wall_times_stay_out_of_rows():
             {"N": N, "cells": 3 ** (N + 1), "terms": len(term_indices(3, 2, N)), "trials": 4}
             for N in (3, 4)
         ]
-        assert all(set(t) - set(s) == {"wall_s", "synthesis_s"} for t, s in zip(timings, sizes))
-        assert all(0 < t["synthesis_s"] < t["wall_s"] for t in timings)
+        assert all(
+            set(t) - set(s) == {"wall_s", "draw_s", "synthesis_s"} for t, s in zip(timings, sizes)
+        )
+        assert all(0 < t["draw_s"] and 0 < t["synthesis_s"] for t in timings)
+        assert all(t["draw_s"] + t["synthesis_s"] < t["wall_s"] for t in timings)
         keys = [key for row in report.rows for key in row.to_dict()]
-        assert not any("wall" in key or "synthesis" in key for key in keys)
+        assert not any(word in key for key in keys for word in ("wall", "draw", "synthesis"))
     assert first.meta["row_wall_s"] is not second.meta["row_wall_s"]
     # no study runs on zero trials, so there is no empty row_wall_s
     with pytest.raises(ChaosError, match="trial count must be >= 1"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pchaos import (
+    ChaosPolynomial,
     CoefficientOutOfRange,
     GuardExceeded,
     IllConditionedSystem,
@@ -260,6 +261,26 @@ def test_riesz_density_refuses_non_finite(bad):
 )
 def test_refuses_exponents_and_signs_that_are_not_integers(build, bad):
     # int() would run J=(1,), j=2 and signs (1,) in their place
+    with pytest.raises(MalformedIndex, match=bad):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: riesz_density(3, True, [0.5], [1]), "level must be an integer, got True"),
+        (
+            lambda: ChaosPolynomial.from_indices(2, True, [1], [1.0]),
+            "N must be an integer, got True",
+        ),
+        (lambda: lemma1_measure(3, True, [1, 2, 1], 3), "d must be an integer, got True"),
+        (lambda: lemma2_measure(3, 2.0, 1, 3), "d must be an integer, got 2.0"),
+        (lambda: rho_y_measure(2.0, [1], [1], 1), "p must be an integer, got 2.0"),
+    ],
+    ids=["riesz-level", "polynomial-N", "lemma1-d", "lemma2-d", "rho-y-p"],
+)
+def test_refuses_scalars_that_are_not_integers(build, bad):
+    # the bools ran as level 1, N=1 and d=1; the floats ended in a TypeError
     with pytest.raises(MalformedIndex, match=bad):
         build()
 
