@@ -27,8 +27,12 @@ with a pair of stage buffers; it passes float32 only for integers with
 sum |c| < 2^24, whose every partial sum float32 holds exactly. Other
 values carry the rounding of the complex root-of-unity table and of the
 GEMMs.
-`naive_forward` retains the quadratic-cost defining sum as the reference;
-the two must agree to rounding on every input.
+`naive_forward` retains the quadratic-cost defining sum as the reference,
+independent of the stage loop: each character value is the root-of-unity
+table entry of its own full phase sum mod p, gathered 16 rows at a time
+from two half-digit phase tables (`_half_digit_tables`), and each block
+multiplies the values in one matrix-vector product. The two must agree to
+rounding on every input.
 """
 
 from __future__ import annotations
@@ -115,6 +119,15 @@ def character_value(m: int, p: int, level: int, c: int) -> complex:
     return complex(np.exp(2j * np.pi * (phase % p) / p))
 
 
+def _phase_table(p: int, level: int) -> np.ndarray:
+    """(p^L, p^L) phases of the level-L characters: entry [m, c] is
+    sum_k l_k c_(k+1) mod p, so chi[m, c] = omega^entry. Row k of the cell
+    digits, c_(k+1), is digit L-1-k of the cell index read least
+    significant first."""
+    d = digit_matrix(np.arange(p**level), p, level)
+    return (d @ d[:, ::-1].T) % p
+
+
 # Cells one stage contracts at most: g=5 digits at p=2, 3 at p=3, 2 at p=4
 # and p=5, 1 from p=7 up. A cap of 64 measured slower at p=2 and p=4.
 _STAGE_CELLS = 32
@@ -131,8 +144,7 @@ def _stage_kernel(p: int, g: int, sign: int, dtype: np.dtype) -> np.ndarray:
         # conj(omega^0) is 1-0j; + 0.0 gives it the +0.0 imaginary part the
         # row and column of ones have always carried.
         powers = np.conjugate(powers) + 0.0
-    d = digit_matrix(np.arange(p**g), p, g)
-    kernel = powers[(d @ d[:, ::-1].T) % p]
+    kernel = powers[_phase_table(p, g)]
     if dtype.kind == "f":
         kernel = np.ascontiguousarray(kernel.real, dtype=dtype)
     kernel.flags.writeable = False
@@ -222,9 +234,10 @@ def inverse(s: Spectrum) -> StepFunction:
     return StepFunction(s.p, s.level, values)
 
 
-# Rows the reference oracles hold at once (`convolve_functions` rounds up to
-# a power of p): at p^L = 2187 cells a 16-row block of the character table
-# (0.8 MiB) stays in a 2 MiB L2 cache.
+# Rows of the character table `naive_forward` gathers and multiplies at
+# once, and rows `convolve_functions` takes at once (rounded up to a power
+# of p). Either oracle holds O(16 p^L) entries, not O(p^2L): at the 3^7-cell
+# guard a 16-row complex128 block is 0.5 MiB.
 _REFERENCE_BLOCK_ROWS = 16
 
 
@@ -233,57 +246,59 @@ def _check_direct(p: int, level: int, what: str) -> None:
         raise GuardExceeded(f"{what} needs {p}^{level} squared entries, above the guard")
 
 
-def _reference_digits(p: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Paley digit rows (p^L, L) and cell digit columns (L, p^L) as float64
-    operands of the phase product: entry [m, c] is the phase sum
-    sum_k l_k c_{k+1} of chi[m, c], an integer at most L (p-1)^2 < 2^53, so
-    the float64 product is exact. Row k of the cell operand holds c_{k+1},
-    which is digit L-1-k of the cell index read least significant first."""
-    digits = digit_matrix(np.arange(p**level), p, level).astype(np.float64)
-    return digits, np.ascontiguousarray(digits[:, ::-1].T)
+def _half_digit_tables(p: int, level: int, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The level-L character table over `powers` (omega's powers or their
+    conjugates) as (runs, index): row m of the table is runs[index[m]] read
+    flat.
 
-
-def _phase_powers(p: int, level: int) -> np.ndarray:
-    """omega^(s mod p) for every phase sum s in 0..L (p-1)^2, so indexing
-    with a phase sum reduces it mod p."""
-    return root_of_unity_powers(p)[np.arange(level * (p - 1) ** 2 + 1) % p]
+    Split m into its a = L//2 low digits m_lo and the rest m_hi, and the
+    cell c into its top a digits c_hi = (c_1..c_a) and the rest c_lo. The
+    phase of chi[m, c] is the integer sum of the level-a phase [m_lo, c_hi]
+    and the level-(L-a) phase [m_hi, c_lo], so row m is p^a runs of
+    p^(L-a) cells. runs[m_hi * p + t] is powers at (level-(L-a) phase row
+    m_hi + t) mod p, and index[m, c_hi] is m_hi * p plus the level-a phase
+    [m_lo, c_hi]: every entry is the powers entry of its own full phase sum.
+    """
+    a = level // 2
+    high = _phase_table(p, level - a)
+    runs = powers[(high[:, None, :] + np.arange(p)[:, None]) % p].reshape(-1, p ** (level - a))
+    index = np.arange(p ** (level - a))[:, None, None] * p + _phase_table(p, a)
+    return runs, index.reshape(p**level, p**a)
 
 
 def character_matrix(p: int, level: int) -> np.ndarray:
     """Full (p^L, p^L) table of character values chi[m, c]. Quadratic cost;
     guarded to small grids."""
     _check_direct(p, level, "character matrix")
-    mdig, cdig_t = _reference_digits(p, level)
-    return _phase_powers(p, level)[(mdig @ cdig_t).astype(np.intp)]
+    runs, index = _half_digit_tables(p, level, root_of_unity_powers(p))
+    return runs[index].reshape(p**level, p**level)
 
 
 def naive_forward(f: StepFunction) -> Spectrum:
     """The defining double sum, kept as the reference for the fast path.
 
-    Every character value comes from its own digit pairing. The table is
-    built a block of rows at a time, so memory is O(block p^L), not O(p^2L).
+    Every character value is the table entry of its own full phase sum;
+    only the gather is factored (see `_half_digit_tables`), the sum is not.
+    The conjugate table is gathered a block of rows at a time and each
+    block multiplies the values, so memory is O(block p^L), not O(p^2L).
     """
     p, level = f.p, f.level
     _check_direct(p, level, "naive transform")
-    mdig, cdig_t = _reference_digits(p, level)
-    conj_powers = np.conjugate(_phase_powers(p, level))
+    runs, index = _half_digit_tables(p, level, np.conjugate(root_of_unity_powers(p)))
     size = p**level
     rows = min(size, _REFERENCE_BLOCK_ROWS)
-    # Block buffers are reused: a fresh multi-MiB temporary per block is
+    # One block buffer, reused: a fresh half-MiB temporary per block is
     # handed back to the OS and page-faulted in again on every block.
-    product = np.empty((rows, size))
-    phase = np.empty((rows, size), dtype=np.intp)
     chi = np.empty((rows, size), dtype=np.complex128)
     coeffs = np.empty(size, dtype=np.complex128)
     for start in range(0, size, rows):
         stop = min(start + rows, size)
-        block = slice(0, stop - start)
-        np.matmul(mdig[start:stop], cdig_t, out=product[block])
-        phase[block] = product[block]
-        # Phase sums lie in 0..L (p-1)^2, the whole table, so "clip" never
-        # clips; unlike the default "raise" it gathers without buffering.
-        np.take(conj_powers, phase[block], out=chi[block], mode="clip")
-        np.matmul(chi[block], f.values, out=coeffs[start:stop])
+        block = chi[: stop - start]
+        # Every index names a row of `runs`, so "clip" never clips; unlike
+        # the default "raise" it gathers without buffering.
+        out = block.reshape(stop - start, -1, runs.shape[1])
+        np.take(runs, index[start:stop], axis=0, out=out, mode="clip")
+        np.matmul(block, f.values, out=coeffs[start:stop])
     coeffs *= p ** (-level)
     return Spectrum(p, level, coeffs)
 

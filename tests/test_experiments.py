@@ -18,6 +18,7 @@ from pchaos import (
     Spectrum,
     growth_study,
     lemma1_measure,
+    lemma2_measure,
     linf_norm,
     lq_norm,
     random_ensemble_study,
@@ -453,6 +454,24 @@ class TestVerifySuite:
         report = verify_suite([3], [1], N=3, seed=1)
         assert not report.passed
         assert "lemma1-pattern" in report.failures()
+
+    def test_each_lemma2_measure_is_built_once_per_call(self, monkeypatch):
+        # lemma2-pattern, young-bound and order-projection use 15 measures
+        # of 6 on this grid; each is built once per call and is read-only
+        built = []
+
+        def counted(p, d, s, level):
+            nu = lemma2_measure(p, d, s, level)
+            built.append(((p, d, s), nu))
+            return nu
+
+        monkeypatch.setattr(experiments, "lemma2_measure", counted)
+        for _ in range(2):
+            built.clear()
+            assert verify_suite([2], [1, 2, 3], N=3, seed=0).passed
+            keys = sorted(key for key, _ in built)
+            assert keys == [(2, d, s) for d in (1, 2, 3) for s in range(1, d + 1)]
+            assert not any(nu.spectrum.coeffs.flags.writeable for _, nu in built)
 
     def test_report_dict_shape(self):
         report = verify_suite([2], [1], N=3, seed=0)

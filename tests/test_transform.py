@@ -28,6 +28,7 @@ from pchaos import (
     random_chaos,
 )
 from pchaos.config import MAX_DIRECT_CELLS
+from pchaos.padic import digit_matrix
 from pchaos import transform
 from pchaos.transform import _group_sub_table, _stage_kernel, _tensor_dft, character_matrix
 
@@ -200,9 +201,40 @@ class TestFastVsNaive:
         with pytest.raises(GuardExceeded):
             naive_forward(StepFunction(2, 12, np.zeros(2**12)))
 
-    def test_naive_forward_memory(self):
-        # a full 2187 x 2187 table and its conjugate would take ~146 MiB
-        f = random_function(3, 7, seed=3)
+    @pytest.mark.parametrize("p", range(2, 17))
+    def test_naive_forward_bits_match_phase_product(self, p):
+        # every admitted level, level 0 included, and complex, real and
+        # small-integer values: the half-digit gather gives the bits of
+        # the phase-product route entry for entry, and so sum for sum
+        rng = np.random.default_rng(p)
+        level = 0
+        while p**level <= MAX_DIRECT_CELLS:
+            size = p**level
+            real = rng.standard_normal(size)
+            for values in (
+                real + 1j * rng.standard_normal(size),
+                real,
+                rng.integers(-3, 4, size).astype(float),
+            ):
+                f = StepFunction(p, level, values)
+                expected = _phase_product_forward(f)
+                np.testing.assert_array_equal(_bits(naive_forward(f).coeffs), _bits(expected))
+            level += 1
+
+    @pytest.mark.parametrize("p", range(2, 17))
+    def test_character_matrix_bits_match_phase_product(self, p):
+        level = 0
+        while p**level <= MAX_DIRECT_CELLS:
+            mdig, cdig_t = _phase_product_digits(p, level)
+            powers = transform.root_of_unity_powers(p)[np.arange(level * (p - 1) ** 2 + 1) % p]
+            expected = powers[(mdig @ cdig_t).astype(np.intp)]
+            np.testing.assert_array_equal(_bits(character_matrix(p, level)), _bits(expected))
+            level += 1
+
+    @pytest.mark.parametrize("p,level", [(3, 7), (2, 11)])
+    def test_naive_forward_memory(self, p, level):
+        # a full table and its conjugate would take 128 MiB at 2^11, 146 at 3^7
+        f = random_function(p, level, seed=3)
         tracemalloc.start()
         try:
             naive_forward(f)
@@ -210,6 +242,35 @@ class TestFastVsNaive:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * 2**20
+
+
+def _phase_product_digits(p, level):
+    """Paley digit rows (p^L, L) and cell digit columns (L, p^L) as float64:
+    their product is the phase sum sum_k l_k c_(k+1) of every entry, an
+    integer at most L (p-1)^2, so exact in float64."""
+    digits = digit_matrix(np.arange(p**level), p, level).astype(np.float64)
+    return digits, np.ascontiguousarray(digits[:, ::-1].T)
+
+
+def _phase_product_forward(f):
+    """The reference transform as one phase product per 16-row block: the
+    block's phase sums from a float64 GEMM, cast to intp, then gathered
+    element by element from the conjugate powers of every phase sum."""
+    p, level = f.p, f.level
+    mdig, cdig_t = _phase_product_digits(p, level)
+    sums = np.arange(level * (p - 1) ** 2 + 1) % p
+    conj_powers = np.conjugate(transform.root_of_unity_powers(p)[sums])
+    size = p**level
+    rows = min(size, 16)
+    chi = np.empty((rows, size), dtype=np.complex128)
+    coeffs = np.empty(size, dtype=np.complex128)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        phase = (mdig[start:stop] @ cdig_t).astype(np.intp)
+        np.take(conj_powers, phase, out=chi[: stop - start])
+        np.matmul(chi[: stop - start], f.values, out=coeffs[start:stop])
+    coeffs *= p ** (-level)
+    return coeffs
 
 
 def _stage_digits(p):
