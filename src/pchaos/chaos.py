@@ -13,16 +13,14 @@ synthesis, sup-norm and every convolution identity below are exact finite
 computations (up to rounding), never sampled approximations.
 
 The sup-norm is computed by enumeration of the p^(N+1) cells through the
-fast synthesis. A p=2 polynomial with all-real coefficients stays in one
-float dtype throughout (coefficient scatter, transform stages, abs and
-argmax): float32 when they are integers with sum |c| < 2^24, so that every
-partial sum is an integer float32 holds exactly, else float64; any other
-polynomial is synthesised in complex128. In float32, orders of one parity
-take the sup over the half grid, with the same result bit for bit (see
-`linf_norm`). One core, `_row_sups`, takes these sup-norms for a block of
-coefficient rows on shared terms in one dtype, as a study row does for its
-trials; `linf_norm` is its one-row case, and
-`lq_norm` is likewise the one-row case of `_row_lq_norms`. Exponent
+fast synthesis, in the coefficients' working dtype
+(`transform._working_dtype`); a real one is kept throughout (coefficient
+scatter, transform stages, abs and argmax), so no complex grid is built.
+In float32, orders of one parity take the sup over the half grid, with
+the same result bit for bit (see `linf_norm`). One core, `_row_sups`,
+takes these sup-norms for a block of coefficient rows on shared terms in
+one dtype, as a study row does for its trials; `linf_norm` is its one-row
+case, and `lq_norm` is likewise the one-row case of `_row_lq_norms`. Exponent
 projection is defined by coefficient selection; convolution with the
 matching selector measure is the verification route, kept separate so the
 two can be compared. The order projection extracts one chaos order of a
@@ -64,7 +62,7 @@ from .padic import (
     paley_decode,
     paley_encode,
 )
-from .transform import Spectrum, _tensor_dft, convolve
+from .transform import Spectrum, _tensor_dft, _working_dtype, convolve
 
 # Bound in bytes on one chunk of a per-term array over many rows: the
 # (sequences x terms) match mask of `decomposition_residual`, and a study
@@ -265,39 +263,20 @@ def polynomial_spectrum(Q: ChaosPolynomial, level: int) -> Spectrum:
     return Spectrum(Q.p, level, coeffs)
 
 
-def _working_dtype(p: int, block: np.ndarray) -> np.dtype:
-    """The one dtype a (rows x terms) coefficient block is synthesised in.
-
-    At p=2 a block whose coefficients are all real (a -0.0 imaginary part
-    counts as zero) runs in float32 when they are integers and every row
-    has sum |c| < 2^24, else in float64; any other block runs in
-    complex128. Every partial sum of a +-1 stage is a signed sum of a
-    subset of a row's coefficients, so with integers it stays an integer
-    at most sum |c|, which float32 holds exactly below 2^24. The bound is
-    strict, so that numpy's float sum being below it proves the true sum
-    is. Only the block is scanned."""
-    if p != 2 or block.imag.any():
-        return np.dtype(complex)
-    real = block.real
-    if (real == np.rint(real)).all() and (np.abs(real).sum(axis=1) < 2.0**24).all():
-        return np.dtype(np.float32)
-    return np.dtype(float)
-
-
 def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """`linf_norm` of Q's terms with each row of a finite (rows x terms)
     complex128 block, aligned with ``Q.indices``, as their coefficients:
     every row's sup and first maximal cell. Q's own values are not read.
 
     The level and the cell guard are checked once, before the grid is
-    allocated. The whole block runs in one dtype (see `_working_dtype`),
-    on the half grid when that is float32 and Q's orders share one parity.
-    Its rows share one zeroed scatter grid: every row writes the same
-    entries, so the grid is never re-zeroed. Each row is one stage loop
-    into the call's two stage buffers, whose result is reduced in place
-    when real. Grid and buffers live exactly as long as the call. A block
-    that mixes real and complex rows (no caller builds one) runs in
-    complex128, correct to rounding."""
+    allocated. The whole block runs in one dtype (see
+    `transform._working_dtype`), on the half grid when that is float32 and
+    Q's orders share one parity. Its rows share one zeroed scatter grid:
+    every row writes the same entries, so the grid is never re-zeroed.
+    Each row is one stage loop into the call's two stage buffers, whose
+    result is reduced in place when real. Grid and buffers live exactly as
+    long as the call. A block that mixes real and complex rows (no caller
+    builds one) runs in complex128, correct to rounding."""
     level = Q.N + 1
     _check_level(Q, level)
     dtype = _working_dtype(Q.p, block)
@@ -326,12 +305,10 @@ def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     an int on the level-(N+1) grid: the one-row case of the sup-norm core
     that a study row runs on all its trials at once.
 
-    Q is synthesised in its working dtype (see `_working_dtype`): float32
-    for a p=2 polynomial with real integer coefficients summing in
-    absolute value below 2^24, float64 for any other real p=2 polynomial,
-    complex128 otherwise. In float32 every partial sum is an integer below
-    2^24, exact in any order and with or without FMA, so sup and cell are
-    the float64 grid's bit for bit.
+    Q is synthesised in its working dtype (see `transform._working_dtype`).
+    In float32 every partial sum is an integer below 2^24, exact in any
+    order and with or without FMA, so sup and cell are the float64 grid's
+    bit for bit.
 
     Half grid: when Q runs in float32 and has terms, all of one order
     parity, only the cells with top digit c_1 = 0 are synthesised.

@@ -16,6 +16,7 @@ calls; the math modules stay pure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import platform
 import sys
@@ -43,8 +44,10 @@ from .chaos import (
     project_J,
     project_order,
 )
+from ._substreams import ENSEMBLES
 from .experiments import (
     ExperimentConfig,
+    ExperimentRow,
     growth_study,
     random_ensemble_study,
     verify_suite,
@@ -270,20 +273,7 @@ def cmd_decompose(args) -> int:
 
 
 def _study_csv(path: str, report) -> None:
-    fieldnames = [
-        "format_version",
-        "p",
-        "d",
-        "N",
-        "ensemble",
-        "trials",
-        "seed",
-        "q",
-        "median_l1_ratio",
-        "max_l1_ratio",
-        "median_lq_ratio",
-        "max_lq_ratio",
-    ]
+    fieldnames = ["format_version", *(f.name for f in dataclasses.fields(ExperimentRow))]
     rows = [
         {"format_version": ser.FORMAT_VERSION} | row.to_dict() for row in report.rows
     ]
@@ -390,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--N", required=True, help="comma-separated top positions")
         p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--ensemble", choices=("signs", "unimodular"), default="signs")
+        p.add_argument("--ensemble", choices=ENSEMBLES, default="signs")
         p.add_argument("--out")
         p.add_argument("--csv")
         p.add_argument("--seed", type=int, default=0)
@@ -415,10 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ChaosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ChaosError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

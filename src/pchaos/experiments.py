@@ -165,9 +165,9 @@ class ExperimentRow:
     p: int
     d: int
     N: int
+    ensemble: str
     trials: int
     seed: int
-    ensemble: str
     q: float
     median_l1_ratio: float
     max_l1_ratio: float

@@ -66,7 +66,7 @@ from .errors import (
     InvalidOrder,
     LevelMismatch,
 )
-from .padic import exponent_match, term_indices
+from .padic import check_chaos_order, exponent_match, term_indices
 from .transform import Spectrum, StepFunction, forward, inverse
 
 
@@ -426,9 +426,11 @@ def lemma2_pattern_residual(
     measure: MeasureRep, d: int, s: int, N: int
 ) -> tuple[float, float]:
     """(max |coeff - 1| over order-s indices,
-    max |coeff| over orders j <= d, j != s), positions 0..N."""
+    max |coeff| over orders j <= d, j != s), positions 0..N. An order s
+    with no term on the N+1 positions is refused (`EmptyIndexSet`)."""
     p = measure.p
     _check_resolves(measure, N)
+    check_chaos_order(p, s, N)
     kept, killed = 0.0, 0.0
     for order in range(1, min(d, N + 1) + 1):
         values = measure.spectrum.coeffs[term_indices(p, order, N)]

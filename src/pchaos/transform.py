@@ -17,16 +17,12 @@ becomes the pointwise product of coefficient arrays.
 The fast path contracts the digits g at a time, one matrix product (BLAS
 GEMM) with the level-g character table per stage, in the layout of a
 Stockham autosort FFT, so no final reorder is needed (see `_tensor_dft`).
-At p=2, real-dtype input and complex input whose imaginary part is all
-zero run in a float dtype with the exact +-1 table, so integer spectra
-synthesise to exact integers: float32 input stays float32, any other runs
-in float64. The stage loop returns that working dtype; `forward`/`inverse`
-pass it float64 and widen its result to complex128. Chaos's sup-norm picks
-the dtype itself, once per call, and hands the loop its grid in that dtype
-with a pair of stage buffers; it passes float32 only for integers with
-sum |c| < 2^24, whose every partial sum float32 holds exactly. Other
-values carry the rounding of the complex root-of-unity table and of the
-GEMMs.
+At p=2, real input runs the same stages in a float dtype with the exact
++-1 table, so integer spectra synthesise to exact integers; other values
+carry the rounding of the complex root-of-unity table and of the GEMMs.
+The stage loop runs in the dtype it is handed. `_working_dtype` is the one
+rule that picks it, applied once per call by `forward`/`inverse` (which
+widen the result to complex128) and by chaos's sup-norm.
 `naive_forward` retains the quadratic-cost defining sum as the reference,
 independent of the stage loop: each character value is the root-of-unity
 table entry of its own full phase sum mod p, gathered 16 rows at a time
@@ -151,6 +147,25 @@ def _stage_kernel(p: int, g: int, sign: int, dtype: np.dtype) -> np.ndarray:
     return kernel
 
 
+def _working_dtype(p: int, block: np.ndarray) -> np.dtype:
+    """The one dtype a (rows x terms) coefficient block is synthesised in.
+
+    At p=2 a block whose coefficients are all real (a -0.0 imaginary part
+    counts as zero) runs in float32 when they are integers and every row
+    has sum |c| < 2^24, else in float64; any other block runs in
+    complex128. Every partial sum of a +-1 stage is a signed sum of a
+    subset of a row's coefficients, so with integers it stays an integer
+    at most sum |c|, which float32 holds exactly below 2^24. The bound is
+    strict, so that numpy's float sum being below it proves the true sum
+    is. Only the block is scanned."""
+    if p != 2 or block.imag.any():
+        return np.dtype(complex)
+    real = block.real
+    if (real == np.rint(real)).all() and (np.abs(real).sum(axis=1) < 2.0**24).all():
+        return np.dtype(np.float32)
+    return np.dtype(float)
+
+
 def _tensor_dft(
     values: np.ndarray, p: int, level: int, sign: int, buffers: tuple | None = None
 ) -> np.ndarray:
@@ -168,30 +183,21 @@ def _tensor_dft(
     above the digits already written, l_j lowest. After the last stage
     (R = 1) the array is Paley-indexed: no final reorder.
 
-    Without `buffers`, real p=2 input runs the same stages with the exact
-    +-1 table in its float dtype, float32 for float32 input and float64 for
-    any other, and the loop returns that working dtype. A real-dtype array
-    is taken as real without a scan; a complex one is real when its
-    imaginary part is all zero (-0.0 included). A float32 result is exact
-    when the input holds integers with sum |c| < 2^24: every partial sum of
-    a +-1 stage is a signed sum of a subset of them.
-
-    Every stage writes into one of two stage buffers, and `values` is never
-    written. Without `buffers` both are fresh, and so is the result. With a
-    caller's pair (contiguous, of `values`'s size and dtype) the loop runs
-    in `values`'s dtype with no scan, so the caller picks it (real only at
-    p=2); the result is one of the pair, valid until its next use, and
-    `values` must be neither.
+    The loop runs in `values`'s dtype and neither scans nor casts it: the
+    caller picks the dtype (see `_working_dtype`) and hands a contiguous
+    array, real only at p=2 (a real dtype takes the kernel's real part,
+    the exact +-1 table there) and complex128 otherwise. Every stage
+    writes into one of two stage buffers, and `values` is never written.
+    Without `buffers` both are fresh, and so is the result. With a
+    caller's pair (contiguous, of `values`'s size and dtype) the result is
+    one of the pair, valid until its next use, and `values` must be
+    neither.
     """
-    a = values
-    if buffers is None:
-        if p == 2 and (a.dtype.kind != "c" or not a.imag.any()):
-            a = np.ascontiguousarray(a.real, np.float32 if a.dtype == np.float32 else float)
-        else:
-            a = np.ascontiguousarray(a, complex)
-        buffers = np.empty_like(a), np.empty_like(a)
     if level == 0:
-        return a.copy()
+        return values.copy()
+    if buffers is None:
+        buffers = np.empty_like(values), np.empty_like(values)
+    a = values
     width = 1
     while p ** (width + 1) <= _STAGE_CELLS:
         width += 1
@@ -222,16 +228,28 @@ def _tensor_dft(
     return a.reshape(p**level)
 
 
+def _synthesis(values: np.ndarray, p: int, level: int, sign: int) -> np.ndarray:
+    """The stage loop on complex128 `values` in their working dtype (see
+    `_working_dtype`), its result widened to a fresh complex128 array."""
+    dtype = _working_dtype(p, values[None])
+    # No name holds the cast input, so it is freed before the result is
+    # widened: a real grid peaks at its two stage buffers and the cast.
+    result = _tensor_dft(
+        np.ascontiguousarray(values if dtype.kind == "c" else values.real, dtype), p, level, sign
+    )
+    return result.astype(complex, copy=False)
+
+
 def forward(f: StepFunction) -> Spectrum:
     """Fast transform: coeffs[m] = p^-L sum_c values[c] conj(character_m(c))."""
-    coeffs = _tensor_dft(f.values, f.p, f.level, sign=-1) * f.p ** (-f.level)
+    coeffs = _synthesis(f.values, f.p, f.level, sign=-1)
+    coeffs *= f.p ** (-f.level)  # in place: a second complex grid raises the peak
     return Spectrum(f.p, f.level, coeffs)
 
 
 def inverse(s: Spectrum) -> StepFunction:
     """Fast synthesis: values[c] = sum_m coeffs[m] character_m(c)."""
-    values = _tensor_dft(s.coeffs, s.p, s.level, sign=+1)
-    return StepFunction(s.p, s.level, values)
+    return StepFunction(s.p, s.level, _synthesis(s.coeffs, s.p, s.level, sign=+1))
 
 
 # Rows of the character table `naive_forward` gathers and multiplies at

@@ -159,6 +159,14 @@ def test_lemma2_pattern(tmp_path):
     assert json.loads(Path(out).read_text())["pattern_check"]["passed"] is True
 
 
+def test_lemma2_order_without_terms_is_refused(tmp_path, capsys):
+    # order 3 on the 2 positions of N=1 has no term to check: exit 2, no file
+    out = tmp_path / "nu3.json"
+    assert run("lemma2", "--p", "2", "--d", "3", "--s", "3", "--N", "1", "--out", out) == 2
+    assert "order 3 exceeds the 2 available positions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_riesz_mass_output(tmp_path):
     out = tmp_path / "rho.json"
     code = run(

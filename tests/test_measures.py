@@ -6,6 +6,7 @@ import pytest
 from pchaos import (
     ChaosPolynomial,
     CoefficientOutOfRange,
+    EmptyIndexSet,
     GuardExceeded,
     IllConditionedSystem,
     InvalidOrder,
@@ -169,6 +170,12 @@ class TestLemma2:
     def test_invalid_order(self):
         with pytest.raises(InvalidOrder):
             lemma2_measure(2, 2, 3, 4)
+
+    def test_pattern_refuses_an_order_without_terms(self):
+        # order 3 has no term on the 2 positions 0..1: nothing to check
+        nu = lemma2_measure(2, 3, 3, 2)
+        with pytest.raises(EmptyIndexSet, match="order 3 exceeds the 2 available positions"):
+            lemma2_pattern_residual(nu, 3, 3, 1)
 
     def test_variation_below_bound(self):
         nu = lemma2_measure(2, 2, 1, 4)

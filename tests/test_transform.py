@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pchaos import (
+    ChaosPolynomial,
     ExperimentConfig,
     GuardExceeded,
     InsufficientLevel,
@@ -29,7 +30,7 @@ from pchaos import (
 )
 from pchaos.config import MAX_DIRECT_CELLS
 from pchaos.padic import digit_matrix
-from pchaos import transform
+from pchaos import chaos, transform
 from pchaos.transform import _group_sub_table, _stage_kernel, _tensor_dft, character_matrix
 
 OMEGA3 = np.exp(2j * np.pi / 3)
@@ -315,6 +316,42 @@ def _kernel_path(values, p, level, sign, real=False):
     return a.reshape(p**level)
 
 
+def _public(values, p, level, sign):
+    """forward's coefficients (sign -1) or inverse's cell values (sign +1)."""
+    if sign < 0:
+        return forward(StepFunction(p, level, values)).coeffs
+    return inverse(Spectrum(p, level, values)).values
+
+
+def _float64_rule(values, p, level, sign):
+    """`_public` by a frozen reference rule: input whose imaginary part is
+    all zero runs the p=2 stages in float64 and is scaled there, then
+    widened; any other runs in complex128. forward and inverse give its
+    bits on every input, whichever dtype `_working_dtype` picks."""
+    values = np.asarray(values, dtype=np.complex128)
+    if p == 2 and not values.imag.any():
+        values = np.ascontiguousarray(values.real)
+    out = _tensor_dft(values, p, level, sign)
+    if sign < 0:
+        out = out * p ** (-level)
+    return out.astype(np.complex128)
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """The dtypes the stage loop is handed, through forward, inverse and
+    the sup-norm core, in call order."""
+    dtypes, loop = [], transform._tensor_dft
+
+    def spy(values, *args, **kwargs):
+        dtypes.append(values.dtype)
+        return loop(values, *args, **kwargs)
+
+    monkeypatch.setattr(transform, "_tensor_dft", spy)
+    monkeypatch.setattr(chaos, "_tensor_dft", spy)
+    return dtypes
+
+
 def _bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
@@ -335,8 +372,10 @@ def test_kernel_from_root_table_is_exp_formula(p, sign):
 
 
 class TestRealBaseTwo:
-    """Real p=2 input runs the stages in float64 with the exact +-1 kernel;
-    all other input the complex kernel."""
+    """The stage loop runs in the dtype it is handed: a float dtype at p=2
+    with the exact +-1 kernel, complex128 with the complex kernel.
+    `forward` and `inverse` hand it their input's working dtype, and give
+    the bits of `_float64_rule` on every input."""
 
     def test_sign_spectrum_synthesises_exact_integers(self):
         # every level through three full stages and a shorter last one; the
@@ -371,56 +410,131 @@ class TestRealBaseTwo:
         assert inverse(Spectrum(2, 0, [-2.0])).values.tolist() == [-2.0]
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_float_and_negative_zero_imaginary_input(self, sign):
-        # all three run the float64 stages and return their float64 result
+    def test_float_and_negative_zero_imaginary_input(self, sign, handed):
+        # real input and input with -0.0 imaginary parts both run the
+        # float64 stages
         real = np.random.default_rng(4).standard_normal(2**6)
-        expected = _tensor_dft(real + 0j, 2, 6, sign)
-        assert expected.dtype == np.float64
         negative_zero = real.astype(np.complex128)
         negative_zero.imag = -0.0
+        expected = _float64_rule(real, 2, 6, sign)
         for values in (real, negative_zero):
-            out = _tensor_dft(values, 2, 6, sign)
-            assert out.dtype == np.float64
+            handed.clear()
+            out = _public(values, 2, 6, sign)
+            assert handed == [np.float64]
             np.testing.assert_array_equal(_bits(out), _bits(expected))
 
     @pytest.mark.parametrize("level", [0, 1, 5, 6, 11, 17])
-    def test_float32_input_stays_float32(self, level):
-        # integers with sum |c| < 2^24: every partial sum is exact in float32
+    def test_float32_input_stays_float32(self, level, handed):
+        # integers with sum |c| < 2^24: every partial sum is exact in
+        # float32, so the loop's float32 result equals its float64 one, and
+        # forward and inverse, which hand it float32, give the float64 bits
         ints = np.random.default_rng(level).integers(-60, 61, 2**level).astype(np.float64)
         assert np.abs(ints).sum() < 2**24
         for sign in (1, -1):
             out = _tensor_dft(ints.astype(np.float32), 2, level, sign)
             assert out.dtype == np.float32
             np.testing.assert_array_equal(out, _tensor_dft(ints, 2, level, sign))
-        assert _tensor_dft(np.ones(9, np.float32), 3, 2, 1).dtype == np.complex128
+            handed.clear()
+            public = _public(ints, 2, level, sign)
+            assert handed == [np.float32]
+            np.testing.assert_array_equal(_bits(public), _bits(_float64_rule(ints, 2, level, sign)))
+
+    @pytest.mark.parametrize("total,dtype", [(2**24 - 1, np.float32), (2**24, np.float64)])
+    def test_integer_sum_bound(self, total, dtype, handed):
+        # integers with sum |c| just below 2^24 run in float32, at 2^24 in
+        # float64, through forward, inverse and linf_norm alike
+        level = 6
+        ints = np.random.default_rng(6).integers(-60, 61, 2**level).astype(np.float64)
+        ints[0] = ints[1] = 0.0
+        ints[1] = total - np.abs(ints).sum()
+        assert np.abs(ints).sum() == total
+        for sign in (1, -1):
+            handed.clear()
+            out = _public(ints, 2, level, sign)
+            assert handed == [dtype]
+            np.testing.assert_array_equal(_bits(out), _bits(_float64_rule(ints, 2, level, sign)))
+        Q = ChaosPolynomial.from_indices(2, level - 1, np.arange(1, 2**level), ints[1:])
+        handed.clear()
+        sup, cell = linf_norm(Q)
+        assert handed == [dtype]
+        magnitudes = np.abs(_tensor_dft(ints, 2, level, 1))
+        assert (sup, cell) == (magnitudes.max(), int(np.argmax(magnitudes)))
 
     @pytest.mark.parametrize("p,level", [(2, 0), (2, 1), (2, 7), (2, 13), (3, 4)])
     def test_public_results_stay_complex(self, p, level):
         # forward and inverse widen the loop's result to complex128, the
-        # float64 one with +0.0 imaginary parts, after forward's scaling
+        # float one with +0.0 imaginary parts, before forward's scaling
         real = np.random.default_rng(level).standard_normal(p**level)
         coeffs = forward(StepFunction(p, level, real)).coeffs
         values = inverse(Spectrum(p, level, real)).values
-        scaled = _tensor_dft(real, p, level, -1) * p ** (-level)
-        for out, raw in ((coeffs, scaled), (values, _tensor_dft(real, p, level, 1))):
+        for out, sign in ((coeffs, -1), (values, 1)):
             assert out.dtype == np.complex128
-            np.testing.assert_array_equal(_bits(out), _bits(raw.astype(np.complex128)))
+            np.testing.assert_array_equal(_bits(out), _bits(_float64_rule(real, p, level, sign)))
             if p == 2:
                 assert not _bits(out.imag).any()
+
+    def test_real_input_memory(self):
+        # the cast input is freed before the result is widened, and forward
+        # scales in place: a real grid peaks at 24 bytes a cell (two float64
+        # stage buffers and the cast, or one buffer and the widened result)
+        f = StepFunction(2, 16, np.random.default_rng(2).standard_normal(2**16))
+        s = Spectrum(2, 16, f.values)
+        for run in (lambda: forward(f), lambda: inverse(s)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 28 * 2**16
 
     @pytest.mark.parametrize("p,level", [(2, 9), (3, 7), (5, 4), (16, 3), (2, 12), (7, 4)])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_other_input_is_the_kernel_path(self, p, level, sign):
+        # complex128 input runs the complex kernel, even at p=2 with an
+        # all-zero imaginary part: the loop never scans its input
         rng = np.random.default_rng(p + level)
         size = p**level
-        inputs = [rng.standard_normal(size) + 1j * rng.standard_normal(size)]
-        inputs.append(rng.standard_normal(size) + 0j)
+        real = rng.standard_normal(size)
+        inputs = [real + 1j * rng.standard_normal(size), real + 0j]
+        if p == 2:
+            inputs.append(real)
         for values in inputs:
-            real = p == 2 and not values.imag.any()
-            np.testing.assert_array_equal(
-                _bits(_tensor_dft(values, p, level, sign)),
-                _bits(_kernel_path(values.real if real else values, p, level, sign, real)),
-            )
+            out = _tensor_dft(values, p, level, sign)
+            assert out.dtype == values.dtype
+            expected = _kernel_path(values, p, level, sign, values.dtype.kind == "f")
+            np.testing.assert_array_equal(_bits(out), _bits(expected))
+
+    def test_one_dtype_decision_per_call(self, monkeypatch):
+        # forward, inverse and the sup-norm core each ask the one rule once
+        assert chaos._working_dtype is transform._working_dtype
+        calls, rule = [], transform._working_dtype
+
+        def spy(p, block):
+            calls.append(block.shape)
+            return rule(p, block)
+
+        monkeypatch.setattr(transform, "_working_dtype", spy)
+        monkeypatch.setattr(chaos, "_working_dtype", spy)
+        rng = np.random.default_rng(8)
+        for p, level in ((2, 0), (2, 7), (3, 4)):
+            size = p**level
+            for values in (rng.integers(-3, 4, size), rng.standard_normal(size) + 0.5j):
+                calls.clear()
+                forward(StepFunction(p, level, values))
+                assert calls == [(1, size)]
+                calls.clear()
+                inverse(Spectrum(p, level, values))
+                assert calls == [(1, size)]
+        for p, ensemble in ((2, "signs"), (3, "unimodular")):
+            Q = random_chaos(p, 2, 5, rng, ensemble)
+            block = np.repeat(Q.values[None], 3, axis=0)
+            calls.clear()
+            chaos._row_sups(Q, block)
+            assert calls == [block.shape]
+            calls.clear()
+            linf_norm(Q)
+            assert calls == [(1, len(Q.values))]
 
 
 class TestConvolve:
@@ -495,9 +609,8 @@ def test_integral():
 
 
 class TestReusedBuffers:
-    """With a caller-owned pair of stage buffers the stage loop runs in its
-    input's dtype and writes only into that pair; its results are
-    bit-identical to fresh buffers."""
+    """With a caller-owned pair of stage buffers the stage loop writes only
+    into that pair; its results are bit-identical to fresh buffers."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 16])
     def test_bit_identical_inside_and_outside(self, p):
@@ -507,24 +620,22 @@ class TestReusedBuffers:
         rng = np.random.default_rng(p)
         for level in range(1, 2 * _stage_digits(p) + 2):
             real = rng.standard_normal(p**level)
-            inputs = [real, real + 1j * rng.standard_normal(p**level)]
+            inputs = [real + 0j, real + 1j * rng.standard_normal(p**level)]
             if p == 2:
-                inputs.append(rng.integers(-3, 4, p**level).astype(np.float32))
+                inputs += [real, rng.integers(-3, 4, p**level).astype(np.float32)]
             pairs = {}
             for values in inputs:
                 for sign in (1, -1):
                     expected = _tensor_dft(values, p, level, sign)
-                    # the loop's own working dtype, which the caller picks
-                    given = values.astype(expected.dtype)
                     pair = pairs.setdefault(
-                        expected.dtype, (np.empty_like(given), np.empty_like(given))
+                        values.dtype, (np.empty_like(values), np.empty_like(values))
                     )
-                    before = given.copy()
-                    out = _tensor_dft(given, p, level, sign, pair)
-                    assert out.dtype == expected.dtype
+                    before = values.copy()
+                    out = _tensor_dft(values, p, level, sign, pair)
+                    assert out.dtype == values.dtype
                     assert any(np.shares_memory(out, buffer) for buffer in pair)
                     np.testing.assert_array_equal(_bits(out), _bits(expected))
-                    np.testing.assert_array_equal(_bits(given), _bits(before))
+                    np.testing.assert_array_equal(_bits(values), _bits(before))
 
     @pytest.mark.parametrize("p,level", [(2, 12), (3, 7), (5, 5), (16, 3)])
     def test_public_results_are_owned(self, p, level):
