@@ -18,10 +18,15 @@ Polynomial files:
 with terms sorted by (k, l). Every file is indented JSON with sorted keys,
 except that a top-level ``data`` array is written compactly on one line;
 any JSON layout loads, so indented ``data`` from older writers still does.
-Floats are emitted with repr precision, so stored values round-trip
-exactly. Every number must be finite: NaN and infinity are neither written
-(they are not JSON) nor accepted on load (FormatError), and neither is a
-JSON boolean where a number belongs.
+Floats are emitted as their repr, so stored values round-trip exactly. A
+grid's ``data`` is not handed to json: `dump_json` fills one ``%`` format
+of "[%r,%r]" per cell from the flat float64 array, writing the bytes json
+would without a Python list per cell. Files are read as UTF-8, with the
+cyclic garbage collector paused while json parses (`_load_header`).
+Every number must be finite: NaN and infinity are neither written (they
+are not JSON) nor accepted on load (FormatError), and neither is a JSON
+boolean where a number belongs. A file that is not UTF-8 or is nested
+deeper than json's recursion limit is a FormatError too.
 Every writer goes through a temporary file in the target directory
 followed by os.replace; readers never observe a partial file.
 """
@@ -29,6 +34,7 @@ followed by os.replace; readers never observe a partial file.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -91,19 +97,31 @@ _DATA_KEY = '\n  "data": '
 
 
 def dump_json(payload: dict) -> str:
-    """Indented, key-sorted JSON, except that a top-level ``data`` value is
-    written compactly on one line. ``indent`` makes json use its pure-Python
-    encoder, about 2.5x slower than the C one on a grid's floats."""
+    """Indented, key-sorted JSON, except that a top-level ``data`` value, a
+    grid's complex array, is written compactly on one line as [re, im]
+    pairs.
+
+    The envelope goes through json with ``data`` set to null. The grid does
+    not: one ``%`` format, the envelope around one "[%r,%r]" per cell, is
+    filled from the flat float64 view and is the whole text, so no Python
+    list is built per cell and no partial text is copied. ``%r`` is
+    float's repr, which is what json writes for a finite float, so the
+    bytes are json's. A non-finite value is refused before anything is
+    written."""
     options = dict(sort_keys=True, default=json_default, allow_nan=False)
     try:
         if "data" not in payload:
             return json.dumps(payload, indent=2, **options) + "\n"
-        data = json.dumps(payload["data"], separators=(",", ":"), **options)
         text = json.dumps(dict(payload, data=None), indent=2, **options)
     except ValueError as exc:
         raise FormatError(f"refusing to write invalid JSON: {exc}") from exc
+    values = np.ascontiguousarray(payload["data"], dtype=np.complex128)
+    if not np.isfinite(values).all():
+        raise FormatError("refusing to write invalid JSON: data holds a non-finite number")
     head, _, tail = text.partition(_DATA_KEY + "null")
-    return head + _DATA_KEY + data + tail + "\n"
+    cells = ",".join(["[%r,%r]"] * values.size)
+    template = "".join(["%s", _DATA_KEY, "[", cells, "]%s\n"])
+    return template % (head, *values.view(np.float64).tolist(), tail)
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
@@ -127,9 +145,16 @@ def _require(payload: dict, field: str, path: str) -> Any:
 
 def _load_header(path: str, *fields: str) -> tuple[dict, list[int]]:
     """Read a file's JSON object, check its format_version and return it with
-    the named header fields, each required to be a JSON integer."""
+    the named header fields, each required to be a JSON integer.
+
+    The file is read as UTF-8 whatever the locale. The cyclic garbage
+    collector is paused while json parses: parsing makes no reference
+    cycles, and a grid's one list per cell would otherwise set off repeated
+    full collections in a process that holds many live objects."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file")
@@ -137,6 +162,13 @@ def _load_header(path: str, *fields: str) -> tuple[dict, list[int]]:
         raise FormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
     version = _require(payload, "format_version", path)
@@ -198,7 +230,7 @@ def _grid_payload(kind: str, p: int, level: int, values: np.ndarray) -> dict:
         "kind": kind,
         "p": p,
         "level": level,
-        "data": _encode_array(values),
+        "data": values,
     }
 
 
@@ -250,7 +282,10 @@ def load_measure(path: str) -> MeasureRep:
         variation = math.inf
     if not math.isfinite(variation):
         raise FormatError(f"{path}: field 'variation' is not a finite number")
-    provenance = _decode_provenance(_require(payload, "provenance", path), path)
+    try:
+        provenance = _decode_provenance(_require(payload, "provenance", path), path)
+    except RecursionError:  # json parses deeper than this recursion reaches
+        raise FormatError(f"{path}: field 'provenance' nested too deeply") from None
     return MeasureRep(Spectrum(p, level, data), variation, provenance)
 
 

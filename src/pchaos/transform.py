@@ -147,6 +147,11 @@ def _stage_kernel(p: int, g: int, sign: int, dtype: np.dtype) -> np.ndarray:
     return kernel
 
 
+# How many leading entries of a large block's first row `_working_dtype`
+# tests for a non-integer before it scans the whole block.
+_PROBE_ENTRIES = 4096
+
+
 def _working_dtype(p: int, block: np.ndarray) -> np.dtype:
     """The one dtype a (rows x terms) coefficient block is synthesised in.
 
@@ -157,10 +162,17 @@ def _working_dtype(p: int, block: np.ndarray) -> np.dtype:
     subset of a row's coefficients, so with integers it stays an integer
     at most sum |c|, which float32 holds exactly below 2^24. The bound is
     strict, so that numpy's float sum being below it proves the true sum
-    is. Only the block is scanned."""
+    is. Only the block is scanned. A block of more than `_PROBE_ENTRIES`
+    entries has the leading ones of its first row tested first: one
+    non-integer there decides float64 without a pass over a large real
+    grid."""
     if p != 2 or block.imag.any():
         return np.dtype(complex)
     real = block.real
+    if real.size > _PROBE_ENTRIES:
+        probe = real[:1, :_PROBE_ENTRIES]
+        if (probe != np.rint(probe)).any():
+            return np.dtype(float)
     if (real == np.rint(real)).all() and (np.abs(real).sum(axis=1) < 2.0**24).all():
         return np.dtype(np.float32)
     return np.dtype(float)

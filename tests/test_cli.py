@@ -456,6 +456,23 @@ def test_malformed_input_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "raw, message",
+    [(b'{"format_version": 1, "p": 2, "\xff": 0}', "not UTF-8"), (b"[" * 200_000 + b"]" * 200_000, "nested")],
+    ids=["invalid-utf8", "nested-200000-deep"],
+)
+@pytest.mark.parametrize("command", ["transform", "norms"])
+def test_unreadable_input_file_exits_2(raw, message, command, tmp_path, capsys):
+    # an input that is not UTF-8, or nested beyond json's recursion, is a
+    # FormatError: exit 2 with a message, and no output file
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_bytes(raw)
+    source = "--in" if command == "transform" else "--poly"
+    assert run(command, source, bad, "--out", out) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "constant, argv",
     [
         ("MASS_TOL", ("riesz", "--p", "3", "--level", "3", "--a", "1,0.5+0.5j,0", "--j", "1,2,1")),

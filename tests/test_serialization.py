@@ -1,11 +1,16 @@
 """File format round trips and malformed-input diagnostics."""
 
+import gc
 import json
+import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pchaos import ChaosPolynomial, FormatError, GuardExceeded, StepFunction, enumerate_Nd, forward
 from pchaos import InvalidExponent, MalformedIndex, Spectrum
@@ -270,6 +275,14 @@ def _indented(payload):
     return text + "\n"
 
 
+def _pairs(payload):
+    """The payload with a grid's complex ``data`` array as the [re, im] pairs
+    json writes for it."""
+    if "data" not in payload:
+        return payload
+    return dict(payload, data=ser._encode_array(payload["data"]))
+
+
 @pytest.fixture
 def payloads(monkeypatch, rng):
     """The payloads the save functions hand to the writer, by file kind."""
@@ -287,7 +300,7 @@ def payloads(monkeypatch, rng):
 @pytest.mark.parametrize("kind", ["grid", "measure", "polynomial"])
 def test_compact_writer_encodes_the_same_json(payloads, kind):
     payload = payloads[kind]
-    assert json.loads(ser.dump_json(payload)) == json.loads(_indented(payload))
+    assert json.loads(ser.dump_json(payload)) == json.loads(_indented(_pairs(payload)))
 
 
 @pytest.mark.parametrize("kind", ["grid", "measure"])
@@ -297,7 +310,7 @@ def test_top_level_data_is_one_compact_line(payloads, kind):
     byte for byte the indented encoding."""
     payload = payloads[kind]
     text = ser.dump_json(payload)
-    compact = json.dumps(payload["data"], separators=(",", ":"))
+    compact = json.dumps(ser._encode_array(payload["data"]), separators=(",", ":"))
     assert "\n" not in compact
     assert text.count('  "data": ' + compact) == 1
     assert text.replace('"data": ' + compact, '"data": null') == _indented(
@@ -327,7 +340,7 @@ def test_indented_files_still_load(tmp_path, payloads, kind):
     load = ser.load_grid if kind == "grid" else ser.load_measure
     old, new = str(tmp_path / "old.json"), str(tmp_path / "new.json")
     with open(old, "w") as handle:
-        handle.write(_indented(payloads[kind]))
+        handle.write(_indented(_pairs(payloads[kind])))
     ser.write_text_atomic(new, ser.dump_json(payloads[kind]))
     assert os.path.getsize(new) < os.path.getsize(old)
     a, b = load(old), load(new)
@@ -344,3 +357,141 @@ def test_non_finite_data_refused_before_any_file(tmp_path, bad, part):
     with pytest.raises(FormatError, match="invalid JSON"):
         ser.save_spectrum(path, Spectrum(2, 2, coeffs))
     assert os.listdir(tmp_path) == []
+
+
+# Floats whose repr sits on a boundary of float.__repr__: signed zero, the
+# subnormals, the smallest normal, the switch to exponent notation at 1e16
+# and below 1e-4, integral values and the ends of the range.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.5e-320, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1e16, 9999999999999998.0, 1.23e17, 1e-4, 9.999999999999999e-05, 9.99e-5, 1e-5,
+    1.0, -3.0, 2.0**53, 2.0**53 + 2, 12345678.0, math.nextafter(1.0, 2.0),
+    sys.float_info.max, -sys.float_info.max,
+]
+WRITER_FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+TEXT = st.text(alphabet='%srd()[]{}"\\\n data', max_size=8)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), WRITER_FLOATS, TEXT),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _spliced(payload):
+    """The grid file as json writes it: the indented envelope with a null
+    ``data``, and json's compact encoding of the [re, im] pairs spliced in."""
+    options = dict(sort_keys=True, default=ser.json_default, allow_nan=False)
+    envelope = json.dumps(dict(payload, data=None), indent=2, **options)
+    head, key, tail = envelope.partition('\n  "data": null')
+    assert key
+    pairs = json.dumps(ser._encode_array(payload["data"]), separators=(",", ":"), **options)
+    return head + '\n  "data": ' + pairs + tail + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 0), (3, 0), (2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (2, 5)]),
+    floats=st.lists(WRITER_FLOATS, min_size=64, max_size=64),
+    measure=st.booleans(),
+    extras=st.dictionaries(TEXT.filter(lambda key: key != "data"), JSON_VALUES, max_size=3),
+    provenance=st.dictionaries(TEXT, JSON_VALUES, max_size=3),
+)
+def test_grid_writer_is_byte_identical_to_json(shape, floats, measure, extras, provenance):
+    p, level = shape
+    size = p**level
+    values = np.array(floats[: 2 * size]).view(np.complex128)
+    payload = ser._grid_payload("paley" if measure else "cells", p, level, values)
+    if measure:
+        payload["variation"] = 1.5
+        payload["provenance"] = provenance | {"data": {"data": values[:2]}, "%s": "%r%%"}
+    payload.update(extras | {"%": "%(data)s"})
+    assert ser.dump_json(payload) == _spliced(payload)
+
+
+# ---------------------------------------------------------------------------
+# Reading: encoding, nesting and the collector
+# ---------------------------------------------------------------------------
+
+
+def _unreadable_files(tmp_path):
+    """Files that _load_header refuses, each with a word of its message."""
+    files = {
+        "invalid UTF-8": (b'{"format_version": 1, "note": "\xff"}', "UTF-8"),
+        "nested too deeply": (b"[" * 200_000 + b"]" * 200_000, "nested"),
+        "invalid JSON": (b"{not json", "line 1"),
+        "not an object": (b"[]", "object"),
+        "wrong version": (b'{"format_version": 2}', "format_version"),
+    }
+    paths = {}
+    for name, (raw, word) in files.items():
+        path = tmp_path / (name.replace(" ", "-") + ".json")
+        path.write_bytes(raw)
+        paths[name] = (str(path), word)
+    paths["missing"] = (str(tmp_path / "missing.json"), "no such file")
+    return paths
+
+
+def test_unreadable_files_are_format_errors(tmp_path):
+    for name, (path, word) in _unreadable_files(tmp_path).items():
+        for load in (ser.load_grid, ser.load_measure, ser.load_polynomial):
+            with pytest.raises(FormatError, match=word):
+                load(path)
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path, monkeypatch):
+    # an open() whose default encoding is latin-1 stands in for a locale
+    # that is not UTF-8; a non-ASCII provenance string still loads as written
+    monkeypatch.setattr(
+        ser, "open", lambda file, encoding="latin-1": open(file, encoding=encoding), raising=False
+    )
+    nu = lemma1_measure(3, 1, [1, 2], 2)
+    nu = MeasureRep(nu.spectrum, nu.variation, nu.provenance | {"note": "\u03bd \u2265 0"})
+    path = Path(tmp_path / "nu.json")
+    ser.save_measure(str(path), nu)
+    path.write_text(path.read_text().replace("\\u03bd \\u2265", "\u03bd \u2265"), encoding="utf-8")
+    assert "\u03bd \u2265".encode() in path.read_bytes()
+    assert ser.load_measure(str(path)).provenance["note"] == "\u03bd \u2265 0"
+
+
+@pytest.mark.parametrize("depth", [500, 900, 2000, 200_000])
+def test_deep_provenance_loads_or_is_a_format_error(tmp_path, depth):
+    # json's parser and the provenance decoder recurse to depths that differ
+    # between Python versions; at every depth the load either succeeds or
+    # is a FormatError, never a RecursionError
+    nu = lemma1_measure(3, 1, [1, 2], 2)
+    path = tmp_path / "nu.json"
+    ser.save_measure(str(path), nu)
+    deep = '"provenance": {"deep": ' + "[" * depth + "]" * depth + ","
+    path.write_text(path.read_text().replace('"provenance": {', deep, 1))
+    try:
+        loaded = ser.load_measure(str(path))
+    except FormatError as exc:
+        assert "nested too deeply" in str(exc)
+    else:
+        assert "deep" in loaded.provenance
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_header_pauses_and_restores_the_collector(tmp_path, rng, monkeypatch, enabled):
+    path = str(tmp_path / "f.json")
+    ser.save_step_function(path, StepFunction(2, 3, rng.standard_normal(8) + 0j))
+    during = []
+    parse = json.load
+    monkeypatch.setattr(json, "load", lambda handle: during.append(gc.isenabled()) or parse(handle))
+    cases = {"valid": (path, None)} | _unreadable_files(tmp_path)
+    was = gc.isenabled()
+    try:
+        for name, (case, word) in cases.items():
+            (gc.enable if enabled else gc.disable)()
+            during.clear()
+            if word is None:
+                ser.load_grid(case)
+            else:
+                with pytest.raises(FormatError, match=word):
+                    ser.load_grid(case)
+            assert gc.isenabled() is enabled, name
+            assert during == ([] if name == "missing" else [False]), name
+    finally:
+        (gc.enable if was else gc.disable)()

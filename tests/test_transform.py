@@ -460,6 +460,39 @@ class TestRealBaseTwo:
         magnitudes = np.abs(_tensor_dft(ints, 2, level, 1))
         assert (sup, cell) == (magnitudes.max(), int(np.argmax(magnitudes)))
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_leading_probe_keeps_every_decision(self, rows):
+        # the rule tests its first entries for a non-integer before the whole
+        # block; the decision is the full scan's, including for blocks whose
+        # only non-integer lies past the probe
+        def full_scan(block):
+            if block.imag.any():
+                return np.dtype(complex)
+            real = block.real
+            exact = (real == np.rint(real)).all() and (np.abs(real).sum(axis=1) < 2.0**24).all()
+            return np.dtype(np.float32 if exact else float)
+
+        size = 2 * transform._PROBE_ENTRIES + 3
+        rng = np.random.default_rng(rows)
+        ints = rng.integers(-60, 61, (rows, size)).astype(np.float64)
+        last = ints.copy()
+        last[-1, -1] += 0.5
+        cases = {
+            "integer": (ints, np.float32),
+            "non-integer": (rng.standard_normal((rows, size)), np.float64),
+            "last cell non-integer": (last, np.float64),
+        }
+        for total, dtype in ((2**24 - 1, np.float32), (2**24, np.float64)):
+            bound = ints.copy()
+            bound[:, -1] = 0.0
+            bound[:, -1] = total - np.abs(bound).sum(axis=1)
+            assert (np.abs(bound).sum(axis=1) == total).all()
+            cases[f"sum |c| = {total}"] = (bound, dtype)
+        for name, (real, dtype) in cases.items():
+            block = real + 0j
+            assert transform._working_dtype(2, block) == full_scan(block) == dtype, name
+            assert transform._working_dtype(3, block) == np.dtype(complex), name
+
     @pytest.mark.parametrize("p,level", [(2, 0), (2, 1), (2, 7), (2, 13), (3, 4)])
     def test_public_results_stay_complex(self, p, level):
         # forward and inverse widen the loop's result to complex128, the
