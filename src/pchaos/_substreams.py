@@ -94,8 +94,8 @@ def block_draw(seed: int, N: int, count: int, ensemble: str) -> Callable[[range]
     `ensemble` coefficients, bit-identical to `draw_coefficients(
     trial_rng(seed, N, t), count, ensemble)` stacked over the trials t.
 
-    A trial at or above 2^32 has two words of its own; its PCG64 is seeded
-    from numpy's SeedSequence, and its raw words are mapped as the others.
+    Trial indices are one 32-bit word each: a range past 2^32 is refused
+    (`ExperimentConfig` admits at most 2^32 trials).
     """
     if ensemble not in ENSEMBLES:
         raise ChaosError(f"unknown ensemble {ensemble!r} (expected one of {ENSEMBLES})")
@@ -106,20 +106,16 @@ def block_draw(seed: int, N: int, count: int, ensemble: str) -> Callable[[range]
     trial_steps = _hash_constants(_POOL_INIT, _POOL_MULT, steps, 4)
     raw_count = (count + 1) // 2 if ensemble == "signs" else count
 
-    def keys(trials: range):
-        split = min(max(trials.start, 2**32), trials.stop)
-        words = np.arange(min(trials.start, split), split, dtype=np.uint32)[:, None]
+    def draw(trials: range) -> np.ndarray:
+        if trials.stop > 2**32:
+            raise ChaosError(f"trial indices must be below 2^32, got {trials}")
+        words = np.arange(trials.start, trials.stop, dtype=np.uint32)[:, None]
         mixed = _mix(pool, _hash(words, *trial_steps))
         state = _hash(mixed[:, None], *_STATE_STEPS).reshape(-1, 8)
         # generate_state(4, uint64) joins pairs of 32-bit words little-endian
         seeds = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-        yield from map(_state_type(), seeds)
-        for t in range(split, trials.stop):
-            yield np.random.SeedSequence(entropy=seed, spawn_key=(N, t))
-
-    def draw(trials: range) -> np.ndarray:
         raw = np.empty((len(trials), raw_count), np.uint64)
-        for row, key in zip(raw, keys(trials)):
+        for row, key in zip(raw, map(_state_type(), seeds)):
             row[:] = np.random.PCG64(key).random_raw(raw_count)
         if ensemble == "signs":
             halves = raw.astype("<u8", copy=False).view("<u4")[:, :count]

@@ -109,11 +109,10 @@ def _emit(args, payload: dict) -> None:
 def cmd_transform(args) -> int:
     obj = ser.load_grid(args.input)
     if isinstance(obj, StepFunction):
-        direction = "forward"
-        ser.save_spectrum(args.out, forward(obj), extras=_echo({"direction": direction}))
+        direction, result = "forward", forward(obj)
     else:
-        direction = "inverse"
-        ser.save_step_function(args.out, inverse(obj), extras=_echo({"direction": direction}))
+        direction, result = "inverse", inverse(obj)
+    ser.save_grid(args.out, result, extras=_echo({"direction": direction}))
     print(f"{direction}: p={obj.p} level={obj.level} -> {args.out}")
     return 0
 
@@ -148,7 +147,7 @@ def cmd_riesz(args) -> int:
             },
         )
         config = {"p": args.p, "level": args.level, "a": args.a, "j": args.j}
-        ser.save_measure(args.out, measure, extras=_echo(config) | {"checks": checks})
+        ser.save_grid(args.out, measure, extras=_echo(config) | {"checks": checks})
     print(
         f"riesz: p={args.p} level={args.level} integral={integral.real:.12f} "
         f"variation={variation:.12f} min={min_density:.3e} "
@@ -171,9 +170,7 @@ def cmd_lemma1(args) -> int:
         "passed": ok,
     }
     if args.out:
-        ser.save_measure(
-            args.out, measure, extras=_echo(config) | {"pattern_check": summary}
-        )
+        ser.save_grid(args.out, measure, extras=_echo(config) | {"pattern_check": summary})
     print(
         f"lemma1: p={args.p} d={args.d} N={args.N} matched={matched:.3e} "
         f"mismatched={mismatched:.3e} variation={measure.variation:.6f} "
@@ -195,9 +192,7 @@ def cmd_lemma2(args) -> int:
         "passed": ok,
     }
     if args.out:
-        ser.save_measure(
-            args.out, measure, extras=_echo(config) | {"pattern_check": summary}
-        )
+        ser.save_grid(args.out, measure, extras=_echo(config) | {"pattern_check": summary})
     print(
         f"lemma2: p={args.p} d={args.d} s={args.s} N={args.N} kept={kept:.3e} "
         f"killed={killed:.3e} variation={measure.variation:.6f} "

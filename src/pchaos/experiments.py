@@ -139,6 +139,8 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ChaosError(f"trial count must be >= 1, got {self.trials}")
+        if self.trials > 2**32:  # a trial index is one 32-bit seed word
+            raise ChaosError(f"trial count must be <= 2^32, got {self.trials}")
         _check_seed(self.seed)
         object.__setattr__(self, "N_values", _int_values("N_values", self.N_values))
         if len(set(self.N_values)) != len(self.N_values):
@@ -201,10 +203,10 @@ class ExperimentReport:
         }
 
 
-def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, dict[str, float]]:
+def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, dict[str, float], np.ndarray]:
     """Ratio statistics over cfg.trials polynomials on the order-d index
-    set, and the seconds the row spent drawing its coefficients (`draw_s`)
-    and in the sup-norm core (`synthesis_s`).
+    set, the seconds spent drawing (`draw_s`) and in the sup-norm core
+    (`synthesis_s`), and the per-trial l1 ratios, which enter no row.
 
     The index set is validated once per row. term_indices lists it in the
     canonical term order, so trial t's draws, from its own substream, are
@@ -248,16 +250,16 @@ def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, dict[str, float]
         median_lq_ratio=float(np.median(lq)),
         max_lq_ratio=float(np.max(lq)),
     )
-    return row, timings
+    return row, timings, l1
 
 
 def _run_study(
     kind: str,
     cfg: ExperimentConfig,
-    verdicts: Callable[[ExperimentConfig, ExperimentReport], list[str]] | None = None,
+    verdicts: Callable[..., list[str]] | None = None,
 ) -> ExperimentReport:
-    """One row per N, then the study's own `verdicts(cfg, report)`
-    failures, then the baseline comparison.
+    """One row per N, then the failures of `verdicts(cfg, report, l1)`, l1
+    holding each row's per-trial l1 ratios, then the baseline comparison.
 
     meta["row_wall_s"] gives each row's wall time, its time in the block
     draw (`draw_s`) and inside the sup-norm core (`synthesis_s`), with its
@@ -266,10 +268,12 @@ def _run_study(
     report = ExperimentReport(kind=kind, config=cfg.to_dict())
     row_wall_s: list[dict] = []
     report.meta["row_wall_s"] = row_wall_s
+    l1_ratios = []
     for N in sorted(cfg.N_values):
         row_start = time.perf_counter()
-        row, timings = _row(cfg, N)
+        row, timings, l1 = _row(cfg, N)
         report.rows.append(row)
+        l1_ratios.append(l1)
         row_wall_s.append({
             "N": N,
             "cells": cfg.p ** (N + 1),
@@ -279,7 +283,7 @@ def _run_study(
             **timings,
         })
     if verdicts is not None:
-        report.failures.extend(verdicts(cfg, report))
+        report.failures.extend(verdicts(cfg, report, l1_ratios))
     report.failures.extend(check_against_baselines(report))
     report.meta["wall_time_s"] = time.perf_counter() - start
     return report
@@ -290,15 +294,43 @@ def random_ensemble_study(cfg: ExperimentConfig) -> ExperimentReport:
     return _run_study("ensemble", cfg)
 
 
-def _growth_verdicts(cfg: ExperimentConfig, report: ExperimentReport) -> list[str]:
+_TREND_Z = 1.645  # the one-sided 5% point of the standard normal
+
+
+def _trend_z(samples: Sequence[np.ndarray]) -> float:
+    """The Jonckheere-Terpstra z of an increasing trend along `samples`: J
+    counts the pairs (a earlier, b later) with a < b, a tie as 1/2, against
+    its no-trend mean and variance (normal approximation, no tie
+    correction). Each later sample is sorted once and binary-searched for
+    every earlier value, so no pairwise table is built."""
+    sizes = np.array([len(x) for x in samples], dtype=np.float64)
+    total, J = sizes.sum(), 0.0
+    for i in range(1, len(samples)):
+        later, earlier = np.sort(samples[i]), np.concatenate(samples[:i])
+        above = np.searchsorted(later, earlier, "right")
+        ties = above - np.searchsorted(later, earlier)
+        J += float((later.size - above).sum() + ties.sum() / 2)
+    mean = (total**2 - (sizes**2).sum()) / 4
+    var = (total**2 * (2 * total + 3) - (sizes**2 * (2 * sizes + 3)).sum()) / 72
+    return (J - mean) / math.sqrt(var)
+
+
+def _growth_verdicts(
+    cfg: ExperimentConfig, report: ExperimentReport, l1_ratios: list[np.ndarray]
+) -> list[str]:
+    """The l1 verdict fails when the medians do not rise strictly and
+    `_trend_z` finds no rise either. Each test alone fails correct code: the
+    chain most seeds of many close rows, the trend test a third of two-row
+    studies (N = 4, 6 with 40 trials)."""
     failures = []
     l1_medians = [row.median_l1_ratio for row in report.rows]
     lq_medians = [row.median_lq_ratio for row in report.rows]
-    if cfg.d >= 2 and len(l1_medians) > 1:
-        if not all(a < b for a, b in zip(l1_medians, l1_medians[1:])):
-            failures.append(
-                f"l1-median-growth: medians {l1_medians} are not strictly increasing"
-            )
+    rising = all(a < b for a, b in zip(l1_medians, l1_medians[1:]))
+    if cfg.d >= 2 and not rising and (z := _trend_z(l1_ratios)) <= _TREND_Z:
+        failures.append(
+            f"l1-growth: medians {l1_medians} are not strictly increasing and the "
+            f"Jonckheere-Terpstra z = {z:.2f} <= {_TREND_Z} (one-sided 5% level)"
+        )
     if lq_medians:
         band = max(lq_medians) / min(lq_medians)
         report.meta["lq_band_ratio"] = band
@@ -308,12 +340,14 @@ def _growth_verdicts(cfg: ExperimentConfig, report: ExperimentReport) -> list[st
 
 
 def growth_study(cfg: ExperimentConfig) -> ExperimentReport:
-    """Median l1 ratios must grow strictly in N (for d >= 2) while the
-    2d/(d+1) ratios stay inside a factor-2 band. Violations are reported,
-    never dropped."""
+    """For d >= 2 the l1 ratios must grow in N (strictly rising medians, or
+    a Jonckheere-Terpstra trend at the one-sided 5% level) while the 2d/(d+1)
+    medians stay inside a factor-2 band. Violations are reported, never
+    dropped."""
     report = _run_study("growth", cfg, _growth_verdicts)
     report.meta["thresholds"] = {
-        "l1_growth": "strictly increasing medians (d >= 2)",
+        "l1_growth": "strictly increasing medians, or a one-sided Jonckheere-Terpstra "
+        f"trend in the per-trial ratios, z > {_TREND_Z} (5% level); d >= 2",
         "lq_band": "max/min of medians <= 2",
     }
     return report

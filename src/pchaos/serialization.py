@@ -7,8 +7,9 @@ Grid files (JSON, format_version 1):
 
 ``data`` has exactly p^level entries, in cell order for kind "cells" and
 Paley order for kind "paley". Measure files use kind "paley" and add
-{"variation": float, "provenance": {...}}; complex provenance numbers are
-encoded as [re, im] pairs and complex arrays as {"complex_array": pairs}.
+{"variation": float, "provenance": {...}} (complex numbers as [re, im],
+complex arrays as {"complex_array": pairs}); they load as their spectrum.
+A file's own fields are written over the caller's ``extras``.
 
 Polynomial files:
 
@@ -23,10 +24,11 @@ grid's ``data`` is not handed to json: `dump_json` fills one ``%`` format
 of "[%r,%r]" per cell from the flat float64 array, writing the bytes json
 would without a Python list per cell. Files are read as UTF-8, with the
 cyclic garbage collector paused while json parses (`_load_header`).
-Every number must be finite: NaN and infinity are neither written (they
-are not JSON) nor accepted on load (FormatError), and neither is a JSON
-boolean where a number belongs. A file that is not UTF-8 or is nested
-deeper than json's recursion limit is a FormatError too.
+Every number must be finite: NaN and infinity are not written (they are
+not JSON); a NaN or Infinity token anywhere in a file, an overflowing
+literal (1e999) in ``data`` or a term, and a JSON boolean where a number
+belongs are FormatErrors on load, as is a file that is not UTF-8 or is
+nested deeper than json's recursion limit.
 Every writer goes through a temporary file in the target directory
 followed by os.replace; readers never observe a partial file.
 """
@@ -36,7 +38,6 @@ from __future__ import annotations
 import csv
 import gc
 import json
-import math
 import os
 import tempfile
 from itertools import chain
@@ -67,10 +68,6 @@ def _write_atomic(path: str, write: Callable[[TextIO], None], newline: str | Non
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    _write_atomic(path, lambda handle: handle.write(text))
 
 
 def json_default(value: Any):
@@ -125,7 +122,8 @@ def dump_json(payload: dict) -> str:
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    write_text_atomic(path, dump_json(payload))
+    text = dump_json(payload)
+    _write_atomic(path, lambda handle: handle.write(text))
 
 
 def write_csv_atomic(path: str, fieldnames: Sequence[str], rows: Iterable[dict]) -> None:
@@ -145,17 +143,21 @@ def _require(payload: dict, field: str, path: str) -> Any:
 
 def _load_header(path: str, *fields: str) -> tuple[dict, list[int]]:
     """Read a file's JSON object, check its format_version and return it with
-    the named header fields, each required to be a JSON integer.
+    the named header fields, each required to be a JSON integer. A NaN or
+    Infinity token is refused wherever it sits.
 
     The file is read as UTF-8 whatever the locale. The cyclic garbage
     collector is paused while json parses: parsing makes no reference
     cycles, and a grid's one list per cell would otherwise set off repeated
     full collections in a process that holds many live objects."""
+    def refuse(token: str):
+        raise FormatError(f"{path}: {token} is a non-finite number, not JSON")
+
     collecting = gc.isenabled()
     gc.disable()
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_constant=refuse)
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file")
     except json.JSONDecodeError as exc:
@@ -210,48 +212,23 @@ def _decode_array(data: Any, expected: int, path: str, field: str = "data") -> n
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
 
 
-def _decode_provenance(value: Any, path: str) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {"complex_array"}:
-            data = value["complex_array"]
-            size = len(data) if isinstance(data, list) else -1
-            return _decode_array(data, size, path, "provenance")
-        return {k: _decode_provenance(v, path) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_provenance(v, path) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        raise FormatError(f"{path}: field 'provenance' holds a non-finite number")
-    return value
-
-
-def _grid_payload(kind: str, p: int, level: int, values: np.ndarray) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "p": p,
-        "level": level,
-        "data": values,
-    }
-
-
-def save_step_function(path: str, f: StepFunction, extras: dict | None = None) -> None:
-    payload = _grid_payload("cells", f.p, f.level, f.values)
-    payload.update(extras or {})
+def save_grid(
+    path: str, grid: StepFunction | Spectrum | MeasureRep, extras: dict | None = None
+) -> None:
+    """Write a StepFunction as kind "cells", a Spectrum as kind "paley", or a
+    MeasureRep as its spectrum plus "variation" and "provenance"; these
+    fields are written over `extras`."""
+    payload = dict(extras or {})
+    if isinstance(grid, MeasureRep):
+        payload |= {"variation": grid.variation, "provenance": grid.provenance}
+        grid = grid.spectrum
+    cells = isinstance(grid, StepFunction)
+    payload |= {"format_version": FORMAT_VERSION, "kind": "cells" if cells else "paley"}
+    payload |= {"p": grid.p, "level": grid.level, "data": grid.values if cells else grid.coeffs}
     write_json_atomic(path, payload)
 
 
-def save_spectrum(path: str, s: Spectrum, extras: dict | None = None) -> None:
-    payload = _grid_payload("paley", s.p, s.level, s.coeffs)
-    payload.update(extras or {})
-    write_json_atomic(path, payload)
-
-
-def save_measure(path: str, m: MeasureRep, extras: dict | None = None) -> None:
-    payload = _grid_payload("paley", m.p, m.level, m.spectrum.coeffs)
-    payload["variation"] = m.variation
-    payload["provenance"] = m.provenance
-    payload.update(extras or {})
-    write_json_atomic(path, payload)
+save_step_function = save_grid  # the grid writer's earlier name (bench/reference.py)
 
 
 def load_grid(path: str) -> StepFunction | Spectrum:
@@ -267,28 +244,6 @@ def load_grid(path: str) -> StepFunction | Spectrum:
     raise FormatError(f"{path}: unknown kind {kind!r} (expected 'cells' or 'paley')")
 
 
-def load_measure(path: str) -> MeasureRep:
-    payload, (p, level) = _load_header(path, "p", "level")
-    if _require(payload, "kind", path) != "paley":
-        raise FormatError(f"{path}: a measure file must have kind 'paley'")
-    check_base_level(p, level)
-    data = _decode_array(_require(payload, "data", path), p**level, path)
-    variation = _require(payload, "variation", path)
-    if type(variation) not in (int, float):  # true, "1.0", null and lists are refused
-        raise FormatError(f"{path}: field 'variation' must be a number, got {variation!r}")
-    try:
-        variation = float(variation)
-    except OverflowError:  # an integer beyond the float64 range
-        variation = math.inf
-    if not math.isfinite(variation):
-        raise FormatError(f"{path}: field 'variation' is not a finite number")
-    try:
-        provenance = _decode_provenance(_require(payload, "provenance", path), path)
-    except RecursionError:  # json parses deeper than this recursion reaches
-        raise FormatError(f"{path}: field 'provenance' nested too deeply") from None
-    return MeasureRep(Spectrum(p, level, data), variation, provenance)
-
-
 def save_polynomial(path: str, Q: ChaosPolynomial, extras: dict | None = None) -> None:
     digits = digit_matrix(Q.indices, Q.p, Q.N + 1)
     rows, positions = np.nonzero(digits)  # row-major: positions ascend within a term
@@ -298,14 +253,8 @@ def save_polynomial(path: str, Q: ChaosPolynomial, extras: dict | None = None) -
         {"k": ks[a:b], "l": ls[a:b], "re": re, "im": im}
         for a, b, (re, im) in zip([0] + ends, ends, _encode_array(Q.values))
     ]
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "p": Q.p,
-        "N": Q.N,
-        "terms": terms,
-    }
-    payload.update(extras or {})
-    write_json_atomic(path, payload)
+    own = {"format_version": FORMAT_VERSION, "p": Q.p, "N": Q.N, "terms": terms}
+    write_json_atomic(path, dict(extras or {}) | own)
 
 
 def load_polynomial(path: str) -> ChaosPolynomial:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pchaos
-from pchaos import StepFunction, chaos, cli, config, experiments, random_chaos
+from pchaos import Spectrum, StepFunction, chaos, cli, config, experiments, random_chaos
 from pchaos import serialization as ser
 from pchaos.cli import build_parser, main
 
@@ -129,6 +129,15 @@ def test_zero_trials_exit_2(command, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+def test_trials_past_2_to_the_32_exit_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ("growth", "--p", "2", "--d", "2", "--N", "4,6", "--trials", str(2**32 + 1))
+    assert run(*argv, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert "error: trial count must be <= 2^32, got 4294967297" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(pchaos.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -149,8 +158,7 @@ def test_lemma1_writes_measure_and_summary(tmp_path):
     payload = json.loads(Path(out).read_text())
     assert payload["pattern_check"]["passed"] is True
     assert payload["config"]["J"] == [1, 2, 1, 2, 1, 2]
-    measure = ser.load_measure(str(out))
-    assert measure.level == 6
+    assert ser.load_grid(str(out)).level == 6
 
 
 def test_lemma2_pattern(tmp_path):
@@ -176,8 +184,8 @@ def test_riesz_mass_output(tmp_path):
     assert code == 0
     payload = json.loads(Path(out).read_text())
     assert payload["checks"]["integral_error"] <= 1e-12
-    measure = ser.load_measure(str(out))
-    assert abs(measure.variation - 1.0) <= 1e-12
+    assert abs(payload["variation"] - 1.0) <= 1e-12
+    assert isinstance(ser.load_grid(str(out)), Spectrum)
 
 
 def test_transform_round_trip_through_files(tmp_path):
@@ -186,7 +194,7 @@ def test_transform_round_trip_through_files(tmp_path):
     cells = tmp_path / "cells.json"
     paley = tmp_path / "paley.json"
     back = tmp_path / "back.json"
-    ser.save_step_function(str(cells), f)
+    ser.save_grid(str(cells), f)
     assert run("transform", "--in", cells, "--out", paley) == 0
     assert run("transform", "--in", paley, "--out", back) == 0
     loaded = ser.load_grid(str(back))
@@ -519,6 +527,17 @@ def test_nan_grid_transform_refused(tmp_path, capsys):
     data = [[0.0, 0.0]] * 16
     data[5] = [float("nan"), 0.0]
     cells.write_text(json.dumps({"format_version": 1, "kind": "cells", "p": 2, "level": 4, "data": data}))
+    assert run("transform", "--in", cells, "--out", out) == 2
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["provenance", "note"])
+def test_non_finite_token_outside_data_exits_2(tmp_path, capsys, field):
+    # the data are finite; the NaN sits in a field transform never reads
+    cells, out = tmp_path / "cells.json", tmp_path / "out.json"
+    payload = {"format_version": 1, "kind": "cells", "p": 2, "level": 1, "data": [[1.0, 0.0]] * 2}
+    cells.write_text(json.dumps(payload | {field: {"bound": [float("nan")]}}))
     assert run("transform", "--in", cells, "--out", out) == 2
     assert not out.exists()
     assert "non-finite" in capsys.readouterr().err

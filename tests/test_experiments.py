@@ -45,6 +45,13 @@ def test_zero_trials_refused():
             ExperimentConfig(p=2, d=2, N_values=(4,), trials=trials, seed=0)
 
 
+def test_trials_past_2_to_the_32_refused():
+    # a trial index is one 32-bit word of its substream key; no row is drawn here
+    assert ExperimentConfig(p=2, d=2, N_values=(4,), trials=2**32, seed=0).trials == 2**32
+    with pytest.raises(ChaosError, match=r"trial count must be <= 2\^32, got 4294967297"):
+        ExperimentConfig(p=2, d=2, N_values=(4,), trials=2**32 + 1, seed=0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf-j"])
 def test_a_non_finite_draw_is_refused_before_the_sup_norm(bad, monkeypatch):
     # the row's coefficient block is checked once, before any synthesis;
@@ -292,6 +299,44 @@ def test_growth_study_monotone():
     assert medians == sorted(medians)
     assert report.meta["lq_band_ratio"] <= 2.0
     assert report.passed, report.failures
+
+
+def test_trend_z_counts_every_pair_once():
+    # the pairwise definition: a later value above an earlier one counts 1,
+    # a tie 1/2, against the null mean and variance of J
+    rng = np.random.default_rng(4)
+    samples = [rng.integers(0, 6, size) / 2 for size in (7, 1, 12, 5)]
+    J = sum(
+        float(np.sum((b[None, :] > a[:, None]) + 0.5 * (b[None, :] == a[:, None])))
+        for i, a in enumerate(samples)
+        for b in samples[i + 1:]
+    )
+    n = np.array([len(x) for x in samples])
+    mean = (n.sum() ** 2 - (n**2).sum()) / 4
+    var = (n.sum() ** 2 * (2 * n.sum() + 3) - (n**2 * (2 * n + 3)).sum()) / 72
+    assert experiments._trend_z(samples) == pytest.approx((J - mean) / math.sqrt(var), rel=1e-14)
+    assert experiments._trend_z([np.arange(4.0), np.arange(4.0) + 4]) > 0
+    assert experiments._trend_z([np.arange(4.0) + 4, np.arange(4.0)]) < 0
+
+
+def _l1_failures(seeds, cfg):
+    return [s for s in seeds if any(f.startswith("l1-growth") for f in growth_study(cfg(s)).failures)]
+
+
+def test_growth_verdict_rates_at_the_deep_study(monkeypatch):
+    """At p=2, d=2, N=12..16 with 12 trials the strict median chain failed 49
+    of seeds 0-59 on correct code; the verdict fails seed 35 alone (z=1.38).
+    With the l1 ratios replaced by the 2d/(d+1) ratios, which do not grow,
+    it fails 57 of the 60."""
+    def cfg(seed):
+        return ExperimentConfig(p=2, d=2, N_values=tuple(range(12, 17)), trials=12, seed=seed)
+
+    assert _l1_failures(range(60), cfg) == [35]
+    norms = experiments._row_lq_norms
+    monkeypatch.setattr(
+        experiments, "_row_lq_norms", lambda block, q: norms(block, 4 / 3 if q == 1.0 else q)
+    )
+    assert len(_l1_failures(range(60), cfg)) == 57
 
 
 def test_growth_first_order_constant():

@@ -26,7 +26,7 @@ def rng():
 def test_step_function_round_trip(tmp_path, rng):
     f = StepFunction(3, 3, rng.standard_normal(27) + 1j * rng.standard_normal(27))
     path = str(tmp_path / "f.json")
-    ser.save_step_function(path, f)
+    ser.save_grid(path, f)
     loaded = ser.load_grid(path)
     assert isinstance(loaded, StepFunction)
     assert loaded.p == 3 and loaded.level == 3
@@ -37,24 +37,47 @@ def test_spectrum_round_trip(tmp_path, rng):
     f = StepFunction(2, 4, rng.standard_normal(16) + 1j * rng.standard_normal(16))
     s = forward(f)
     path = str(tmp_path / "s.json")
-    ser.save_spectrum(path, s)
+    ser.save_grid(path, s)
     loaded = ser.load_grid(path)
     assert isinstance(loaded, Spectrum)
     np.testing.assert_array_equal(loaded.coeffs, s.coeffs)
 
 
 def test_measure_round_trip(tmp_path):
+    # a measure file loads as its spectrum; variation and provenance are
+    # written for the reader of the file
     nu = lemma1_measure(3, 2, [1, 2, 1, 2], 4)
     path = str(tmp_path / "nu.json")
-    ser.save_measure(path, nu)
-    loaded = ser.load_measure(path)
-    np.testing.assert_array_equal(loaded.spectrum.coeffs, nu.spectrum.coeffs)
-    assert loaded.variation == nu.variation
-    assert loaded.provenance["construction"] == "lemma1"
-    assert tuple(loaded.provenance["J"]) == (1, 2, 1, 2)
+    ser.save_grid(path, nu)
+    loaded = ser.load_grid(path)
+    assert isinstance(loaded, Spectrum)
+    np.testing.assert_array_equal(loaded.coeffs, nu.spectrum.coeffs)
+    payload = json.loads(Path(path).read_text())
+    assert payload["variation"] == nu.variation
+    assert payload["provenance"]["construction"] == "lemma1"
+    assert tuple(payload["provenance"]["J"]) == (1, 2, 1, 2)
+    coefficients = np.array(payload["provenance"]["coefficients"]["complex_array"])
     np.testing.assert_array_equal(
-        loaded.provenance["coefficients"], nu.provenance["coefficients"]
+        coefficients.view(np.complex128).ravel(), nu.provenance["coefficients"]
     )
+
+
+def test_extras_never_replace_the_files_own_fields(tmp_path, rng):
+    f = StepFunction(2, 2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    path = str(tmp_path / "f.json")
+    clash = {"level": 3, "p": 5, "kind": "paley", "format_version": 2, "data": [], "note": 1}
+    ser.save_grid(path, f, extras=clash)
+    loaded = ser.load_grid(path)
+    assert isinstance(loaded, StepFunction) and (loaded.p, loaded.level) == (2, 2)
+    np.testing.assert_array_equal(loaded.values, f.values)
+    assert json.loads(Path(path).read_text())["note"] == 1
+    nu = lemma1_measure(3, 1, [1, 2], 2)
+    ser.save_grid(path, nu, extras={"variation": "x", "provenance": None})
+    payload = json.loads(Path(path).read_text())
+    assert payload["variation"] == nu.variation and payload["provenance"]["construction"] == "lemma1"
+    Q = random_chaos(3, 2, 3, rng, "unimodular")
+    ser.save_polynomial(path, Q, extras={"N": 9, "p": 2, "terms": [], "format_version": 0})
+    assert ser.load_polynomial(path) == Q
 
 
 def test_polynomial_round_trip(tmp_path, rng):
@@ -145,19 +168,22 @@ def test_non_finite_grid_refused(tmp_path, bad):
 
 
 def test_non_finite_measure_fields_refused(tmp_path):
+    # json writes NaN, Infinity and -Infinity tokens; none is JSON, and a
+    # measure file holding one is refused wherever it sits
     nu = lemma1_measure(3, 1, [1, 2], 2)
     path = str(tmp_path / "nu.json")
-    ser.save_measure(path, nu)
+    ser.save_grid(path, nu)
     payload = json.loads(Path(path).read_text())
-    for field, value in (("variation", float("nan")), ("provenance", {"bound": float("inf")})):
-        broken = dict(payload, **{field: value})
-        _write(path, broken)
-        with pytest.raises(FormatError, match="non-finite|finite number"):
-            ser.load_measure(path)
-    broken = dict(payload, provenance={"c": {"complex_array": [[1.0, float("nan")]]}})
-    _write(path, broken)
-    with pytest.raises(FormatError, match="non-finite"):
-        ser.load_measure(path)
+    for field, value in (
+        ("variation", float("nan")),
+        ("provenance", {"bound": float("inf")}),
+        ("provenance", {"c": {"complex_array": [[1.0, float("nan")]]}}),
+        ("unknown", [0.0, {"x": float("-inf")}]),
+    ):
+        _write(path, dict(payload, **{field: value}))
+        with pytest.raises(FormatError, match="non-finite") as caught:
+            ser.load_grid(path)
+        assert path in str(caught.value)
 
 
 def test_guard_runs_before_size(tmp_path):
@@ -289,10 +315,10 @@ def payloads(monkeypatch, rng):
     captured = {}
     monkeypatch.setattr(ser, "write_json_atomic", captured.__setitem__)
     f = StepFunction(3, 2, rng.standard_normal(9) + 1j * rng.standard_normal(9))
-    ser.save_step_function("grid", f, extras={"config": {"data": [1, 2], "p": 3}})
+    ser.save_grid("grid", f, extras={"config": {"data": [1, 2], "p": 3}})
     nu = lemma1_measure(3, 2, [1, 2, 1], 3)
     nested = MeasureRep(nu.spectrum, nu.variation, nu.provenance | {"data": {"data": [0.25]}})
-    ser.save_measure("measure", nested)
+    ser.save_grid("measure", nested)
     ser.save_polynomial("polynomial", random_chaos(3, 2, 3, rng, "unimodular"))
     return captured
 
@@ -337,14 +363,13 @@ def test_payload_without_data_is_written_as_before(payloads):
 
 @pytest.mark.parametrize("kind", ["grid", "measure"])
 def test_indented_files_still_load(tmp_path, payloads, kind):
-    load = ser.load_grid if kind == "grid" else ser.load_measure
     old, new = str(tmp_path / "old.json"), str(tmp_path / "new.json")
     with open(old, "w") as handle:
         handle.write(_indented(_pairs(payloads[kind])))
-    ser.write_text_atomic(new, ser.dump_json(payloads[kind]))
+    Path(new).write_text(ser.dump_json(payloads[kind]))
     assert os.path.getsize(new) < os.path.getsize(old)
-    a, b = load(old), load(new)
-    a, b = (x.values if kind == "grid" else x.spectrum.coeffs for x in (a, b))
+    a, b = ser.load_grid(old), ser.load_grid(new)
+    a, b = (x.values if kind == "grid" else x.coeffs for x in (a, b))
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
@@ -355,7 +380,7 @@ def test_non_finite_data_refused_before_any_file(tmp_path, bad, part):
     coeffs.view(np.float64)[2 + part] = bad
     path = str(tmp_path / "s.json")
     with pytest.raises(FormatError, match="invalid JSON"):
-        ser.save_spectrum(path, Spectrum(2, 2, coeffs))
+        ser.save_grid(path, Spectrum(2, 2, coeffs))
     assert os.listdir(tmp_path) == []
 
 
@@ -395,18 +420,23 @@ def _spliced(payload):
     shape=st.sampled_from([(2, 0), (3, 0), (2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (2, 5)]),
     floats=st.lists(WRITER_FLOATS, min_size=64, max_size=64),
     measure=st.booleans(),
-    extras=st.dictionaries(TEXT.filter(lambda key: key != "data"), JSON_VALUES, max_size=3),
+    extras=st.dictionaries(TEXT, JSON_VALUES, max_size=3),
     provenance=st.dictionaries(TEXT, JSON_VALUES, max_size=3),
 )
 def test_grid_writer_is_byte_identical_to_json(shape, floats, measure, extras, provenance):
+    # extras may name "data": save_grid writes the grid's own data over it
     p, level = shape
     size = p**level
     values = np.array(floats[: 2 * size]).view(np.complex128)
-    payload = ser._grid_payload("paley" if measure else "cells", p, level, values)
+    grid = Spectrum(p, level, values) if measure else StepFunction(p, level, values)
     if measure:
-        payload["variation"] = 1.5
-        payload["provenance"] = provenance | {"data": {"data": values[:2]}, "%s": "%r%%"}
-    payload.update(extras | {"%": "%(data)s"})
+        grid = MeasureRep(grid, 1.5, provenance | {"data": {"data": values[:2]}, "%s": "%r%%"})
+    captured = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ser, "write_json_atomic", captured.__setitem__)
+        ser.save_grid("grid", grid, extras=extras | {"%": "%(data)s"})
+    payload = captured["grid"]
+    np.testing.assert_array_equal(payload["data"], values)
     assert ser.dump_json(payload) == _spliced(payload)
 
 
@@ -435,51 +465,55 @@ def _unreadable_files(tmp_path):
 
 def test_unreadable_files_are_format_errors(tmp_path):
     for name, (path, word) in _unreadable_files(tmp_path).items():
-        for load in (ser.load_grid, ser.load_measure, ser.load_polynomial):
+        for load in (ser.load_grid, ser.load_polynomial):
             with pytest.raises(FormatError, match=word):
                 load(path)
 
 
 def test_files_are_read_as_utf8_whatever_the_locale(tmp_path, monkeypatch):
     # an open() whose default encoding is latin-1 stands in for a locale
-    # that is not UTF-8; a non-ASCII provenance string still loads as written
+    # that is not UTF-8; a non-ASCII provenance string still reads as written
     monkeypatch.setattr(
         ser, "open", lambda file, encoding="latin-1": open(file, encoding=encoding), raising=False
     )
     nu = lemma1_measure(3, 1, [1, 2], 2)
     nu = MeasureRep(nu.spectrum, nu.variation, nu.provenance | {"note": "\u03bd \u2265 0"})
     path = Path(tmp_path / "nu.json")
-    ser.save_measure(str(path), nu)
+    ser.save_grid(str(path), nu)
     path.write_text(path.read_text().replace("\\u03bd \\u2265", "\u03bd \u2265"), encoding="utf-8")
     assert "\u03bd \u2265".encode() in path.read_bytes()
-    assert ser.load_measure(str(path)).provenance["note"] == "\u03bd \u2265 0"
+    payload, _ = ser._load_header(str(path), "p", "level")
+    assert payload["provenance"]["note"] == "\u03bd \u2265 0"
+    assert isinstance(ser.load_grid(str(path)), Spectrum)
 
 
 @pytest.mark.parametrize("depth", [500, 900, 2000, 200_000])
 def test_deep_provenance_loads_or_is_a_format_error(tmp_path, depth):
-    # json's parser and the provenance decoder recurse to depths that differ
-    # between Python versions; at every depth the load either succeeds or
-    # is a FormatError, never a RecursionError
+    # json's parser recurses to depths that differ between Python versions;
+    # at every depth the load either succeeds or is a FormatError, never a
+    # RecursionError
     nu = lemma1_measure(3, 1, [1, 2], 2)
     path = tmp_path / "nu.json"
-    ser.save_measure(str(path), nu)
+    ser.save_grid(str(path), nu)
     deep = '"provenance": {"deep": ' + "[" * depth + "]" * depth + ","
     path.write_text(path.read_text().replace('"provenance": {', deep, 1))
     try:
-        loaded = ser.load_measure(str(path))
+        loaded = ser.load_grid(str(path))
     except FormatError as exc:
         assert "nested too deeply" in str(exc)
     else:
-        assert "deep" in loaded.provenance
+        np.testing.assert_array_equal(loaded.coeffs, nu.spectrum.coeffs)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_load_header_pauses_and_restores_the_collector(tmp_path, rng, monkeypatch, enabled):
     path = str(tmp_path / "f.json")
-    ser.save_step_function(path, StepFunction(2, 3, rng.standard_normal(8) + 0j))
+    ser.save_grid(path, StepFunction(2, 3, rng.standard_normal(8) + 0j))
     during = []
     parse = json.load
-    monkeypatch.setattr(json, "load", lambda handle: during.append(gc.isenabled()) or parse(handle))
+    monkeypatch.setattr(
+        json, "load", lambda handle, **kw: during.append(gc.isenabled()) or parse(handle, **kw)
+    )
     cases = {"valid": (path, None)} | _unreadable_files(tmp_path)
     was = gc.isenabled()
     try:
