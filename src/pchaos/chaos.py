@@ -42,6 +42,7 @@ from .config import (
     check_base_level,
     check_cell_guard,
     check_int,
+    check_order,
 )
 from .errors import (
     CombinatorialBlowup,
@@ -330,8 +331,9 @@ def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
 
 
 def check_norm_exponent(q: float) -> None:
-    """Refuse a norm exponent unless it is finite and positive."""
-    if not (math.isfinite(q) and q > 0):
+    """Refuse a norm exponent unless it is a finite positive number (a bool
+    is not one: True would run as q=1)."""
+    if isinstance(q, (bool, np.bool_)) or not (math.isfinite(q) and q > 0):
         raise InvalidExponent(f"norm exponent must be finite and positive, got {q}")
 
 
@@ -395,8 +397,7 @@ def project_J(Q: ChaosPolynomial, J: Sequence[int]) -> ChaosPolynomial:
 
 def project_order(Q: ChaosPolynomial, s: int) -> ChaosPolynomial:
     """Pure order-s part of a mixed polynomial (zero when absent)."""
-    if s < 1:
-        raise InvalidOrder(f"order must be at least 1, got {s}")
+    s = check_order(s)
     if Q.indices.size and s > Q.order:
         raise InvalidOrder(f"order {s} exceeds the maximum order {Q.order} present")
     return Q._select(Q._orders == s)

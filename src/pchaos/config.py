@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numbers
 
-from .errors import GuardExceeded, MalformedIndex
+from .errors import GuardExceeded, InvalidOrder, MalformedIndex
 
 # Hard caps on base and level. The size bounds are MAX_CELLS on allocated
 # grids and the int64 range on Paley indices (padic._check_index_width).
@@ -62,6 +62,14 @@ def check_int(value, rule: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise MalformedIndex(f"{rule}, got {value!r}")
     return int(value)
+
+
+def check_order(value) -> int:
+    """`value` as a chaos order: an integer (see `check_int`) of at least 1."""
+    order = check_int(value, "order must be an integer")
+    if order < 1:
+        raise InvalidOrder(f"order must be at least 1, got {order}")
+    return order
 
 
 def check_base_level(p: int, level: int) -> None:

@@ -22,11 +22,14 @@ Both shaped constructions exploit that:
   and at 0) yields a measure whose coefficients select exactly the order-d
   terms with exponents equal to a prescribed sequence J.
 
-* ``lemma2_measure`` starts from the exponent-symmetric product with
+* ``lemma2_measure`` shapes the exponent-symmetric product with
   per-factor coefficient (R + R^2 + ... + R^(p-1))/p, whose coefficient at
-  any index with s nonzero digits is p^-s. A degree-d polynomial with
-  P(0) = 0, P(p^-s) = 1 and P(p^-j) = 0 for the other orders j <= d keeps
-  one chaos order and kills the rest.
+  any index of chaos order m (m nonzero digits) is p^-m. A degree-d
+  polynomial with P(0) = 0, P(p^-s) = 1 and P(p^-j) = 0 for the other
+  orders j <= d keeps one chaos order and kills the rest. The shaped
+  coefficient depends on the order alone, so the measure is built from
+  the L+1 values P(p^-m) without forming the product: each is one exact
+  quotient of integers, gathered by each index's count of nonzero digits.
 
 A factor 1 + Re(a_k R_k^{j_k}) involves a self-conjugate character power
 exactly when 2 j_k = 0 mod p (only for even p at j_k = p/2). That
@@ -34,15 +37,19 @@ arithmetic predicate, never a numeric comparison, drives the special
 coefficient rules above; at a self-conjugate position the matched base
 coefficient is Re(a_k) instead of a_k / 2.
 
-The interpolation systems are solved by Newton divided differences on the
-stated node list followed by conversion to monomial coefficients; the
-solution is rejected (``IllConditionedSystem``) if its Vandermonde residual
-exceeds tolerance, never silently degraded.
+Both shaping polynomials are solved in float64 by Newton divided
+differences on the stated node list followed by conversion to monomial
+coefficients. lemma1 applies its monomial coefficients to the base
+coefficients and rejects the solve (``IllConditionedSystem``) if its
+Vandermonde residual exceeds tolerance, never silently degraded. lemma2
+keeps its monomial coefficients only as provenance (they give the l1
+variation bound); its measure is exact at every order the guards admit.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,8 +61,10 @@ from .config import (
     NODE_GAP_FLOOR,
     SOLVE_RESIDUAL_TOL,
     UNIT_DISC_SLACK,
+    check_base_level,
     check_cell_guard,
     check_int,
+    check_order,
 )
 from .errors import (
     CoefficientOutOfRange,
@@ -65,6 +74,7 @@ from .errors import (
     InvalidExponent,
     InvalidOrder,
     LevelMismatch,
+    NonFiniteValue,
 )
 from .padic import check_chaos_order, exponent_match, term_indices
 from .transform import Spectrum, StepFunction, forward, inverse
@@ -119,17 +129,6 @@ def _validate_exponents(p: int, j: Sequence[int]) -> list[int]:
     return out
 
 
-def _product_density(p: int, level: int, factors: Sequence[np.ndarray]) -> StepFunction:
-    """The step function prod_k factors[k][c_{k+1}]: one length-p table of
-    values per position k, read at the cell's digit c_{k+1}."""
-    values = np.ones((p,) * level if level else (1,))
-    for k, factor in enumerate(factors):
-        shape = [1] * level
-        shape[k] = p
-        values = values * factor.reshape(shape)
-    return StepFunction(p, level, values.reshape(p**level))
-
-
 def riesz_density(
     p: int, level: int, a: Sequence[complex], j: Sequence[int]
 ) -> StepFunction:
@@ -149,25 +148,15 @@ def riesz_density(
             raise CoefficientOutOfRange(f"coefficient {ak} is not finite")
         if abs(ak) > 1 + UNIT_DISC_SLACK:
             raise CoefficientOutOfRange(f"|a_k| = {abs(ak)} exceeds 1")
+    # factor k is a length-p table of values, read at the cell's digit c_{k+1}
     digits = np.arange(p)
-    factors = [
-        1.0 + (ak * np.exp(2j * np.pi * ((jk * digits) % p) / p)).real
-        for ak, jk in zip(a, j)
-    ]
-    return _product_density(p, level, factors)
-
-
-def lemma2_base_density(p: int, level: int) -> StepFunction:
-    """Exponent-symmetric product prod_k (1 + (R_k + ... + R_k^(p-1))/p).
-
-    Its coefficient at any index with s nonzero digits equals p^-s.
-    """
-    check_cell_guard(p, level)
-    digits = np.arange(p)
-    table = np.zeros(p, dtype=np.complex128)
-    for l in range(1, p):
-        table += np.exp(2j * np.pi * ((l * digits) % p) / p)
-    return _product_density(p, level, [1.0 + table.real / p] * level)
+    values = np.ones((p,) * level if level else (1,))
+    for k, (ak, jk) in enumerate(zip(a, j)):
+        shape = [1] * level
+        shape[k] = p
+        factor = 1.0 + (ak * np.exp(2j * np.pi * ((jk * digits) % p) / p)).real
+        values = values * factor.reshape(shape)
+    return StepFunction(p, level, values.reshape(p**level))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +222,7 @@ def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     within one block the angle differences 2(i-i')/(2d+1) never vanish
     mod 1, and across blocks the moduli differ.
     """
-    if d < 1:
-        raise InvalidOrder(f"order must be at least 1, got {d}")
-    if d > MAX_SELECTOR_ORDER:
+    if check_order(d) > MAX_SELECTOR_ORDER:
         raise GuardExceeded(
             f"order {d} exceeds the supported selector cap {MAX_SELECTOR_ORDER}"
         )
@@ -288,13 +275,12 @@ def density_variation(density: StepFunction) -> float:
     return float(np.abs(density.values).sum() * density.p ** (-density.level))
 
 
-def _shaped_measure(base: Spectrum, coefficients: np.ndarray, provenance: dict) -> MeasureRep:
-    """P(base measure), P with ascending `coefficients`, applied coefficientwise.
+def _shaped_measure(spectrum: Spectrum, coefficients: np.ndarray, provenance: dict) -> MeasureRep:
+    """The shaped measure P(base) with coefficient array `spectrum`, where P
+    has the ascending monomial `coefficients`.
 
     The provenance gains the coefficients and their l1 norm, which bounds
     the variation."""
-    nu_coeffs = npoly.polyval(base.coeffs, coefficients.astype(np.complex128))
-    spectrum = Spectrum(base.p, base.level, nu_coeffs)
     bound = float(np.abs(coefficients).sum())
     provenance = provenance | {"coefficients": coefficients.copy(), "variation_bound": bound}
     return MeasureRep(spectrum, density_variation(inverse(spectrum)), provenance)
@@ -323,6 +309,7 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
         raise LevelMismatch(f"need {level} exponents, got {len(J)}")
     system = lemma1_system(d)
     rho_hat = _lemma1_base_spectrum(p, d, J, level)
+    coeffs = npoly.polyval(rho_hat.coeffs, system.coefficients.astype(np.complex128))
     provenance = {
         "construction": "lemma1",
         "p": p,
@@ -330,7 +317,7 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
         "J": tuple(J),
         "solve_residual": system.residual,
     }
-    return _shaped_measure(rho_hat, system.coefficients, provenance)
+    return _shaped_measure(Spectrum(p, level, coeffs), system.coefficients, provenance)
 
 
 def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
@@ -338,25 +325,59 @@ def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
 
     Degree d, P(0) = 0, P(p^-s) = 1, P(p^-j) = 0 for j in 1..d, j != s.
     The constant term is exactly zero (node 0 leads the Newton node list).
+    Coefficients past the float64 range are refused (`NonFiniteValue`).
     """
-    if d < 1:
-        raise InvalidOrder(f"order must be at least 1, got {d}")
-    if not 1 <= s <= d:
+    check_base_level(p, 0)
+    d = check_order(d)
+    if check_order(s) > d:
         raise InvalidOrder(f"selected order {s} not in 1..{d}")
     nodes = np.array([0.0] + [float(p) ** -j for j in range(1, d + 1)])
     values = np.array([0.0] + [1.0 if j == s else 0.0 for j in range(1, d + 1)])
-    return interpolate_monomial(nodes, values).real
+    with np.errstate(all="ignore"):
+        coeffs = interpolate_monomial(nodes, values).real
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteValue(f"the order-{d} selector for p={p} leaves the float64 range")
+    return coeffs
+
+
+def _lemma2_values(p: int, d: int, s: int, level: int) -> np.ndarray:
+    """P(p^-m) for m = 0..level, each one correctly rounded quotient of ints.
+
+    In the Lagrange form through the nodes 0 and p^-j (j = 1..d), scaling
+    the factor (p^-m - p^-j)/(p^-s - p^-j) by p^m p^s p^j above and below
+    leaves p^(s-m) (p^j - p^m)/(p^j - p^s), and the factor of node 0 is
+    p^(s-m). So P(p^-m) = p^(ds) prod (p^j - p^m) / (p^(dm) prod (p^j - p^s)),
+    j != s: exactly 1 at m = s and exactly 0 at every other m <= d."""
+    below = math.prod(p**j - p**s for j in range(1, d + 1) if j != s)
+    return np.array(
+        [
+            p ** (d * s) * math.prod(p**j - p**m for j in range(1, d + 1) if j != s)
+            / (p ** (d * m) * below)
+            for m in range(level + 1)
+        ],
+        dtype=np.complex128,
+    )
 
 
 def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
-    """Measure keeping chaos order s and killing every other order <= d."""
+    """Measure keeping chaos order s and killing every other order <= d.
+
+    Its coefficient at an index of chaos order m is P(p^-m), exact, with P
+    the `lemma2_polynomial`; the product it shapes is never formed."""
     _check_ints(p=p, d=d, s=s, level=level)
     coeffs = lemma2_polynomial(p, d, s)
     if level < 1:
         raise LevelMismatch(f"level must be at least 1, got {level}")
-    rho_hat = forward(lemma2_base_density(p, level))
+    check_cell_guard(p, level)
+    # the chaos order (count of nonzero digits) of every Paley index, one
+    # int8 per cell: one broadcast add per digit
+    nonzero = (np.arange(p) != 0).astype(np.int8)
+    orders = np.zeros(1, dtype=np.int8)
+    for _ in range(level):
+        orders = (orders[:, None] + nonzero).reshape(-1)
+    spectrum = Spectrum(p, level, _lemma2_values(p, d, s, level)[orders])
     provenance = {"construction": "lemma2", "p": p, "d": d, "s": s}
-    return _shaped_measure(rho_hat, coeffs, provenance)
+    return _shaped_measure(spectrum, coeffs, provenance)
 
 
 def rho_y_measure(

@@ -29,21 +29,25 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import check_base_level, check_int
+from .config import check_base_level, check_int, check_order
 from .errors import (
     EmptyIndexSet,
     GuardExceeded,
     InvalidExponent,
-    InvalidOrder,
     MalformedIndex,
     NotAChaosIndex,
 )
 
 
+def _check_base(p: int) -> None:
+    """Refuse a digit base that is not an integer of at least 2."""
+    if check_int(p, "base must be an integer") < 2:
+        raise MalformedIndex(f"base must be >= 2, got {p}")
+
+
 def to_digits(n: int, p: int, length: int) -> tuple[int, ...]:
     """Least-significant-first base-p digits of n, zero-padded to length."""
-    if p < 2:
-        raise MalformedIndex(f"base must be >= 2, got {p}")
+    _check_base(p)
     if n < 0:
         raise MalformedIndex(f"expected a natural number, got {n}")
     if length < 0 or n >= p**length:
@@ -58,8 +62,7 @@ def to_digits(n: int, p: int, length: int) -> tuple[int, ...]:
 
 def from_digits(digits: Iterable[int], p: int) -> int:
     """Inverse of to_digits: recombine least-significant-first digits."""
-    if p < 2:
-        raise MalformedIndex(f"base must be >= 2, got {p}")
+    _check_base(p)
     value = 0
     for k, digit in enumerate(digits):
         if not 0 <= digit < p:
@@ -105,6 +108,7 @@ class ChaosTerm:
 
 def paley_encode(term: ChaosTerm, p: int) -> int:
     """Paley index of a term: n = sum_i ls[i] p^ks[i]."""
+    _check_base(p)
     if any(l >= p for l in term.ls):
         raise InvalidExponent(f"exponents {term.ls} out of range for base {p}")
     return sum(l * p**k for k, l in zip(term.ks, term.ls))
@@ -112,8 +116,7 @@ def paley_encode(term: ChaosTerm, p: int) -> int:
 
 def paley_decode(n: int, p: int) -> ChaosTerm:
     """Unique term whose exponents are the nonzero base-p digits of n."""
-    if p < 2:
-        raise MalformedIndex(f"base must be >= 2, got {p}")
+    _check_base(p)
     if n < 0:
         raise MalformedIndex(f"expected a natural number, got {n}")
     if n == 0:
@@ -131,7 +134,7 @@ def paley_decode(n: int, p: int) -> ChaosTerm:
 def check_cell(p: int, level: int, c: int) -> None:
     """Refuse a cell c outside the p^level cells [c p^-level, (c+1) p^-level)."""
     check_base_level(p, level)
-    if not 0 <= c < p**level:
+    if not 0 <= check_int(c, "cell index must be an integer") < p**level:
         raise MalformedIndex(f"cell index {c} out of range for level {level}")
 
 
@@ -146,12 +149,9 @@ def group_sub(p: int, level: int, x: int, z: int) -> int:
 
 def check_chaos_order(p: int, d: int, N: int) -> None:
     """Refuse a malformed or empty order-d index set over positions 0..N."""
-    if p < 2:
-        raise MalformedIndex(f"base must be >= 2, got {p}")
+    _check_base(p)
     check_base_level(p, 0)
-    if d < 1:
-        raise InvalidOrder(f"order must be at least 1, got {d}")
-    if d > N + 1:
+    if check_order(d) > check_int(N, "N must be an integer") + 1:
         raise EmptyIndexSet(f"order {d} exceeds the {N + 1} available positions")
 
 

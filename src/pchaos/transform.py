@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_DIRECT_CELLS, check_base_level
+from .config import MAX_DIRECT_CELLS, check_base_level, check_int
 from .errors import GuardExceeded, InsufficientLevel, LevelMismatch, MalformedIndex
 from .padic import check_cell, digit_matrix, to_digits
 
@@ -104,7 +104,7 @@ def character_value(m: int, p: int, level: int, c: int) -> complex:
     value at x times the conjugate value at z.
     """
     check_cell(p, level, c)
-    if m < 0:
+    if check_int(m, "character index must be an integer") < 0:
         raise MalformedIndex(f"expected a natural number, got {m}")
     if m >= p**level:
         raise InsufficientLevel(f"index {m} needs more than {level} digits")

@@ -167,6 +167,12 @@ def test_lemma2_pattern(tmp_path):
     assert json.loads(Path(out).read_text())["pattern_check"]["passed"] is True
 
 
+def test_lemma2_is_exact_at_a_high_order(capsys):
+    # the float product route left a killed residual past 1e-8 here: exit 1
+    assert run("lemma2", "--p", "2", "--d", "8", "--s", "8", "--N", "8") == 0
+    assert "kept=0.000e+00 killed=0.000e+00" in capsys.readouterr().out
+
+
 def test_lemma2_order_without_terms_is_refused(tmp_path, capsys):
     # order 3 on the 2 positions of N=1 has no term to check: exit 2, no file
     out = tmp_path / "nu3.json"

@@ -2,19 +2,25 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from pchaos import (
     ChaosPolynomial,
+    ChaosTerm,
     CoefficientOutOfRange,
     EmptyIndexSet,
     GuardExceeded,
     IllConditionedSystem,
+    InvalidExponent,
     InvalidOrder,
     MalformedIndex,
+    NonFiniteValue,
     Spectrum,
     StepFunction,
+    character_value,
     convolve_functions,
     forward,
+    group_sub,
     inverse,
     lemma1_measure,
     lemma1_pattern_residual,
@@ -22,13 +28,17 @@ from pchaos import (
     lemma2_measure,
     lemma2_pattern_residual,
     lemma2_polynomial,
+    lq_norm,
     paley_encode,
     enumerate_Nd,
+    project_order,
+    random_chaos,
     rho_y_measure,
     riesz_density,
+    term_indices,
 )
 from pchaos import measures
-from pchaos.measures import MeasureRep, density_variation, lemma2_base_density, selector_nodes
+from pchaos.measures import MeasureRep, density_variation, selector_nodes
 
 
 class TestRieszDensity:
@@ -155,12 +165,57 @@ class TestLemma2:
     def test_linear_case(self, p):
         np.testing.assert_allclose(lemma2_polynomial(p, 1, 1), [0.0, p], atol=1e-12)
 
-    def test_base_density_spectrum(self):
-        base = lemma2_base_density(3, 4)
-        coeffs = forward(base).coeffs
-        for m in range(81):
-            s = sum(1 for digit in np.base_repr(m, 3) if digit != "0")
-            assert abs(coeffs[m] - 3.0**-s) <= 1e-12
+    @pytest.mark.parametrize("p, level", [(2, 5), (3, 4), (5, 3)])
+    def test_spectrum_matches_the_shaped_product(self, p, level):
+        # the product prod_k (1 + (R_k + ... + R_k^(p-1))/p), built here on
+        # the cells, has coefficient p^-m at every index of chaos order m;
+        # P applied to its coefficients by polyval is the lemma2 measure
+        omega = np.exp(2j * np.pi * np.arange(p) / p)
+        factor = 1.0 + sum(omega**l for l in range(1, p)).real / p
+        density = np.ones(1)
+        for _ in range(level):
+            density = np.multiply.outer(density, factor).reshape(-1)
+        rho_hat = forward(StepFunction(p, level, density)).coeffs
+        orders = [sum(digit != "0" for digit in np.base_repr(m, p)) for m in range(p**level)]
+        np.testing.assert_allclose(rho_hat, float(p) ** -np.array(orders), rtol=0, atol=1e-12)
+        for d in (1, 2, 3):
+            for s in range(1, d + 1):
+                expected = npoly.polyval(rho_hat, lemma2_polynomial(p, d, s))
+                got = lemma2_measure(p, d, s, level).spectrum.coeffs
+                # relative: the order-0 coefficient P(1) reaches 15625 at p=5, d=3
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, d, s, level", [(2, 8, 8, 8), (3, 6, 6, 6), (16, 4, 4, 4), (2, 12, 12, 12)]
+    )
+    def test_exact_where_the_float_product_was_not(self, p, d, s, level):
+        # a float route through the product's spectrum and P's monomial
+        # coefficients missed 1e-8 here (a killed residual of 3.3e4 at p=2, d=12)
+        nu = lemma2_measure(p, d, s, level)
+        assert lemma2_pattern_residual(nu, d, s, level - 1) == (0.0, 0.0)
+
+    def test_variation_closed_form(self):
+        # P(1) = 2 (2^12 - 1), P(1/2) = 1 and P(2^-m) = 0 for m = 2..12, so the
+        # density is 8190 plus the 12 Rademacher functions: positive, and
+        # its variation is its mean
+        nu = lemma2_measure(2, 12, 1, 12)
+        assert nu.spectrum.coeffs[0] == 8190
+        assert abs(nu.variation - 8190) <= 1e-12 * 8190
+
+    def test_builds_no_product_density(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lemma2_measure transformed or evaluated a grid")
+
+        monkeypatch.setattr(measures, "forward", refuse)
+        monkeypatch.setattr(measures.npoly, "polyval", refuse)
+        nu = lemma2_measure(3, 3, 2, 4)
+        assert lemma2_pattern_residual(nu, 3, 2, 3) == (0.0, 0.0)
+
+    def test_selector_past_the_float_range_is_refused(self):
+        # P's monomial coefficients overflow float64 from d=45 at p=2;
+        # the measure came back NaN
+        with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
+            lemma2_measure(2, 45, 45, 2)
 
     def test_p3_d3_s2_pattern(self):
         nu = lemma2_measure(3, 3, 2, 5)
@@ -289,6 +344,56 @@ def test_refuses_exponents_and_signs_that_are_not_integers(build, bad):
 def test_refuses_scalars_that_are_not_integers(build, bad):
     # the bools ran as level 1, N=1 and d=1; the floats ended in a TypeError
     with pytest.raises(MalformedIndex, match=bad):
+        build()
+
+
+def _mixed_polynomial():
+    return ChaosPolynomial.from_indices(2, 2, [1, 3], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "build, error, bad",
+    [
+        (lambda: character_value(1.5, 3, 2, 1), MalformedIndex, "index must be an integer, got 1.5"),
+        (lambda: group_sub(3, 2, 1.5, 1), MalformedIndex, "cell index must be an integer, got 1.5"),
+        (
+            lambda: paley_encode(ChaosTerm((0,), (1,)), 2.5),
+            MalformedIndex,
+            "base must be an integer, got 2.5",
+        ),
+        (lambda: lemma2_polynomial(2.5, 2, 1), MalformedIndex, "p must be an integer, got 2.5"),
+        (lambda: lq_norm([1, 2], True), InvalidExponent, "finite and positive, got True"),
+        (lambda: lq_norm([1, 2], np.True_), InvalidExponent, "finite and positive, got True"),
+        (lambda: term_indices(2, 2, 4.0), MalformedIndex, "N must be an integer, got 4.0"),
+        (lambda: term_indices("3", 2, 4), MalformedIndex, "base must be an integer, got '3'"),
+        (lambda: project_order(_mixed_polynomial(), 1.5), MalformedIndex, "order must be an integer, got 1.5"),
+        (lambda: project_order(_mixed_polynomial(), 0), InvalidOrder, "order must be at least 1, got 0"),
+        (lambda: term_indices(2, True, 4), MalformedIndex, "order must be an integer, got True"),
+        (lambda: term_indices(2, 0, 4), InvalidOrder, "order must be at least 1, got 0"),
+        (lambda: enumerate_Nd(2, True, 3), MalformedIndex, "order must be an integer, got True"),
+        (
+            lambda: random_chaos(2, True, 3, np.random.default_rng(0)),
+            MalformedIndex,
+            "order must be an integer, got True",
+        ),
+        (lambda: lemma1_system(True), MalformedIndex, "order must be an integer, got True"),
+        (lambda: lemma1_system(0), InvalidOrder, "order must be at least 1, got 0"),
+        (lambda: lemma2_polynomial(2, 2, True), MalformedIndex, "order must be an integer, got True"),
+        (lambda: lemma2_polynomial(2, 0, 1), InvalidOrder, "order must be at least 1, got 0"),
+    ],
+    ids=[
+        "character-m", "group-sub-cell", "paley-encode-p", "lemma2-polynomial-p",
+        "lq-q-bool", "lq-q-numpy-bool", "term-indices-N", "term-indices-p-str",
+        "project-order-float", "project-order-0", "term-indices-d-bool", "term-indices-d-0",
+        "enumerate-d-bool", "random-chaos-d-bool", "lemma1-system-d-bool", "lemma1-system-d-0",
+        "lemma2-polynomial-s-bool", "lemma2-polynomial-d-0",
+    ],
+)
+def test_scalar_entry_points_refuse_what_is_not_an_admitted_integer(build, error, bad):
+    # the non-integers ran on a rounded, truncated or bool value (q=1, d=1,
+    # the zero polynomial, base 2.5) or ended in a TypeError; the orders
+    # below 1 share the one order guard's message
+    with pytest.raises(error, match=bad):
         build()
 
 
