@@ -58,6 +58,7 @@ from .measures import MeasureRep, _validate_exponents
 from .padic import (
     ChaosTerm,
     _check_index_width,
+    _exponent_agrees,
     digit_matrix,
     exponent_match,
     paley_decode,
@@ -65,9 +66,11 @@ from .padic import (
 )
 from .transform import Spectrum, _tensor_dft, _working_dtype, convolve
 
-# Bound in bytes on one chunk of a per-term array over many rows: the
-# (sequences x terms) match mask of `decomposition_residual`, and a study
-# row's (trials x terms) complex128 coefficient block.
+# Bound in bytes on one chunk of a per-term array over many rows: a study
+# row's (trials x terms) complex128 coefficient block, and each
+# (sequences x terms) mask of `decomposition_residual`, which builds the
+# masks of the exponent sequences on shared prefixes, one position at a
+# time, and enumerates the sequences in chunks of at most this many bytes.
 _CHUNK_BYTES = 2**20
 
 
@@ -412,13 +415,67 @@ def convolve_with_measure(Q: ChaosPolynomial, measure: MeasureRep) -> Spectrum:
     return convolve(polynomial_spectrum(Q, measure.level), measure.spectrum)
 
 
+def _agreeing_sequences(indices: np.ndarray, p: int, width: int) -> np.ndarray:
+    """For each Paley index, how many of the (p-1)^width exponent sequences
+    agree with it at every used position (project_J's rule).
+
+    The indices are taken in slices whose (width, p-1, terms) table of
+    per-position predicates fits _CHUNK_BYTES; each predicate is built
+    once per slice. The last `tail` positions hold as many sequences as
+    fit one mask of _CHUNK_BYTES (and a uint16 count); their masks are
+    built once by shared prefixes, each its prefix's mask ANDed with one
+    predicate row. The sequences on the remaining `head` positions are
+    walked depth first in the same way, one mask row each, and every head
+    mask is ANDed with the whole tail block, so every (sequence, term)
+    pair is evaluated and counted, and no mask exceeds _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (width * (p - 1)))
+    if indices.size > step:
+        return np.concatenate(
+            [
+                _agreeing_sequences(indices[start : start + step], p, width)
+                for start in range(0, indices.size, step)
+            ]
+        )
+    base, n = p - 1, indices.size
+    digits = digit_matrix(indices, p, width)
+    agrees = _exponent_agrees(digits.T[:, None, :], np.arange(1, p)[:, None])
+    rows = min(_CHUNK_BYTES // n, np.iinfo(np.uint16).max)
+    tail = 0
+    while tail < width and base ** (tail + 1) <= rows:
+        tail += 1
+    head = width - tail
+    suffixes = np.ones((1, n), dtype=bool)
+    for k in range(head, width):
+        suffixes = (suffixes[:, None, :] & agrees[k]).reshape(-1, n)
+    if not head:
+        return suffixes.sum(axis=0, dtype=np.uint16).astype(np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    block = np.empty_like(suffixes)
+
+    def walk(prefix: np.ndarray, k: int) -> None:
+        nonlocal counts
+        if k < head:
+            for row in agrees[k]:
+                walk(prefix & row, k + 1)
+        else:
+            np.logical_and(prefix, suffixes, out=block)
+            counts += block.sum(axis=0, dtype=np.uint16)
+
+    walk(np.ones(n, dtype=bool), 0)
+    return counts
+
+
 def decomposition_residual(Q: ChaosPolynomial) -> float:
     """Coefficient-level residual of averaging the exponent projections.
 
     Summing project_J over all (p-1)^(N+1) exponent sequences counts every
     term (p-1)^(N+1-d) times, so the scaled sum must reproduce Q exactly.
-    The sequences are enumerated in chunks, and each term's count is the
-    number of them that agree with it under project_J's own mask.
+    Each term's count is the number of sequences that agree with it under
+    project_J's own rule, with every (sequence, term) pair evaluated: the
+    masks are built on shared prefixes, a sequence's mask being its
+    prefix's mask ANDed with one predicate row, and enumerated in chunks
+    so that no mask exceeds _CHUNK_BYTES (see `_agreeing_sequences`). The
+    guard on the sequence count runs before any mask is allocated.
     """
     if not Q.indices.size:
         return 0.0
@@ -431,12 +488,6 @@ def decomposition_residual(Q: ChaosPolynomial) -> float:
             f"(p-1)^(N+1) = {count} exponent sequences exceed the guard "
             f"{MAX_DECOMPOSITION_SEQUENCES}"
         )
-    place = base ** np.arange(width)
-    agreeing = np.zeros(Q.indices.size, dtype=np.int64)
-    chunk = max(1, _CHUNK_BYTES // Q.indices.size)
-    for start in range(0, count, chunk):
-        sequences = np.arange(start, min(start + chunk, count))
-        J = (sequences[:, None] // place) % base + 1
-        agreeing += exponent_match(Q.indices, Q.p, J).sum(axis=0)
+    agreeing = _agreeing_sequences(Q.indices, Q.p, width)
     scale = float(base) ** (-(width - Q.order))
     return float(np.abs(Q.values - scale * (agreeing * Q.values)).max())

@@ -41,7 +41,8 @@ Both shaping polynomials are solved in float64 by Newton divided
 differences on the stated node list followed by conversion to monomial
 coefficients. lemma1 applies its monomial coefficients to the base
 coefficients and rejects the solve (``IllConditionedSystem``) if its
-Vandermonde residual exceeds tolerance, never silently degraded. lemma2
+Vandermonde residual exceeds tolerance, never silently degraded; it is
+solved once per order, and the gate runs on every call. lemma2
 keeps its monomial coefficients only as provenance (they give the l1
 variation bound); its measure is exact at every order the guards admit.
 """
@@ -49,7 +50,9 @@ variation bound); its measure is exact at every order the guards admit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,14 +151,14 @@ def riesz_density(
             raise CoefficientOutOfRange(f"coefficient {ak} is not finite")
         if abs(ak) > 1 + UNIT_DISC_SLACK:
             raise CoefficientOutOfRange(f"|a_k| = {abs(ak)} exceeds 1")
-    # factor k is a length-p table of values, read at the cell's digit c_{k+1}
+    # factor k is a length-p table of values, read at the cell's digit
+    # c_{k+1}: each outer product appends it as the fastest-varying axis, and
+    # every cell's product is taken left to right, 1.0 * f_0 * f_1 * ...
     digits = np.arange(p)
-    values = np.ones((p,) * level if level else (1,))
-    for k, (ak, jk) in enumerate(zip(a, j)):
-        shape = [1] * level
-        shape[k] = p
+    values = np.ones(())
+    for ak, jk in zip(a, j):
         factor = 1.0 + (ak * np.exp(2j * np.pi * ((jk * digits) % p) / p)).real
-        values = values * factor.reshape(shape)
+        values = np.multiply.outer(values, factor)
     return StepFunction(p, level, values.reshape(p**level))
 
 
@@ -243,6 +246,22 @@ def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     return node_arr, target_arr
 
 
+@functools.cache
+def _selector_solution(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Nodes, targets, monomial solution and Vandermonde residual of the
+    order-d selector system, read-only: solved once per order. Only
+    `lemma1_system` calls it, after its order check, so a bool or a float
+    never reaches the cache (True and 1.0 hash as 1)."""
+    node_arr, target_arr = selector_nodes(d)
+    degree = (d + 1) * (d + 2) // 2
+    coeffs = interpolate_monomial(node_arr, target_arr)
+    powers = node_arr[:, None] ** np.arange(degree + 1)[None, :]
+    residual = float(np.max(np.abs(powers @ coeffs - target_arr)))
+    for arr in (node_arr, target_arr, coeffs):
+        arr.flags.writeable = False
+    return node_arr, target_arr, coeffs, residual
+
+
 def lemma1_system(d: int) -> VandermondeSystem:
     """Build and solve the exponent-selector interpolation system.
 
@@ -252,12 +271,13 @@ def lemma1_system(d: int) -> VandermondeSystem:
     4.6e33 for d = 1..6) that double precision meets the 1e-6 gate only
     for d <= 3. Larger orders raise IllConditionedSystem rather than
     degrade silently.
+
+    The solve runs once per order and its arrays are read-only; the order
+    check and the residual gate (against the current SOLVE_RESIDUAL_TOL)
+    run on every call.
     """
-    node_arr, target_arr = selector_nodes(d)
-    degree = (d + 1) * (d + 2) // 2
-    coeffs = interpolate_monomial(node_arr, target_arr)
-    powers = node_arr[:, None] ** np.arange(degree + 1)[None, :]
-    residual = float(np.max(np.abs(powers @ coeffs - target_arr)))
+    d = check_order(d)
+    node_arr, target_arr, coeffs, residual = _selector_solution(d)
     if residual > SOLVE_RESIDUAL_TOL:
         raise IllConditionedSystem(
             f"interpolation residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e}"
@@ -325,12 +345,20 @@ def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
 
     Degree d, P(0) = 0, P(p^-s) = 1, P(p^-j) = 0 for j in 1..d, j != s.
     The constant term is exactly zero (node 0 leads the Newton node list).
-    Coefficients past the float64 range are refused (`NonFiniteValue`).
+    Coefficients past the float64 range are refused (`NonFiniteValue`),
+    before the O(d^2) solve where a lower bound on the leading coefficient
+    already overflows. That coefficient is 1 over the product of p^-s - x
+    over the other nodes x: node 0 gives p^-s, and |p^-s - p^-j| <
+    p^-min(s, j), so its size exceeds p^(s + s(s-1)/2 + s(d-s)).
     """
     check_base_level(p, 0)
     d = check_order(d)
     if check_order(s) > d:
         raise InvalidOrder(f"selected order {s} not in 1..{d}")
+    power = s + s * (s - 1) // 2 + s * (d - s)
+    # p >= 2, so a power of at least max_exp passes the float64 range
+    if power >= sys.float_info.max_exp or p**power > sys.float_info.max:
+        raise NonFiniteValue(f"the order-{d} selector for p={p} leaves the float64 range")
     nodes = np.array([0.0] + [float(p) ** -j for j in range(1, d + 1)])
     values = np.array([0.0] + [1.0 if j == s else 0.0 for j in range(1, d + 1)])
     with np.errstate(all="ignore"):
@@ -365,10 +393,10 @@ def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     Its coefficient at an index of chaos order m is P(p^-m), exact, with P
     the `lemma2_polynomial`; the product it shapes is never formed."""
     _check_ints(p=p, d=d, s=s, level=level)
-    coeffs = lemma2_polynomial(p, d, s)
     if level < 1:
         raise LevelMismatch(f"level must be at least 1, got {level}")
     check_cell_guard(p, level)
+    coeffs = lemma2_polynomial(p, d, s)
     # the chaos order (count of nonzero digits) of every Paley index, one
     # int8 per cell: one broadcast add per digit
     nonzero = (np.arange(p) != 0).astype(np.int8)

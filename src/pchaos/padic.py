@@ -198,6 +198,13 @@ def digit_matrix(indices: np.ndarray, p: int, width: int) -> np.ndarray:
     return (indices[:, None] // np.int64(p) ** np.arange(width)) % p
 
 
+def _exponent_agrees(digits: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Where a position's digit agrees with an exponent: the position is
+    unused (digit 0) or carries that exponent. The one rule behind
+    `exponent_match` and the decomposition identity's sequence counts."""
+    return (digits == 0) | (digits == exponents)
+
+
 def exponent_match(indices: np.ndarray, p: int, J: Sequence[int]) -> np.ndarray:
     """Mask of the indices whose exponents equal J[k] at every used position k.
 
@@ -209,5 +216,5 @@ def exponent_match(indices: np.ndarray, p: int, J: Sequence[int]) -> np.ndarray:
     digits = digit_matrix(indices, p, J.shape[-1])
     match = np.ones(J.shape[:-1] + digits.shape[:1], dtype=bool)
     for k in range(J.shape[-1]):
-        match &= (digits[:, k] == 0) | (digits[:, k] == J[..., k, None])
+        match &= _exponent_agrees(digits[:, k], J[..., k, None])
     return match

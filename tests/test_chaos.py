@@ -600,6 +600,73 @@ class TestDecomposition:
         with pytest.raises(CombinatorialBlowup):
             decomposition_residual(Q)
 
+    def test_guard_runs_before_any_mask(self, monkeypatch):
+        # 840 terms and 2^21 sequences: one chunk of masks alone is 1 MiB
+        Q = random_chaos(3, 2, 20, np.random.default_rng(0), "unimodular")
+
+        def refuse(*args):
+            raise AssertionError("sequence masks were built")
+
+        monkeypatch.setattr(chaos, "_agreeing_sequences", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CombinatorialBlowup):
+                decomposition_residual(Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**14
+
+
+def _per_sequence_counts(indices, p, width):
+    """Reference: each exponent sequence's own project_J mask, summed."""
+    from itertools import product
+
+    from pchaos.padic import exponent_match
+
+    sequences = np.array(list(product(range(1, p), repeat=width))).reshape(-1, width)
+    return exponent_match(indices, p, sequences).sum(axis=0)
+
+
+_COUNT_CASES = [
+    (p, d, width - 1)
+    for p in range(2, 8)
+    for width in range(1, 13)
+    if (p - 1) ** width <= 4096
+    for d in range(1, min(width, 3) + 1)
+]
+
+
+@pytest.mark.parametrize("chunk", [chaos._CHUNK_BYTES, 64])
+def test_sequence_counts_match_the_per_sequence_route(monkeypatch, chunk):
+    # shared-prefix masks, chunked at the default size and at 64 bytes,
+    # count exactly what each sequence's own mask counts; at 64 bytes a
+    # slice holds one or two terms, so every 64th-part of the terms is
+    # enough to cross many slices
+    monkeypatch.setattr(chaos, "_CHUNK_BYTES", chunk)
+    for p, d, N in _COUNT_CASES:
+        indices = term_indices(p, d, N)
+        if chunk == 64:
+            indices = indices[:: max(1, indices.size // 64)]
+        expected = _per_sequence_counts(indices, p, N + 1)
+        got = chaos._agreeing_sequences(indices, p, N + 1)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected, err_msg=f"p={p} d={d} N={N}")
+
+
+def test_sequence_counts_stay_within_the_chunk_bound():
+    # 262,144 sequences over 576 terms: the per-sequence masks would be
+    # 151 MB; the chunked masks stay near one _CHUNK_BYTES
+    Q = random_chaos(5, 2, 8, np.random.default_rng(0), "unimodular")
+    tracemalloc.start()
+    try:
+        residual = decomposition_residual(Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak <= 4 * 2**20
+
 
 class TestProjectOrder:
     def test_identity_and_zero(self):

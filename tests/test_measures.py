@@ -1,5 +1,7 @@
 """Riesz products, the shaped measure constructions and variation accounting."""
 
+import sys
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -13,6 +15,7 @@ from pchaos import (
     IllConditionedSystem,
     InvalidExponent,
     InvalidOrder,
+    LevelMismatch,
     MalformedIndex,
     NonFiniteValue,
     Spectrum,
@@ -108,6 +111,46 @@ class TestSelectorSystem:
     def test_order_guard(self):
         with pytest.raises(GuardExceeded):
             selector_nodes(7)
+
+    def test_solved_once_per_order(self, monkeypatch):
+        measures._selector_solution.cache_clear()
+        calls = []
+        solve = measures.interpolate_monomial
+        monkeypatch.setattr(
+            measures, "interpolate_monomial", lambda *a: calls.append(1) or solve(*a)
+        )
+        first = lemma1_system(2)
+        for _ in range(3):
+            again = lemma1_system(2)
+            np.testing.assert_array_equal(again.coefficients, first.coefficients)
+            assert again.residual == first.residual
+        assert len(calls) == 1
+
+    def test_cached_order_still_checks_its_argument(self):
+        lemma1_system(1)
+        lemma1_system(2)
+        # True and 2.0 hash as the cached 1 and 2
+        with pytest.raises(MalformedIndex, match="order must be an integer, got True"):
+            lemma1_system(True)
+        with pytest.raises(MalformedIndex, match="order must be an integer, got 2.0"):
+            lemma1_system(2.0)
+        assert lemma1_system(np.int64(2)).d == 2
+
+    def test_refused_order_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(IllConditionedSystem):
+                lemma1_system(4)
+            with pytest.raises(GuardExceeded):
+                lemma1_system(7)
+
+    def test_arrays_are_read_only(self):
+        system = lemma1_system(3)
+        for arr in (system.nodes, system.targets, system.coefficients):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        nu = lemma1_measure(3, 3, [1, 2, 1, 2], 4)
+        nu.provenance["coefficients"][0] = 1.0  # the provenance owns a copy
+        assert lemma1_system(3).coefficients[0] == 0
         with pytest.raises(InvalidOrder):
             selector_nodes(0)
 
@@ -155,6 +198,29 @@ class TestLemma1Measure:
         for term in enumerate_Nd(p, d, level - 1):
             value = rho_hat.coeffs[paley_encode(term, p)]
             assert np.abs(alphabet - value).min() <= 1e-8
+
+
+def _selector_solves(nodes):
+    """The float route of `lemma2_polynomial` for every s at once: the
+    Newton divided differences and monomial expansion of
+    `measures.interpolate_monomial`, one column per s with value 1 at
+    node s, with the same complex128 operations in the same order."""
+    n = len(nodes)
+    x = nodes.astype(np.complex128)
+    coef = np.eye(n, dtype=np.complex128)[:, 1:]
+    with np.errstate(all="ignore"):
+        for order in range(1, n):
+            coef[order:] = (coef[order:] - coef[order - 1 : n - 1]) / (
+                x[order:] - x[: n - order]
+            )[:, None]
+        poly = coef[-1:]
+        for i in range(n - 2, -1, -1):
+            grown = np.zeros((len(poly) + 1, n - 1), dtype=np.complex128)
+            grown[1:] = poly
+            grown[: len(poly)] -= x[i] * poly
+            grown[0] += coef[i]
+            poly = grown
+    return poly.real
 
 
 class TestLemma2:
@@ -210,6 +276,44 @@ class TestLemma2:
         monkeypatch.setattr(measures.npoly, "polyval", refuse)
         nu = lemma2_measure(3, 3, 2, 4)
         assert lemma2_pattern_residual(nu, 3, 2, 3) == (0.0, 0.0)
+
+    def test_guards_run_before_the_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the selector was solved")
+
+        monkeypatch.setattr(measures, "interpolate_monomial", refuse)
+        # the level and the cell guard come before the polynomial
+        with pytest.raises(LevelMismatch):
+            lemma2_measure(2, 3000, 1, 0)
+        with pytest.raises(GuardExceeded):
+            lemma2_measure(2, 3000, 1, 25)
+        # the leading coefficient's lower bound p^(s + s(s-1)/2 + s(d-s))
+        # overflows, so no O(d^2) solve runs
+        for p, d, s in [(2, 3000, 1), (2, 300000, 7), (16, 300, 300), (3, 10**12, 1)]:
+            with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
+                lemma2_polynomial(p, d, s)
+            with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
+                lemma2_measure(p, d, s, 2)
+
+    def test_early_refusal_only_where_the_solve_overflows(self):
+        # over p = 2..7, d <= 80 and every s, the bound refuses a subset of
+        # what the float solve refuses, and never an order it admits
+        bound_refused = float_refused = 0
+        for p in range(2, 8):
+            for d in range(1, 81):
+                nodes = np.array([0.0] + [float(p) ** -j for j in range(1, d + 1)])
+                overflow = ~np.isfinite(_selector_solves(nodes)).all(axis=0)
+                for s in range(1, d + 1):
+                    power = s + s * (s - 1) // 2 + s * (d - s)
+                    refused = p**power > sys.float_info.max
+                    assert overflow[s - 1] or not refused, (p, d, s)
+                    bound_refused += refused
+                    if refused:
+                        with pytest.raises(NonFiniteValue):
+                            lemma2_polynomial(p, d, s)
+                float_refused += int(overflow.sum())
+        assert bound_refused == 12873
+        assert float_refused == 16019
 
     def test_selector_past_the_float_range_is_refused(self):
         # P's monomial coefficients overflow float64 from d=45 at p=2;
@@ -395,6 +499,35 @@ def test_scalar_entry_points_refuse_what_is_not_an_admitted_integer(build, error
     # below 1 share the one order guard's message
     with pytest.raises(error, match=bad):
         build()
+
+
+def _broadcast_riesz_density(p, level, a, j):
+    """Reference: the product by broadcasting, one reshaped factor per axis."""
+    digits = np.arange(p)
+    values = np.ones((p,) * level if level else (1,))
+    for k, (ak, jk) in enumerate(zip(a, j)):
+        shape = [1] * level
+        shape[k] = p
+        factor = 1.0 + (ak * np.exp(2j * np.pi * ((jk * digits) % p) / p)).real
+        values = values * factor.reshape(shape)
+    return values.reshape(p**level)
+
+
+def test_riesz_density_matches_the_broadcast_product_bit_for_bit():
+    rng = np.random.default_rng(0)
+    cases = 0
+    for p in range(2, 17):
+        level = 0
+        while p**level <= 4096:
+            for _ in range(5):
+                a = [complex(x) for x in rng.random(level) * np.exp(2j * np.pi * rng.random(level))]
+                j = [int(x) for x in rng.integers(1, p, size=level)]
+                got = riesz_density(p, level, a, j).values
+                expected = _broadcast_riesz_density(p, level, a, j)
+                assert got.tobytes() == expected.astype(got.dtype).tobytes(), (p, level)
+                cases += 1
+            level += 1
+    assert cases == 405
 
 
 def test_integer_exponents_and_signs_of_any_integer_type():
