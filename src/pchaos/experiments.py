@@ -56,13 +56,12 @@ from .transform import (
 )
 from .measures import (
     _lemma1_base_spectrum,
-    density_variation,
+    _riesz_block,
     lemma1_measure,
     lemma1_pattern_residual,
     lemma2_measure,
     lemma2_pattern_residual,
     rho_y_measure,
-    riesz_density,
     selector_nodes,
 )
 from .chaos import (
@@ -560,18 +559,28 @@ def verify_suite(
 
     # --- Riesz product mass, per base ----------------------------------
     def riesz_mass():
+        # ten densities per base, drawn in order and built as one block;
+        # each row is reduced as StepFunction.integral, the real minimum, the
+        # imaginary maximum and density_variation reduce one density
         for p in p_values:
             L = _fit_level(p, 4096)
             rng = trial_rng(seed, 6, p)
+            a, j = [], []
             for _ in range(10):
-                a = rng.random(L) * np.exp(2j * np.pi * rng.random(L))
-                j = rng.integers(1, p, size=L)
-                density = riesz_density(p, L, a, j)
+                a.append((rng.random(L) * np.exp(2j * np.pi * rng.random(L))).tolist())
+                j.append(rng.integers(1, p, size=L).tolist())
+            values = _riesz_block(p, L, a, j)
+            scale = p ** (-L)
+            integrals = values.sum(axis=1) * scale
+            minima = values.real.min(axis=1)
+            imaginary = np.abs(values.imag).max(axis=1)
+            variations = np.abs(values).sum(axis=1) * scale
+            for r in range(10):
                 residual = max(
-                    abs(density.integral() - 1.0),
-                    float(max(0.0, -density.values.real.min())),
-                    float(np.abs(density.values.imag).max()),
-                    abs(density_variation(density) - 1.0),
+                    abs(complex(integrals[r]) - 1.0),
+                    float(max(0.0, -minima[r])),
+                    float(imaginary[r]),
+                    abs(float(variations[r]) - 1.0),
                 )
                 yield residual, {"p": p, "level": L}
 

@@ -14,13 +14,17 @@ polynomial applied to a base measure (with powers read as convolution
 powers and the constant term as a point mass at 0) acts coefficientwise.
 Both shaped constructions exploit that:
 
-* ``lemma1_measure`` places a = exp(2 pi i / (2d+1)) on every factor whose
-  character power is not self-conjugate (and 1 on the rest). The base
-  coefficients on order-d indices then live in a finite alphabet in which
-  the exponent-matched values are separated from every mismatched value;
-  interpolating through that alphabet (1 on matched points, 0 elsewhere
+* ``lemma1_measure`` shapes the product with a = exp(2 pi i / (2d+1)) on
+  every factor whose character power is not self-conjugate (and 1 on the
+  rest). Its coefficient at an index is 0 unless every digit is 0 or
+  +-J_k, and then zeta^(u-v) / 2^(u+v), with u and v counting the digits
+  J_k and -J_k at non-self-conjugate positions: a finite alphabet in which
+  the exponent-matched values are separated from every mismatched value.
+  Interpolating through that alphabet (1 on matched points, 0 elsewhere
   and at 0) yields a measure whose coefficients select exactly the order-d
-  terms with exponents equal to a prescribed sequence J.
+  terms with exponents equal to a prescribed sequence J. The measure is
+  built from P's value at each letter, gathered by each index's (u, v),
+  without forming the product or transforming it.
 
 * ``lemma2_measure`` shapes the exponent-symmetric product with
   per-factor coefficient (R + R^2 + ... + R^(p-1))/p, whose coefficient at
@@ -39,12 +43,13 @@ coefficient is Re(a_k) instead of a_k / 2.
 
 Both shaping polynomials are solved in float64 by Newton divided
 differences on the stated node list followed by conversion to monomial
-coefficients. lemma1 applies its monomial coefficients to the base
-coefficients and rejects the solve (``IllConditionedSystem``) if its
-Vandermonde residual exceeds tolerance, never silently degraded; it is
-solved once per order, and the gate runs on every call. lemma2
-keeps its monomial coefficients only as provenance (they give the l1
-variation bound); its measure is exact at every order the guards admit.
+coefficients. lemma1 evaluates its monomial coefficients at the letters
+of the alphabet, the order-d letters bit for bit the solve's nodes, and
+rejects the solve (``IllConditionedSystem``) if its Vandermonde residual
+exceeds tolerance, never silently degraded; it is solved once per order,
+and the gate runs on every call. lemma2 keeps its monomial coefficients
+only as provenance (they give the l1 variation bound); its measure is
+exact at every order the guards admit.
 """
 
 from __future__ import annotations
@@ -132,34 +137,88 @@ def _validate_exponents(p: int, j: Sequence[int]) -> list[int]:
     return out
 
 
+def _coefficient_rows(a) -> list[list[complex]]:
+    """The rows of Riesz coefficients `a` as complex, each row read once; a
+    bool, Python or numpy, is refused (complex(True) would run it as a = 1)."""
+    rows = []
+    for row in a:
+        out = []
+        for x in row:
+            if isinstance(x, (bool, np.bool_)):
+                raise CoefficientOutOfRange(f"coefficients must be numbers, got {x!r}")
+            out.append(complex(x))
+        rows.append(out)
+    return rows
+
+
+def _riesz_block(p: int, level: int, a, j) -> np.ndarray:
+    """`riesz_density` of every row of (rows x level) coefficients `a` and
+    exponents `j`: a (rows x p^level) complex128 block, row r the density of
+    a[r] and j[r] bit for bit.
+
+    Every factor table 1 + Re(a_k omega^(j_k x)), for all rows, positions
+    k and digits x, is one broadcast complex product of the coefficients
+    with the gathered roots omega^((j_k x) mod p). Factor k is read at the
+    cell's digit c_{k+1}: each step appends it as the fastest-varying axis,
+    and every cell's product is taken left to right, 1.0 * f_0 * f_1 * ...
+
+    The steps alternate between two work buffers, and the last writes the
+    real parts of the result in place. A step broadcasts its table, one
+    product of length p per cell, except at p <= 5 once it covers 128 p
+    cells (rows times cells so far): there it takes p long products, one
+    per digit, as numpy runs products of length 2 to 5 slowly. At p=2 a
+    step over 1024 cells took 16 us broadcast and 7 us per digit; at p=16
+    over 4096 cells, 76 us and 163 us, as each of the p strided passes
+    walks the whole output (numpy 2.4 on a 2-vCPU x86-64 machine)."""
+    check_cell_guard(p, level)
+    a = _coefficient_rows(a)
+    j = [_validate_exponents(p, row) for row in j]
+    for ak, jk in zip(a, j):
+        if len(ak) != level or len(jk) != level:
+            raise LevelMismatch(
+                f"need {level} coefficients and exponents, got {len(ak)} and {len(jk)}"
+            )
+    rows = len(a)
+    a = np.asarray(a, dtype=np.complex128).reshape(rows, level)
+    j = np.asarray(j, dtype=np.int64).reshape(rows, level)
+    refused = ~np.isfinite(a) | (np.abs(a) > 1 + UNIT_DISC_SLACK)
+    if refused.any():
+        ak = complex(a.flat[np.argmax(refused)])
+        if not cmath.isfinite(ak):
+            raise CoefficientOutOfRange(f"coefficient {ak} is not finite")
+        raise CoefficientOutOfRange(f"|a_k| = {abs(ak)} exceeds 1")
+    digits = np.arange(p)
+    roots = np.exp(2j * np.pi * digits / p)
+    tables = 1.0 + (a[:, :, None] * roots[(j[:, :, None] * digits) % p]).real
+    if level == 0:
+        return np.ones((rows, 1), dtype=np.complex128)
+    pairs = np.zeros((rows, p ** (level - 1), p, 2))  # the result's (re, im)
+    work = np.empty((2, rows * p ** (level - 1)))
+    values = np.ones((rows, 1))
+    for k in range(level):
+        cells = values.shape[1]
+        if k == level - 1:
+            out = pairs[..., 0]
+        else:
+            out = work[k % 2, : rows * cells * p].reshape(rows, cells, p)
+        if p > 5 or rows * cells < 128 * p:
+            np.multiply(values[:, :, None], tables[:, k, None, :], out=out)
+        else:
+            for x in range(p):
+                np.multiply(values, tables[:, k, x, None], out=out[:, :, x])
+        values = out.reshape(rows, -1)
+    return pairs.view(np.complex128).reshape(rows, p**level)
+
+
 def riesz_density(
     p: int, level: int, a: Sequence[complex], j: Sequence[int]
 ) -> StepFunction:
     """Level-L Riesz product density prod_k (1 + Re(a_k R_k^{j_k})).
 
-    Real, non-negative, Haar integral 1 for any admissible coefficients.
+    Real, non-negative, Haar integral 1 for any admissible coefficients:
+    the one-row case of `_riesz_block`.
     """
-    check_cell_guard(p, level)
-    a = [complex(x) for x in a]
-    j = _validate_exponents(p, j)
-    if len(a) != level or len(j) != level:
-        raise LevelMismatch(
-            f"need {level} coefficients and exponents, got {len(a)} and {len(j)}"
-        )
-    for ak in a:
-        if not cmath.isfinite(ak):
-            raise CoefficientOutOfRange(f"coefficient {ak} is not finite")
-        if abs(ak) > 1 + UNIT_DISC_SLACK:
-            raise CoefficientOutOfRange(f"|a_k| = {abs(ak)} exceeds 1")
-    # factor k is a length-p table of values, read at the cell's digit
-    # c_{k+1}: each outer product appends it as the fastest-varying axis, and
-    # every cell's product is taken left to right, 1.0 * f_0 * f_1 * ...
-    digits = np.arange(p)
-    values = np.ones(())
-    for ak, jk in zip(a, j):
-        factor = 1.0 + (ak * np.exp(2j * np.pi * ((jk * digits) % p) / p)).real
-        values = np.multiply.outer(values, factor)
-    return StepFunction(p, level, values.reshape(p**level))
+    return StepFunction(p, level, _riesz_block(p, level, [a], [j])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +275,18 @@ class VandermondeSystem:
     residual: float
 
 
+def _letters(d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The coefficient alphabet zeta^(u-v) / 2^(u+v), zeta = exp(2 pi i /
+    (2d+1)), of lemma1's base product: the coefficient at an index with u
+    digits J_k and v digits -J_k (mod p) at positions whose power is not
+    self-conjugate, and no other nonzero digit there.
+
+    The angle is divided in float64, as Python's scalar complex quotient
+    divides it: numpy's complex quotient multiplies by a reciprocal, which
+    can differ in the last bit."""
+    return np.exp(1j * (2 * np.pi * (u - v) / (2 * d + 1))) / 2 ** (u + v)
+
+
 def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation nodes and targets of the exponent-selector system.
 
@@ -229,16 +300,10 @@ def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
         raise GuardExceeded(
             f"order {d} exceeds the supported selector cap {MAX_SELECTOR_ORDER}"
         )
-    nodes = [0j]
-    targets = [0.0]
-    for l in range(d + 1):
-        for i in range(d - l + 1):
-            nodes.append(
-                np.exp(2j * np.pi * (2 * i - (d - l)) / (2 * d + 1)) / 2 ** (d - l)
-            )
-            targets.append(1.0 if i == d - l else 0.0)
-    node_arr = np.array(nodes, dtype=np.complex128)
-    target_arr = np.array(targets, dtype=np.complex128)
+    # t_{l,i} is the letter with u = i and v = d-l-i
+    u, v = np.array([(i, d - l - i) for l in range(d + 1) for i in range(d - l + 1)]).T
+    node_arr = np.concatenate([[0j], _letters(d, u, v)])
+    target_arr = np.concatenate([[0.0], v == 0]).astype(np.complex128)
     gaps = np.abs(node_arr[:, None] - node_arr[None, :])
     np.fill_diagonal(gaps, np.inf)
     if gaps.min() < NODE_GAP_FLOOR:
@@ -307,9 +372,13 @@ def _shaped_measure(spectrum: Spectrum, coefficients: np.ndarray, provenance: di
 
 
 def _lemma1_base_spectrum(p: int, d: int, J: Sequence[int], level: int) -> Spectrum:
-    """Coefficients of the Riesz product that lemma1_measure shapes:
-    a = exp(2 pi i / (2d+1)) on every factor whose power R^(J_k) is not
-    self-conjugate, 1 on the rest."""
+    """Coefficients of the Riesz product that lemma1_measure shapes, by the
+    forward transform of its density: a = exp(2 pi i / (2d+1)) on every
+    factor whose power R^(J_k) is not self-conjugate, 1 on the rest.
+
+    `lemma1_measure` reads its base coefficients from the alphabet
+    instead; this transform is the `lemma1-membership` check's independent
+    route to them."""
     a = complex(np.exp(2j * np.pi / (2 * d + 1)))
     factors = [1.0 + 0j if is_self_conjugate(p, jk) else a for jk in J]
     return forward(riesz_density(p, level, factors, J))
@@ -322,14 +391,37 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     J at the term positions and 0 otherwise. The exact finite-level
     variation is returned; the l1 norm of the shaping coefficients, an
     upper bound for it independent of J, is recorded in the provenance.
+
+    The base product's coefficient at an index is its alphabet letter
+    (`_letters`) when its digits lie in {0, J_k, -J_k} at every position
+    (J_k alone where R^(J_k) is self-conjugate, which counts in neither u
+    nor v), and 0 otherwise. P is evaluated once per letter and gathered by
+    each index's (u, v) key; the product is never formed.
     """
     _check_ints(p=p, d=d, level=level)
+    check_cell_guard(p, level)
     J = _validate_exponents(p, J)
     if len(J) != level:
         raise LevelMismatch(f"need {level} exponents, got {len(J)}")
     system = lemma1_system(d)
-    rho_hat = _lemma1_base_spectrum(p, d, J, level)
-    coeffs = npoly.polyval(rho_hat.coeffs, system.coefficients.astype(np.complex128))
+    # the key u (L+1) + v of every Paley index: one broadcast add per
+    # position, the top position first, so position k ends on the digit of
+    # p^k; a digit outside the alphabet adds `outside`, past every key
+    width = level + 1
+    outside = width * width
+    keys = np.zeros(1, dtype=np.intp)
+    for jk in reversed(J):
+        step = np.full(p, outside, dtype=np.intp)
+        step[0] = 0
+        if is_self_conjugate(p, jk):
+            step[jk] = 0
+        else:
+            step[jk], step[-jk % p] = width, 1
+        keys = (keys[:, None] + step).reshape(-1)
+    # every letter with u, v <= L, then the zero letter, where P is c_0
+    u, v = np.divmod(np.arange(outside), width)
+    letters = np.append(_letters(d, u, v), 0j)
+    coeffs = npoly.polyval(letters, system.coefficients).take(keys, mode="clip")
     provenance = {
         "construction": "lemma1",
         "p": p,
@@ -476,9 +568,12 @@ def lemma2_pattern_residual(
 ) -> tuple[float, float]:
     """(max |coeff - 1| over order-s indices,
     max |coeff| over orders j <= d, j != s), positions 0..N. An order s
-    with no term on the N+1 positions is refused (`EmptyIndexSet`)."""
+    above d, which the loop would never read, is refused (`InvalidOrder`),
+    and one with no term on the N+1 positions (`EmptyIndexSet`)."""
     p = measure.p
     _check_resolves(measure, N)
+    if check_order(s) > check_order(d):
+        raise InvalidOrder(f"selected order {s} not in 1..{d}")
     check_chaos_order(p, s, N)
     kept, killed = 0.0, 0.0
     for order in range(1, min(d, N + 1) + 1):

@@ -22,10 +22,12 @@ from pchaos import (
     linf_norm,
     lq_norm,
     random_ensemble_study,
+    riesz_density,
     term_indices,
     verify_suite,
 )
 from pchaos import chaos, config, experiments
+from pchaos.measures import _riesz_block, density_variation
 from pchaos.baselines import LEMMA1_C1_BOUND
 
 
@@ -499,6 +501,38 @@ class TestVerifySuite:
         report = verify_suite([3], [1], N=3, seed=1)
         assert not report.passed
         assert "lemma1-pattern" in report.failures()
+
+    def test_riesz_mass_rows_are_single_densities(self, monkeypatch):
+        # one block per base; every row is riesz_density's density bit for
+        # bit, and the check's residual is the worst of the per-density
+        # reductions the check made before it built blocks
+        blocks = []
+
+        def recorded(p, level, a, j):
+            values = _riesz_block(p, level, a, j)
+            blocks.append((p, level, a.copy(), j.copy(), values))
+            return values
+
+        monkeypatch.setattr(experiments, "_riesz_block", recorded)
+        report = verify_suite([2, 3, 5], [1], N=2, seed=3)
+        assert [(p, level, len(a)) for p, level, a, _, _ in blocks] == [
+            (2, 12, 10), (3, 7, 10), (5, 5, 10)
+        ]
+        worst, where = 0.0, {}
+        for p, level, a, j, values in blocks:
+            for r in range(len(a)):
+                density = riesz_density(p, level, list(a[r]), list(j[r]))
+                assert values[r].tobytes() == density.values.tobytes()
+                residual = max(
+                    abs(density.integral() - 1.0),
+                    float(max(0.0, -density.values.real.min())),
+                    float(np.abs(density.values.imag).max()),
+                    abs(density_variation(density) - 1.0),
+                )
+                if residual > worst:
+                    worst, where = residual, {"p": p, "level": level}
+        check = next(c for c in report.checks if c.name == "riesz-mass")
+        assert (check.residual, check.context) == (worst, where)
 
     def test_each_lemma2_measure_is_built_once_per_call(self, monkeypatch):
         # lemma2-pattern, young-bound and order-projection use 15 measures

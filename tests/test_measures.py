@@ -42,6 +42,7 @@ from pchaos import (
 )
 from pchaos import measures
 from pchaos.measures import MeasureRep, density_variation, selector_nodes
+from pchaos.padic import digit_matrix
 
 
 class TestRieszDensity:
@@ -60,6 +61,22 @@ class TestRieszDensity:
     def test_coefficient_out_of_range(self):
         with pytest.raises(CoefficientOutOfRange):
             riesz_density(2, 1, [1.5], [1])
+
+    @pytest.mark.parametrize("bad", [True, np.True_, False])
+    def test_bool_coefficient_refused(self, bad):
+        # complex(True) ran it as a = 1
+        with pytest.raises(CoefficientOutOfRange, match=f"coefficients must be numbers, got {bad!r}"):
+            riesz_density(3, 1, [bad], [1])
+        with pytest.raises(CoefficientOutOfRange, match="coefficients must be numbers"):
+            riesz_density(3, 2, np.array([0.5, bad], dtype=object), [1, 2])
+        with pytest.raises(CoefficientOutOfRange, match="coefficients must be numbers"):
+            riesz_density(3, 1, np.array([bad]), [1])
+
+    def test_reads_each_coefficient_and_exponent_once(self):
+        # generators are consumed once: a second pass would find them empty
+        a = [0.5, 0.25j, -0.5]
+        density = riesz_density(3, 3, (x for x in a), (x for x in [1, 2, 1]))
+        assert density.values.tobytes() == riesz_density(3, 3, a, [1, 2, 1]).values.tobytes()
 
     @pytest.mark.parametrize("p,level,seed", [(2, 6, 0), (3, 4, 1), (5, 3, 2)])
     def test_mass_properties(self, p, level, seed):
@@ -97,6 +114,19 @@ class TestSelectorSystem:
         values = np.polynomial.polynomial.polyval(system.nodes, system.coefficients)
         assert np.abs(values - system.targets).max() <= 1e-8
         assert system.coefficients[0] == 0  # point-mass weight vanishes exactly
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_nodes_are_the_scalar_expression_bit_for_bit(self, d):
+        # each node as Python's scalar complex arithmetic computes it
+        expected = [0j] + [
+            np.exp(2j * np.pi * (2 * i - (d - l)) / (2 * d + 1)) / 2 ** (d - l)
+            for l in range(d + 1)
+            for i in range(d - l + 1)
+        ]
+        nodes, targets = selector_nodes(d)
+        assert nodes.tobytes() == np.array(expected, dtype=np.complex128).tobytes()
+        matched = [0.0] + [float(i == d - l) for l in range(d + 1) for i in range(d - l + 1)]
+        assert targets.tolist() == matched
 
     def test_rejects_unreachable_residual(self, monkeypatch):
         monkeypatch.setattr(measures, "SOLVE_RESIDUAL_TOL", 1e-30)
@@ -183,6 +213,92 @@ class TestLemma1Measure:
     def test_coefficients_bounded_by_variation(self):
         nu = lemma1_measure(3, 2, [2, 1, 2, 1, 2], 5)
         assert np.abs(nu.spectrum.coeffs).max() <= nu.variation + 1e-8
+
+    def test_builds_no_product_and_runs_no_transform(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("lemma1_measure reads its coefficients from the alphabet")
+
+        monkeypatch.setattr(measures, "riesz_density", refused)
+        monkeypatch.setattr(measures, "forward", refused)
+        for p, d, level in [(2, 2, 5), (3, 3, 5), (4, 2, 4), (6, 1, 3)]:
+            J = [1 + k % (p - 1) for k in range(level)]
+            nu = lemma1_measure(p, d, J, level)
+            assert max(lemma1_pattern_residual(nu, d, J, level - 1)) <= 1e-6
+
+    def test_cell_guard_runs_before_the_exponents(self):
+        # J = [1] is out of range 1..0 at p=1; the base is refused first
+        with pytest.raises(GuardExceeded, match="base must be >= 2, got 1"):
+            lemma1_measure(1, 1, [1], 1)
+        with pytest.raises(GuardExceeded, match="level 25 exceeds"):
+            lemma1_measure(2, 1, [1] * 25, 25)
+
+    def test_alphabet_route_matches_the_transform_route(self):
+        # P applied by polyval to the forward transform of the Riesz density
+        # (the route lemma1_measure took before reading the alphabet). A
+        # transform error e in a base coefficient moves P by up to
+        # e sum_i i |c_i| (every base coefficient lies in the unit disc), and
+        # that sum reaches 8.0e6 at d=3, where the two routes differ by up to
+        # 1.2e-10; the transform is accurate to about 1e-15 here. Its pattern
+        # residuals are the solve's own errors at the nodes, never more
+        rng = np.random.default_rng(27)
+        cases = 0
+        for p in range(2, 8):
+            for d in (1, 2, 3):
+                system = lemma1_system(d)
+                c = system.coefficients
+                slope = float((np.arange(len(c)) * np.abs(c)).sum())
+                errors = np.abs(npoly.polyval(system.nodes, c) - system.targets)
+                matched_error = errors[system.targets == 1].max()
+                mismatched_error = errors[system.targets == 0].max()
+                for level in range(7):
+                    J = [int(x) for x in rng.integers(1, p, size=level)]
+                    nu = lemma1_measure(p, d, J, level)
+                    got = nu.spectrum.coeffs
+                    if level >= d:
+                        matched, mismatched = lemma1_pattern_residual(nu, d, J, level - 1)
+                        assert matched <= matched_error, (p, d, level)
+                        assert mismatched <= mismatched_error, (p, d, level)
+                    rho_hat = measures._lemma1_base_spectrum(p, d, J, level).coeffs
+                    expected = npoly.polyval(rho_hat, c)
+                    if p == 2:
+                        assert got.tobytes() == expected.tobytes(), (d, level)
+                    scale = np.abs(expected).max()
+                    tol = max(1e-10, 1e-15 * slope) * scale
+                    assert np.abs(got - expected).max() <= tol, (p, d, level)
+                    cases += 1
+        assert cases == 6 * 3 * 7
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_order_d_coefficients_are_P_at_the_nodes(self, d):
+        # the order-d letters are the solve's nodes bit for bit, so every
+        # order-d coefficient is polyval at its node; a digit outside
+        # {0, J_k, -J_k} gives P(0) = c_0, exactly 0
+        c = lemma1_system(d).coefficients
+        nodes, _ = selector_nodes(d)
+        at_nodes = npoly.polyval(nodes, c)
+        rng = np.random.default_rng(d)
+        for p in (2, 3, 4, 5, 6, 7):
+            level = 5
+            J = [int(x) for x in rng.integers(1, p, size=level)]
+            coeffs = lemma1_measure(p, d, J, level).spectrum.coeffs
+            indices = term_indices(p, d, level - 1)
+            for index, digits in zip(indices, digit_matrix(indices, p, level)):
+                u = v = 0
+                for x, jk in zip(digits, J):
+                    if x == 0 or (x == jk and (2 * jk) % p == 0):
+                        continue
+                    if x == jk:
+                        u += 1
+                    elif x == -jk % p:
+                        v += 1
+                    else:
+                        assert coeffs[index] == 0
+                        break
+                else:
+                    # block l = d-(u+v) of the node list, entry i = u
+                    l = d - (u + v)
+                    position = 1 + sum(d - k + 1 for k in range(l)) + u
+                    assert coeffs[index] == at_nodes[position], (p, index)
 
     @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (4, 2)])
     def test_base_coefficients_in_alphabet(self, p, d):
@@ -329,6 +445,14 @@ class TestLemma2:
     def test_invalid_order(self):
         with pytest.raises(InvalidOrder):
             lemma2_measure(2, 2, 3, 4)
+
+    def test_pattern_refuses_an_order_above_d(self):
+        # the loop over orders 1..d never read order 3: kept read 0.0
+        nu = lemma2_measure(3, 2, 1, 3)
+        with pytest.raises(InvalidOrder, match="selected order 3 not in 1..2"):
+            lemma2_pattern_residual(nu, 2, 3, 2)
+        with pytest.raises(InvalidOrder, match="order must be at least 1, got 0"):
+            lemma2_pattern_residual(nu, 2, 0, 2)
 
     def test_pattern_refuses_an_order_without_terms(self):
         # order 3 has no term on the 2 positions 0..1: nothing to check
@@ -528,6 +652,54 @@ def test_riesz_density_matches_the_broadcast_product_bit_for_bit():
                 cases += 1
             level += 1
     assert cases == 405
+
+
+def _per_factor_riesz_density(p, level, a, j):
+    """Reference: the per-factor route, each factor table a Python complex
+    times the roots of its own exponent, multiplied out by outer products."""
+    digits = np.arange(p)
+    values = np.ones(())
+    for ak, jk in zip(a, j):
+        factor = 1.0 + (ak * np.exp(2j * np.pi * ((jk * digits) % p) / p)).real
+        values = np.multiply.outer(values, factor)
+    return values.reshape(p**level).astype(np.complex128)
+
+
+def test_riesz_block_rows_match_the_per_factor_route_bit_for_bit():
+    rng = np.random.default_rng(1)
+    cases = 0
+    for p in range(2, 17):
+        level = 0
+        while p**level <= 4096:
+            rows = 4
+            a = rng.random((rows, level)) * np.exp(2j * np.pi * rng.random((rows, level)))
+            j = rng.integers(1, p, size=(rows, level))
+            block = measures._riesz_block(p, level, a, j)
+            assert block.shape == (rows, p**level) and block.dtype == np.complex128
+            for r in range(rows):
+                expected = _per_factor_riesz_density(p, level, [complex(x) for x in a[r]], j[r])
+                assert block[r].tobytes() == expected.tobytes(), (p, level, r)
+                cases += 1
+            level += 1
+    assert cases == 4 * 81
+
+
+def test_riesz_block_refuses_as_riesz_density_does():
+    a = np.full((3, 2), 0.5 + 0j)
+    j = np.ones((3, 2), dtype=np.int64)
+    a[2, 1] = 1.5
+    with pytest.raises(CoefficientOutOfRange, match=r"\|a_k\| = 1.5 exceeds 1"):
+        measures._riesz_block(3, 2, a, j)
+    a[1, 0] = np.nan
+    with pytest.raises(CoefficientOutOfRange, match=r"coefficient \(nan\+0j\) is not finite"):
+        measures._riesz_block(3, 2, a, j)
+    j[0, 1] = 3
+    with pytest.raises(InvalidExponent, match="exponent 3 out of range 1..2"):
+        measures._riesz_block(3, 2, a, j)
+    with pytest.raises(LevelMismatch, match="need 3 coefficients and exponents, got 2 and 2"):
+        measures._riesz_block(3, 3, [[0.5, 0.5]], [[1, 2]])
+    with pytest.raises(GuardExceeded):
+        measures._riesz_block(17, 1, [[0.5]], [[1]])
 
 
 def test_integer_exponents_and_signs_of_any_integer_type():
