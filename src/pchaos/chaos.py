@@ -16,6 +16,7 @@ The sup-norm is computed by enumeration of the p^(N+1) cells through the
 fast synthesis, in the coefficients' working dtype
 (`transform._working_dtype`); a real one is kept throughout (coefficient
 scatter, transform stages, abs and argmax), so no complex grid is built.
+Its first stage runs only on the column blocks the terms reach.
 In float32, orders of one parity take the sup over the half grid, with
 the same result bit for bit (see `linf_norm`). One core, `_row_sups`,
 takes these sup-norms for a block of coefficient rows on shared terms in
@@ -64,7 +65,13 @@ from .padic import (
     paley_decode,
     paley_encode,
 )
-from .transform import Spectrum, _tensor_dft, _working_dtype, convolve
+from .transform import (
+    Spectrum,
+    _first_stage_reach,
+    _tensor_dft,
+    _working_dtype,
+    convolve,
+)
 
 # Bound in bytes on one chunk of a per-term array over many rows: a study
 # row's (trials x terms) complex128 coefficient block, and each
@@ -275,24 +282,31 @@ def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[i
     The level and the cell guard are checked once, before the grid is
     allocated. The whole block runs in one dtype (see
     `transform._working_dtype`), on the half grid when that is float32 and
-    Q's orders share one parity. Its rows share one zeroed scatter grid:
-    every row writes the same entries, so the grid is never re-zeroed.
-    Each row is one stage loop into the call's two stage buffers, whose
-    result is reduced in place when real. Grid and buffers live exactly as
-    long as the call. A block that mixes real and complex rows (no caller
-    builds one) runs in complex128, correct to rounding."""
+    Q's orders share one parity. The first stage's reached columns (see
+    `transform._first_stage_reach`) are found once: an order-d term has d
+    nonzero digits, so many column blocks of the grid can hold no term.
+    Every row writes the same entries of one zeroed compact block of those
+    columns, so the block is never re-zeroed. Each row is one stage loop
+    into the call's three stage buffers; the first is zeroed once, and the
+    loop writes only its reached rows. The result is reduced in place when
+    real. Sup and cell are the dense grid's bit for bit (see
+    `transform._tensor_dft`). Block and buffers live exactly as long as
+    the call. A block that mixes real and complex rows (no caller builds
+    one) runs in complex128, correct to rounding."""
     level = Q.N + 1
     _check_level(Q, level)
     dtype = _working_dtype(Q.p, block)
     odd = Q._orders & 1
     half = int(dtype == np.float32 and odd.size > 0 and bool((odd == odd[0]).all()))
-    grid = np.zeros(Q.p ** (level - half), dtype=dtype)
-    buffers = np.empty_like(grid), np.empty_like(grid)
-    positions = Q.indices >> half
+    level -= half
+    reach, scatter, compact_size = _first_stage_reach(Q.p, level, Q.indices >> half)
+    compact = np.zeros(compact_size, dtype=dtype)
+    size = Q.p**level
+    buffers = np.zeros(size, dtype), np.empty(size, dtype), np.empty(size, dtype)
     sups, cells = np.empty(len(block)), []
     for r, row in enumerate(block if dtype.kind == "c" else block.real):
-        grid[positions] = row
-        values = _tensor_dft(grid, Q.p, level - half, sign=+1, buffers=buffers)
+        compact[scatter] = row
+        values = _tensor_dft(compact, Q.p, level, sign=+1, buffers=buffers, reach=reach)
         magnitudes = np.abs(values) if dtype.kind == "c" else np.abs(values, out=values)
         arg = int(np.argmax(magnitudes))
         sups[r] = magnitudes[arg]
@@ -324,6 +338,12 @@ def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     Every partial sum is an integer that float32 holds exactly, so sup and
     cell are the full grid's bit for bit. Both routes check the full level
     N+1 before allocating.
+
+    Reached columns: the first stage runs only on the column blocks Q's
+    terms reach, and writes zeros to the others (see `_row_sups`). A
+    reached block is the dense GEMM's product and an unreached one is zero
+    either way, so every dtype and grid gives the dense route's sup and
+    cell bit for bit (see `transform._tensor_dft`).
 
     Real p=2 values are never widened to complex: abs and argmax run in
     place on the float array (|x| of a float is hypot(x, 0) exactly).

@@ -250,7 +250,7 @@ def cmd_project(args) -> int:
             extras=config | {"route_residual": residual, "passed": ok},
         )
     print(
-        f"project: terms {len(Q.coeffs)} -> {len(result.coeffs)}, "
+        f"project: terms {Q.indices.size} -> {result.indices.size}, "
         f"route residual {residual:.3e} [{'ok' if ok else 'FAIL'}]"
     )
     return 0 if ok else 1

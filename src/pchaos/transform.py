@@ -22,7 +22,9 @@ At p=2, real input runs the same stages in a float dtype with the exact
 carry the rounding of the complex root-of-unity table and of the GEMMs.
 The stage loop runs in the dtype it is handed. `_working_dtype` is the one
 rule that picks it, applied once per call by `forward`/`inverse` (which
-widen the result to complex128) and by chaos's sup-norm.
+widen the result to complex128) and by chaos's sup-norm. The sup-norm
+also hands the loop only the first stage's reached columns of its grid,
+with the same bits; `forward` and `inverse` always run the full grid.
 `naive_forward` retains the quadratic-cost defining sum as the reference,
 independent of the stage loop: each character value is the root-of-unity
 table entry of its own full phase sum mod p, gathered 16 rows at a time
@@ -178,8 +180,51 @@ def _working_dtype(p: int, block: np.ndarray) -> np.dtype:
     return np.dtype(float)
 
 
+@functools.cache
+def _stage_digits(p: int) -> int:
+    """Digits a full stage contracts: the largest g with p^g <= _STAGE_CELLS."""
+    g = 1
+    while p ** (g + 1) <= _STAGE_CELLS:
+        g += 1
+    return g
+
+
+def _first_stage_reach(
+    p: int, level: int, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The first stage's reached columns for a level-L grid that is zero
+    outside `positions`, and the compact block `_tensor_dft` takes with them.
+
+    The first stage reads the grid as a (p^g, C) array, C = p^(L-g), and
+    contracts each column, so column c is reached when some position is
+    c mod C. Returns `reach`, those columns in ascending order; the flat
+    index of each position in the (p^g, len(reach)) block that keeps only
+    them, (position // C) * len(reach) + rank of (position mod C); and
+    that block's size. One reached column of several takes the first and
+    last with it: numpy runs a one-row product as a matrix-vector product,
+    which sums in another order than the dense GEMM."""
+    columns = p ** (level - min(_stage_digits(p), level))
+    column = positions % columns
+    rank = np.zeros(columns, dtype=np.intp)
+    rank[column] = 1
+    reach = np.flatnonzero(rank)
+    if reach.size == columns:  # the compact block is the grid
+        return reach, positions, p**level
+    if reach.size == 1:
+        rank[[0, -1]] = 1
+        reach = np.flatnonzero(rank)
+    rank[reach] = np.arange(reach.size)
+    scatter = positions // columns * reach.size + rank[column]
+    return reach, scatter, p**level // columns * reach.size
+
+
 def _tensor_dft(
-    values: np.ndarray, p: int, level: int, sign: int, buffers: tuple | None = None
+    values: np.ndarray,
+    p: int,
+    level: int,
+    sign: int,
+    buffers: tuple | None = None,
+    reach: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply the p-point kernel along every digit; the flat result is
     directly Paley-indexed (position k of the output pairs with fractional
@@ -199,21 +244,38 @@ def _tensor_dft(
     caller picks the dtype (see `_working_dtype`) and hands a contiguous
     array, real only at p=2 (a real dtype takes the kernel's real part,
     the exact +-1 table there) and complex128 otherwise. Every stage
-    writes into one of two stage buffers, and `values` is never written.
+    writes into a stage buffer, and `values` is never written.
     Without `buffers` both are fresh, and so is the result. With a
     caller's pair (contiguous, of `values`'s size and dtype) the result is
     one of the pair, valid until its next use, and `values` must be
     neither.
+
+    With `reach` (only the sup-norm core passes it, from
+    `_first_stage_reach`), `values` is the compact (p^g, len(reach)) block
+    of the first stage's reached columns of a grid that is zero elsewhere,
+    and `buffers` is a caller's triple of level-L arrays whose first holds
+    zeros in the rows of the unreached columns. The first stage is one
+    GEMM over the compact block into the second buffer, copied to the
+    reached rows of the first (straight into the first when every column
+    is reached); the later stages alternate between the second and the
+    third, so the zero rows are never written. A GEMM of two or more rows
+    computes each output row from its own input row and the table, so a
+    reached row is the dense GEMM's row: the same products, summed in the
+    same order, with the same operand roles (a^T K). An unreached row is
+    zeros either way. Every later value is then the dense loop's up to the
+    sign of a zero, and its magnitude bit for bit. `forward` and `inverse`
+    never pass `reach`.
     """
     if level == 0:
         return values.copy()
     if buffers is None:
         buffers = np.empty_like(values), np.empty_like(values)
     a = values
-    width = 1
-    while p ** (width + 1) <= _STAGE_CELLS:
-        width += 1
-    out = buffers[0]
+    width = _stage_digits(p)
+    # The first stage writes `first`; the later ones alternate between
+    # `spare` and `out`, which is `first` and the other of a pair, and the
+    # last two of a triple, so a reached-column `first` keeps its zeros.
+    first, spare, out = buffers[0], buffers[-2], buffers[-1]
     j = 0
     while j < level:
         g = min(width, level - j)
@@ -222,20 +284,28 @@ def _tensor_dft(
         if j == 0:
             # The table is symmetric, so a^T K is the product already stored
             # as (R, p^g): BLAS reads the transpose in place.
-            np.matmul(a.reshape(p**g, rows).T, kernel, out=out.reshape(rows, p**g))
-            a, out = out, buffers[1]
+            stored = first.reshape(rows, p**g)
+            if reach is None or reach.size == rows:
+                np.matmul(a.reshape(p**g, rows).T, kernel, out=stored)
+            else:
+                product = spare[: reach.size * p**g].reshape(reach.size, p**g)
+                np.matmul(a.reshape(p**g, reach.size).T, kernel, out=product)
+                stored[reach] = product
+            a = first
         elif rows == 1 or p**j >= _STAGE_CELLS:
             # One GEMM per row block writes (R, p^g, p^j) in place.
             stacked = a.reshape(p**g, rows, p**j).transpose(1, 0, 2)
             np.matmul(kernel, stacked, out=out.reshape(rows, p**g, p**j))
-            a, out = out, a
+            a, out, spare = out, spare, out
         else:
             # Blocks narrower than a stage make GEMMs too small to pay for
-            # their calls: one GEMM into the free buffer, then a transposing
-            # copy back into the buffer just read (j > 0, so not `values`).
+            # their calls: one GEMM into `out`, then a transposing copy into
+            # `spare` (the buffer just read, unless that was a reached-column
+            # `first`; never `values`, as j > 0).
             np.matmul(kernel, a.reshape(p**g, -1), out=out.reshape(p**g, -1))
             product = out.reshape(p**g, rows, p**j).transpose(1, 0, 2)
-            np.copyto(a.reshape(rows, p**g, p**j), product)
+            np.copyto(spare.reshape(rows, p**g, p**j), product)
+            a = spare
         j += g
     return a.reshape(p**level)
 

@@ -34,7 +34,7 @@ from pchaos import (
     sidon_ratio,
     term_indices,
 )
-from pchaos import chaos, config
+from pchaos import chaos, config, transform
 
 
 def all_ones(p, d, N):
@@ -418,26 +418,28 @@ class TestFloat32Tier:
 
 class TestSupNormCore:
     """`_row_sups` takes the sup-norm of every row of a coefficient block on
-    one polynomial's terms, in one dtype on one scatter grid; a row's sup
-    and cell are linf_norm's on that row alone, bit for bit when the block
-    runs in the row's own dtype and to rounding when a mixed block widens
-    it to complex128."""
+    one polynomial's terms, in one dtype on one compact block of the first
+    stage's reached columns; a row's sup and cell are linf_norm's on that
+    row alone, bit for bit when the block runs in the row's own dtype and
+    to rounding when a mixed block widens it to complex128."""
 
     @staticmethod
     def _core(Q, block):
-        """_row_sups(Q, block) and every (grid, level, dtype) handed to the
-        stage loop."""
+        """_row_sups(Q, block) and every (compact block, level, dtype,
+        reach) handed to the stage loop: one compact block and one reach
+        for the whole block."""
         handed, tensor_dft = [], chaos._tensor_dft
 
         def spy(values, p, level, **kwargs):
-            handed.append((values, level, values.dtype))
+            handed.append((values, level, values.dtype, kwargs["reach"]))
             return tensor_dft(values, p, level, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(chaos, "_tensor_dft", spy)
             sups, cells = chaos._row_sups(Q, block)
         assert len(handed) == len(block)
-        assert len({id(values) for values, _, _ in handed}) == 1
+        assert len({id(values) for values, _, _, _ in handed}) == 1
+        assert len({id(reach) for _, _, _, reach in handed}) == 1
         return sups, cells, handed
 
     @pytest.mark.parametrize(
@@ -461,7 +463,7 @@ class TestSupNormCore:
         assert np.abs(block[1]).sum() >= 2**24 and _bits(block[4].imag).all()
         sups, cells, handed = self._core(Q, block)
         # the complex row widens the whole block, its real rows included
-        assert [(level, dtype) for _, level, dtype in handed] == [(N + 1, np.complex128)] * 5
+        assert [(level, dtype) for _, level, dtype, _ in handed] == [(N + 1, np.complex128)] * 5
         for row, sup, cell in zip(block, sups, cells):
             alone = ChaosPolynomial.from_indices(p, N, Q.indices, row)
             assert sup == pytest.approx(linf_norm(alone)[0], rel=1e-12, abs=0)
@@ -481,7 +483,7 @@ class TestSupNormCore:
         Q = ChaosPolynomial.from_indices(2, N, indices, np.zeros(indices.size))
         block = rng.choice([-1.0, 1.0], (6, indices.size)) + 0j
         sups, cells, handed = self._core(Q, block)
-        assert [(lv, dtype) for _, lv, dtype in handed] == [(level, np.float32)] * 6
+        assert [(lv, dtype) for _, lv, dtype, _ in handed] == [(level, np.float32)] * 6
         for row, sup, cell in zip(block, sups, cells):
             alone = ChaosPolynomial.from_indices(2, N, Q.indices, row)
             (alone_sup, alone_cell), [(alone_level, alone_dtype, _)] = stage_loops(alone)
@@ -499,6 +501,149 @@ class TestSupNormCore:
             block[r, r] = bad
             with pytest.raises(NonFiniteValue):
                 chaos._row_sups(Q, block)
+
+
+def _dirty_heap(cells):
+    """Allocate and free arrays that hold no zero, of the sizes of a grid
+    of `cells` cells in complex128, float64 and float32 and of its float32
+    half grid, so that an unzeroed grid likely reuses their memory."""
+    for nbytes in (16 * cells, 8 * cells, 4 * cells, 2 * cells):
+        junk = [np.full(max(nbytes // 8, 1), 1.0) for _ in range(8)]
+        del junk
+
+
+def _dense_sup(Q):
+    """Sup and first maximal cell of Q from the full grid of the public
+    route, which knows no reached columns."""
+    magnitudes = np.abs(on_cells(Q).values)
+    arg = int(np.argmax(magnitudes))
+    return magnitudes[arg], arg
+
+
+# (p, N) grids of up to 2^13 cells: the first stage alone at level <= g,
+# then stacked GEMMs and narrow blocks with a transposing copy after it.
+_REACH_GRIDS = {
+    2: (0, 3, 4, 5, 7, 9, 12),
+    3: (0, 1, 2, 3, 5, 7),
+    4: (0, 1, 3, 5),
+    5: (0, 1, 3, 4),
+    7: (0, 1, 2, 3),
+    16: (0, 1, 2),
+}
+
+
+def _reach_polynomials(p, N):
+    """(name, indices) of polynomials whose terms reach few or all of the
+    first stage's columns: no term, one term, each pure order up to 3,
+    orders 1 and 2 (mixed parity), and every index (full reach)."""
+    cases = [("zero", np.zeros(0, dtype=np.int64)), ("single", term_indices(p, 1, N)[-1:])]
+    cases += [(f"order-{d}", term_indices(p, d, N)) for d in (1, 2, 3) if d <= N + 1]
+    if N >= 1:
+        cases.append(("orders-1-2", np.concatenate([term_indices(p, d, N) for d in (1, 2)])))
+    cases.append(("full", np.arange(1, p ** (N + 1), dtype=np.int64)))
+    return cases
+
+
+def _reach_blocks(p, n, rng):
+    """(dtype the core must run in, 3-row block of n coefficients)."""
+    signs = rng.choice([-1.0, 1.0], (3, n))
+    gaussian = rng.standard_normal((3, n))
+    complex_rows = gaussian + 1j * rng.standard_normal((3, n))
+    if p > 2:
+        return [(np.complex128, signs + 0j), (np.complex128, complex_rows)]
+    return [(np.float32, signs + 0j), (np.float64, gaussian + 0j), (np.complex128, complex_rows)]
+
+
+class TestReachedColumns:
+    """The sup-norm core runs its first stage only on the column blocks the
+    terms reach (`transform._first_stage_reach`). Each row's sup and cell
+    are those of the full grid of the public route, which never prunes,
+    bit for bit, in every dtype, on the half and the full grid."""
+
+    @pytest.mark.parametrize("p", sorted(_REACH_GRIDS))
+    def test_rows_are_the_full_grid_bit_for_bit(self, p):
+        rng = np.random.default_rng(p)
+        for N in _REACH_GRIDS[p]:
+            for name, indices in _reach_polynomials(p, N):
+                blocks = [(None, np.zeros((3, 0), complex))]
+                if indices.size:
+                    blocks = _reach_blocks(p, indices.size, rng)
+                for dtype, block in blocks:
+                    Q = ChaosPolynomial.from_indices(p, N, indices, np.zeros(indices.size))
+                    # float32 takes the half grid when the orders share a parity
+                    half = dtype is np.float32 and len({d % 2 for d in Q.orders}) == 1
+                    _dirty_heap(p ** (N + 1))
+                    sups, cells, handed = TestSupNormCore._core(Q, block)
+                    if dtype is not None:
+                        assert handed[0][1:3] == (N + 1 - half, dtype), (p, N, name)
+                    for row, sup, cell in zip(block, sups, cells):
+                        alone = ChaosPolynomial.from_indices(p, N, Q.indices, row)
+                        dense_sup, dense_cell = _dense_sup(alone)
+                        alone_sup, alone_cell = linf_norm(alone)
+                        assert _bits(np.float64(sup)) == _bits(dense_sup), (p, N, name, dtype)
+                        assert _bits(np.float64(alone_sup)) == _bits(dense_sup), (p, N, name, dtype)
+                        assert type(cell) is int and cell == alone_cell == dense_cell, (p, N, name)
+
+    @pytest.mark.parametrize(
+        "p, orders, N", [(2, (2,), 16), (2, (2,), 9), (3, (3,), 8), (5, (2,), 4)]
+    )
+    def test_reach_is_the_columns_the_terms_occupy(self, p, orders, N):
+        # the grid the first stage would read as (p^g, C): its nonzero
+        # columns are exactly `reach`, and the compact block keeps each
+        # term's coefficient in its column's place
+        indices = np.concatenate([term_indices(p, d, N) for d in orders])
+        half = int(p == 2 and len({d % 2 for d in orders}) == 1)
+        level, positions = N + 1 - half, indices >> half
+        reach, scatter, size = transform._first_stage_reach(p, level, positions)
+        g = min(transform._stage_digits(p), level)
+        columns = p ** (level - g)
+        grid = np.zeros(p**level)
+        grid[positions] = np.arange(1, indices.size + 1)
+        grid = grid.reshape(p**g, columns)
+        np.testing.assert_array_equal(reach, np.flatnonzero(grid.any(axis=0)))
+        assert size == p**g * reach.size
+        compact = np.zeros(size)
+        compact[scatter] = np.arange(1, indices.size + 1)
+        np.testing.assert_array_equal(compact.reshape(p**g, reach.size), grid[:, reach])
+        assert 0 < reach.size < columns
+
+    def test_published_reach_shares(self):
+        # the workloads' first-stage reach: study-wide p=3, d=3, N=6..8 on
+        # the full grid, study-deep p=2, d=2, N=12..16 on the half grid
+        shares = [
+            (transform._first_stage_reach(p, N + 1 - half, term_indices(p, d, N) >> half)[0].size,
+             p ** (N + 1 - half - transform._stage_digits(p)))
+            for p, d, half, Ns in [(3, 3, 0, (6, 7, 8)), (2, 2, 1, (12, 16))]
+            for N in Ns
+        ]
+        assert shares == [(65, 81), (131, 243), (233, 729), (29, 128), (67, 2048)]
+
+    @pytest.mark.parametrize("p, level", [(2, 12), (3, 7), (5, 5)])
+    def test_reached_first_buffer_keeps_its_zeros(self, p, level):
+        # the stage loop writes only the reached rows of the first buffer
+        # and gives the dense loop's magnitudes, call after call
+        rng = np.random.default_rng(level)
+        g = transform._stage_digits(p)
+        columns = p ** (level - g)
+        chosen = rng.choice(columns, columns // 4, replace=False)
+        n = p ** (level - 2)
+        positions = np.unique(rng.integers(0, p**g, n) * columns + rng.choice(chosen, n))
+        reach, scatter, size = transform._first_stage_reach(p, level, positions)
+        unreached = np.setdiff1d(np.arange(columns), reach)
+        assert unreached.size >= columns // 2
+        cells = p**level
+        triple = np.zeros(cells, complex), np.empty(cells, complex), np.empty(cells, complex)
+        compact = np.zeros(size, complex)
+        for _ in range(3):
+            values = rng.standard_normal(positions.size) + 1j * rng.standard_normal(positions.size)
+            compact[scatter] = values
+            grid = np.zeros(p**level, complex)
+            grid[positions] = values
+            dense = transform._tensor_dft(grid, p, level, 1)
+            pruned = transform._tensor_dft(compact, p, level, 1, triple, reach)
+            assert not np.shares_memory(pruned, triple[0])
+            np.testing.assert_array_equal(_bits(np.abs(pruned)), _bits(np.abs(dense)))
+            assert not triple[0].reshape(-1, p**g)[unreached].any()
 
 
 class TestSidonRatio:

@@ -343,6 +343,15 @@ def test_project_exponent_route(tmp_path):
     assert json.loads(Path(out).read_text())["passed"] is True
 
 
+def test_project_prints_its_term_counts(tmp_path, capsys):
+    # 24 order-2 terms at p=3, N=3; J keeps one exponent pair per position
+    # pair, 6 of them
+    poly = tmp_path / "q.json"
+    ser.save_polynomial(str(poly), random_chaos(3, 2, 3, np.random.default_rng(1), "unimodular"))
+    assert run("project", "--poly", poly, "--J", "1,2,1,2") == 0
+    assert capsys.readouterr().out.startswith("project: terms 24 -> 6, route residual ")
+
+
 def test_project_order_route(tmp_path):
     poly = tmp_path / "q.json"
     Q = random_chaos(2, 2, 3, np.random.default_rng(2), "signs")

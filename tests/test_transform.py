@@ -641,6 +641,34 @@ def test_integral():
     assert f.integral() == pytest.approx(1.0)
 
 
+def test_only_the_sup_norm_core_passes_a_reach(monkeypatch):
+    # forward and inverse hand the stage loop the full grid; the sup-norm
+    # core is the one caller that hands it reached columns
+    reaches, loop = {"transform": [], "chaos": []}, transform._tensor_dft
+
+    def spy(module):
+        def stage_loop(values, p, level, *args, **kwargs):
+            assert len(args) <= 2  # sign and buffers, never a positional reach
+            reaches[module].append(kwargs.get("reach"))
+            return loop(values, p, level, *args, **kwargs)
+
+        return stage_loop
+
+    monkeypatch.setattr(transform, "_tensor_dft", spy("transform"))
+    monkeypatch.setattr(chaos, "_tensor_dft", spy("chaos"))
+    rng = np.random.default_rng(0)
+    for p, level in [(2, 0), (2, 7), (3, 4), (16, 2)]:
+        real = rng.standard_normal(p**level)
+        for values in (real, real + 1j * rng.standard_normal(p**level), np.sign(real)):
+            forward(StepFunction(p, level, values))
+            inverse(Spectrum(p, level, values))
+        Q = random_chaos(p, 1, max(level - 1, 0), rng, "signs")
+        inverse(polynomial_spectrum(Q, Q.N + 1))
+        linf_norm(Q)
+    assert len(reaches["transform"]) == 4 * 7 and set(reaches["transform"]) == {None}
+    assert len(reaches["chaos"]) == 4 and all(r is not None for r in reaches["chaos"])
+
+
 class TestReusedBuffers:
     """With a caller-owned pair of stage buffers the stage loop writes only
     into that pair; its results are bit-identical to fresh buffers."""
