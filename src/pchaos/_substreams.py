@@ -41,6 +41,12 @@ _MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SIGNS = np.array([-1, 1], dtype=np.complex128)
 
 
+def _check_ensemble(ensemble: str) -> None:
+    """Refuse an ensemble name that is not one of ENSEMBLES."""
+    if ensemble not in ENSEMBLES:
+        raise ChaosError(f"unknown ensemble {ensemble!r} (expected one of {ENSEMBLES})")
+
+
 @cache
 def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
     """The xor (row 0) and multiplier (row 1) constants of `count` hash
@@ -97,8 +103,7 @@ def block_draw(seed: int, N: int, count: int, ensemble: str) -> Callable[[range]
     Trial indices are one 32-bit word each: a range past 2^32 is refused
     (`ExperimentConfig` admits at most 2^32 trials).
     """
-    if ensemble not in ENSEMBLES:
-        raise ChaosError(f"unknown ensemble {ensemble!r} (expected one of {ENSEMBLES})")
+    _check_ensemble(ensemble)
     pool = np.random.SeedSequence(entropy=seed, spawn_key=(N,)).pool
     # the hash steps that pool took: one per pool word, 12 cross-mixing the
     # pool, then 4 per entropy word past the (padded) seed's first 4

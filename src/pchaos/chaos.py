@@ -18,23 +18,24 @@ fast synthesis, in the coefficients' working dtype
 scatter, transform stages, abs and argmax), so no complex grid is built.
 Its first stage runs only on the column blocks the terms reach.
 In float32, orders of one parity take the sup over the half grid, with
-the same result bit for bit (see `linf_norm`). One core, `_row_sups`,
-takes these sup-norms for a block of coefficient rows on shared terms in
-one dtype, as a study row does for its trials; `linf_norm` is its one-row
-case, and `lq_norm` is likewise the one-row case of `_row_lq_norms`. Exponent
-projection is defined by coefficient selection; convolution with the
-matching selector measure is the verification route, kept separate so the
-two can be compared. The order projection extracts one chaos order of a
-mixed polynomial and is likewise verifiable against the order-selecting
-measure.
+the same result bit for bit (see `linf_norm`). One core, `_row_norms`,
+takes the sup-norms and coefficient norms of rows of coefficients on
+shared terms for a study row, `sidon_ratio`, `pchaos norms` and verify's
+exact first-order check; `linf_norm` and `lq_norm` are the one-row cases
+of its two stages, `_row_sups` and `_row_lq_norms`. Exponent projection
+is defined by coefficient selection; convolution with the matching
+selector measure is the verification route, kept separate so the two can
+be compared. The order projection extracts one chaos order of a mixed
+polynomial and is likewise verifiable against the order-selecting measure.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,8 +74,8 @@ from .transform import (
     convolve,
 )
 
-# Bound in bytes on one chunk of a per-term array over many rows: a study
-# row's (trials x terms) complex128 coefficient block, and each
+# Bound in bytes on one chunk of a per-term array over many rows: a
+# `_row_norms` chunk of (rows x terms) complex128 coefficients, and each
 # (sequences x terms) mask of `decomposition_residual`, which builds the
 # masks of the exponent sequences on shared prefixes, one position at a
 # time, and enumerates the sequences in chunks of at most this many bytes.
@@ -321,7 +322,7 @@ def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[i
 def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     """Exact sup-norm over the p^(N+1) cells and the first cell attaining it,
     an int on the level-(N+1) grid: the one-row case of the sup-norm core
-    that a study row runs on all its trials at once.
+    that `_row_norms` runs on each chunk of rows.
 
     Q is synthesised in its working dtype (see `transform._working_dtype`).
     In float32 every partial sum is an integer below 2^24, exact in any
@@ -389,19 +390,54 @@ def lq_norm(values: Sequence[complex], q: float) -> float:
     is still not finite is refused. In-range sums are never rescaled. An
     overflow still emits numpy's RuntimeWarning: silencing it with
     np.errstate would add about a quarter to the cost of a one-shot norm.
-    This is the one-row case of `_row_lq_norms`, which norms every trial
-    of a study row in one call."""
+    This is the one-row case of `_row_lq_norms`, which `_row_norms` runs
+    once per chunk of rows and exponent."""
     block = np.asarray(values, dtype=np.complex128).reshape(1, -1)
     return float(_row_lq_norms(block, q)[0])
 
 
+def _row_norms(
+    Q: ChaosPolynomial,
+    draw: Callable[[range], np.ndarray],
+    rows: int,
+    exponents: Sequence[float | None],
+) -> tuple[np.ndarray, list[int], np.ndarray, float, float]:
+    """Every row's sup, first maximal cell and (exponents x rows) `lq_norm`s
+    (None stands for Q's `sidon_exponent`), and the seconds spent in `draw`
+    and in `_row_sups`; `draw(range)` gives those rows' coefficients on Q's
+    terms, aligned with ``Q.indices`` (Q's values are not read). A Q with no
+    terms, or a row of zero coefficients, is refused before any grid is
+    allocated. The rows are taken in chunks of at most _CHUNK_BYTES (at
+    least one row), each checked for finiteness, synthesised in one
+    `_row_sups` call and normed in one `_row_lq_norms` call per exponent;
+    every result is per row, so the chunking never changes one."""
+    if not Q.indices.size:
+        raise DegenerateInput("the zero polynomial has no norm ratio")
+    exponents = [Q.sidon_exponent if q is None else q for q in exponents]
+    chunk = max(1, _CHUNK_BYTES // (16 * Q.indices.size))
+    sups, cells, norms = np.empty(rows), [], np.empty((len(exponents), rows))
+    draw_s = synthesis_s = 0.0
+    for first in range(0, rows, chunk):
+        span = range(first, min(first + chunk, rows))
+        start = time.perf_counter()
+        block = draw(span)
+        draw_s += time.perf_counter() - start
+        block = _finite_coefficients(block)
+        if not block.any(axis=1).all():
+            raise DegenerateInput("the zero polynomial has no norm ratio")
+        start = time.perf_counter()
+        sups[first : span.stop], chunk_cells = _row_sups(Q, block)
+        synthesis_s += time.perf_counter() - start
+        cells += chunk_cells
+        for k, q in enumerate(exponents):
+            norms[k, first : span.stop] = _row_lq_norms(block, q)
+    return sups, cells, norms, draw_s, synthesis_s
+
+
 def sidon_ratio(Q: ChaosPolynomial) -> float:
     """Coefficient norm over sup-norm: lq(coeffs, 2d/(d+1)) / linf(Q)."""
-    vector = Q.values
-    if vector.size == 0 or not np.any(vector):
-        raise DegenerateInput("the zero polynomial has no norm ratio")
-    sup, _ = linf_norm(Q)
-    return lq_norm(vector, Q.sidon_exponent) / sup
+    sups, _, norms, _, _ = _row_norms(Q, lambda rows: Q.values[None], 1, (None,))
+    return float(norms[0, 0] / sups[0])
 
 
 def project_J(Q: ChaosPolynomial, J: Sequence[int]) -> ChaosPolynomial:

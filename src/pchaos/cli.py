@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .config import CONSTRUCTION_TOL, LEMMA1_PATTERN_TOL, MASS_TOL, TRANSFORM_TOL
-from .errors import ChaosError, DegenerateInput
+from .errors import ChaosError
 from .measures import (
     MeasureRep,
     density_variation,
@@ -35,11 +35,10 @@ from .measures import (
     riesz_density,
 )
 from .chaos import (
+    _row_norms,
     check_norm_exponent,
     convolve_with_measure,
     decomposition_residual,
-    linf_norm,
-    lq_norm,
     polynomial_spectrum,
     project_J,
     project_order,
@@ -205,20 +204,17 @@ def cmd_norms(args) -> int:
     if args.q is not None:
         check_norm_exponent(args.q)
     Q = ser.load_polynomial(args.poly)
-    vector = Q.values
     q = args.q if args.q is not None else Q.sidon_exponent
-    if not np.any(vector):
-        raise DegenerateInput("the zero polynomial has no norm ratio")
-    sup, cell = linf_norm(Q)
+    sups, cells, norms, _, _ = _row_norms(Q, lambda rows: Q.values[None], 1, (1.0, q, None))
+    sup, (l1, lq, sidon) = float(sups[0]), norms[:, 0].tolist()
     payload = _echo({"poly": args.poly, "q": q}) | {
         "linf": sup,
-        "argmax_cell": cell,
-        "l1": lq_norm(vector, 1.0),
-        "lq": lq_norm(vector, q),
-        # sidon_ratio(Q) from the one synthesis above
-        "sidon_ratio": lq_norm(vector, Q.sidon_exponent) / sup,
+        "argmax_cell": cells[0],
+        "l1": l1,
+        "lq": lq,
+        "sidon_ratio": sidon / sup,
         "orders": list(Q.orders),
-        "terms": len(vector),
+        "terms": Q.indices.size,
     }
     _emit(args, payload)
     return 0

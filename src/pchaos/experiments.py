@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baselines
-from ._substreams import ENSEMBLES, block_draw
+from ._substreams import ENSEMBLES, _check_ensemble, block_draw
 from .config import (
     CHARACTER_TOL,
     CONSTRUCTION_TOL,
@@ -65,18 +65,14 @@ from .measures import (
     selector_nodes,
 )
 from .chaos import (
-    _CHUNK_BYTES,
     ChaosPolynomial,
     _check_positions,
-    _finite_coefficients,
-    _row_lq_norms,
-    _row_sups,
+    _row_norms,
     convolve_with_measure,
     decomposition_residual,
     linf_norm,
     polynomial_spectrum,
     project_order,
-    sidon_ratio,
 )
 
 
@@ -103,11 +99,10 @@ def trial_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def draw_coefficients(rng: np.random.Generator, count: int, ensemble: str) -> np.ndarray:
+    _check_ensemble(ensemble)
     if ensemble == "signs":
         return (rng.integers(0, 2, size=count) * 2 - 1).astype(np.complex128)
-    if ensemble == "unimodular":
-        return np.exp(2j * np.pi * rng.random(count))
-    raise ChaosError(f"unknown ensemble {ensemble!r} (expected one of {ENSEMBLES})")
+    return np.exp(2j * np.pi * rng.random(count))
 
 
 def random_chaos(
@@ -132,10 +127,7 @@ class ExperimentConfig:
         for name in ("p", "d", "trials", "seed"):
             value = check_int(getattr(self, name), f"{name} must be an integer")
             object.__setattr__(self, name, value)
-        if self.ensemble not in ENSEMBLES:
-            raise ChaosError(
-                f"unknown ensemble {self.ensemble!r} (expected one of {ENSEMBLES})"
-            )
+        _check_ensemble(self.ensemble)
         if self.trials < 1:
             raise ChaosError(f"trial count must be >= 1, got {self.trials}")
         if self.trials > 2**32:  # a trial index is one 32-bit seed word
@@ -202,54 +194,24 @@ class ExperimentReport:
         }
 
 
-def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, dict[str, float], np.ndarray]:
+def _row(cfg: ExperimentConfig, N: int) -> tuple[ExperimentRow, np.ndarray, int, dict]:
     """Ratio statistics over cfg.trials polynomials on the order-d index
-    set, the seconds spent drawing (`draw_s`) and in the sup-norm core
-    (`synthesis_s`), and the per-trial l1 ratios, which enter no row.
-
-    The index set is validated once per row. term_indices lists it in the
-    canonical term order, so trial t's draws, from its own substream, are
-    one row of a (trials x terms) coefficient block, drawn by one
-    `block_draw`. The block is taken in chunks of at most _CHUNK_BYTES (at
-    least one trial), so memory does not grow with the trial count; each
-    chunk is checked for finiteness once, its sups are one `_row_sups` call
-    and its l1 and lq norms one row-wise call each. Every statistic is per
-    trial, so the chunking never changes a row. The per-trial ratio arrays
-    are reduced to their median and max.
-    """
+    set, the (2 x trials) l1 and lq ratios they reduce, the term count, and
+    the seconds spent drawing (`draw_s`) and in the sup-norm core
+    (`synthesis_s`). term_indices lists the index set in the canonical term
+    order, validated once, so trial t's draws are row t of the block that
+    one `block_draw` gives, and one `_row_norms` call takes every norm."""
     indices = term_indices(cfg.p, cfg.d, N)
     terms = ChaosPolynomial.from_indices(cfg.p, N, indices, np.zeros(indices.size))
     q = terms.sidon_exponent
-    chunk = max(1, _CHUNK_BYTES // (16 * indices.size))
     start = time.perf_counter()
     draw = block_draw(cfg.seed, N, indices.size, cfg.ensemble)
-    timings = {"draw_s": time.perf_counter() - start, "synthesis_s": 0.0}
-    l1, lq = [], []
-    for first in range(0, cfg.trials, chunk):
-        start = time.perf_counter()
-        block = draw(range(first, min(first + chunk, cfg.trials)))
-        timings["draw_s"] += time.perf_counter() - start
-        block = _finite_coefficients(block)
-        start = time.perf_counter()
-        sups, _ = _row_sups(terms, block)
-        timings["synthesis_s"] += time.perf_counter() - start
-        l1.append(_row_lq_norms(block, 1.0) / sups)
-        lq.append(_row_lq_norms(block, q) / sups)
-    l1, lq = np.concatenate(l1), np.concatenate(lq)
-    row = ExperimentRow(
-        p=cfg.p,
-        d=cfg.d,
-        N=N,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        ensemble=cfg.ensemble,
-        q=q,
-        median_l1_ratio=float(np.median(l1)),
-        max_l1_ratio=float(np.max(l1)),
-        median_lq_ratio=float(np.median(lq)),
-        max_lq_ratio=float(np.max(lq)),
-    )
-    return row, timings, l1
+    setup_s = time.perf_counter() - start
+    sups, _, norms, draw_s, synthesis_s = _row_norms(terms, draw, cfg.trials, (1.0, q))
+    ratios = norms / sups
+    stats = [float(reduce(r)) for r in ratios for reduce in (np.median, np.max)]
+    row = ExperimentRow(cfg.p, cfg.d, N, cfg.ensemble, cfg.trials, cfg.seed, q, *stats)
+    return row, ratios, indices.size, {"draw_s": setup_s + draw_s, "synthesis_s": synthesis_s}
 
 
 def _run_study(
@@ -257,8 +219,9 @@ def _run_study(
     cfg: ExperimentConfig,
     verdicts: Callable[..., list[str]] | None = None,
 ) -> ExperimentReport:
-    """One row per N, then the failures of `verdicts(cfg, report, l1)`, l1
-    holding each row's per-trial l1 ratios, then the baseline comparison.
+    """One row per N, then the failures of `verdicts(cfg, report, ratios)`,
+    ratios holding each row's (2 x trials) l1 and lq ratio arrays, then
+    the baseline comparison.
 
     meta["row_wall_s"] gives each row's wall time, its time in the block
     draw (`draw_s`) and inside the sup-norm core (`synthesis_s`), with its
@@ -267,22 +230,22 @@ def _run_study(
     report = ExperimentReport(kind=kind, config=cfg.to_dict())
     row_wall_s: list[dict] = []
     report.meta["row_wall_s"] = row_wall_s
-    l1_ratios = []
+    ratios = []
     for N in sorted(cfg.N_values):
         row_start = time.perf_counter()
-        row, timings, l1 = _row(cfg, N)
+        row, row_ratios, terms, timings = _row(cfg, N)
         report.rows.append(row)
-        l1_ratios.append(l1)
+        ratios.append(row_ratios)
         row_wall_s.append({
             "N": N,
             "cells": cfg.p ** (N + 1),
-            "terms": math.comb(N + 1, cfg.d) * (cfg.p - 1) ** cfg.d,
+            "terms": terms,
             "trials": cfg.trials,
             "wall_s": time.perf_counter() - row_start,
             **timings,
         })
     if verdicts is not None:
-        report.failures.extend(verdicts(cfg, report, l1_ratios))
+        report.failures.extend(verdicts(cfg, report, ratios))
     report.failures.extend(check_against_baselines(report))
     report.meta["wall_time_s"] = time.perf_counter() - start
     return report
@@ -315,7 +278,7 @@ def _trend_z(samples: Sequence[np.ndarray]) -> float:
 
 
 def _growth_verdicts(
-    cfg: ExperimentConfig, report: ExperimentReport, l1_ratios: list[np.ndarray]
+    cfg: ExperimentConfig, report: ExperimentReport, ratios: list[np.ndarray]
 ) -> list[str]:
     """The l1 verdict fails when the medians do not rise strictly and
     `_trend_z` finds no rise either. Each test alone fails correct code: the
@@ -325,7 +288,7 @@ def _growth_verdicts(
     l1_medians = [row.median_l1_ratio for row in report.rows]
     lq_medians = [row.median_lq_ratio for row in report.rows]
     rising = all(a < b for a, b in zip(l1_medians, l1_medians[1:]))
-    if cfg.d >= 2 and not rising and (z := _trend_z(l1_ratios)) <= _TREND_Z:
+    if cfg.d >= 2 and not rising and (z := _trend_z([r[0] for r in ratios])) <= _TREND_Z:
         failures.append(
             f"l1-growth: medians {l1_medians} are not strictly increasing and the "
             f"Jonckheere-Terpstra z = {z:.2f} <= {_TREND_Z} (one-sided 5% level)"
@@ -559,9 +522,9 @@ def verify_suite(
 
     # --- Riesz product mass, per base ----------------------------------
     def riesz_mass():
-        # ten densities per base, drawn in order and built as one block;
-        # each row is reduced as StepFunction.integral, the real minimum, the
-        # imaginary maximum and density_variation reduce one density
+        # ten densities per base, drawn in order and built as one real
+        # block; each row's integral (the mean of its values), minimum and
+        # variation (the mean of their magnitudes)
         for p in p_values:
             L = _fit_level(p, 4096)
             rng = trial_rng(seed, 6, p)
@@ -572,14 +535,12 @@ def verify_suite(
             values = _riesz_block(p, L, a, j)
             scale = p ** (-L)
             integrals = values.sum(axis=1) * scale
-            minima = values.real.min(axis=1)
-            imaginary = np.abs(values.imag).max(axis=1)
+            minima = values.min(axis=1)
             variations = np.abs(values).sum(axis=1) * scale
             for r in range(10):
                 residual = max(
-                    abs(complex(integrals[r]) - 1.0),
+                    abs(float(integrals[r]) - 1.0),
                     float(max(0.0, -minima[r])),
-                    float(imaginary[r]),
                     abs(float(variations[r]) - 1.0),
                 )
                 yield residual, {"p": p, "level": L}
@@ -690,12 +651,13 @@ def verify_suite(
     if 2 in p_values and 1 in d_values:
 
         def sidon_exact_d1():
-            rng = trial_rng(seed, 13)
+            # ten polynomials on the order-1 terms, drawn in order as one block
             indices = term_indices(2, 1, N)
-            for _ in range(10):
-                coeffs = rng.standard_normal(len(indices))
-                Q = ChaosPolynomial.from_indices(2, N, indices, coeffs)
-                yield abs(sidon_ratio(Q) - 1.0), {"p": 2, "d": 1}
+            terms = ChaosPolynomial.from_indices(2, N, indices, np.zeros(indices.size))
+            block = trial_rng(seed, 13).standard_normal((10, indices.size))
+            sups, _, norms, _, _ = _row_norms(terms, lambda rows: block[rows], 10, (None,))
+            for ratio in (norms[0] / sups).tolist():
+                yield abs(ratio - 1.0), {"p": 2, "d": 1}
 
         run("sidon-exact-d1", EXACT_RATIO_TOL, sidon_exact_d1, where={"p": 2, "d": 1})
 

@@ -153,23 +153,24 @@ def _coefficient_rows(a) -> list[list[complex]]:
 
 def _riesz_block(p: int, level: int, a, j) -> np.ndarray:
     """`riesz_density` of every row of (rows x level) coefficients `a` and
-    exponents `j`: a (rows x p^level) complex128 block, row r the density of
-    a[r] and j[r] bit for bit.
+    exponents `j`: a (rows x p^level) float64 block, row r the real values
+    of the density of a[r] and j[r] bit for bit.
 
-    Every factor table 1 + Re(a_k omega^(j_k x)), for all rows, positions
-    k and digits x, is one broadcast complex product of the coefficients
-    with the gathered roots omega^((j_k x) mod p). Factor k is read at the
-    cell's digit c_{k+1}: each step appends it as the fastest-varying axis,
-    and every cell's product is taken left to right, 1.0 * f_0 * f_1 * ...
+    Every factor table 1 + Re(a_k w), w = omega^((j_k x) mod p) gathered
+    from one table of roots, is 1 + (a_r w_r - a_i w_i) in float64, which
+    rounds alike on every IEEE build (the real part of a complex product
+    depends on numpy's complex loop). Factor k is read at the cell's digit
+    c_{k+1}, appended as the fastest-varying axis, and every cell's product
+    is taken left to right, 1.0 * f_0 * f_1 * ...
 
     The steps alternate between two work buffers, and the last writes the
-    real parts of the result in place. A step broadcasts its table, one
-    product of length p per cell, except at p <= 5 once it covers 128 p
-    cells (rows times cells so far): there it takes p long products, one
-    per digit, as numpy runs products of length 2 to 5 slowly. At p=2 a
-    step over 1024 cells took 16 us broadcast and 7 us per digit; at p=16
-    over 4096 cells, 76 us and 163 us, as each of the p strided passes
-    walks the whole output (numpy 2.4 on a 2-vCPU x86-64 machine)."""
+    result. A step broadcasts its table, one product of length p per cell,
+    except at p <= 5 once it covers 128 p cells (rows times cells so far):
+    there it takes p long products, one per digit, as numpy runs products
+    of length 2 to 5 slowly. At p=2 a step over 1024 cells took 16 us
+    broadcast and 7 us per digit; at p=16 over 4096 cells, 76 us and 163
+    us, as each of the p strided passes walks the whole output (numpy 2.4
+    on a 2-vCPU x86-64 machine)."""
     check_cell_guard(p, level)
     a = _coefficient_rows(a)
     j = [_validate_exponents(p, row) for row in j]
@@ -188,17 +189,17 @@ def _riesz_block(p: int, level: int, a, j) -> np.ndarray:
             raise CoefficientOutOfRange(f"coefficient {ak} is not finite")
         raise CoefficientOutOfRange(f"|a_k| = {abs(ak)} exceeds 1")
     digits = np.arange(p)
-    roots = np.exp(2j * np.pi * digits / p)
-    tables = 1.0 + (a[:, :, None] * roots[(j[:, :, None] * digits) % p]).real
+    w = np.exp(2j * np.pi * digits / p)[(j[:, :, None] * digits) % p]
+    tables = 1.0 + (a.real[:, :, None] * w.real - a.imag[:, :, None] * w.imag)
     if level == 0:
-        return np.ones((rows, 1), dtype=np.complex128)
-    pairs = np.zeros((rows, p ** (level - 1), p, 2))  # the result's (re, im)
+        return np.ones((rows, 1))
+    result = np.empty((rows, p ** (level - 1), p))
     work = np.empty((2, rows * p ** (level - 1)))
     values = np.ones((rows, 1))
     for k in range(level):
         cells = values.shape[1]
         if k == level - 1:
-            out = pairs[..., 0]
+            out = result
         else:
             out = work[k % 2, : rows * cells * p].reshape(rows, cells, p)
         if p > 5 or rows * cells < 128 * p:
@@ -207,7 +208,7 @@ def _riesz_block(p: int, level: int, a, j) -> np.ndarray:
             for x in range(p):
                 np.multiply(values, tables[:, k, x, None], out=out[:, :, x])
         values = out.reshape(rows, -1)
-    return pairs.view(np.complex128).reshape(rows, p**level)
+    return result.reshape(rows, p**level)
 
 
 def riesz_density(

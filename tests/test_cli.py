@@ -262,6 +262,88 @@ def test_norms_refuses_zero_polynomial(tmp_path, monkeypatch, capsys):
     assert calls == []  # refused before the synthesis
 
 
+_NO_RATIO = "the zero polynomial has no norm ratio"
+
+
+def _zero_polynomials(N):
+    # no terms, and every order-2 term with coefficient 0
+    indices = pchaos.term_indices(2, 2, N)
+    return {
+        "empty": pchaos.ChaosPolynomial.from_indices(2, N, [], []),
+        "all-zero": pchaos.ChaosPolynomial.from_indices(2, N, indices, np.zeros(indices.size)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["empty", "all-zero"])
+@pytest.mark.parametrize(
+    "caller, message",
+    [
+        (("sidon_ratio",), {"empty": _NO_RATIO, "all-zero": _NO_RATIO}),
+        # with no --q the exponent is read first, and an empty polynomial has none
+        (("norms",), {"empty": "the zero polynomial has no coefficient exponent", "all-zero": _NO_RATIO}),
+        (("norms", "--q", "1.5"), {"empty": _NO_RATIO, "all-zero": _NO_RATIO}),
+    ],
+    ids=["sidon_ratio", "norms", "norms-q"],
+)
+@pytest.mark.parametrize("N", [4, 30], ids=["N4", "past-MAX_CELLS"])
+def test_zero_polynomial_refusals(tmp_path, monkeypatch, capsys, kind, caller, message, N):
+    # every ratio caller refuses a zero polynomial with DegenerateInput, and
+    # before the cell guard: 2^31 cells at N=30 exceed MAX_CELLS
+    Q = _zero_polynomials(N)[kind]
+    syntheses = []
+    monkeypatch.setattr(chaos, "_tensor_dft", lambda *args, **kwargs: syntheses.append(args))
+    if caller == ("sidon_ratio",):
+        with pytest.raises(pchaos.DegenerateInput) as refused:
+            pchaos.sidon_ratio(Q)
+    else:
+        poly = tmp_path / "q.json"
+        ser.save_polynomial(str(poly), Q)
+        argv = [*caller, "--poly", str(poly)]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {message[kind]}\n"
+        args = build_parser().parse_args(argv)
+        with pytest.raises(pchaos.DegenerateInput) as refused:
+            args.func(args)
+    assert str(refused.value) == message[kind]
+    assert syntheses == []
+    if N == 30:  # a polynomial with a nonzero term meets the guard there
+        with pytest.raises(pchaos.GuardExceeded):
+            pchaos.linf_norm(pchaos.ChaosPolynomial.from_indices(2, N, [1], [1.0]))
+
+
+def test_every_ratio_caller_makes_one_core_call(tmp_path, monkeypatch, capsys):
+    # sidon_ratio, pchaos norms, each study row and verify's sidon-exact-d1
+    # check each take their sups and norms in one chaos._row_norms call
+    core, row_sups, calls, blocks = chaos._row_norms, chaos._row_sups, [], []
+
+    def spy(Q, draw, rows, exponents):
+        calls.append((rows, tuple(exponents)))
+        return core(Q, draw, rows, exponents)
+
+    for module in (chaos, cli, experiments):
+        monkeypatch.setattr(module, "_row_norms", spy)
+    monkeypatch.setattr(chaos, "_row_sups", lambda Q, block: blocks.append(len(block)) or row_sups(Q, block))
+    Q = random_chaos(3, 2, 3, np.random.default_rng(0), "unimodular")
+    pchaos.sidon_ratio(Q)
+    assert calls == [(1, (None,))]
+    calls.clear()
+    poly = tmp_path / "q.json"
+    ser.save_polynomial(str(poly), Q)
+    assert run("norms", "--poly", poly, "--q", "1.5") == 0
+    assert calls == [(1, (1.0, 1.5, None))]
+    calls.clear()
+    cfg = pchaos.ExperimentConfig(p=2, d=2, N_values=(4, 5, 6), trials=3, seed=0)
+    for study in (pchaos.random_ensemble_study, pchaos.growth_study):
+        study(cfg)
+        assert calls == [(3, (1.0, 4 / 3))] * 3
+        calls.clear()
+    blocks.clear()
+    pchaos.verify_suite([2], [1], N=3)
+    assert calls == [(10, (None,))]
+    # the other checks norm one polynomial at a time through linf_norm
+    assert [n for n in blocks if n != 1] == [10]
+
+
 _SEVENTEEN = ",".join(["1"] * 17)
 
 

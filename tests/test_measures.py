@@ -1,5 +1,6 @@
 """Riesz products, the shaped measure constructions and variation accounting."""
 
+import itertools
 import sys
 
 import numpy as np
@@ -625,14 +626,20 @@ def test_scalar_entry_points_refuse_what_is_not_an_admitted_integer(build, error
         build()
 
 
+def _factor_table(p, ak, jk):
+    """1 + Re(a_k w) for the roots w of exponent jk, in float64 as
+    1 + (a_r w_r - a_i w_i)."""
+    w = np.exp(2j * np.pi * ((jk * np.arange(p)) % p) / p)
+    return 1.0 + (ak.real * w.real - ak.imag * w.imag)
+
+
 def _broadcast_riesz_density(p, level, a, j):
     """Reference: the product by broadcasting, one reshaped factor per axis."""
-    digits = np.arange(p)
     values = np.ones((p,) * level if level else (1,))
     for k, (ak, jk) in enumerate(zip(a, j)):
         shape = [1] * level
         shape[k] = p
-        factor = 1.0 + (ak * np.exp(2j * np.pi * ((jk * digits) % p) / p)).real
+        factor = _factor_table(p, ak, jk)
         values = values * factor.reshape(shape)
     return values.reshape(p**level)
 
@@ -655,14 +662,12 @@ def test_riesz_density_matches_the_broadcast_product_bit_for_bit():
 
 
 def _per_factor_riesz_density(p, level, a, j):
-    """Reference: the per-factor route, each factor table a Python complex
-    times the roots of its own exponent, multiplied out by outer products."""
-    digits = np.arange(p)
+    """Reference: the per-factor route, each factor table built from the
+    roots of its own exponent, multiplied out by outer products."""
     values = np.ones(())
     for ak, jk in zip(a, j):
-        factor = 1.0 + (ak * np.exp(2j * np.pi * ((jk * digits) % p) / p)).real
-        values = np.multiply.outer(values, factor)
-    return values.reshape(p**level).astype(np.complex128)
+        values = np.multiply.outer(values, _factor_table(p, ak, jk))
+    return values.reshape(p**level)
 
 
 def test_riesz_block_rows_match_the_per_factor_route_bit_for_bit():
@@ -675,13 +680,45 @@ def test_riesz_block_rows_match_the_per_factor_route_bit_for_bit():
             a = rng.random((rows, level)) * np.exp(2j * np.pi * rng.random((rows, level)))
             j = rng.integers(1, p, size=(rows, level))
             block = measures._riesz_block(p, level, a, j)
-            assert block.shape == (rows, p**level) and block.dtype == np.complex128
+            assert block.shape == (rows, p**level) and block.dtype == np.float64
             for r in range(rows):
                 expected = _per_factor_riesz_density(p, level, [complex(x) for x in a[r]], j[r])
                 assert block[r].tobytes() == expected.tobytes(), (p, level, r)
                 cases += 1
             level += 1
     assert cases == 4 * 81
+
+
+def test_riesz_factor_tables_match_python_floats_bit_for_bit():
+    # each factor table is 1 + (a_r w_r - a_i w_i) in Python floats from the
+    # same table of roots, and each density the product of its tables left
+    # to right, 1.0 * f_0 * f_1 * ..., factor 0 on the slowest digit; p=2
+    # at levels 8 and 9 runs the per-digit steps
+    rng = np.random.default_rng(5)
+    rows, cases = 3, 0
+    for p in range(2, 17):
+        roots = np.exp(2j * np.pi * np.arange(p) / p).tolist()
+        level = 1
+        while p**level <= 512:
+            a = (rng.random((rows, level)) * np.exp(2j * np.pi * rng.random((rows, level)))).tolist()
+            j = rng.integers(1, p, size=(rows, level)).tolist()
+            expected = []
+            for ar, jr in zip(a, j):
+                tables = [
+                    [1.0 + (ak.real * roots[jk * x % p].real - ak.imag * roots[jk * x % p].imag)
+                     for x in range(p)]
+                    for ak, jk in zip(ar, jr)
+                ]
+                for factors in itertools.product(*tables):
+                    value = 1.0
+                    for f in factors:
+                        value *= f
+                    expected.append(value)
+            block = measures._riesz_block(p, level, a, j)
+            assert block.tobytes() == np.array(expected).tobytes(), (p, level)
+            cases += 1
+            level += 1
+    assert cases == 46
 
 
 def test_riesz_block_refuses_as_riesz_density_does():

@@ -67,8 +67,14 @@ def test_N_of_more_than_one_word():
 
 
 def test_an_unknown_ensemble_is_refused():
-    with pytest.raises(ChaosError, match="unknown ensemble 'gaussian'"):
+    # one check, the same message, on every route that takes an ensemble
+    message = r"unknown ensemble 'gaussian' \(expected one of \('signs', 'unimodular'\)\)"
+    with pytest.raises(ChaosError, match=message):
         block_draw(0, 4, 10, "gaussian")
+    with pytest.raises(ChaosError, match=message):
+        pchaos.experiments.draw_coefficients(np.random.default_rng(0), 10, "gaussian")
+    with pytest.raises(ChaosError, match=message):
+        pchaos.ExperimentConfig(p=2, d=2, N_values=(4,), trials=3, seed=0, ensemble="gaussian")
 
 
 def test_importing_pchaos_leaves_numpy_random_unloaded():
