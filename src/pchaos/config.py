@@ -2,7 +2,7 @@
 
 Every tolerance is stated exactly once, here, and none can be overridden
 per run. Two broad tiers cover measure-construction identities (1e-8) and
-transform identities (1e-10); the interpolation-solve residual gate is
+transform identities (1e-10); the exponent-selector residual gate is
 1e-6, and a handful of checks carry their own sharper constants (mass
 identities, exact transform agreement, character arithmetic) because those
 quantities are exact up to rounding. The resource guards are fixed caps,
@@ -44,7 +44,7 @@ CHARACTER_TOL = 1e-14
 EXACT_RATIO_TOL = 1e-12
 LEMMA1_PATTERN_TOL = 1e-6
 
-# Largest Vandermonde residual accepted from the exponent-selector solve.
+# Largest Vandermonde residual accepted from the exponent selector.
 SOLVE_RESIDUAL_TOL = 1e-6
 
 # Rounding slack on the Riesz coefficient bound |a_k| <= 1.

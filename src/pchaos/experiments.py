@@ -458,7 +458,8 @@ def verify_suite(
         except ChaosError as exc:
             result = CheckResult(name, None, tolerance, False, {"error": str(exc)})
         else:
-            result = CheckResult(name, float(worst), tolerance, worst <= tolerance, where)
+            worst = float(worst)  # a numpy residual would make the verdict a numpy bool
+            result = CheckResult(name, worst, tolerance, worst <= tolerance, where)
         check_wall_s[name] = time.perf_counter() - check_start
         report.checks.append(result)
 

@@ -41,15 +41,14 @@ arithmetic predicate, never a numeric comparison, drives the special
 coefficient rules above; at a self-conjugate position the matched base
 coefficient is Re(a_k) instead of a_k / 2.
 
-Both shaping polynomials are solved in float64 by Newton divided
-differences on the stated node list followed by conversion to monomial
-coefficients. lemma1 evaluates its monomial coefficients at the letters
-of the alphabet, the order-d letters bit for bit the solve's nodes, and
-rejects the solve (``IllConditionedSystem``) if its Vandermonde residual
-exceeds tolerance, never silently degraded; it is solved once per order,
-and the gate runs on every call. lemma2 keeps its monomial coefficients
-only as provenance (they give the l1 variation bound); its measure is
-exact at every order the guards admit.
+Both shaping polynomials are built in float64 from their Lagrange form,
+as products of linear factors, with no linear solve. lemma1 evaluates
+that form at the letters of the alphabet, the order-d letters bit for bit
+its nodes, so every order-d coefficient is its target exactly; an order
+whose monomial coefficients miss the Vandermonde system by more than
+tolerance is refused (``IllConditionedSystem``), never silently degraded.
+lemma2 keeps its monomial coefficients only as provenance (they give the
+l1 variation bound); its measure is exact at every order the guards admit.
 """
 
 from __future__ import annotations
@@ -62,9 +61,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .config import (
+    MAX_LEVEL,
     MAX_SELECTOR_ORDER,
     NODE_GAP_FLOOR,
     SOLVE_RESIDUAL_TOL,
@@ -223,39 +222,8 @@ def riesz_density(
 
 
 # ---------------------------------------------------------------------------
-# Interpolation machinery
+# Selector polynomials
 # ---------------------------------------------------------------------------
-
-
-def _newton_coefficients(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Divided-difference table, vectorized column by column."""
-    coef = np.asarray(values, dtype=np.complex128).copy()
-    x = np.asarray(nodes, dtype=np.complex128)
-    n = len(x)
-    for order in range(1, n):
-        coef[order:] = (coef[order:] - coef[order - 1 : n - 1]) / (
-            x[order:] - x[: n - order]
-        )
-    return coef
-
-
-def _newton_to_monomial(nodes: np.ndarray, newton: np.ndarray) -> np.ndarray:
-    """Expand the Newton form into ascending monomial coefficients."""
-    poly = np.array([newton[-1]], dtype=np.complex128)
-    for i in range(len(newton) - 2, -1, -1):
-        grown = np.zeros(len(poly) + 1, dtype=np.complex128)
-        grown[1:] = poly
-        grown[: len(poly)] -= nodes[i] * poly
-        grown[0] += newton[i]
-        poly = grown
-    return poly
-
-
-def interpolate_monomial(nodes: Sequence[complex], values: Sequence[complex]) -> np.ndarray:
-    """Monomial coefficients (ascending) of the unique interpolant."""
-    x = np.asarray(nodes, dtype=np.complex128)
-    y = np.asarray(values, dtype=np.complex128)
-    return _newton_to_monomial(x, _newton_coefficients(x, y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,38 +280,60 @@ def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     return node_arr, target_arr
 
 
+def _linear_product(consts, slopes) -> np.ndarray:
+    """Ascending coefficients of prod_k (consts[k] + slopes[k] x), factor by
+    factor in elementwise arithmetic (a convolution sums by BLAS dot
+    products, whose bits vary by build)."""
+    coeffs = np.ones(1)
+    for a, b in zip(consts, slopes):
+        grown = np.append(0.0, coeffs * b)
+        grown[:-1] += coeffs * a
+        coeffs = grown
+    return coeffs
+
+
+_WIDTH = MAX_LEVEL + 1  # lemma1 reads P at the letter (u, v) at u * _WIDTH + v
+
+
 @functools.cache
-def _selector_solution(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Nodes, targets, monomial solution and Vandermonde residual of the
-    order-d selector system, read-only: solved once per order. Only
-    `lemma1_system` calls it, after its order check, so a bool or a float
-    never reaches the cache (True and 1.0 hash as 1)."""
+def _selector_solution(d: int) -> tuple:
+    """Nodes, targets, monomial coefficients and Vandermonde residual of the
+    order-d selector P, then P at every letter with u, v < _WIDTH and at
+    the zero letter. P is the sum over the target-1 nodes x_i of
+    prod_j (x - x_j) / below_i, below_i = prod_j (x_i - x_j), over the
+    other nodes x_j. At a node, bit for bit, each term has a factor
+    exactly 0 or reads below_i / below_i, which rounds to 1 at every node
+    of d <= 3. Read-only, built once per order; callers pass `d` through
+    `lemma1_system` first, so no bool or float is cached (True hashes as 1)."""
     node_arr, target_arr = selector_nodes(d)
-    degree = (d + 1) * (d + 2) // 2
-    coeffs = interpolate_monomial(node_arr, target_arr)
-    powers = node_arr[:, None] ** np.arange(degree + 1)[None, :]
+    matched = np.flatnonzero(target_arr)
+    others = np.array([np.delete(node_arr, i) for i in matched])
+    def numerators(x):  # prod_j (x - others[i, j]), rows x, columns i
+        return np.prod(x[:, None, None] - others, axis=-1)
+    below = numerators(node_arr[matched]).diagonal()
+    coeffs = sum(_linear_product(-row, np.ones_like(row)) / x for row, x in zip(others, below))
+    powers = node_arr[:, None] ** np.arange(len(node_arr))[None, :]
     residual = float(np.max(np.abs(powers @ coeffs - target_arr)))
-    for arr in (node_arr, target_arr, coeffs):
+    u, v = np.divmod(np.arange(_WIDTH * _WIDTH), _WIDTH)
+    values = (numerators(np.append(_letters(d, u, v), 0j)) / below).sum(axis=1)
+    for arr in (node_arr, target_arr, coeffs, values):
         arr.flags.writeable = False
-    return node_arr, target_arr, coeffs, residual
+    return node_arr, target_arr, coeffs, residual, values
 
 
 def lemma1_system(d: int) -> VandermondeSystem:
-    """Build and solve the exponent-selector interpolation system.
+    """Build the exponent-selector interpolation system.
 
-    The solution is the float64 monomial coefficient vector; its residual
-    floor is about eps times the l1 norm of the exact coefficients, which
-    grows so fast with d (roughly 4.4, 2.5e2, 9.3e5, 9.5e11, 1.0e21,
-    4.6e33 for d = 1..6) that double precision meets the 1e-6 gate only
-    for d <= 3. Larger orders raise IllConditionedSystem rather than
-    degrade silently.
-
-    The solve runs once per order and its arrays are read-only; the order
-    check and the residual gate (against the current SOLVE_RESIDUAL_TOL)
-    run on every call.
+    P is the sum of the Lagrange basis polynomials of the target-1 nodes,
+    each a product of linear factors. In float64 its residual floor is
+    about eps times the l1 norm of the exact coefficients, which grows so
+    fast with d (roughly 4.4, 2.5e2, 9.3e5, 9.5e11, 1.0e21, 4.6e33 for
+    d = 1..6) that the 1e-6 gate is met only for d <= 3; larger orders
+    raise IllConditionedSystem. The order check and the gate (against the
+    current SOLVE_RESIDUAL_TOL) run on every call.
     """
     d = check_order(d)
-    node_arr, target_arr, coeffs, residual = _selector_solution(d)
+    node_arr, target_arr, coeffs, residual = _selector_solution(d)[:4]
     if residual > SOLVE_RESIDUAL_TOL:
         raise IllConditionedSystem(
             f"interpolation residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e}"
@@ -366,10 +356,15 @@ def _shaped_measure(spectrum: Spectrum, coefficients: np.ndarray, provenance: di
     has the ascending monomial `coefficients`.
 
     The provenance gains the coefficients and their l1 norm, which bounds
-    the variation."""
-    bound = float(np.abs(coefficients).sum())
+    the variation. A variation or bound past the float64 range is refused
+    (`NonFiniteValue`)."""
+    with np.errstate(over="ignore"):
+        bound = float(np.abs(coefficients).sum())
+        variation = density_variation(inverse(spectrum))
+    if not (math.isfinite(bound) and math.isfinite(variation)):
+        raise NonFiniteValue(f"the {provenance['construction']} variation leaves the float64 range")
     provenance = provenance | {"coefficients": coefficients.copy(), "variation_bound": bound}
-    return MeasureRep(spectrum, density_variation(inverse(spectrum)), provenance)
+    return MeasureRep(spectrum, variation, provenance)
 
 
 def _lemma1_base_spectrum(p: int, d: int, J: Sequence[int], level: int) -> Spectrum:
@@ -396,8 +391,8 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     The base product's coefficient at an index is its alphabet letter
     (`_letters`) when its digits lie in {0, J_k, -J_k} at every position
     (J_k alone where R^(J_k) is self-conjugate, which counts in neither u
-    nor v), and 0 otherwise. P is evaluated once per letter and gathered by
-    each index's (u, v) key; the product is never formed.
+    nor v), and 0 otherwise. P, evaluated once per order at every letter,
+    is gathered by each index's (u, v) key; the product is never formed.
     """
     _check_ints(p=p, d=d, level=level)
     check_cell_guard(p, level)
@@ -405,11 +400,11 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     if len(J) != level:
         raise LevelMismatch(f"need {level} exponents, got {len(J)}")
     system = lemma1_system(d)
-    # the key u (L+1) + v of every Paley index: one broadcast add per
+    # the key u _WIDTH + v of every Paley index: one broadcast add per
     # position, the top position first, so position k ends on the digit of
-    # p^k; a digit outside the alphabet adds `outside`, past every key
-    width = level + 1
-    outside = width * width
+    # p^k; a digit outside the alphabet adds `outside`, past every key, and
+    # gathers P at the zero letter
+    outside = _WIDTH * _WIDTH
     keys = np.zeros(1, dtype=np.intp)
     for jk in reversed(J):
         step = np.full(p, outside, dtype=np.intp)
@@ -417,12 +412,9 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
         if is_self_conjugate(p, jk):
             step[jk] = 0
         else:
-            step[jk], step[-jk % p] = width, 1
+            step[jk], step[-jk % p] = _WIDTH, 1
         keys = (keys[:, None] + step).reshape(-1)
-    # every letter with u, v <= L, then the zero letter, where P is c_0
-    u, v = np.divmod(np.arange(outside), width)
-    letters = np.append(_letters(d, u, v), 0j)
-    coeffs = npoly.polyval(letters, system.coefficients).take(keys, mode="clip")
+    coeffs = _selector_solution(d)[4].take(keys, mode="clip")
     provenance = {
         "construction": "lemma1",
         "p": p,
@@ -436,28 +428,34 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
 def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
     """Ascending coefficients of the order-selecting polynomial.
 
-    Degree d, P(0) = 0, P(p^-s) = 1, P(p^-j) = 0 for j in 1..d, j != s.
-    The constant term is exactly zero (node 0 leads the Newton node list).
-    Coefficients past the float64 range are refused (`NonFiniteValue`),
-    before the O(d^2) solve where a lower bound on the leading coefficient
-    already overflows. That coefficient is 1 over the product of p^-s - x
-    over the other nodes x: node 0 gives p^-s, and |p^-s - p^-j| <
-    p^-min(s, j), so its size exceeds p^(s + s(s-1)/2 + s(d-s)).
+    Degree d, P(0) = 0, P(p^-s) = 1, P(p^-j) = 0 for j in 1..d, j != s:
+    the Lagrange basis polynomial of node p^-s. Node 0 gives the factor
+    p^s x, and node p^-j, scaled by p^(s+j) above and below, the factor
+    (p^(s+j) x - p^s) / (p^j - p^s) of correctly rounded int quotients.
+    Taken from j = d down, the partial products' large coefficients grow
+    and their small ones shrink towards the result's own, and as the nodes
+    are positive no coefficient sum cancels. The constant term is +0.0. An
+    order is refused (`NonFiniteValue`) where the product leaves the
+    float64 range, at once where the lower bound p^(s + s(s-1)/2 + s(d-s))
+    on its leading coefficient does (|p^-s - p^-j| < p^-min(s, j)).
     """
     check_base_level(p, 0)
     d = check_order(d)
     if check_order(s) > d:
         raise InvalidOrder(f"selected order {s} not in 1..{d}")
+    refusal = f"the order-{d} selector for p={p} leaves the float64 range"
     power = s + s * (s - 1) // 2 + s * (d - s)
     # p >= 2, so a power of at least max_exp passes the float64 range
     if power >= sys.float_info.max_exp or p**power > sys.float_info.max:
-        raise NonFiniteValue(f"the order-{d} selector for p={p} leaves the float64 range")
-    nodes = np.array([0.0] + [float(p) ** -j for j in range(1, d + 1)])
-    values = np.array([0.0] + [1.0 if j == s else 0.0 for j in range(1, d + 1)])
-    with np.errstate(all="ignore"):
-        coeffs = interpolate_monomial(nodes, values).real
+        raise NonFiniteValue(refusal)
+    others = [p**j for j in range(d, 0, -1) if j != s]
+    with np.errstate(over="ignore"):
+        coeffs = _linear_product(
+            [0.0] + [-(p**s) / (pj - p**s) for pj in others],
+            [float(p**s)] + [p**s * pj / (pj - p**s) for pj in others],
+        )
     if not np.isfinite(coeffs).all():
-        raise NonFiniteValue(f"the order-{d} selector for p={p} leaves the float64 range")
+        raise NonFiniteValue(refusal)
     return coeffs
 
 

@@ -182,11 +182,11 @@ def test_lemma2_order_without_terms_is_refused(tmp_path, capsys):
 
 
 def test_lemma2_past_the_float_range_exits_before_the_solve(tmp_path, capsys, monkeypatch):
-    # the O(d^2) solve would take about half an hour at this d
+    # the O(d^2) product of the selector's factors would run for minutes
     def refuse(*args):
-        raise AssertionError("the selector was solved")
+        raise AssertionError("the selector was expanded")
 
-    monkeypatch.setattr(pchaos.measures, "interpolate_monomial", refuse)
+    monkeypatch.setattr(pchaos.measures, "_linear_product", refuse)
     out = tmp_path / "nu.json"
     assert run("lemma2", "--p", "2", "--d", "300000", "--s", "1", "--N", "3", "--out", out) == 2
     assert "leaves the float64 range" in capsys.readouterr().err

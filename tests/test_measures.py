@@ -1,7 +1,10 @@
 """Riesz products, the shaped measure constructions and variation accounting."""
 
 import itertools
+import math
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,16 +149,17 @@ class TestSelectorSystem:
     def test_solved_once_per_order(self, monkeypatch):
         measures._selector_solution.cache_clear()
         calls = []
-        solve = measures.interpolate_monomial
+        expand = measures._linear_product
         monkeypatch.setattr(
-            measures, "interpolate_monomial", lambda *a: calls.append(1) or solve(*a)
+            measures, "_linear_product", lambda *a: calls.append(1) or expand(*a)
         )
         first = lemma1_system(2)
         for _ in range(3):
             again = lemma1_system(2)
             np.testing.assert_array_equal(again.coefficients, first.coefficients)
             assert again.residual == first.residual
-        assert len(calls) == 1
+        # one basis polynomial per target-1 node, expanded on the first call
+        assert len(calls) == 3
 
     def test_cached_order_still_checks_its_argument(self):
         lemma1_system(1)
@@ -206,6 +210,26 @@ class TestLemma1Measure:
         matched, mismatched = lemma1_pattern_residual(nu, 2, J, 5)
         assert matched <= 1e-6 and mismatched <= 1e-6
 
+    def test_pattern_is_exactly_zero(self):
+        # P's Lagrange form at the nodes: every matched order-d coefficient
+        # is exactly 1 and every mismatched one exactly 0 (the monomial
+        # route missed by up to 4e-11), at p = 2..16, d = 1..3 and levels
+        # d..7 up to 2^20 cells, two exponent sequences each
+        rng = np.random.default_rng(30)
+        cases = 0
+        for p in range(2, 17):
+            for d in (1, 2, 3):
+                for level in range(d, 8):
+                    if p**level > 2**20:
+                        break
+                    for _ in range(2):
+                        J = [int(x) for x in rng.integers(1, p, size=level)]
+                        nu = lemma1_measure(p, d, J, level)
+                        residual = lemma1_pattern_residual(nu, d, J, level - 1)
+                        assert residual == (0.0, 0.0), (p, d, J)
+                        cases += 1
+        assert cases == 2 * 225
+
     def test_variation_below_bound(self):
         nu = lemma1_measure(3, 2, [1, 2, 1, 2, 1], 5)
         assert nu.variation <= nu.provenance["variation_bound"] + 1e-8
@@ -239,8 +263,11 @@ class TestLemma1Measure:
         # transform error e in a base coefficient moves P by up to
         # e sum_i i |c_i| (every base coefficient lies in the unit disc), and
         # that sum reaches 8.0e6 at d=3, where the two routes differ by up to
-        # 1.2e-10; the transform is accurate to about 1e-15 here. Its pattern
-        # residuals are the solve's own errors at the nodes, never more
+        # 1.2e-10; the transform is accurate to about 1e-15 here. The
+        # measure evaluates P's Lagrange form, not its monomial coefficients,
+        # so even at p=2, where the transform is exact, the routes agree only
+        # to that tolerance. Its pattern residuals are no larger than the
+        # monomial coefficients' own errors at the nodes
         rng = np.random.default_rng(27)
         cases = 0
         for p in range(2, 8):
@@ -261,8 +288,6 @@ class TestLemma1Measure:
                         assert mismatched <= mismatched_error, (p, d, level)
                     rho_hat = measures._lemma1_base_spectrum(p, d, J, level).coeffs
                     expected = npoly.polyval(rho_hat, c)
-                    if p == 2:
-                        assert got.tobytes() == expected.tobytes(), (d, level)
                     scale = np.abs(expected).max()
                     tol = max(1e-10, 1e-15 * slope) * scale
                     assert np.abs(got - expected).max() <= tol, (p, d, level)
@@ -271,12 +296,10 @@ class TestLemma1Measure:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_order_d_coefficients_are_P_at_the_nodes(self, d):
-        # the order-d letters are the solve's nodes bit for bit, so every
-        # order-d coefficient is polyval at its node; a digit outside
-        # {0, J_k, -J_k} gives P(0) = c_0, exactly 0
-        c = lemma1_system(d).coefficients
-        nodes, _ = selector_nodes(d)
-        at_nodes = npoly.polyval(nodes, c)
+        # the order-d letters are the nodes bit for bit, so every order-d
+        # coefficient is P's target at its node exactly; a digit outside
+        # {0, J_k, -J_k} gives P(0), exactly 0
+        _, targets = selector_nodes(d)
         rng = np.random.default_rng(d)
         for p in (2, 3, 4, 5, 6, 7):
             level = 5
@@ -299,7 +322,8 @@ class TestLemma1Measure:
                     # block l = d-(u+v) of the node list, entry i = u
                     l = d - (u + v)
                     position = 1 + sum(d - k + 1 for k in range(l)) + u
-                    assert coeffs[index] == at_nodes[position], (p, index)
+                    assert coeffs[index] == targets[position], (p, index)
+                    assert coeffs[index] == (v == 0), (p, index)
 
     @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (4, 2)])
     def test_base_coefficients_in_alphabet(self, p, d):
@@ -317,27 +341,16 @@ class TestLemma1Measure:
             assert np.abs(alphabet - value).min() <= 1e-8
 
 
-def _selector_solves(nodes):
-    """The float route of `lemma2_polynomial` for every s at once: the
-    Newton divided differences and monomial expansion of
-    `measures.interpolate_monomial`, one column per s with value 1 at
-    node s, with the same complex128 operations in the same order."""
-    n = len(nodes)
-    x = nodes.astype(np.complex128)
-    coef = np.eye(n, dtype=np.complex128)[:, 1:]
-    with np.errstate(all="ignore"):
-        for order in range(1, n):
-            coef[order:] = (coef[order:] - coef[order - 1 : n - 1]) / (
-                x[order:] - x[: n - order]
-            )[:, None]
-        poly = coef[-1:]
-        for i in range(n - 2, -1, -1):
-            grown = np.zeros((len(poly) + 1, n - 1), dtype=np.complex128)
-            grown[1:] = poly
-            grown[: len(poly)] -= x[i] * poly
-            grown[0] += coef[i]
-            poly = grown
-    return poly.real
+def _exact_selector(p, d, s):
+    """lemma2's P in exact rationals: x p^s prod_{j != s} (x - p^-j) /
+    (p^-s - p^-j) is p^(ds) x prod (p^j x - 1) / prod (p^j - p^s), whose
+    product has integer coefficients. Ascending, constant term first."""
+    ints = [1]
+    for j in range(1, d + 1):
+        if j != s:  # times (p^j x - 1)
+            ints = [p**j * a - b for a, b in zip([0] + ints, ints + [0])]
+    below = math.prod(p**j - p**s for j in range(1, d + 1) if j != s)
+    return [Fraction(0)] + [Fraction(p ** (d * s) * c, below) for c in ints]
 
 
 class TestLemma2:
@@ -390,53 +403,96 @@ class TestLemma2:
             raise AssertionError("lemma2_measure transformed or evaluated a grid")
 
         monkeypatch.setattr(measures, "forward", refuse)
-        monkeypatch.setattr(measures.npoly, "polyval", refuse)
+        monkeypatch.setattr(npoly, "polyval", refuse)
         nu = lemma2_measure(3, 3, 2, 4)
         assert lemma2_pattern_residual(nu, 3, 2, 3) == (0.0, 0.0)
 
     def test_guards_run_before_the_solve(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the selector was solved")
+            raise AssertionError("the selector was expanded")
 
-        monkeypatch.setattr(measures, "interpolate_monomial", refuse)
+        monkeypatch.setattr(measures, "_linear_product", refuse)
         # the level and the cell guard come before the polynomial
         with pytest.raises(LevelMismatch):
             lemma2_measure(2, 3000, 1, 0)
         with pytest.raises(GuardExceeded):
             lemma2_measure(2, 3000, 1, 25)
         # the leading coefficient's lower bound p^(s + s(s-1)/2 + s(d-s))
-        # overflows, so no O(d^2) solve runs
+        # overflows, so no O(d^2) product runs
         for p, d, s in [(2, 3000, 1), (2, 300000, 7), (16, 300, 300), (3, 10**12, 1)]:
             with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
                 lemma2_polynomial(p, d, s)
             with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
                 lemma2_measure(p, d, s, 2)
 
-    def test_early_refusal_only_where_the_solve_overflows(self):
-        # over p = 2..7, d <= 80 and every s, the bound refuses a subset of
-        # what the float solve refuses, and never an order it admits
-        bound_refused = float_refused = 0
+    def test_coefficients_match_the_fraction_expansion(self):
+        # the Newton solve missed by up to 1.4e126 relative at p=16, d=15,
+        # s=1, and by more than 4e-15 in 1,489 of these 1,800 orders
+        for p in range(2, 17):
+            for d in range(1, 16):
+                for s in range(1, d + 1):
+                    got = lemma2_polynomial(p, d, s)
+                    assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
+                    for c, exact in zip(got[1:], _exact_selector(p, d, s)[1:]):
+                        assert abs(Fraction(c) - exact) <= 4e-15 * abs(exact), (p, d, s)
+
+    def test_large_orders_keep_every_normal_coefficient(self):
+        # the monic prod (x - p^-j) times the leading coefficient loses
+        # what underflows in the monic product: at p=2, d=46, s=2 its
+        # constant term, 2^-1079, is 0.0, so P's x coefficient, 2.6e-297,
+        # came out 0.0. The scaled factors keep every coefficient in range
+        for p in (2, 3, 10, 16):
+            for d in range(16, 49):
+                for s in (1, 2, d // 2, d - 1, d):
+                    try:
+                        got = lemma2_polynomial(p, d, s)
+                    except NonFiniteValue:
+                        continue
+                    for c, exact in zip(got[1:], _exact_selector(p, d, s)[1:]):
+                        if abs(exact) >= sys.float_info.min:
+                            assert abs(Fraction(c) - exact) <= 4e-15 * abs(exact), (p, d, s)
+
+    def test_refused_exactly_where_the_leading_coefficient_overflows(self):
+        # over p = 2..7, d <= 80 and every s, the lower bound on the leading
+        # coefficient refuses a subset of these orders before any work
+        bound_refused = refused = 0
         for p in range(2, 8):
             for d in range(1, 81):
-                nodes = np.array([0.0] + [float(p) ** -j for j in range(1, d + 1)])
-                overflow = ~np.isfinite(_selector_solves(nodes)).all(axis=0)
                 for s in range(1, d + 1):
+                    # 1 over p^-s prod (p^-s - p^-j), j != s, in ints
+                    others = [j for j in range(1, d + 1) if j != s]
+                    below = math.prod(p**j - p**s for j in others)
+                    lead = Fraction(p ** (d * s + sum(others)), below)
                     power = s + s * (s - 1) // 2 + s * (d - s)
-                    refused = p**power > sys.float_info.max
-                    assert overflow[s - 1] or not refused, (p, d, s)
-                    bound_refused += refused
-                    if refused:
-                        with pytest.raises(NonFiniteValue):
-                            lemma2_polynomial(p, d, s)
-                float_refused += int(overflow.sum())
+                    early = p**power > sys.float_info.max
+                    overflow = abs(lead) > sys.float_info.max
+                    assert overflow or not early, (p, d, s)
+                    try:
+                        lemma2_polynomial(p, d, s)
+                    except NonFiniteValue:
+                        assert overflow, (p, d, s)
+                        refused += 1
+                    else:
+                        assert not overflow, (p, d, s)
+                    bound_refused += early
         assert bound_refused == 12873
-        assert float_refused == 16019
+        assert refused == 12889
 
     def test_selector_past_the_float_range_is_refused(self):
         # P's monomial coefficients overflow float64 from d=45 at p=2;
         # the measure came back NaN
         with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
             lemma2_measure(2, 45, 45, 2)
+
+    @pytest.mark.parametrize("p, d, s", [(2, 45, 40), (3, 36, 30), (7, 27, 22)])
+    def test_variation_past_the_float_range_is_refused(self, p, d, s):
+        # finite coefficients whose l1 norm, or whose density's cell sum,
+        # overflows: the measure came back with an infinite variation_bound
+        # or variation, and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="lemma2 variation leaves the float64"):
+                lemma2_measure(p, d, s, 2)
 
     def test_p3_d3_s2_pattern(self):
         nu = lemma2_measure(3, 3, 2, 5)
