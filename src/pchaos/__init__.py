@@ -41,7 +41,6 @@ from .measures import (
     MeasureRep,
     lemma1_measure,
     lemma1_pattern_residual,
-    lemma1_system,
     lemma2_measure,
     lemma2_pattern_residual,
     lemma2_polynomial,

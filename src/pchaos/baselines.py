@@ -3,9 +3,10 @@
 RATIO_BASELINES is keyed by (ensemble, p, d, N, trials, seed) and records
 the statistics of committed reference configurations; reruns must stay
 within MAX_DRIFT of them, and no observed max ratio may exceed the
-recorded cap by more than the drift allowance. LEMMA1_C1_BOUND records the
-l1 norm of the exponent-selector shaping coefficients per order (the
-J-independent variation bound).
+recorded cap by more than the drift allowance. LEMMA1_C1_BOUND is a frozen
+constant of the Riesz-product proof for d <= 3: the l1 norm of the
+exponent selector's monomial coefficients, a J-independent bound on the
+lemma1 variation, which a test pins against its own expansion of P.
 
 Regenerate with:
     pchaos ensemble --p 2 --d 2 --N 8 --trials 200 --seed 42
@@ -16,7 +17,7 @@ scripts or by hand from the JSON reports, never edited ad hoc.
 
 MAX_DRIFT = 0.05
 
-# l1 norm of the selector shaping coefficients, by order d.
+# l1 norm of the exponent selector's monomial coefficients, by order d.
 LEMMA1_C1_BOUND: dict[int, float] = {
     1: 4.405504210643901,
     2: 250.16519396309175,

@@ -173,7 +173,7 @@ def cmd_lemma1(args) -> int:
     print(
         f"lemma1: p={args.p} d={args.d} N={args.N} matched={matched:.3e} "
         f"mismatched={mismatched:.3e} variation={measure.variation:.6f} "
-        f"bound={measure.provenance['variation_bound']:.6f} [{'ok' if ok else 'FAIL'}]"
+        f"[{'ok' if ok else 'FAIL'}]"
     )
     return 0 if ok else 1
 

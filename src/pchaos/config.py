@@ -1,12 +1,12 @@
 """Shared numerical tolerances and resource guards.
 
 Every tolerance is stated exactly once, here, and none can be overridden
-per run. Two broad tiers cover measure-construction identities (1e-8) and
-transform identities (1e-10); the exponent-selector residual gate is
-1e-6, and a handful of checks carry their own sharper constants (mass
-identities, exact transform agreement, character arithmetic) because those
-quantities are exact up to rounding. The resource guards are fixed caps,
-checked before any size-dependent work.
+per run. Two broad tiers cover measure-construction identities (1e-8,
+which also caps the exponent selector's a priori rounding bound) and
+transform identities (1e-10); a handful of checks carry their own sharper
+constants (mass identities, exact transform agreement, character
+arithmetic) because those quantities are exact up to rounding. The
+resource guards are fixed caps, checked before any size-dependent work.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ EXACT_TRANSFORM_TOL = 1e-12
 CHARACTER_TOL = 1e-14
 EXACT_RATIO_TOL = 1e-12
 LEMMA1_PATTERN_TOL = 1e-6
-
-# Largest Vandermonde residual accepted from the exponent selector.
-SOLVE_RESIDUAL_TOL = 1e-6
 
 # Rounding slack on the Riesz coefficient bound |a_k| <= 1.
 UNIT_DISC_SLACK = 1e-12

@@ -43,12 +43,13 @@ coefficient is Re(a_k) instead of a_k / 2.
 
 Both shaping polynomials are built in float64 from their Lagrange form,
 as products of linear factors, with no linear solve. lemma1 evaluates
-that form at the letters of the alphabet, the order-d letters bit for bit
-its nodes, so every order-d coefficient is its target exactly; an order
-whose monomial coefficients miss the Vandermonde system by more than
-tolerance is refused (``IllConditionedSystem``), never silently degraded.
-lemma2 keeps its monomial coefficients only as provenance (they give the
-l1 variation bound); its measure is exact at every order the guards admit.
+that form at the letters of the alphabet: each letter that is a node
+takes its target, so every order-d coefficient is 1 or 0 exactly, and
+every other letter's value carries an a priori rounding bound; an order
+whose bound exceeds tolerance is refused (``IllConditionedSystem``),
+never silently degraded. lemma2 keeps its monomial coefficients only as
+provenance (they give the l1 variation bound); its measure is exact at
+every order the guards admit.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ from typing import Sequence
 import numpy as np
 
 from .config import (
+    CONSTRUCTION_TOL,
     MAX_LEVEL,
     MAX_SELECTOR_ORDER,
     NODE_GAP_FLOOR,
-    SOLVE_RESIDUAL_TOL,
     UNIT_DISC_SLACK,
     check_base_level,
     check_cell_guard,
@@ -92,9 +93,9 @@ class MeasureRep:
     """A finite-level measure: coefficient array plus variation metadata.
 
     ``variation`` is the exact finite-level total variation
-    p^-L sum_c |density(c)|; construction-specific data (parameters, the
-    shaping coefficient vector, the l1 variation bound) live in
-    ``provenance``.
+    p^-L sum_c |density(c)|; construction-specific data (parameters, and
+    for lemma2 the shaping coefficient vector and the l1 variation bound)
+    live in ``provenance``.
     """
 
     spectrum: Spectrum
@@ -226,24 +227,6 @@ def riesz_density(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class VandermondeSystem:
-    """The solved coefficient-shaping system for one order d.
-
-    nodes: 0 followed by the coefficient alphabet values t_{l,i}
-    (blocks l = 0..d, i = 0..d-l); targets: 0, then 1 exactly at the
-    matched value of each block (i = d-l); coefficients: ascending monomial
-    solution of length (d+1)(d+2)/2 + 1; residual: max |T c - b| over the
-    Vandermonde system.
-    """
-
-    d: int
-    nodes: np.ndarray
-    targets: np.ndarray
-    coefficients: np.ndarray
-    residual: float
-
-
 def _letters(d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The coefficient alphabet zeta^(u-v) / 2^(u+v), zeta = exp(2 pi i /
     (2d+1)), of lemma1's base product: the coefficient at an index with u
@@ -296,49 +279,46 @@ _WIDTH = MAX_LEVEL + 1  # lemma1 reads P at the letter (u, v) at u * _WIDTH + v
 
 
 @functools.cache
-def _selector_solution(d: int) -> tuple:
-    """Nodes, targets, monomial coefficients and Vandermonde residual of the
-    order-d selector P, then P at every letter with u, v < _WIDTH and at
-    the zero letter. P is the sum over the target-1 nodes x_i of
-    prod_j (x - x_j) / below_i, below_i = prod_j (x_i - x_j), over the
-    other nodes x_j. At a node, bit for bit, each term has a factor
-    exactly 0 or reads below_i / below_i, which rounds to 1 at every node
-    of d <= 3. Read-only, built once per order; callers pass `d` through
-    `lemma1_system` first, so no bool or float is cached (True hashes as 1)."""
+def _selector_solution(d: int) -> np.ndarray:
+    """The order-d selector P at every letter with u, v < _WIDTH, at key
+    u * _WIDTH + v, then at the zero letter: read-only, built once per
+    order. Callers refuse a bool or float `d` first (True hashes as 1).
+
+    P is the sum over the d+1 target-1 nodes x_i of the terms
+    t_i(x) = prod_j (x - x_j) / below_i, below_i = prod_j (x_i - x_j), both
+    products over the n-1 other nodes x_j. A letter with u+v <= d is a
+    node and takes its target, 1 where v = 0 and 0 elsewhere: the float
+    quotient below_i / below_i rounds to 1 at every node of d <= 3, but
+    misses it by up to 1.1e-16 at some nodes of d = 4..6.
+
+    Every other letter carries an a priori bound. With r = eps/2 the unit
+    roundoff, a complex difference errs by at most r relative and a
+    complex product by at most sqrt(5) r < 2.25 r, so each product of n-1
+    factors errs by at most 3.25 (n-1) r, and t_i by 6.5 (n-1) r + q r,
+    with q r the error of the quotient itself. Summing the d+1 <= n-2
+    terms adds (n-3) r sum_i |t_i|. To first order the computed P is then
+    within (7.5 n - 9.5 + q) r sum_i |t_i| of P, at most
+    4 n eps sum_i |t_i| for any q <= 11.5 (numpy's Smith division errs by a
+    few r). An order whose largest bound exceeds CONSTRUCTION_TOL is
+    refused (`IllConditionedSystem`); the bound peaks at 2.7e-15, at d = 6."""
     node_arr, target_arr = selector_nodes(d)
     matched = np.flatnonzero(target_arr)
     others = np.array([np.delete(node_arr, i) for i in matched])
     def numerators(x):  # prod_j (x - others[i, j]), rows x, columns i
         return np.prod(x[:, None, None] - others, axis=-1)
     below = numerators(node_arr[matched]).diagonal()
-    coeffs = sum(_linear_product(-row, np.ones_like(row)) / x for row, x in zip(others, below))
-    powers = node_arr[:, None] ** np.arange(len(node_arr))[None, :]
-    residual = float(np.max(np.abs(powers @ coeffs - target_arr)))
     u, v = np.divmod(np.arange(_WIDTH * _WIDTH), _WIDTH)
-    values = (numerators(np.append(_letters(d, u, v), 0j)) / below).sum(axis=1)
-    for arr in (node_arr, target_arr, coeffs, values):
-        arr.flags.writeable = False
-    return node_arr, target_arr, coeffs, residual, values
-
-
-def lemma1_system(d: int) -> VandermondeSystem:
-    """Build the exponent-selector interpolation system.
-
-    P is the sum of the Lagrange basis polynomials of the target-1 nodes,
-    each a product of linear factors. In float64 its residual floor is
-    about eps times the l1 norm of the exact coefficients, which grows so
-    fast with d (roughly 4.4, 2.5e2, 9.3e5, 9.5e11, 1.0e21, 4.6e33 for
-    d = 1..6) that the 1e-6 gate is met only for d <= 3; larger orders
-    raise IllConditionedSystem. The order check and the gate (against the
-    current SOLVE_RESIDUAL_TOL) run on every call.
-    """
-    d = check_order(d)
-    node_arr, target_arr, coeffs, residual = _selector_solution(d)[:4]
-    if residual > SOLVE_RESIDUAL_TOL:
+    terms = numerators(np.append(_letters(d, u, v), 0j)) / below
+    values = terms.sum(axis=1)
+    node = np.append(u + v <= d, True)
+    values[node] = np.append(v == 0, False)[node]
+    bound = 4 * len(node_arr) * np.finfo(float).eps * np.abs(terms[~node]).sum(axis=1).max()
+    if bound > CONSTRUCTION_TOL:
         raise IllConditionedSystem(
-            f"interpolation residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e}"
+            f"the order-{d} selector's rounding bound {bound:.3e} exceeds {CONSTRUCTION_TOL:.1e}"
         )
-    return VandermondeSystem(d, node_arr, target_arr, coeffs, residual)
+    values.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -347,24 +327,18 @@ def lemma1_system(d: int) -> VandermondeSystem:
 
 
 def density_variation(density: StepFunction) -> float:
-    """Exact finite-level total variation p^-L sum |density|."""
-    return float(np.abs(density.values).sum() * density.p ** (-density.level))
+    """Exact finite-level total variation p^-L sum |density|.
 
-
-def _shaped_measure(spectrum: Spectrum, coefficients: np.ndarray, provenance: dict) -> MeasureRep:
-    """The shaped measure P(base) with coefficient array `spectrum`, where P
-    has the ascending monomial `coefficients`.
-
-    The provenance gains the coefficients and their l1 norm, which bounds
-    the variation. A variation or bound past the float64 range is refused
-    (`NonFiniteValue`)."""
-    with np.errstate(over="ignore"):
-        bound = float(np.abs(coefficients).sum())
-        variation = density_variation(inverse(spectrum))
-    if not (math.isfinite(bound) and math.isfinite(variation)):
-        raise NonFiniteValue(f"the {provenance['construction']} variation leaves the float64 range")
-    provenance = provenance | {"coefficients": coefficients.copy(), "variation_bound": bound}
-    return MeasureRep(spectrum, variation, provenance)
+    A cell sum past the float64 range is taken once more as
+    (sum |density| / m) p^-L m, m = max |density|, as `lq_norm` rescales,
+    so a variation that fits is kept; an in-range sum is never rescaled."""
+    mags = np.abs(density.values)
+    total = mags.sum()
+    if not math.isfinite(total):
+        top = mags.max()
+        if top < math.inf:
+            return float((mags / top).sum() * density.p ** (-density.level) * top)
+    return float(total * density.p ** (-density.level))
 
 
 def _lemma1_base_spectrum(p: int, d: int, J: Sequence[int], level: int) -> Spectrum:
@@ -385,8 +359,7 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
 
     On every order-d index the coefficient is 1 when all exponents match
     J at the term positions and 0 otherwise. The exact finite-level
-    variation is returned; the l1 norm of the shaping coefficients, an
-    upper bound for it independent of J, is recorded in the provenance.
+    variation is returned.
 
     The base product's coefficient at an index is its alphabet letter
     (`_letters`) when its digits lie in {0, J_k, -J_k} at every position
@@ -399,7 +372,7 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     J = _validate_exponents(p, J)
     if len(J) != level:
         raise LevelMismatch(f"need {level} exponents, got {len(J)}")
-    system = lemma1_system(d)
+    values = _selector_solution(d)
     # the key u _WIDTH + v of every Paley index: one broadcast add per
     # position, the top position first, so position k ends on the digit of
     # p^k; a digit outside the alphabet adds `outside`, past every key, and
@@ -414,15 +387,9 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
         else:
             step[jk], step[-jk % p] = _WIDTH, 1
         keys = (keys[:, None] + step).reshape(-1)
-    coeffs = _selector_solution(d)[4].take(keys, mode="clip")
-    provenance = {
-        "construction": "lemma1",
-        "p": p,
-        "d": d,
-        "J": tuple(J),
-        "solve_residual": system.residual,
-    }
-    return _shaped_measure(Spectrum(p, level, coeffs), system.coefficients, provenance)
+    spectrum = Spectrum(p, level, values.take(keys, mode="clip"))
+    provenance = {"construction": "lemma1", "p": p, "d": d, "J": tuple(J)}
+    return MeasureRep(spectrum, density_variation(inverse(spectrum)), provenance)
 
 
 def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
@@ -482,7 +449,10 @@ def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     """Measure keeping chaos order s and killing every other order <= d.
 
     Its coefficient at an index of chaos order m is P(p^-m), exact, with P
-    the `lemma2_polynomial`; the product it shapes is never formed."""
+    the `lemma2_polynomial`; the product it shapes is never formed. The
+    provenance records P's coefficients and their l1 norm, which bounds
+    the variation. A variation or bound past the float64 range is refused
+    (`NonFiniteValue`)."""
     _check_ints(p=p, d=d, s=s, level=level)
     if level < 1:
         raise LevelMismatch(f"level must be at least 1, got {level}")
@@ -495,8 +465,20 @@ def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     for _ in range(level):
         orders = (orders[:, None] + nonzero).reshape(-1)
     spectrum = Spectrum(p, level, _lemma2_values(p, d, s, level)[orders])
-    provenance = {"construction": "lemma2", "p": p, "d": d, "s": s}
-    return _shaped_measure(spectrum, coeffs, provenance)
+    with np.errstate(over="ignore"):
+        bound = float(np.abs(coeffs).sum())
+        variation = density_variation(inverse(spectrum))
+    if not (math.isfinite(bound) and math.isfinite(variation)):
+        raise NonFiniteValue("the lemma2 variation leaves the float64 range")
+    provenance = {
+        "construction": "lemma2",
+        "p": p,
+        "d": d,
+        "s": s,
+        "coefficients": coeffs,
+        "variation_bound": bound,
+    }
+    return MeasureRep(spectrum, variation, provenance)
 
 
 def rho_y_measure(

@@ -35,6 +35,7 @@ from pchaos import (
     term_indices,
 )
 from pchaos import chaos, config, transform
+from pchaos.baselines import LEMMA1_C1_BOUND
 
 
 def all_ones(p, d, N):
@@ -697,7 +698,7 @@ class TestProjectJ:
         nu = lemma1_measure(3, 2, J, 5)
         sup, _ = linf_norm(Q)
         convolved_sup = np.abs(inverse(convolve_with_measure(Q, nu)).values).max()
-        bound = nu.provenance["variation_bound"]
+        bound = LEMMA1_C1_BOUND[2]
         assert convolved_sup <= nu.variation * sup + 1e-8
         assert convolved_sup <= bound * sup + 1e-8
 

@@ -161,6 +161,15 @@ def test_lemma1_writes_measure_and_summary(tmp_path):
     assert ser.load_grid(str(out)).level == 6
 
 
+def test_lemma1_admits_orders_up_to_the_cap(tmp_path, capsys):
+    # order 4 exited 2: a residual gate on the selector's float monomial
+    # coefficients refused it
+    out = tmp_path / "nu4.json"
+    assert run("lemma1", "--p", "3", "--d", "4", "--J", "1,2,1,2,1,2", "--N", "5", "--out", out) == 0
+    assert "matched=0.000e+00 mismatched=0.000e+00" in capsys.readouterr().out
+    assert json.loads(Path(out).read_text())["pattern_check"]["passed"] is True
+
+
 def test_lemma2_pattern(tmp_path):
     out = tmp_path / "nu2.json"
     assert run("lemma2", "--p", "3", "--d", "2", "--s", "1", "--N", "4", "--out", out) == 0
@@ -728,7 +737,7 @@ PUBLIC_NAMES = [
     "MeasureRep", "NonFiniteValue", "NotAChaosIndex", "Spectrum", "StepFunction",
     "character_value", "convolve", "convolve_functions", "convolve_with_measure",
     "decomposition_residual", "enumerate_Nd", "forward", "group_sub", "growth_study", "inverse",
-    "lemma1_measure", "lemma1_pattern_residual", "lemma1_system", "lemma2_measure",
+    "lemma1_measure", "lemma1_pattern_residual", "lemma2_measure",
     "lemma2_pattern_residual", "lemma2_polynomial", "linf_norm", "lq_norm", "naive_forward",
     "paley_encode", "polynomial_spectrum", "project_J", "project_order", "random_chaos",
     "random_ensemble_study", "rho_y_measure", "riesz_density", "sidon_ratio", "term_indices",

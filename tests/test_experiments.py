@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from pchaos import (
     ChaosError,
@@ -28,7 +29,7 @@ from pchaos import (
     verify_suite,
 )
 from pchaos import chaos, config, experiments
-from pchaos.measures import _riesz_block, density_variation
+from pchaos.measures import _riesz_block, density_variation, selector_nodes
 from pchaos.baselines import LEMMA1_C1_BOUND
 
 
@@ -359,11 +360,16 @@ def test_baseline_regression_p3():
 
 
 def test_c1_bound_baselines_match():
-    from pchaos import lemma1_system
-
+    # the l1 norm of the exponent selector's monomial coefficients, expanded
+    # here as the sum over the target-1 nodes of polyfromroots(other
+    # nodes) / below_i; pchaos reads P only at the letters of its alphabet
     for d, expected in LEMMA1_C1_BOUND.items():
-        value = float(np.abs(lemma1_system(d).coefficients).sum())
-        assert value == pytest.approx(expected, rel=1e-12)
+        nodes, targets = selector_nodes(d)
+        coeffs = sum(
+            npoly.polyfromroots(np.delete(nodes, i)) / np.prod(nodes[i] - np.delete(nodes, i))
+            for i in np.flatnonzero(targets)
+        )
+        assert float(np.abs(coeffs).sum()) == pytest.approx(expected, rel=1e-12)
 
 
 class TestVerifySuite:
@@ -373,6 +379,14 @@ class TestVerifySuite:
         report = verify_suite([3], [1, 2], N=7, seed=1)
         assert report.passed
         assert max(s["max_cells"] for s in report.meta["check_sizes"].values()) == 3**8
+
+    def test_selector_orders_up_to_the_cap_pass(self):
+        # orders 4..6 were refused by a residual gate on the selector's float
+        # monomial coefficients, so lemma1-pattern and young-bound errored
+        report = verify_suite([2, 3, 5], [4, 5, 6], N=6, seed=1)
+        assert report.passed, report.failures()
+        for check in report.checks:
+            assert check.residual <= check.tolerance
 
     def test_default_small_grid_passes(self):
         report = verify_suite([2, 3], [1, 2], N=4, seed=1)

@@ -31,7 +31,6 @@ from pchaos import (
     inverse,
     lemma1_measure,
     lemma1_pattern_residual,
-    lemma1_system,
     lemma2_measure,
     lemma2_pattern_residual,
     lemma2_polynomial,
@@ -45,6 +44,7 @@ from pchaos import (
     term_indices,
 )
 from pchaos import measures
+from pchaos.baselines import LEMMA1_C1_BOUND
 from pchaos.measures import MeasureRep, density_variation, selector_nodes
 from pchaos.padic import digit_matrix
 
@@ -95,14 +95,34 @@ class TestRieszDensity:
             assert abs(np.abs(d.values).sum() * p**-level - 1.0) <= 1e-12
 
 
+def _selector_monomials(d):
+    """lemma1's P in ascending monomial coefficients, expanded here as the
+    sum over the target-1 nodes x_i of polyfromroots(other nodes) / below_i;
+    pchaos reads P only at the letters of the alphabet."""
+    nodes, targets = selector_nodes(d)
+    coeffs = 0
+    for i in np.flatnonzero(targets):
+        others = np.delete(nodes, i)
+        coeffs = coeffs + npoly.polyfromroots(others) / np.prod(nodes[i] - others)
+    return nodes, targets, coeffs
+
+
+def _letter_grid(d):
+    """Every letter lemma1 caches P at, key u * _WIDTH + v, then the zero
+    letter, and whether each is an interpolation node (u + v <= d)."""
+    u, v = np.divmod(np.arange(measures._WIDTH**2), measures._WIDTH)
+    letters = np.append(measures._letters(d, u, v), 0j)
+    return letters, np.append(u + v <= d, True)
+
+
 class TestSelectorSystem:
     def test_d1_nodes_and_targets(self):
-        system = lemma1_system(1)
+        nodes, targets = selector_nodes(1)
         a = np.exp(2j * np.pi / 3)
         expected = [0.0, a**-1 / 2, a / 2, 1.0]
-        np.testing.assert_allclose(system.nodes, expected, atol=1e-15)
-        np.testing.assert_allclose(system.targets.real, [0.0, 0.0, 1.0, 1.0])
-        assert len(system.coefficients) == 4  # degree (d+1)(d+2)/2 = 3
+        np.testing.assert_allclose(nodes, expected, atol=1e-15)
+        np.testing.assert_allclose(targets.real, [0.0, 0.0, 1.0, 1.0])
+        assert len(nodes) == 4  # degree (d+1)(d+2)/2 = 3
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_nodes_distinct(self, d):
@@ -114,10 +134,16 @@ class TestSelectorSystem:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_interpolation_reproduces_targets(self, d):
-        system = lemma1_system(d)
-        values = np.polynomial.polynomial.polyval(system.nodes, system.coefficients)
-        assert np.abs(values - system.targets).max() <= 1e-8
-        assert system.coefficients[0] == 0  # point-mass weight vanishes exactly
+        # the expanded P meets its targets at the nodes, and the cached
+        # values are the targets at every node letter, bit for bit
+        nodes, targets, coeffs = _selector_monomials(d)
+        values = npoly.polyval(nodes, coeffs)
+        assert np.abs(values - targets).max() <= 1e-8
+        assert coeffs[0] == 0  # point-mass weight vanishes exactly
+        letters, node = _letter_grid(d)
+        cached = measures._selector_solution(d)
+        for x, value in zip(letters[node], cached[node]):
+            assert value == targets[nodes == x].item()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_nodes_are_the_scalar_expression_bit_for_bit(self, d):
@@ -132,60 +158,97 @@ class TestSelectorSystem:
         matched = [0.0] + [float(i == d - l) for l in range(d + 1) for i in range(d - l + 1)]
         assert targets.tolist() == matched
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than float64"
+    )
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_off_node_values_within_their_bound(self, d):
+        # P's Lagrange form in long double through the same float64 nodes;
+        # each cached off-node value lies within its a priori bound
+        # 4 n eps sum_i |t_i| of it (the float values missed by at most
+        # 8.4e-17, 0.13 of the bound, on an x86-64 80-bit long double)
+        nodes, targets = selector_nodes(d)
+        letters, node = _letter_grid(d)
+        x = letters[~node]
+        wide_nodes, wide_x = nodes.astype(np.clongdouble), x.astype(np.clongdouble)
+        exact = np.zeros(len(x), dtype=np.clongdouble)
+        bound = np.zeros(len(x))
+        for i in np.flatnonzero(targets):
+            others = np.delete(nodes, i)
+            exact += np.prod(wide_x[:, None] - np.delete(wide_nodes, i), axis=1) / np.prod(
+                wide_nodes[i] - np.delete(wide_nodes, i)
+            )
+            bound += np.abs(np.prod(x[:, None] - others, axis=1) / np.prod(nodes[i] - others))
+        bound *= 4 * len(nodes) * np.finfo(float).eps
+        cached = measures._selector_solution(d)[~node]
+        assert (np.abs(cached.astype(np.clongdouble) - exact) <= bound).all()
+        assert bound.max() <= 3e-15
+
     def test_rejects_unreachable_residual(self, monkeypatch):
-        monkeypatch.setattr(measures, "SOLVE_RESIDUAL_TOL", 1e-30)
-        with pytest.raises(IllConditionedSystem):
-            lemma1_system(2)
+        # no rounding bound is below 1e-30; the refused order is not cached
+        measures._selector_solution.cache_clear()
+        monkeypatch.setattr(measures, "CONSTRUCTION_TOL", 1e-30)
+        for _ in range(2):
+            with pytest.raises(IllConditionedSystem, match="rounding bound"):
+                lemma1_measure(3, 2, [1, 2, 1], 3)
 
     def test_double_precision_limit(self):
-        # the exact monomial coefficients exceed float64 resolution from d=4 on
-        with pytest.raises(IllConditionedSystem):
-            lemma1_system(4)
+        # every order up to the d <= 6 cap is admitted; d = 7 is refused
+        # before any letter is evaluated
+        assert lemma1_measure(2, 6, [1] * 6, 6).spectrum.coeffs[2**6 - 1] == 1
+        with pytest.raises(GuardExceeded, match="order 7 exceeds the supported selector cap 6"):
+            lemma1_measure(2, 7, [1] * 7, 7)
 
     def test_order_guard(self):
         with pytest.raises(GuardExceeded):
             selector_nodes(7)
 
     def test_solved_once_per_order(self, monkeypatch):
+        # P is evaluated once per order, and never expanded into monomials
+        def refuse(*args):
+            raise AssertionError("lemma1 expanded its selector")
+
         measures._selector_solution.cache_clear()
         calls = []
-        expand = measures._linear_product
-        monkeypatch.setattr(
-            measures, "_linear_product", lambda *a: calls.append(1) or expand(*a)
-        )
-        first = lemma1_system(2)
+        nodes = measures.selector_nodes
+        monkeypatch.setattr(measures, "selector_nodes", lambda d: calls.append(d) or nodes(d))
+        monkeypatch.setattr(measures, "_linear_product", refuse)
+        first = lemma1_measure(3, 2, [1, 2, 1, 2], 4)
         for _ in range(3):
-            again = lemma1_system(2)
-            np.testing.assert_array_equal(again.coefficients, first.coefficients)
-            assert again.residual == first.residual
-        # one basis polynomial per target-1 node, expanded on the first call
-        assert len(calls) == 3
+            again = lemma1_measure(3, 2, [1, 2, 1, 2], 4)
+            assert again.spectrum.coeffs.tobytes() == first.spectrum.coeffs.tobytes()
+        assert calls == [2]
 
     def test_cached_order_still_checks_its_argument(self):
-        lemma1_system(1)
-        lemma1_system(2)
+        lemma1_measure(3, 1, [1, 2, 1], 3)
+        lemma1_measure(3, 2, [1, 2, 1], 3)
         # True and 2.0 hash as the cached 1 and 2
-        with pytest.raises(MalformedIndex, match="order must be an integer, got True"):
-            lemma1_system(True)
-        with pytest.raises(MalformedIndex, match="order must be an integer, got 2.0"):
-            lemma1_system(2.0)
-        assert lemma1_system(np.int64(2)).d == 2
+        with pytest.raises(MalformedIndex, match="d must be an integer, got True"):
+            lemma1_measure(3, True, [1, 2, 1], 3)
+        with pytest.raises(MalformedIndex, match="d must be an integer, got 2.0"):
+            lemma1_measure(3, 2.0, [1, 2, 1], 3)
+        assert lemma1_measure(3, np.int64(2), [1, 2, 1], 3).provenance["d"] == 2
 
-    def test_refused_order_raises_on_every_call(self):
+    def test_refused_order_raises_on_every_call(self, monkeypatch):
+        # each call refuses the order again, before any index key is built
+        def refuse(*args):
+            raise AssertionError("the keys were built before the order check")
+
+        monkeypatch.setattr(measures, "is_self_conjugate", refuse)
         for _ in range(3):
-            with pytest.raises(IllConditionedSystem):
-                lemma1_system(4)
             with pytest.raises(GuardExceeded):
-                lemma1_system(7)
+                lemma1_measure(2, 7, [1] * 7, 7)
+            with pytest.raises(InvalidOrder):
+                lemma1_measure(2, 0, [1], 1)
 
     def test_arrays_are_read_only(self):
-        system = lemma1_system(3)
-        for arr in (system.nodes, system.targets, system.coefficients):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+        values = measures._selector_solution(3)
+        with pytest.raises(ValueError):
+            values[0] = 1.0
         nu = lemma1_measure(3, 3, [1, 2, 1, 2], 4)
-        nu.provenance["coefficients"][0] = 1.0  # the provenance owns a copy
-        assert lemma1_system(3).coefficients[0] == 0
+        before = nu.spectrum.coeffs.tobytes()
+        nu.spectrum.coeffs[:] = 7.0  # the measure owns its coefficients
+        assert lemma1_measure(3, 3, [1, 2, 1, 2], 4).spectrum.coeffs.tobytes() == before
         with pytest.raises(InvalidOrder):
             selector_nodes(0)
 
@@ -211,28 +274,30 @@ class TestLemma1Measure:
         assert matched <= 1e-6 and mismatched <= 1e-6
 
     def test_pattern_is_exactly_zero(self):
-        # P's Lagrange form at the nodes: every matched order-d coefficient
-        # is exactly 1 and every mismatched one exactly 0 (the monomial
-        # route missed by up to 4e-11), at p = 2..16, d = 1..3 and levels
-        # d..7 up to 2^20 cells, two exponent sequences each
+        # every node letter takes its target: every matched order-d
+        # coefficient is exactly 1 and every mismatched one exactly 0 (the
+        # monomial route missed by up to 4e-11), at p = 2..16, d = 1..3 and
+        # levels d..7 up to 2^20 cells, and at p = 2, 3, 5, 7, d = 4..6 and
+        # levels d..d+2 up to 2^16 cells, two exponent sequences each
         rng = np.random.default_rng(30)
+        grid = [(p, d, range(d, 8), 2**20) for p in range(2, 17) for d in (1, 2, 3)]
+        grid += [(p, d, range(d, d + 3), 2**16) for p in (2, 3, 5, 7) for d in (4, 5, 6)]
         cases = 0
-        for p in range(2, 17):
-            for d in (1, 2, 3):
-                for level in range(d, 8):
-                    if p**level > 2**20:
-                        break
-                    for _ in range(2):
-                        J = [int(x) for x in rng.integers(1, p, size=level)]
-                        nu = lemma1_measure(p, d, J, level)
-                        residual = lemma1_pattern_residual(nu, d, J, level - 1)
-                        assert residual == (0.0, 0.0), (p, d, J)
-                        cases += 1
-        assert cases == 2 * 225
+        for p, d, levels, cells in grid:
+            for level in levels:
+                if p**level > cells:
+                    break
+                for _ in range(2):
+                    J = [int(x) for x in rng.integers(1, p, size=level)]
+                    nu = lemma1_measure(p, d, J, level)
+                    residual = lemma1_pattern_residual(nu, d, J, level - 1)
+                    assert residual == (0.0, 0.0), (p, d, J)
+                    cases += 1
+        assert cases == 2 * (225 + 27)
 
     def test_variation_below_bound(self):
         nu = lemma1_measure(3, 2, [1, 2, 1, 2, 1], 5)
-        assert nu.variation <= nu.provenance["variation_bound"] + 1e-8
+        assert nu.variation <= LEMMA1_C1_BOUND[2] + 1e-8
         assert abs(density_variation(inverse(nu.spectrum)) - nu.variation) <= 1e-12
 
     def test_coefficients_bounded_by_variation(self):
@@ -267,17 +332,18 @@ class TestLemma1Measure:
         # measure evaluates P's Lagrange form, not its monomial coefficients,
         # so even at p=2, where the transform is exact, the routes agree only
         # to that tolerance. Its pattern residuals are no larger than the
-        # monomial coefficients' own errors at the nodes
+        # monomial coefficients' own errors at the nodes. The check stays at
+        # d <= 3: P's sensitivity put the transform route up to 7.5e-5, 1.9e5
+        # and 4.5e17 off at d = 4, 5 and 6 (p = 2..7, levels d..6)
         rng = np.random.default_rng(27)
         cases = 0
         for p in range(2, 8):
             for d in (1, 2, 3):
-                system = lemma1_system(d)
-                c = system.coefficients
+                nodes, targets, c = _selector_monomials(d)
                 slope = float((np.arange(len(c)) * np.abs(c)).sum())
-                errors = np.abs(npoly.polyval(system.nodes, c) - system.targets)
-                matched_error = errors[system.targets == 1].max()
-                mismatched_error = errors[system.targets == 0].max()
+                errors = np.abs(npoly.polyval(nodes, c) - targets)
+                matched_error = errors[targets == 1].max()
+                mismatched_error = errors[targets == 0].max()
                 for level in range(7):
                     J = [int(x) for x in rng.integers(1, p, size=level)]
                     nu = lemma1_measure(p, d, J, level)
@@ -294,15 +360,15 @@ class TestLemma1Measure:
                     cases += 1
         assert cases == 6 * 3 * 7
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", range(1, 7))
     def test_order_d_coefficients_are_P_at_the_nodes(self, d):
-        # the order-d letters are the nodes bit for bit, so every order-d
-        # coefficient is P's target at its node exactly; a digit outside
-        # {0, J_k, -J_k} gives P(0), exactly 0
+        # every order-d letter is a node and takes its target, so every
+        # order-d coefficient is P's target at its node exactly; a digit
+        # outside {0, J_k, -J_k} gives P(0), exactly 0
         _, targets = selector_nodes(d)
         rng = np.random.default_rng(d)
-        for p in (2, 3, 4, 5, 6, 7):
-            level = 5
+        for p in (2, 3, 4, 5, 6, 7) if d <= 3 else (2, 3, 5):
+            level = max(5, d)
             J = [int(x) for x in rng.integers(1, p, size=level)]
             coeffs = lemma1_measure(p, d, J, level).spectrum.coeffs
             indices = term_indices(p, d, level - 1)
@@ -484,15 +550,28 @@ class TestLemma2:
         with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
             lemma2_measure(2, 45, 45, 2)
 
-    @pytest.mark.parametrize("p, d, s", [(2, 45, 40), (3, 36, 30), (7, 27, 22)])
+    @pytest.mark.parametrize("p, d, s", [(2, 45, 40), (3, 36, 30)])
     def test_variation_past_the_float_range_is_refused(self, p, d, s):
-        # finite coefficients whose l1 norm, or whose density's cell sum,
-        # overflows: the measure came back with an infinite variation_bound
-        # or variation, and a RuntimeWarning
+        # finite coefficients whose l1 norm overflows: the measure came back
+        # with an infinite variation_bound, and a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue, match="lemma2 variation leaves the float64"):
                 lemma2_measure(p, d, s, 2)
+
+    def test_variation_whose_cell_sum_overflows_is_kept(self):
+        # the 49 cells' |density| sum passes the float64 range, but the
+        # variation does not: the sum is taken once more, scaled by the
+        # largest cell, where it was refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu = lemma2_measure(7, 27, 22, 2)
+        cells = np.abs(inverse(nu.spectrum).values)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(cells.sum())
+        exact = sum(Fraction(float(c)) for c in cells) / 49
+        assert abs(Fraction(nu.variation) - exact) <= 1e-15 * exact
+        assert 7.0e306 < nu.variation <= nu.provenance["variation_bound"] < 9.9e306
 
     def test_p3_d3_s2_pattern(self):
         nu = lemma2_measure(3, 3, 2, 5)
@@ -573,7 +652,7 @@ class TestSpectralVsLiteralConvolutionPowers:
         rng = np.random.default_rng(p * 10 + d)
         J = [int(x) for x in rng.integers(1, p, size=level)]
         nu = lemma1_measure(p, d, J, level)
-        coeffs = nu.provenance["coefficients"]
+        coeffs = _selector_monomials(d)[2]
         a = np.exp(2j * np.pi / (2 * d + 1))
         factors = [1.0 if (2 * jk) % p == 0 else a for jk in J]
         rho = riesz_density(p, level, factors, J)
@@ -661,8 +740,8 @@ def _mixed_polynomial():
             MalformedIndex,
             "order must be an integer, got True",
         ),
-        (lambda: lemma1_system(True), MalformedIndex, "order must be an integer, got True"),
-        (lambda: lemma1_system(0), InvalidOrder, "order must be at least 1, got 0"),
+        (lambda: selector_nodes(True), MalformedIndex, "order must be an integer, got True"),
+        (lambda: selector_nodes(0), InvalidOrder, "order must be at least 1, got 0"),
         (lambda: lemma2_polynomial(2, 2, True), MalformedIndex, "order must be an integer, got True"),
         (lambda: lemma2_polynomial(2, 0, 1), InvalidOrder, "order must be at least 1, got 0"),
     ],

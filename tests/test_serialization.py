@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pchaos import ChaosPolynomial, FormatError, GuardExceeded, StepFunction, enumerate_Nd, forward
 from pchaos import InvalidExponent, MalformedIndex, Spectrum
-from pchaos import MeasureRep, lemma1_measure, random_chaos
+from pchaos import MeasureRep, lemma1_measure, lemma2_measure, random_chaos
 from pchaos import serialization as ser
 
 
@@ -54,12 +54,14 @@ def test_measure_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.coeffs, nu.spectrum.coeffs)
     payload = json.loads(Path(path).read_text())
     assert payload["variation"] == nu.variation
-    assert payload["provenance"]["construction"] == "lemma1"
-    assert tuple(payload["provenance"]["J"]) == (1, 2, 1, 2)
-    coefficients = np.array(payload["provenance"]["coefficients"]["complex_array"])
-    np.testing.assert_array_equal(
-        coefficients.view(np.complex128).ravel(), nu.provenance["coefficients"]
-    )
+    assert payload["provenance"] == {"construction": "lemma1", "p": 3, "d": 2, "J": [1, 2, 1, 2]}
+    # lemma2 records its selector's coefficients, a float array
+    nu = lemma2_measure(3, 3, 2, 4)
+    ser.save_grid(path, nu)
+    payload = json.loads(Path(path).read_text())
+    assert payload["provenance"]["construction"] == "lemma2"
+    assert payload["provenance"]["variation_bound"] == nu.provenance["variation_bound"]
+    np.testing.assert_array_equal(payload["provenance"]["coefficients"], nu.provenance["coefficients"])
 
 
 def test_extras_never_replace_the_files_own_fields(tmp_path, rng):
