@@ -6,7 +6,6 @@ Rademacher chaos, all exact at finite level."""
 from .errors import (
     ChaosError,
     CoefficientOutOfRange,
-    CombinatorialBlowup,
     DegenerateInput,
     EmptyIndexSet,
     FormatError,

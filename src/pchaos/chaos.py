@@ -39,15 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import (
-    MAX_DECOMPOSITION_SEQUENCES,
-    check_base_level,
-    check_cell_guard,
-    check_int,
-    check_order,
-)
+from .config import check_base_level, check_cell_guard, check_int, check_order
 from .errors import (
-    CombinatorialBlowup,
     DegenerateInput,
     InsufficientLevel,
     InvalidExponent,
@@ -75,10 +68,7 @@ from .transform import (
 )
 
 # Bound in bytes on one chunk of a per-term array over many rows: a
-# `_row_norms` chunk of (rows x terms) complex128 coefficients, and each
-# (sequences x terms) mask of `decomposition_residual`, which builds the
-# masks of the exponent sequences on shared prefixes, one position at a
-# time, and enumerates the sequences in chunks of at most this many bytes.
+# `_row_norms` chunk of (rows x terms) complex128 coefficients.
 _CHUNK_BYTES = 2**20
 
 
@@ -471,53 +461,19 @@ def convolve_with_measure(Q: ChaosPolynomial, measure: MeasureRep) -> Spectrum:
     return convolve(polynomial_spectrum(Q, measure.level), measure.spectrum)
 
 
-def _agreeing_sequences(indices: np.ndarray, p: int, width: int) -> np.ndarray:
+def _agreeing_counts(indices: np.ndarray, p: int, width: int) -> np.ndarray:
     """For each Paley index, how many of the (p-1)^width exponent sequences
-    agree with it at every used position (project_J's rule).
+    agree with it at every position (project_J's rule, `_exponent_agrees`).
 
-    The indices are taken in slices whose (width, p-1, terms) table of
-    per-position predicates fits _CHUNK_BYTES; each predicate is built
-    once per slice. The last `tail` positions hold as many sequences as
-    fit one mask of _CHUNK_BYTES (and a uint16 count); their masks are
-    built once by shared prefixes, each its prefix's mask ANDed with one
-    predicate row. The sequences on the remaining `head` positions are
-    walked depth first in the same way, one mask row each, and every head
-    mask is ANDed with the whole tail block, so every (sequence, term)
-    pair is evaluated and counted, and no mask exceeds _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // (width * (p - 1)))
-    if indices.size > step:
-        return np.concatenate(
-            [
-                _agreeing_sequences(indices[start : start + step], p, width)
-                for start in range(0, indices.size, step)
-            ]
-        )
-    base, n = p - 1, indices.size
-    digits = digit_matrix(indices, p, width)
-    agrees = _exponent_agrees(digits.T[:, None, :], np.arange(1, p)[:, None])
-    rows = min(_CHUNK_BYTES // n, np.iinfo(np.uint16).max)
-    tail = 0
-    while tail < width and base ** (tail + 1) <= rows:
-        tail += 1
-    head = width - tail
-    suffixes = np.ones((1, n), dtype=bool)
-    for k in range(head, width):
-        suffixes = (suffixes[:, None, :] & agrees[k]).reshape(-1, n)
-    if not head:
-        return suffixes.sum(axis=0, dtype=np.uint16).astype(np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    block = np.empty_like(suffixes)
-
-    def walk(prefix: np.ndarray, k: int) -> None:
-        nonlocal counts
-        if k < head:
-            for row in agrees[k]:
-                walk(prefix & row, k + 1)
-        else:
-            np.logical_and(prefix, suffixes, out=block)
-            counts += block.sum(axis=0, dtype=np.uint16)
-
-    walk(np.ones(n, dtype=bool), 0)
+    The rule is a conjunction over positions and the sequences form the
+    product set {1..p-1}^width, so the count is the product over positions
+    of the exponents that agree with the position's digit. The rule is
+    evaluated on every (position, exponent, term); the product stays below
+    p^width, which fits int64 (`digit_matrix` checks the width)."""
+    exponents = np.arange(1, p)
+    counts = np.ones(indices.size, dtype=np.int64)
+    for column in digit_matrix(indices, p, width).T:
+        counts *= _exponent_agrees(column[:, None], exponents).sum(axis=1)
     return counts
 
 
@@ -527,23 +483,18 @@ def decomposition_residual(Q: ChaosPolynomial) -> float:
     Summing project_J over all (p-1)^(N+1) exponent sequences counts every
     term (p-1)^(N+1-d) times, so the scaled sum must reproduce Q exactly.
     Each term's count is the number of sequences that agree with it under
-    project_J's own rule, with every (sequence, term) pair evaluated: the
-    masks are built on shared prefixes, a sequence's mask being its
-    prefix's mask ANDed with one predicate row, and enumerated in chunks
-    so that no mask exceeds _CHUNK_BYTES (see `_agreeing_sequences`). The
-    guard on the sequence count runs before any mask is allocated.
+    project_J's own rule. That rule holds at every position at once, and
+    the sequences range over a product of per-position exponent sets, so
+    by distributivity the count is the product over positions of the
+    exponents agreeing there (see `_agreeing_counts`): the same integer
+    the enumeration of every sequence would give, at O(terms x width x
+    (p-1)) cost instead of (p-1)^(N+1).
     """
     if not Q.indices.size:
         return 0.0
     if not Q.is_pure:
         raise InvalidOrder("the decomposition identity needs a pure-order polynomial")
     width, base = Q.N + 1, Q.p - 1
-    count = base**width
-    if count > MAX_DECOMPOSITION_SEQUENCES:
-        raise CombinatorialBlowup(
-            f"(p-1)^(N+1) = {count} exponent sequences exceed the guard "
-            f"{MAX_DECOMPOSITION_SEQUENCES}"
-        )
-    agreeing = _agreeing_sequences(Q.indices, Q.p, width)
+    agreeing = _agreeing_counts(Q.indices, Q.p, width)
     scale = float(base) ** (-(width - Q.order))
     return float(np.abs(Q.values - scale * (agreeing * Q.values)).max())

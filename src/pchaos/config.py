@@ -7,6 +7,11 @@ transform identities (1e-10); a handful of checks carry their own sharper
 constants (mass identities, exact transform agreement, character
 arithmetic) because those quantities are exact up to rounding. The
 resource guards are fixed caps, checked before any size-dependent work.
+The decomposition identity has no cap of its own: project_J's rule is a
+conjunction over positions and the exponent sequences form a product
+set, so by distributivity each term's count of agreeing sequences is a
+product over positions, computed in the time it takes to build the
+polynomial, never by enumerating the (p-1)^(N+1) sequences.
 """
 
 from __future__ import annotations
@@ -22,9 +27,6 @@ MAX_LEVEL = 24
 
 # Cap on allocated cell grids (p^level cells), checked before allocation.
 MAX_CELLS = 2**24
-
-# Cap on the number of exponent sequences enumerated by the decomposition identity.
-MAX_DECOMPOSITION_SEQUENCES = 10**6
 
 # Largest supported order for the exponent-selecting measure construction.
 MAX_SELECTOR_ORDER = 6
@@ -46,9 +48,6 @@ LEMMA1_PATTERN_TOL = 1e-6
 
 # Rounding slack on the Riesz coefficient bound |a_k| <= 1.
 UNIT_DISC_SLACK = 1e-12
-
-# Smallest gap accepted between two exponent-selector interpolation nodes.
-NODE_GAP_FLOOR = 1e-9
 
 
 def check_int(value, rule: str) -> int:

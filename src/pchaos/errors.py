@@ -34,7 +34,7 @@ class InvalidExponent(ChaosError):
 
 
 class IllConditionedSystem(ChaosError):
-    """An interpolation system could not be solved to residual tolerance."""
+    """An interpolation's a priori rounding bound exceeds its tolerance."""
 
 
 class InvalidOrder(ChaosError):
@@ -47,10 +47,6 @@ class DegenerateInput(ChaosError):
 
 class GuardExceeded(ChaosError):
     """A resource guard (base, level, cell count) would be exceeded."""
-
-
-class CombinatorialBlowup(GuardExceeded):
-    """An enumeration over exponent sequences would be too large."""
 
 
 class FormatError(ChaosError):

@@ -55,6 +55,7 @@ from .transform import (
     naive_forward,
 )
 from .measures import (
+    _check_selector_order,
     _lemma1_base_spectrum,
     _riesz_block,
     lemma1_measure,
@@ -413,8 +414,9 @@ def verify_suite(
     fixed tolerance it was held to. Before any check, N and the seed must
     be integers, the seed non-negative, both value lists non-empty lists of
     integers, and every (p, d) pair must pass the library's own guards on
-    positions 0..N, on the level-(N+1) cell grid and on the order-d index
-    set, so an empty grid, an order below 1 or above N+1, or a negative N
+    positions 0..N, on the level-(N+1) cell grid, on the order-d index
+    set and on the exponent selector's order cap, so an empty grid, an
+    order below 1, above N+1 or above the selector cap, or a negative N
     is refused.
     meta["check_wall_s"] and meta["check_sizes"] give each check's wall
     time, the cases it evaluated and the largest grid they touched, in
@@ -440,6 +442,7 @@ def verify_suite(
         check_cell_guard(p, level)
         for d in d_values:
             check_chaos_order(p, d, N)
+            _check_selector_order(d)
     grid = [(p, d) for p in p_values for d in d_values]
 
     def run(name: str, tolerance: float, cases, where: dict | None = None) -> None:

@@ -67,7 +67,6 @@ from .config import (
     CONSTRUCTION_TOL,
     MAX_LEVEL,
     MAX_SELECTOR_ORDER,
-    NODE_GAP_FLOOR,
     UNIT_DISC_SLACK,
     check_base_level,
     check_cell_guard,
@@ -239,27 +238,31 @@ def _letters(d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(1j * (2 * np.pi * (u - v) / (2 * d + 1))) / 2 ** (u + v)
 
 
+def _check_selector_order(d) -> None:
+    """Refuse `d` unless it is an order (`check_order`) of at most
+    MAX_SELECTOR_ORDER, the exponent selector's cap."""
+    if check_order(d) > MAX_SELECTOR_ORDER:
+        raise GuardExceeded(
+            f"order {d} exceeds the supported selector cap {MAX_SELECTOR_ORDER}"
+        )
+
+
 def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation nodes and targets of the exponent-selector system.
 
     Node 0 first, then blocks l = 0..d of values t_{l,i} at radius
     2^-(d-l); the target is 1 exactly at the matched value of each block
-    (i = d-l) and 0 elsewhere. Distinctness is asserted programmatically:
-    within one block the angle differences 2(i-i')/(2d+1) never vanish
-    mod 1, and across blocks the moduli differ.
+    (i = d-l) and 0 elsewhere. The nodes are distinct: within one block
+    the angle differences 2(i-i')/(2d+1) never vanish mod 1, and across
+    blocks the moduli differ. Their smallest gap, 7.48e-3 at d = 6, is
+    far above rounding, so the selector's a priori rounding bound is the
+    one conditioning gate (see `_selector_solution`).
     """
-    if check_order(d) > MAX_SELECTOR_ORDER:
-        raise GuardExceeded(
-            f"order {d} exceeds the supported selector cap {MAX_SELECTOR_ORDER}"
-        )
+    _check_selector_order(d)
     # t_{l,i} is the letter with u = i and v = d-l-i
     u, v = np.array([(i, d - l - i) for l in range(d + 1) for i in range(d - l + 1)]).T
     node_arr = np.concatenate([[0j], _letters(d, u, v)])
     target_arr = np.concatenate([[0.0], v == 0]).astype(np.complex128)
-    gaps = np.abs(node_arr[:, None] - node_arr[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() < NODE_GAP_FLOOR:
-        raise IllConditionedSystem("interpolation nodes are not pairwise distinct")
     return node_arr, target_arr
 
 

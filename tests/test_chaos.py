@@ -8,7 +8,6 @@ import pytest
 from pchaos import (
     ChaosPolynomial,
     ChaosTerm,
-    CombinatorialBlowup,
     DegenerateInput,
     GuardExceeded,
     InsufficientLevel,
@@ -740,28 +739,22 @@ class TestDecomposition:
         for t, c in Q.coeffs.items():
             assert abs(c - scale * acc[t]) <= 1e-10
 
-    def test_guard(self):
-        term = ChaosTerm((0,), (1,))
-        Q = ChaosPolynomial(3, 20, {term: 1.0})
-        with pytest.raises(CombinatorialBlowup):
-            decomposition_residual(Q)
-
-    def test_guard_runs_before_any_mask(self, monkeypatch):
-        # 840 terms and 2^21 sequences: one chunk of masks alone is 1 MiB
+    def test_counts_need_no_sequence_guard(self):
+        # 840 terms and 2^21 sequences at p=3, N=20, and 15^6 at p=16, N=5:
+        # the counts are products over positions, so neither enumerates a
+        # sequence, and p=3 counts are powers of two, so the residual is exact
+        single = ChaosPolynomial(3, 20, {ChaosTerm((0,), (1,)): 1.0})
+        assert decomposition_residual(single) == 0.0
         Q = random_chaos(3, 2, 20, np.random.default_rng(0), "unimodular")
-
-        def refuse(*args):
-            raise AssertionError("sequence masks were built")
-
-        monkeypatch.setattr(chaos, "_agreeing_sequences", refuse)
         tracemalloc.start()
         try:
-            with pytest.raises(CombinatorialBlowup):
-                decomposition_residual(Q)
+            assert decomposition_residual(Q) == 0.0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**14
+        assert peak < 2**19
+        wide = random_chaos(16, 2, 5, np.random.default_rng(0), "unimodular")
+        assert decomposition_residual(wide) <= config.TRANSFORM_TOL
 
 
 def _per_sequence_counts(indices, p, width):
@@ -783,26 +776,20 @@ _COUNT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("chunk", [chaos._CHUNK_BYTES, 64])
-def test_sequence_counts_match_the_per_sequence_route(monkeypatch, chunk):
-    # shared-prefix masks, chunked at the default size and at 64 bytes,
-    # count exactly what each sequence's own mask counts; at 64 bytes a
-    # slice holds one or two terms, so every 64th-part of the terms is
-    # enough to cross many slices
-    monkeypatch.setattr(chaos, "_CHUNK_BYTES", chunk)
+def test_sequence_counts_match_the_per_sequence_route():
+    # the product over positions counts exactly what each sequence's own
+    # project_J mask counts
     for p, d, N in _COUNT_CASES:
         indices = term_indices(p, d, N)
-        if chunk == 64:
-            indices = indices[:: max(1, indices.size // 64)]
         expected = _per_sequence_counts(indices, p, N + 1)
-        got = chaos._agreeing_sequences(indices, p, N + 1)
+        got = chaos._agreeing_counts(indices, p, N + 1)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected, err_msg=f"p={p} d={d} N={N}")
 
 
 def test_sequence_counts_stay_within_the_chunk_bound():
     # 262,144 sequences over 576 terms: the per-sequence masks would be
-    # 151 MB; the chunked masks stay near one _CHUNK_BYTES
+    # 151 MB; the product over positions builds only per-term arrays
     Q = random_chaos(5, 2, 8, np.random.default_rng(0), "unimodular")
     tracemalloc.start()
     try:

@@ -43,18 +43,24 @@ def test_verify_stdout_json(capsys):
     assert set(payload["meta"]["check_wall_s"]) == {c["name"] for c in payload["checks"]}
 
 
-def test_verify_check_that_raises_fails_with_report(tmp_path, capsys):
-    # order 7 passes the cell guard but exceeds the selector cap of the lemma 1 checks
+def test_verify_check_that_raises_fails_with_report(tmp_path, capsys, monkeypatch):
+    # one check's library call raises: that check fails with the error and
+    # no residual, and the checks after it still run
+    def refuse(Q):
+        raise pchaos.DegenerateInput("refused in the decomposition check")
+
+    monkeypatch.setattr(experiments, "decomposition_residual", refuse)
     out = tmp_path / "report.json"
-    assert run("verify", "--p", "2", "--d", "7", "--N", "7", "--out", out) == 1
+    assert run("verify", "--p", "2", "--d", "2", "--N", "3", "--out", out) == 1
     payload = json.loads(Path(out).read_text())
     assert payload["passed"] is False
     errored = {c["name"]: c for c in payload["checks"] if c["residual"] is None}
-    assert set(errored) == {"lemma1-pattern", "lemma1-membership", "young-bound"}
-    assert all(not c["passed"] and "selector cap" in c["context"]["error"] for c in errored.values())
+    assert set(errored) == {"decomposition"}
+    assert not errored["decomposition"]["passed"]
+    assert errored["decomposition"]["context"]["error"] == "refused in the decomposition check"
     err = capsys.readouterr().err
-    assert "[FAIL] young-bound: error: order 7 exceeds" in err
-    assert "[ok] decomposition: residual" in err
+    assert "[FAIL] decomposition: error: refused in the decomposition check" in err
+    assert "[ok] young-bound: residual" in err
 
 
 @pytest.mark.parametrize(
@@ -64,8 +70,11 @@ def test_verify_check_that_raises_fails_with_report(tmp_path, capsys):
         (("--p", "2", "--d", "1", "--N", "-1"), "top position must be >= 0, got -1"),
         # order 3 needs three of the two positions 0..1
         (("--p", "3", "--d", "3", "--N", "1"), "order 3 exceeds the 2 available positions"),
+        # order 7 fits the positions and the cell guard but not the selector
+        (("--p", "2", "--d", "7", "--N", "7", "--seed", "1"),
+         "order 7 exceeds the supported selector cap 6"),
     ],
-    ids=["d0", "N-1", "d-above-N+1"],
+    ids=["d0", "N-1", "d-above-N+1", "d-above-selector-cap"],
 )
 def test_verify_refuses_bad_order_or_top_position(argv, message, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -731,7 +740,7 @@ def test_readme_command_parses(argv):
 
 PUBLIC_NAMES = [
     "ChaosError", "ChaosPolynomial", "ChaosTerm", "CoefficientOutOfRange",
-    "CombinatorialBlowup", "DegenerateInput", "EmptyIndexSet",
+    "DegenerateInput", "EmptyIndexSet",
     "ExperimentConfig", "FormatError", "GuardExceeded", "IllConditionedSystem",
     "InsufficientLevel", "InvalidExponent", "InvalidOrder", "LevelMismatch", "MalformedIndex",
     "MeasureRep", "NonFiniteValue", "NotAChaosIndex", "Spectrum", "StepFunction",

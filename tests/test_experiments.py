@@ -11,8 +11,10 @@ from numpy.polynomial import polynomial as npoly
 from pchaos import (
     ChaosError,
     ChaosPolynomial,
+    DegenerateInput,
     EmptyIndexSet,
     ExperimentConfig,
+    GuardExceeded,
     InvalidOrder,
     MalformedIndex,
     MeasureRep,
@@ -442,8 +444,13 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize(
         "d_values, N, error",
-        [([0, 1], 2, InvalidOrder), ([1], -1, MalformedIndex), ([1, 3], 1, EmptyIndexSet)],
-        ids=["d0", "N-1", "d-above-N+1"],
+        [
+            ([0, 1], 2, InvalidOrder),
+            ([1], -1, MalformedIndex),
+            ([1, 3], 1, EmptyIndexSet),
+            ([1, 7], 7, GuardExceeded),
+        ],
+        ids=["d0", "N-1", "d-above-N+1", "d-above-selector-cap"],
     )
     def test_refuses_bad_order_or_top_position(self, monkeypatch, d_values, N, error):
         draws = []
@@ -467,16 +474,15 @@ class TestVerifySuite:
         assert report.meta["check_sizes"]["lemma1-pattern"]["cases"] > 0
         assert report.meta["check_sizes"]["decomposition"]["cases"] == 2
 
-    def test_decomposition_past_its_guard_fails_with_the_error(self, monkeypatch):
-        # (p-1)^(N+1) = 16 sequences at p=3, N=3: one over a cap of 15, set
-        # in every module that binds it, so no check can skip the case
-        for module in (config, chaos, experiments):
-            if hasattr(module, "MAX_DECOMPOSITION_SEQUENCES"):
-                monkeypatch.setattr(module, "MAX_DECOMPOSITION_SEQUENCES", 15)
+    def test_decomposition_that_raises_fails_with_the_error(self, monkeypatch):
+        def refuse(Q):
+            raise DegenerateInput("refused in the decomposition check")
+
+        monkeypatch.setattr(experiments, "decomposition_residual", refuse)
         report = verify_suite([3], [1], N=3)
         (check,) = [c for c in report.checks if c.name == "decomposition"]
         assert check.residual is None and not check.passed
-        assert "exceed the guard 15" in check.context["error"]
+        assert check.context["error"] == "refused in the decomposition check"
         assert report.failures() == ["decomposition"]
 
     def test_check_wall_times_stay_out_of_checks(self):

@@ -24,7 +24,6 @@ from pchaos import (
     random_chaos,
     term_indices,
 )
-from pchaos import chaos
 from pchaos.padic import paley_decode
 
 
@@ -107,8 +106,8 @@ def test_empty_polynomial():
 
 
 @pytest.mark.parametrize("p,d,N", [(4, 2, 3), (5, 1, 2), (3, 3, 3)])
-def test_decomposition_matches_projection_sum(p, d, N, monkeypatch):
-    # the chunked count against the defining sum of project_J over all J
+def test_decomposition_matches_projection_sum(p, d, N):
+    # the product count against the defining sum of project_J over all J
     Q = random_chaos(p, d, N, np.random.default_rng(p * d), "unimodular")
     acc = {t: 0j for t in Q.coeffs}
     for J in product(range(1, p), repeat=N + 1):
@@ -117,9 +116,6 @@ def test_decomposition_matches_projection_sum(p, d, N, monkeypatch):
     scale = float(p - 1) ** -(N + 1 - d)
     expected = max(abs(c - scale * acc[t]) for t, c in Q.coeffs.items())
     assert decomposition_residual(Q) <= max(expected, 1e-15)
-    # the guard admits a count equal to its cap
-    monkeypatch.setattr(chaos, "MAX_DECOMPOSITION_SEQUENCES", (p - 1) ** (N + 1))
-    assert decomposition_residual(Q) <= 1e-14
 
 
 def test_decomposition_exact_when_counts_are_powers_of_two():
