@@ -470,9 +470,10 @@ def _agreeing_counts(indices: np.ndarray, p: int, width: int) -> np.ndarray:
     of the exponents that agree with the position's digit. The rule is
     evaluated on every (position, exponent, term); the product stays below
     p^width, which fits int64 (`digit_matrix` checks the width)."""
+    digits = digit_matrix(indices, p, width)
     exponents = np.arange(1, p)
     counts = np.ones(indices.size, dtype=np.int64)
-    for column in digit_matrix(indices, p, width).T:
+    for column in digits.T:
         counts *= _exponent_agrees(column[:, None], exponents).sum(axis=1)
     return counts
 

@@ -739,23 +739,36 @@ class TestDecomposition:
         for t, c in Q.coeffs.items():
             assert abs(c - scale * acc[t]) <= 1e-10
 
-    def test_counts_need_no_sequence_guard(self):
-        # 840 terms and 2^21 sequences at p=3, N=20, and 15^6 at p=16, N=5:
-        # the counts are products over positions, so neither enumerates a
-        # sequence, and p=3 counts are powers of two, so the residual is exact
+    def test_guard(self):
+        # (p-1)^(N+1) = 2^21 sequences at p=3, N=20, and 15^6 at p=16, N=5,
+        # need no sequence guard: the counts are products over positions, and
+        # p=3 counts are powers of two, so that residual is exact. The guard
+        # left is the int64 width of the Paley indices, checked by the count
         single = ChaosPolynomial(3, 20, {ChaosTerm((0,), (1,)): 1.0})
         assert decomposition_residual(single) == 0.0
+        wide = random_chaos(16, 2, 5, np.random.default_rng(0), "unimodular")
+        assert decomposition_residual(wide) <= config.TRANSFORM_TOL
+        with pytest.raises(GuardExceeded):
+            chaos._agreeing_counts(np.array([1]), 3, 40)
+
+    def test_guard_runs_before_any_mask(self):
+        # 840 terms at p=3, N=20 are counted in per-term arrays only, and a
+        # width past int64 is refused before any digit or count array of its
+        # 100,000 indices is built
         Q = random_chaos(3, 2, 20, np.random.default_rng(0), "unimodular")
+        indices = np.arange(1, 100_001)
         tracemalloc.start()
         try:
             assert decomposition_residual(Q) == 0.0
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            with pytest.raises(GuardExceeded):
+                chaos._agreeing_counts(indices, 3, 40)
+            _, refused_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**19
-        wide = random_chaos(16, 2, 5, np.random.default_rng(0), "unimodular")
-        assert decomposition_residual(wide) <= config.TRANSFORM_TOL
-
+        assert refused_peak < 2**14
 
 def _per_sequence_counts(indices, p, width):
     """Reference: each exponent sequence's own project_J mask, summed."""
@@ -776,11 +789,15 @@ _COUNT_CASES = [
 ]
 
 
-def test_sequence_counts_match_the_per_sequence_route():
+@pytest.mark.parametrize("terms", [2**20, 64])
+def test_sequence_counts_match_the_per_sequence_route(terms):
     # the product over positions counts exactly what each sequence's own
-    # project_J mask counts
+    # project_J mask counts, on every term of each case (2^20 exceeds every
+    # case) and on a strided subset of about 64, so a term's count does not
+    # depend on the other terms counted with it
     for p, d, N in _COUNT_CASES:
         indices = term_indices(p, d, N)
+        indices = indices[:: max(1, indices.size // terms)]
         expected = _per_sequence_counts(indices, p, N + 1)
         got = chaos._agreeing_counts(indices, p, N + 1)
         assert got.dtype == np.int64
