@@ -21,7 +21,6 @@ from .errors import (
 )
 from .padic import (
     ChaosTerm,
-    enumerate_Nd,
     group_sub,
     paley_encode,
     term_indices,
@@ -51,7 +50,6 @@ from .chaos import (
     convolve_with_measure,
     decomposition_residual,
     linf_norm,
-    lq_norm,
     polynomial_spectrum,
     project_J,
     project_order,

@@ -21,12 +21,13 @@ In float32, orders of one parity take the sup over the half grid, with
 the same result bit for bit (see `linf_norm`). One core, `_row_norms`,
 takes the sup-norms and coefficient norms of rows of coefficients on
 shared terms for a study row, `sidon_ratio`, `pchaos norms` and verify's
-exact first-order check; `linf_norm` and `lq_norm` are the one-row cases
-of its two stages, `_row_sups` and `_row_lq_norms`. Exponent projection
-is defined by coefficient selection; convolution with the matching
-selector measure is the verification route, kept separate so the two can
-be compared. The order projection extracts one chaos order of a mixed
-polynomial and is likewise verifiable against the order-selecting measure.
+exact first-order check; `linf_norm` is the one-row case of its sup
+stage, `_row_sups`, and `_row_lq_norms` is its coefficient-norm stage.
+Exponent projection is defined by coefficient selection; convolution with
+the matching selector measure is the verification route, kept separate so
+the two can be compared. The order projection extracts one chaos order of
+a mixed polynomial and is likewise verifiable against the order-selecting
+measure.
 """
 
 from __future__ import annotations
@@ -352,11 +353,17 @@ def check_norm_exponent(q: float) -> None:
 
 
 def _row_lq_norms(block: np.ndarray, q: float) -> np.ndarray:
-    """`lq_norm` of every row of a (rows x terms) block.
+    """(sum |c|^q)^(1/q) of every row of a (rows x terms) block, in the
+    order given (0.0 for a row with no terms).
 
     Each row's |c|^q is summed along the row in one reduction over the
     block; the 1/q power is taken per row on the numpy scalar, which
-    numpy's array power can differ from in the last bit."""
+    numpy's array power can differ from in the last bit. When a row's
+    plain sum overflows, or underflows to 0 while some |c| > 0, it is
+    recomputed as m (sum (|c|/m)^q)^(1/q) with m = max |c|; a norm that is
+    still not finite is refused. In-range sums are never rescaled. An
+    overflow still emits numpy's RuntimeWarning: silencing it with
+    np.errstate would add about a quarter to the cost of a one-row norm."""
     check_norm_exponent(q)
     mags = np.abs(block)
     norms = np.empty(len(mags))
@@ -372,27 +379,13 @@ def _row_lq_norms(block: np.ndarray, q: float) -> np.ndarray:
     return norms
 
 
-def lq_norm(values: Sequence[complex], q: float) -> float:
-    """(sum |c|^q)^(1/q) in the order given (0.0 for an empty sequence).
-
-    When the plain sum overflows, or underflows to 0 while some |c| > 0, it
-    is recomputed as m (sum (|c|/m)^q)^(1/q) with m = max |c|; a norm that
-    is still not finite is refused. In-range sums are never rescaled. An
-    overflow still emits numpy's RuntimeWarning: silencing it with
-    np.errstate would add about a quarter to the cost of a one-shot norm.
-    This is the one-row case of `_row_lq_norms`, which `_row_norms` runs
-    once per chunk of rows and exponent."""
-    block = np.asarray(values, dtype=np.complex128).reshape(1, -1)
-    return float(_row_lq_norms(block, q)[0])
-
-
 def _row_norms(
     Q: ChaosPolynomial,
     draw: Callable[[range], np.ndarray],
     rows: int,
     exponents: Sequence[float | None],
 ) -> tuple[np.ndarray, list[int], np.ndarray, float, float]:
-    """Every row's sup, first maximal cell and (exponents x rows) `lq_norm`s
+    """Every row's sup, first maximal cell and (exponents x rows) lq norms
     (None stands for Q's `sidon_exponent`), and the seconds spent in `draw`
     and in `_row_sups`; `draw(range)` gives those rows' coefficients on Q's
     terms, aligned with ``Q.indices`` (Q's values are not read). A Q with no

@@ -155,46 +155,35 @@ def cmd_riesz(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_lemma1(args) -> int:
-    J = _int_list(args.J)
-    level = args.N + 1
-    measure = lemma1_measure(args.p, args.d, J, level)
-    matched, mismatched = lemma1_pattern_residual(measure, args.d, J, args.N)
-    ok = matched <= LEMMA1_PATTERN_TOL and mismatched <= LEMMA1_PATTERN_TOL
-    config = {"p": args.p, "d": args.d, "J": J, "N": args.N}
-    summary = {
-        "matched_residual": matched,
-        "mismatched_residual": mismatched,
-        "tolerance": LEMMA1_PATTERN_TOL,
-        "passed": ok,
-    }
+def cmd_selector(args) -> int:
+    # what differs between lemma1 and lemma2: the argument that picks the
+    # selected terms and its parser, the measure and its pattern residual
+    # (both take p or the measure, d, that argument, then level or N), the
+    # names of the residual pair and the tolerance they are held to
+    key, parse, build, pattern_residual, names, tol = {
+        "lemma1": (
+            "J", _int_list, lemma1_measure, lemma1_pattern_residual,
+            ("matched", "mismatched"), LEMMA1_PATTERN_TOL,
+        ),
+        "lemma2": (
+            "s", int, lemma2_measure, lemma2_pattern_residual,
+            ("kept", "killed"), CONSTRUCTION_TOL,
+        ),
+    }[args.command]
+    chosen = parse(getattr(args, key))
+    measure = build(args.p, args.d, chosen, args.N + 1)
+    residuals = pattern_residual(measure, args.d, chosen, args.N)
+    ok = all(r <= tol for r in residuals)
+    config = {"p": args.p, "d": args.d, key: chosen, "N": args.N}
+    summary = {f"{name}_residual": r for name, r in zip(names, residuals)}
+    summary |= {"tolerance": tol, "passed": ok}
     if args.out:
         ser.save_grid(args.out, measure, extras=_echo(config) | {"pattern_check": summary})
+    # the line names the scalar parameters: J is one exponent per position
+    params = " ".join(f"{k}={v}" for k, v in config.items() if k != "J")
+    found = " ".join(f"{name}={r:.3e}" for name, r in zip(names, residuals))
     print(
-        f"lemma1: p={args.p} d={args.d} N={args.N} matched={matched:.3e} "
-        f"mismatched={mismatched:.3e} variation={measure.variation:.6f} "
-        f"[{'ok' if ok else 'FAIL'}]"
-    )
-    return 0 if ok else 1
-
-
-def cmd_lemma2(args) -> int:
-    level = args.N + 1
-    measure = lemma2_measure(args.p, args.d, args.s, level)
-    kept, killed = lemma2_pattern_residual(measure, args.d, args.s, args.N)
-    ok = kept <= CONSTRUCTION_TOL and killed <= CONSTRUCTION_TOL
-    config = {"p": args.p, "d": args.d, "s": args.s, "N": args.N}
-    summary = {
-        "kept_residual": kept,
-        "killed_residual": killed,
-        "tolerance": CONSTRUCTION_TOL,
-        "passed": ok,
-    }
-    if args.out:
-        ser.save_grid(args.out, measure, extras=_echo(config) | {"pattern_check": summary})
-    print(
-        f"lemma2: p={args.p} d={args.d} s={args.s} N={args.N} kept={kept:.3e} "
-        f"killed={killed:.3e} variation={measure.variation:.6f} "
+        f"{args.command}: {params} {found} variation={measure.variation:.6f} "
         f"[{'ok' if ok else 'FAIL'}]"
     )
     return 0 if ok else 1
@@ -338,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", required=True, help="comma-separated exponents, length N+1")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_lemma1)
+    p.set_defaults(func=cmd_selector)
 
     p = sub.add_parser("lemma2", help="build the order-selector measure")
     p.add_argument("--p", type=int, required=True)
@@ -346,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_lemma2)
+    p.set_defaults(func=cmd_selector)
 
     p = sub.add_parser("norms", help="norms and ratio of a polynomial file")
     p.add_argument("--poly", required=True)

@@ -333,8 +333,9 @@ def density_variation(density: StepFunction) -> float:
     """Exact finite-level total variation p^-L sum |density|.
 
     A cell sum past the float64 range is taken once more as
-    (sum |density| / m) p^-L m, m = max |density|, as `lq_norm` rescales,
-    so a variation that fits is kept; an in-range sum is never rescaled."""
+    (sum |density| / m) p^-L m, m = max |density|, as `chaos._row_lq_norms`
+    rescales, so a variation that fits is kept; an in-range sum is never
+    rescaled."""
     mags = np.abs(density.values)
     total = mags.sum()
     if not math.isfinite(total):
@@ -357,6 +358,18 @@ def _lemma1_base_spectrum(p: int, d: int, J: Sequence[int], level: int) -> Spect
     return forward(riesz_density(p, level, factors, J))
 
 
+def _digit_keys(steps: Sequence[np.ndarray]) -> np.ndarray:
+    """The key sum_k steps[k][c_k] of every Paley index c = sum_k c_k p^k,
+    from one table of p steps per position: one broadcast add per
+    position, the top position first, so position k ends on the digit of
+    p^k. The keys take the tables' integer dtype; with no position, the
+    one key 0 is int8."""
+    keys = np.zeros(1, dtype=np.int8)
+    for step in reversed(steps):
+        keys = (keys[:, None] + step).reshape(-1)
+    return keys
+
+
 def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     """Measure whose coefficients select order-d terms with exponents J.
 
@@ -376,21 +389,20 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     if len(J) != level:
         raise LevelMismatch(f"need {level} exponents, got {len(J)}")
     values = _selector_solution(d)
-    # the key u _WIDTH + v of every Paley index: one broadcast add per
-    # position, the top position first, so position k ends on the digit of
-    # p^k; a digit outside the alphabet adds `outside`, past every key, and
-    # gathers P at the zero letter
+    # the key u _WIDTH + v of every Paley index; a digit outside the
+    # alphabet adds `outside`, past every key, and gathers P at the zero
+    # letter
     outside = _WIDTH * _WIDTH
-    keys = np.zeros(1, dtype=np.intp)
-    for jk in reversed(J):
+    steps = []
+    for jk in J:
         step = np.full(p, outside, dtype=np.intp)
         step[0] = 0
         if is_self_conjugate(p, jk):
             step[jk] = 0
         else:
             step[jk], step[-jk % p] = _WIDTH, 1
-        keys = (keys[:, None] + step).reshape(-1)
-    spectrum = Spectrum(p, level, values.take(keys, mode="clip"))
+        steps.append(step)
+    spectrum = Spectrum(p, level, values.take(_digit_keys(steps), mode="clip"))
     provenance = {"construction": "lemma1", "p": p, "d": d, "J": tuple(J)}
     return MeasureRep(spectrum, density_variation(inverse(spectrum)), provenance)
 
@@ -462,11 +474,9 @@ def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     check_cell_guard(p, level)
     coeffs = lemma2_polynomial(p, d, s)
     # the chaos order (count of nonzero digits) of every Paley index, one
-    # int8 per cell: one broadcast add per digit
+    # int8 per cell
     nonzero = (np.arange(p) != 0).astype(np.int8)
-    orders = np.zeros(1, dtype=np.int8)
-    for _ in range(level):
-        orders = (orders[:, None] + nonzero).reshape(-1)
+    orders = _digit_keys([nonzero] * level)
     spectrum = Spectrum(p, level, _lemma2_values(p, d, s, level)[orders])
     with np.errstate(over="ignore"):
         bound = float(np.abs(coeffs).sum())

@@ -161,25 +161,12 @@ def _check_index_width(p: int, width: int) -> None:
         raise GuardExceeded(f"{p}^{width} Paley indices exceed the int64 range")
 
 
-def enumerate_Nd(p: int, d: int, N: int) -> list[ChaosTerm]:
-    """All order-d chaos terms with positions in 0..N.
-
-    The listing is lexicographic in (ks, ls) and has exactly
-    C(N+1, d) (p-1)^d entries.
-    """
-    check_chaos_order(p, d, N)
-    terms = []
-    for ks in combinations(range(N + 1), d):
-        for ls in product(range(1, p), repeat=d):
-            terms.append(ChaosTerm(ks, ls))
-    return terms
-
-
 def term_indices(p: int, d: int, N: int) -> np.ndarray:
     """Paley indices of the order-d terms with positions in 0..N (int64).
 
-    Same terms and order as enumerate_Nd: the position-combination table
-    times the exponent table, combinations outermost.
+    The terms are lexicographic in (positions, exponents), C(N+1, d)
+    (p-1)^d of them: the position-combination table times the exponent
+    table, combinations outermost.
     """
     check_chaos_order(p, d, N)
     _check_index_width(p, N + 1)

@@ -41,7 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_DIRECT_CELLS, check_base_level, check_int
-from .errors import GuardExceeded, InsufficientLevel, LevelMismatch, MalformedIndex
+from .errors import (
+    GuardExceeded, InsufficientLevel, LevelMismatch, MalformedIndex, NonFiniteValue
+)
 from .padic import check_cell, digit_matrix, to_digits
 
 
@@ -55,7 +57,9 @@ class StepFunction:
     """A complex function on [0,1) constant on the p^level cells of one level.
 
     values[c] is the value on cell c; the Haar integral is the mean
-    p^-level * sum(values).
+    p^-level * sum(values). A NaN or infinite value is refused
+    (`NonFiniteValue`), so a transform whose result leaves the float64
+    range is refused too.
     """
 
     p: int
@@ -69,6 +73,8 @@ class StepFunction:
             raise LevelMismatch(
                 f"expected {self.p ** self.level} cell values, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise NonFiniteValue("cell values must be finite")
         object.__setattr__(self, "values", arr)
 
     def integral(self) -> complex:
@@ -80,7 +86,9 @@ class StepFunction:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Spectrum:
-    """Fourier coefficients of a step function, indexed by Paley index."""
+    """Fourier coefficients of a step function, indexed by Paley index.
+
+    A NaN or infinite coefficient is refused (`NonFiniteValue`)."""
 
     p: int
     level: int
@@ -93,6 +101,8 @@ class Spectrum:
             raise LevelMismatch(
                 f"expected {self.p ** self.level} coefficients, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise NonFiniteValue("coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
 
     def __repr__(self) -> str:
@@ -364,14 +374,6 @@ def _half_digit_tables(p: int, level: int, powers: np.ndarray) -> tuple[np.ndarr
     runs = powers[(high[:, None, :] + np.arange(p)[:, None]) % p].reshape(-1, p ** (level - a))
     index = np.arange(p ** (level - a))[:, None, None] * p + _phase_table(p, a)
     return runs, index.reshape(p**level, p**a)
-
-
-def character_matrix(p: int, level: int) -> np.ndarray:
-    """Full (p^L, p^L) table of character values chi[m, c]. Quadratic cost;
-    guarded to small grids."""
-    _check_direct(p, level, "character matrix")
-    runs, index = _half_digit_tables(p, level, root_of_unity_powers(p))
-    return runs[index].reshape(p**level, p**level)
 
 
 def naive_forward(f: StepFunction) -> Spectrum:

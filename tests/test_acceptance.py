@@ -18,7 +18,6 @@ from pchaos import (
     StepFunction,
     convolve_with_measure,
     decomposition_residual,
-    enumerate_Nd,
     forward,
     growth_study,
     inverse,
@@ -38,6 +37,8 @@ from pchaos import (
     sidon_ratio,
     trial_rng,
 )
+
+from oracles import chaos_terms
 
 LEMMA1_GRID = [(p, d) for p in (2, 3, 4, 5) for d in (1, 2, 3)]
 LEMMA1_N = 6
@@ -174,7 +175,7 @@ def test_criterion_6_scaling_identity():
             rng = trial_rng(6, p, d)
             J = [int(x) for x in rng.integers(1, p, size=level)]
             matched = [
-                t for t in enumerate_Nd(p, d, N)
+                t for t in chaos_terms(p, d, N)
                 if all(l == J[k] for k, l in zip(t.ks, t.ls))
             ]
             for _ in range(10):
@@ -212,7 +213,7 @@ def test_criterion_7_young_bound(lemma1_grid_measures):
 
 def test_criterion_8_exact_first_order_ratio():
     worst = 0.0
-    terms = enumerate_Nd(2, 1, 10)
+    terms = chaos_terms(2, 1, 10)
     for trial in range(100):
         rng = trial_rng(8, trial)
         coeffs = rng.standard_normal(len(terms))
@@ -250,7 +251,7 @@ def test_criterion_10_order_projections():
             rng = trial_rng(10, p, d)
             coeffs = {}
             for s in range(1, d + 1):
-                for term in enumerate_Nd(p, s, N):
+                for term in chaos_terms(p, s, N):
                     coeffs[term] = complex(rng.standard_normal(), rng.standard_normal())
             Q = ChaosPolynomial(p, N, coeffs)
             sup, _ = linf_norm(Q)

@@ -745,9 +745,9 @@ PUBLIC_NAMES = [
     "InsufficientLevel", "InvalidExponent", "InvalidOrder", "LevelMismatch", "MalformedIndex",
     "MeasureRep", "NonFiniteValue", "NotAChaosIndex", "Spectrum", "StepFunction",
     "character_value", "convolve", "convolve_functions", "convolve_with_measure",
-    "decomposition_residual", "enumerate_Nd", "forward", "group_sub", "growth_study", "inverse",
+    "decomposition_residual", "forward", "group_sub", "growth_study", "inverse",
     "lemma1_measure", "lemma1_pattern_residual", "lemma2_measure",
-    "lemma2_pattern_residual", "lemma2_polynomial", "linf_norm", "lq_norm", "naive_forward",
+    "lemma2_pattern_residual", "lemma2_polynomial", "linf_norm", "naive_forward",
     "paley_encode", "polynomial_spectrum", "project_J", "project_order", "random_chaos",
     "random_ensemble_study", "rho_y_measure", "riesz_density", "sidon_ratio", "term_indices",
     "trial_rng", "verify_suite",
@@ -761,3 +761,30 @@ def test_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_library_surface_the_benchmark_uses(tmp_path):
+    # bench/ reaches these module names and call shapes from outside the
+    # package, and when tracing wraps ChaosPolynomial.__post_init__ and
+    # replaces experiments.CheckResult, called with the check name first
+    from pchaos import errors, padic, transform
+
+    Q = chaos.ChaosPolynomial(3, 2, {padic.ChaosTerm((0, 2), (1, 2)): 1.5})
+    assert callable(chaos.ChaosPolynomial.__post_init__)
+    assert chaos.linf_norm(Q)[0] == pytest.approx(1.5)
+    assert len(chaos.ChaosPolynomial.from_indices(3, 2, [1, 3], [1.0, 2.0]).coeffs) == 2
+    f = transform.StepFunction(2, 2, [1.0, 2.0, 3.0, 4.0])
+    assert transform.forward(f).coeffs[0] == pytest.approx(2.5)
+    path = str(tmp_path / "f.json")
+    ser.save_step_function(path, f)
+    assert ser.load_grid(path).values.tolist() == f.values.tolist()
+    config = experiments.ExperimentConfig(
+        p=2, d=1, N_values=(2,), trials=2, seed=1, ensemble="signs"
+    )
+    for study in (experiments.growth_study, experiments.random_ensemble_study):
+        assert [row.N for row in study(config).rows] == [2]
+    report = experiments.verify_suite((2,), (1,), 2, seed=1)
+    assert all(isinstance(c, experiments.CheckResult) for c in report.checks)
+    assert next(iter(inspect.signature(experiments.CheckResult).parameters)) == "name"
+    assert issubclass(errors.ChaosError, Exception)
+    assert cli.main(["decompose", "--poly", str(tmp_path / "missing.json")]) == 2

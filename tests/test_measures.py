@@ -34,19 +34,19 @@ from pchaos import (
     lemma2_measure,
     lemma2_pattern_residual,
     lemma2_polynomial,
-    lq_norm,
     paley_encode,
-    enumerate_Nd,
     project_order,
     random_chaos,
     rho_y_measure,
     riesz_density,
     term_indices,
 )
-from pchaos import measures
+from pchaos import chaos, measures
 from pchaos.baselines import LEMMA1_C1_BOUND
 from pchaos.measures import MeasureRep, density_variation, selector_nodes
 from pchaos.padic import digit_matrix
+
+from oracles import chaos_terms
 
 
 class TestRieszDensity:
@@ -404,7 +404,7 @@ class TestLemma1Measure:
         factors = [1.0 if (2 * jk) % p == 0 else a for jk in J]
         rho_hat = forward(riesz_density(p, level, factors, J))
         alphabet, _ = selector_nodes(d)
-        for term in enumerate_Nd(p, d, level - 1):
+        for term in chaos_terms(p, d, level - 1):
             value = rho_hat.coeffs[paley_encode(term, p)]
             assert np.abs(alphabet - value).min() <= 1e-8
 
@@ -619,7 +619,7 @@ class TestRhoY:
         J = [1, 2, 1]
         base = rho_y_measure(3, J, [1, 1, 1], 3)
         flipped = rho_y_measure(3, J, [1, -1, 1], 3)
-        for term in enumerate_Nd(3, 2, 2):
+        for term in chaos_terms(3, 2, 2):
             if not all(l == J[k] for k, l in zip(term.ks, term.ls)):
                 continue
             m = paley_encode(term, 3)
@@ -728,15 +728,14 @@ def _mixed_polynomial():
             "base must be an integer, got 2.5",
         ),
         (lambda: lemma2_polynomial(2.5, 2, 1), MalformedIndex, "p must be an integer, got 2.5"),
-        (lambda: lq_norm([1, 2], True), InvalidExponent, "finite and positive, got True"),
-        (lambda: lq_norm([1, 2], np.True_), InvalidExponent, "finite and positive, got True"),
+        (lambda: chaos._row_lq_norms(np.ones((1, 2)), True), InvalidExponent, "finite and positive, got True"),
+        (lambda: chaos._row_lq_norms(np.ones((1, 2)), np.True_), InvalidExponent, "finite and positive, got True"),
         (lambda: term_indices(2, 2, 4.0), MalformedIndex, "N must be an integer, got 4.0"),
         (lambda: term_indices("3", 2, 4), MalformedIndex, "base must be an integer, got '3'"),
         (lambda: project_order(_mixed_polynomial(), 1.5), MalformedIndex, "order must be an integer, got 1.5"),
         (lambda: project_order(_mixed_polynomial(), 0), InvalidOrder, "order must be at least 1, got 0"),
         (lambda: term_indices(2, True, 4), MalformedIndex, "order must be an integer, got True"),
         (lambda: term_indices(2, 0, 4), InvalidOrder, "order must be at least 1, got 0"),
-        (lambda: enumerate_Nd(2, True, 3), MalformedIndex, "order must be an integer, got True"),
         (
             lambda: random_chaos(2, True, 3, np.random.default_rng(0)),
             MalformedIndex,
@@ -751,7 +750,7 @@ def _mixed_polynomial():
         "character-m", "group-sub-cell", "paley-encode-p", "lemma2-polynomial-p",
         "lq-q-bool", "lq-q-numpy-bool", "term-indices-N", "term-indices-p-str",
         "project-order-float", "project-order-0", "term-indices-d-bool", "term-indices-d-0",
-        "enumerate-d-bool", "random-chaos-d-bool", "lemma1-system-d-bool", "lemma1-system-d-0",
+        "random-chaos-d-bool", "lemma1-system-d-bool", "lemma1-system-d-0",
         "lemma2-polynomial-s-bool", "lemma2-polynomial-d-0",
     ],
 )

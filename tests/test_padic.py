@@ -14,7 +14,6 @@ from pchaos import (
     GuardExceeded,
     MalformedIndex,
     NotAChaosIndex,
-    enumerate_Nd,
     group_sub,
     paley_encode,
     term_indices,
@@ -27,6 +26,8 @@ from pchaos.padic import (
     paley_decode,
     to_digits,
 )
+
+from oracles import chaos_terms
 
 
 @pytest.mark.parametrize(
@@ -173,21 +174,21 @@ def test_group_axioms(data):
     ],
 )
 def test_enumerate_examples(p, d, N, expected_indices):
-    indices = {paley_encode(t, p) for t in enumerate_Nd(p, d, N)}
-    assert indices == expected_indices
+    assert set(term_indices(p, d, N).tolist()) == expected_indices
+    assert {paley_encode(t, p) for t in chaos_terms(p, d, N)} == expected_indices
 
 
 @pytest.mark.parametrize("p,d,N", [(2, 2, 5), (3, 2, 4), (5, 3, 4), (4, 1, 6)])
 def test_enumerate_count_and_order(p, d, N):
-    terms = enumerate_Nd(p, d, N)
+    terms = [paley_decode(n, p) for n in term_indices(p, d, N).tolist()]
     assert len(terms) == math.comb(N + 1, d) * (p - 1) ** d
     assert terms == sorted(terms)
     assert len(set(terms)) == len(terms)
 
 
 def test_enumerate_empty():
-    with pytest.raises(EmptyIndexSet):
-        enumerate_Nd(2, 3, 1)
+    with pytest.raises(EmptyIndexSet, match="order 3 exceeds the 2 available positions"):
+        term_indices(2, 3, 1)
 
 
 def test_from_digits_rejects_bad_digit():
@@ -203,7 +204,7 @@ def test_term_indices_match_scalar_encoding(data):
     d = data.draw(st.integers(min_value=1, max_value=min(N + 1, 3)))
     indices = term_indices(p, d, N)
     assert indices.dtype == np.int64
-    assert indices.tolist() == [paley_encode(t, p) for t in enumerate_Nd(p, d, N)]
+    assert indices.tolist() == [paley_encode(t, p) for t in chaos_terms(p, d, N)]
     digits = digit_matrix(indices, p, N + 1)
     assert [tuple(row) for row in digits.tolist()] == [
         to_digits(n, p, N + 1) for n in indices.tolist()
@@ -219,21 +220,20 @@ def test_term_indices_guards():
         term_indices(16, 1, 16)  # 16^17 Paley indices do not fit in int64
 
 
-@pytest.mark.parametrize("enumerate_terms", [term_indices, enumerate_Nd])
-def test_index_sets_refuse_a_base_past_the_cap(enumerate_terms):
+def test_index_sets_refuse_a_base_past_the_cap():
     # p=17 would list 48 terms where every other entry point refuses it
     with pytest.raises(GuardExceeded, match="base 17 exceeds the supported cap 16"):
-        enumerate_terms(17, 1, 2)
+        term_indices(17, 1, 2)
     with pytest.raises(MalformedIndex, match="base must be >= 2, got 1"):
-        enumerate_terms(1, 1, 2)
-    assert len(enumerate_terms(16, 1, 2)) == 45
+        term_indices(1, 1, 2)
+    assert len(term_indices(16, 1, 2)) == 45
 
 
 @pytest.mark.parametrize("p,d,N", [(2, 2, 3), (3, 2, 3), (5, 1, 2)])
 def test_exponent_match_against_terms(p, d, N):
     # one sequence gives a mask over the terms; a stack of them, one mask row each
     indices = term_indices(p, d, N)
-    terms = enumerate_Nd(p, d, N)
+    terms = chaos_terms(p, d, N)
     sequences = np.array(list(itertools.product(range(1, p), repeat=N + 1)))
     stacked = exponent_match(indices, p, sequences)
     assert stacked.shape == (len(sequences), len(indices))

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pchaos import ChaosPolynomial, FormatError, GuardExceeded, StepFunction, enumerate_Nd, forward
+from pchaos import ChaosPolynomial, FormatError, GuardExceeded, StepFunction, forward
 from pchaos import InvalidExponent, MalformedIndex, Spectrum
 from pchaos import MeasureRep, lemma1_measure, lemma2_measure, random_chaos
 from pchaos import serialization as ser
+
+from oracles import chaos_terms
 
 
 @pytest.fixture
@@ -91,7 +93,7 @@ def test_polynomial_round_trip(tmp_path, rng):
 
 
 def test_polynomial_term_order_is_deterministic(tmp_path):
-    terms = enumerate_Nd(3, 2, 2)
+    terms = chaos_terms(3, 2, 2)
     Q = ChaosPolynomial(3, 2, {t: 1.0 for t in terms})
     path_a, path_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     ser.save_polynomial(path_a, Q)
@@ -382,7 +384,7 @@ def test_non_finite_data_refused_before_any_file(tmp_path, bad, part):
     coeffs.view(np.float64)[2 + part] = bad
     path = str(tmp_path / "s.json")
     with pytest.raises(FormatError, match="invalid JSON"):
-        ser.save_grid(path, Spectrum(2, 2, coeffs))
+        ser.write_json_atomic(path, {"kind": "paley", "data": coeffs})
     assert os.listdir(tmp_path) == []
 
 

@@ -14,6 +14,7 @@ from pchaos import (
     InsufficientLevel,
     LevelMismatch,
     MalformedIndex,
+    NonFiniteValue,
     Spectrum,
     StepFunction,
     character_value,
@@ -31,9 +32,16 @@ from pchaos import (
 from pchaos.config import MAX_DIRECT_CELLS
 from pchaos.padic import digit_matrix
 from pchaos import chaos, transform
-from pchaos.transform import _group_sub_table, _stage_kernel, _tensor_dft, character_matrix
+from pchaos.transform import _group_sub_table, _half_digit_tables, _stage_kernel, _tensor_dft
 
 OMEGA3 = np.exp(2j * np.pi / 3)
+
+
+def _character_table(p, level, powers):
+    """The full (p^L, p^L) table over `powers` that `naive_forward` gathers
+    a block of rows at a time."""
+    runs, index = _half_digit_tables(p, level, powers)
+    return runs[index].reshape(p**level, p**level)
 
 
 def random_function(p, level, seed):
@@ -172,7 +180,8 @@ class TestFastVsNaive:
     def test_blocks_match_full_table(self, p, level):
         # cell counts that are not a multiple of the row block
         f = random_function(p, level, seed=p + 7 * level)
-        full = (np.conjugate(character_matrix(p, level)) @ f.values) * p**-level
+        conjugates = np.conjugate(transform.root_of_unity_powers(p))
+        full = (_character_table(p, level, conjugates) @ f.values) * p**-level
         assert np.abs(naive_forward(f).coeffs - full).max() <= 1e-15
 
     @pytest.mark.parametrize("p", range(2, 17))
@@ -193,10 +202,6 @@ class TestFastVsNaive:
                 ref = np.conjugate(naive_forward(flipped).coeffs) * size
                 fast = inverse(Spectrum(p, level, f.values)).values
                 assert np.abs(fast - ref).max() / np.abs(ref).max() <= 1e-12
-
-    def test_character_matrix_guard(self):
-        with pytest.raises(GuardExceeded):
-            character_matrix(2, 15)
 
     def test_naive_forward_guard(self):
         with pytest.raises(GuardExceeded):
@@ -229,7 +234,8 @@ class TestFastVsNaive:
             mdig, cdig_t = _phase_product_digits(p, level)
             powers = transform.root_of_unity_powers(p)[np.arange(level * (p - 1) ** 2 + 1) % p]
             expected = powers[(mdig @ cdig_t).astype(np.intp)]
-            np.testing.assert_array_equal(_bits(character_matrix(p, level)), _bits(expected))
+            table = _character_table(p, level, transform.root_of_unity_powers(p))
+            np.testing.assert_array_equal(_bits(table), _bits(expected))
             level += 1
 
     @pytest.mark.parametrize("p,level", [(3, 7), (2, 11)])
@@ -595,6 +601,11 @@ class TestConvolve:
         with pytest.raises(LevelMismatch):
             convolve(Spectrum(2, 2, np.zeros(4)), Spectrum(2, 3, np.zeros(8)))
 
+    def test_direct_convolution_guard(self):
+        f = StepFunction(2, 12, np.zeros(2**12))
+        with pytest.raises(GuardExceeded, match="direct convolution"):
+            convolve_functions(f, f)
+
     @pytest.mark.parametrize("p,level", [(2, 5), (3, 4), (5, 3), (16, 2)])
     def test_direct_convolution_is_the_defining_sum(self, p, level):
         # several row blocks at each base; every x - z from scalar group_sub
@@ -634,6 +645,30 @@ def test_step_function_validation():
         StepFunction(2, 2, [1.0, 2.0])
     with pytest.raises(GuardExceeded):
         StepFunction(17, 1, np.zeros(17))
+
+
+@pytest.mark.parametrize(
+    "grid, values",
+    [
+        (StepFunction, [np.nan, 1.0]),
+        (StepFunction, [1.0, complex(0, -np.inf)]),
+        (Spectrum, [np.inf, 0.0]),
+        (Spectrum, [0.0, complex(0, np.nan)]),
+    ],
+)
+def test_grids_refuse_non_finite_values(grid, values):
+    # a NaN grid was transformed to NaN coefficients, and an inf spectrum built
+    with pytest.raises(NonFiniteValue):
+        grid(2, 1, values)
+
+
+def test_a_transform_past_float64_is_refused():
+    # finite values whose transform overflows: inverse gave inf+nanj in cell 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteValue):
+            inverse(Spectrum(3, 1, [1e308] * 3))
+        with pytest.raises(NonFiniteValue):
+            forward(StepFunction(2, 1, [1e308, 1e308]))
 
 
 def test_integral():
