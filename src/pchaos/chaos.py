@@ -40,10 +40,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import check_base_level, check_cell_guard, check_int, check_order
+from .config import check_base_level, check_covers, check_int, check_order
 from .errors import (
     DegenerateInput,
-    InsufficientLevel,
     InvalidExponent,
     InvalidOrder,
     LevelMismatch,
@@ -246,21 +245,11 @@ class ChaosPolynomial:
         return 2 * d / (d + 1)
 
 
-def _check_level(Q: ChaosPolynomial, level: int) -> None:
-    """Refuse a level below Q's top position or past the cell guard; run
-    before any level-sized array is allocated."""
-    if level < Q.N + 1:
-        raise InsufficientLevel(
-            f"level {level} cannot hold positions up to {Q.N}"
-        )
-    check_cell_guard(Q.p, level)
-
-
 def polynomial_spectrum(Q: ChaosPolynomial, level: int) -> Spectrum:
     """Coefficient array of Q at the given level (exact placement); its
     `inverse` is Q on every cell of that level. The level and the cell
     guard are checked before the array is allocated."""
-    _check_level(Q, level)
+    check_covers(Q.p, level, Q.N)
     coeffs = np.zeros(Q.p**level, dtype=complex)
     coeffs[Q.indices] = Q.values
     return Spectrum(Q.p, level, coeffs)
@@ -286,7 +275,7 @@ def _row_sups(Q: ChaosPolynomial, block: np.ndarray) -> tuple[np.ndarray, list[i
     the call. A block that mixes real and complex rows (no caller builds
     one) runs in complex128, correct to rounding."""
     level = Q.N + 1
-    _check_level(Q, level)
+    check_covers(Q.p, level, Q.N)
     dtype = _working_dtype(Q.p, block)
     odd = Q._orders & 1
     half = int(dtype == np.float32 and odd.size > 0 and bool((odd == odd[0]).all()))

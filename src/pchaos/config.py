@@ -1,4 +1,4 @@
-"""Shared numerical tolerances and resource guards.
+"""Shared numerical tolerances, resource guards and input guards.
 
 Every tolerance is stated exactly once, here, and none can be overridden
 per run. Two broad tiers cover measure-construction identities (1e-8,
@@ -12,13 +12,18 @@ conjunction over positions and the exponent sequences form a product
 set, so by distributivity each term's count of agreeing sequences is a
 product over positions, computed in the time it takes to build the
 polynomial, never by enumerating the (p-1)^(N+1) sequences.
+
+It is also the one home of the shared input guards, one function per
+rule, so a bad input gets one exception and message from every entry
+point: integer, natural number, order, base and level caps, cell guard,
+and a level that covers positions 0..N.
 """
 
 from __future__ import annotations
 
 import numbers
 
-from .errors import GuardExceeded, InvalidOrder, MalformedIndex
+from .errors import GuardExceeded, InsufficientLevel, InvalidOrder, MalformedIndex
 
 # Hard caps on base and level. The size bounds are MAX_CELLS on allocated
 # grids and the int64 range on Paley indices (padic._check_index_width).
@@ -60,6 +65,15 @@ def check_int(value, rule: str) -> int:
     return int(value)
 
 
+def check_natural(value) -> int:
+    """`value` as an int: an integer (see `check_int`) of at least 0."""
+    rule = "expected a natural number"
+    n = check_int(value, rule)
+    if n < 0:
+        raise MalformedIndex(f"{rule}, got {n}")
+    return n
+
+
 def check_order(value) -> int:
     """`value` as a chaos order: an integer (see `check_int`) of at least 1."""
     order = check_int(value, "order must be an integer")
@@ -88,3 +102,11 @@ def check_cell_guard(p: int, level: int) -> None:
     check_base_level(p, level)
     if p**level > MAX_CELLS:
         raise GuardExceeded(f"p^level = {p}^{level} exceeds the cell guard {MAX_CELLS}")
+
+
+def check_covers(p: int, level: int, N: int) -> None:
+    """Refuse a level that cannot hold positions 0..N, then a p^level grid
+    past the cell guard; run before any level-sized array is allocated."""
+    if check_int(level, "level must be an integer") < check_int(N, "N must be an integer") + 1:
+        raise InsufficientLevel(f"level {level} cannot hold positions up to {N}")
+    check_cell_guard(p, level)

@@ -70,6 +70,7 @@ from .config import (
     UNIT_DISC_SLACK,
     check_base_level,
     check_cell_guard,
+    check_covers,
     check_int,
     check_order,
 )
@@ -77,7 +78,6 @@ from .errors import (
     CoefficientOutOfRange,
     GuardExceeded,
     IllConditionedSystem,
-    InsufficientLevel,
     InvalidExponent,
     InvalidOrder,
     LevelMismatch,
@@ -120,12 +120,6 @@ class MeasureRep:
 def is_self_conjugate(p: int, j: int) -> bool:
     """True when the power R^j of a position equals its own conjugate."""
     return (2 * j) % p == 0
-
-
-def _check_ints(**scalars) -> None:
-    """Refuse a scalar argument that is not an integer (see `check_int`)."""
-    for name, value in scalars.items():
-        check_int(value, f"{name} must be an integer")
 
 
 def _validate_exponents(p: int, j: Sequence[int]) -> list[int]:
@@ -383,8 +377,8 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     nor v), and 0 otherwise. P, evaluated once per order at every letter,
     is gathered by each index's (u, v) key; the product is never formed.
     """
-    _check_ints(p=p, d=d, level=level)
     check_cell_guard(p, level)
+    check_order(d)  # before the cache, where True and 2.0 hash as 1 and 2
     J = _validate_exponents(p, J)
     if len(J) != level:
         raise LevelMismatch(f"need {level} exponents, got {len(J)}")
@@ -407,6 +401,14 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
     return MeasureRep(spectrum, density_variation(inverse(spectrum)), provenance)
 
 
+def _check_selected_order(d, s) -> tuple[int, int]:
+    """(d, s) as orders (see `check_order`), refused unless s is in 1..d."""
+    d = check_order(d)
+    if check_order(s) > d:
+        raise InvalidOrder(f"selected order {s} not in 1..{d}")
+    return d, s
+
+
 def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
     """Ascending coefficients of the order-selecting polynomial.
 
@@ -422,9 +424,7 @@ def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
     on its leading coefficient does (|p^-s - p^-j| < p^-min(s, j)).
     """
     check_base_level(p, 0)
-    d = check_order(d)
-    if check_order(s) > d:
-        raise InvalidOrder(f"selected order {s} not in 1..{d}")
+    d, s = _check_selected_order(d, s)
     refusal = f"the order-{d} selector for p={p} leaves the float64 range"
     power = s + s * (s - 1) // 2 + s * (d - s)
     # p >= 2, so a power of at least max_exp passes the float64 range
@@ -468,10 +468,9 @@ def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     provenance records P's coefficients and their l1 norm, which bounds
     the variation. A variation or bound past the float64 range is refused
     (`NonFiniteValue`)."""
-    _check_ints(p=p, d=d, s=s, level=level)
+    check_cell_guard(p, level)
     if level < 1:
         raise LevelMismatch(f"level must be at least 1, got {level}")
-    check_cell_guard(p, level)
     coeffs = lemma2_polynomial(p, d, s)
     # the chaos order (count of nonzero digits) of every Paley index, one
     # int8 per cell
@@ -503,7 +502,7 @@ def rho_y_measure(
     Its coefficient at the J-matched index over positions k_1 < ... < k_d
     equals (prod_i signs[k_i]) / 2^d, and its total variation is 1.
     """
-    _check_ints(p=p, level=level)
+    check_cell_guard(p, level)
     J = _validate_exponents(p, J)
     signs = [check_int(x, "signs must be integers") for x in signs]
     if len(J) != level or len(signs) != level:
@@ -532,11 +531,13 @@ def rho_y_measure(
 # ---------------------------------------------------------------------------
 
 
-def _check_resolves(measure: MeasureRep, N: int) -> None:
-    if measure.level < N + 1:
-        raise InsufficientLevel(
-            f"measure level {measure.level} cannot resolve positions up to {N}"
-        )
+def _selection_residual(measure: MeasureRep, indices, keep) -> tuple[float, float]:
+    """(max |coeff - 1| over the indices `keep` marks, max |coeff| over the
+    rest), 0.0 over none: one gather of the measure's coefficients."""
+    values = measure.spectrum.coeffs[indices]
+    kept = float(np.abs(values[keep] - 1.0).max(initial=0.0))
+    killed = float(np.abs(values[~keep]).max(initial=0.0))
+    return kept, killed
 
 
 def lemma1_pattern_residual(
@@ -545,16 +546,12 @@ def lemma1_pattern_residual(
     """(max |coeff - 1| over J-matched order-d indices,
     max |coeff| over mismatched ones), exhaustively over positions 0..N."""
     p = measure.p
-    _check_resolves(measure, N)
+    check_covers(p, measure.level, N)
     J = _validate_exponents(p, J)
     if len(J) < N + 1:
         raise LevelMismatch(f"need at least {N + 1} exponents, got {len(J)}")
     indices = term_indices(p, d, N)
-    match = exponent_match(indices, p, J)
-    values = measure.spectrum.coeffs[indices]
-    matched = float(np.abs(values[match] - 1.0).max(initial=0.0))
-    mismatched = float(np.abs(values[~match]).max(initial=0.0))
-    return matched, mismatched
+    return _selection_residual(measure, indices, exponent_match(indices, p, J))
 
 
 def lemma2_pattern_residual(
@@ -562,18 +559,12 @@ def lemma2_pattern_residual(
 ) -> tuple[float, float]:
     """(max |coeff - 1| over order-s indices,
     max |coeff| over orders j <= d, j != s), positions 0..N. An order s
-    above d, which the loop would never read, is refused (`InvalidOrder`),
+    above d, which the gather would never read, is refused (`InvalidOrder`),
     and one with no term on the N+1 positions (`EmptyIndexSet`)."""
     p = measure.p
-    _check_resolves(measure, N)
-    if check_order(s) > check_order(d):
-        raise InvalidOrder(f"selected order {s} not in 1..{d}")
+    check_covers(p, measure.level, N)
+    d, s = _check_selected_order(d, s)
     check_chaos_order(p, s, N)
-    kept, killed = 0.0, 0.0
-    for order in range(1, min(d, N + 1) + 1):
-        values = measure.spectrum.coeffs[term_indices(p, order, N)]
-        if order == s:
-            kept = max(kept, float(np.abs(values - 1.0).max()))
-        else:
-            killed = max(killed, float(np.abs(values).max()))
-    return kept, killed
+    by_order = [term_indices(p, order, N) for order in range(1, min(d, N + 1) + 1)]
+    orders = np.repeat(np.arange(1, len(by_order) + 1), [len(i) for i in by_order])
+    return _selection_residual(measure, np.concatenate(by_order), orders == s)

@@ -15,7 +15,9 @@ A Paley index and a cell are plain ints everywhere. ``term_indices`` and
 ``digit_matrix`` are the array layer every hot path uses: whole index sets
 as int64 Paley values and their exponent digits, with no per-term object.
 ``ChaosTerm`` and ``group_sub`` are the scalar reference for single terms
-and cells, and ``check_cell`` is the one guard on a cell.
+and cells, and ``check_cell`` is the one guard on a cell. The base,
+integer and natural-number rules are ``config``'s guards, so the scalar
+digit functions refuse p outside 2..16 and a non-integer n or digit.
 
 All operations are pure functions on immutable values; they are safe to
 call from any number of concurrent workers.
@@ -29,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import check_base_level, check_int, check_order
+from .config import check_base_level, check_int, check_natural, check_order
 from .errors import (
     EmptyIndexSet,
     GuardExceeded,
@@ -39,18 +41,11 @@ from .errors import (
 )
 
 
-def _check_base(p: int) -> None:
-    """Refuse a digit base that is not an integer of at least 2."""
-    if check_int(p, "base must be an integer") < 2:
-        raise MalformedIndex(f"base must be >= 2, got {p}")
-
-
 def to_digits(n: int, p: int, length: int) -> tuple[int, ...]:
     """Least-significant-first base-p digits of n, zero-padded to length."""
-    _check_base(p)
-    if n < 0:
-        raise MalformedIndex(f"expected a natural number, got {n}")
-    if length < 0 or n >= p**length:
+    check_base_level(p, 0)
+    n = check_natural(n)
+    if check_int(length, "length must be an integer") < 0 or n >= p**length:
         raise MalformedIndex(f"{n} does not fit in {length} base-{p} digits")
     digits = []
     v = n
@@ -62,10 +57,10 @@ def to_digits(n: int, p: int, length: int) -> tuple[int, ...]:
 
 def from_digits(digits: Iterable[int], p: int) -> int:
     """Inverse of to_digits: recombine least-significant-first digits."""
-    _check_base(p)
+    check_base_level(p, 0)
     value = 0
     for k, digit in enumerate(digits):
-        if not 0 <= digit < p:
+        if not 0 <= check_int(digit, "digits must be integers") < p:
             raise MalformedIndex(f"digit {digit} out of range for base {p}")
         value += digit * p**k
     return value
@@ -108,7 +103,7 @@ class ChaosTerm:
 
 def paley_encode(term: ChaosTerm, p: int) -> int:
     """Paley index of a term: n = sum_i ls[i] p^ks[i]."""
-    _check_base(p)
+    check_base_level(p, 0)
     if any(l >= p for l in term.ls):
         raise InvalidExponent(f"exponents {term.ls} out of range for base {p}")
     return sum(l * p**k for k, l in zip(term.ks, term.ls))
@@ -116,10 +111,8 @@ def paley_encode(term: ChaosTerm, p: int) -> int:
 
 def paley_decode(n: int, p: int) -> ChaosTerm:
     """Unique term whose exponents are the nonzero base-p digits of n."""
-    _check_base(p)
-    if n < 0:
-        raise MalformedIndex(f"expected a natural number, got {n}")
-    if n == 0:
+    check_base_level(p, 0)
+    if check_natural(n) == 0:
         raise NotAChaosIndex("0 is not a chaos index")
     ks, ls, k = [], [], 0
     while n:
@@ -149,7 +142,6 @@ def group_sub(p: int, level: int, x: int, z: int) -> int:
 
 def check_chaos_order(p: int, d: int, N: int) -> None:
     """Refuse a malformed or empty order-d index set over positions 0..N."""
-    _check_base(p)
     check_base_level(p, 0)
     if check_order(d) > check_int(N, "N must be an integer") + 1:
         raise EmptyIndexSet(f"order {d} exceeds the {N + 1} available positions")

@@ -40,16 +40,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_DIRECT_CELLS, check_base_level, check_int
-from .errors import (
-    GuardExceeded, InsufficientLevel, LevelMismatch, MalformedIndex, NonFiniteValue
-)
+from .config import MAX_DIRECT_CELLS, check_base_level, check_natural
+from .errors import GuardExceeded, InsufficientLevel, LevelMismatch, NonFiniteValue
 from .padic import check_cell, digit_matrix, to_digits
 
 
 def root_of_unity_powers(p: int) -> np.ndarray:
     """[omega^0, ..., omega^(p-1)] computed from exact angles 2 pi l / p."""
     return np.exp(2j * np.pi * np.arange(p) / p)
+
+
+def _grid_array(p: int, level: int, values, noun: str) -> np.ndarray:
+    """`values` as a contiguous complex128 grid of p^level finite values,
+    with base and level within their caps; `noun` names them in a refusal."""
+    check_base_level(p, level)
+    arr = np.ascontiguousarray(values, dtype=np.complex128)
+    if arr.shape != (p**level,):
+        raise LevelMismatch(f"expected {p ** level} {noun}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue(f"{noun} must be finite")
+    return arr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -67,15 +77,8 @@ class StepFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        check_base_level(self.p, self.level)
-        arr = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if arr.shape != (self.p**self.level,):
-            raise LevelMismatch(
-                f"expected {self.p ** self.level} cell values, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise NonFiniteValue("cell values must be finite")
-        object.__setattr__(self, "values", arr)
+        values = _grid_array(self.p, self.level, self.values, "cell values")
+        object.__setattr__(self, "values", values)
 
     def integral(self) -> complex:
         return complex(self.values.sum() * self.p ** (-self.level))
@@ -95,15 +98,8 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        check_base_level(self.p, self.level)
-        arr = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if arr.shape != (self.p**self.level,):
-            raise LevelMismatch(
-                f"expected {self.p ** self.level} coefficients, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise NonFiniteValue("coefficients must be finite")
-        object.__setattr__(self, "coeffs", arr)
+        coeffs = _grid_array(self.p, self.level, self.coeffs, "coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __repr__(self) -> str:
         return f"Spectrum(p={self.p}, level={self.level}, size={self.coeffs.size})"
@@ -116,9 +112,7 @@ def character_value(m: int, p: int, level: int, c: int) -> complex:
     value at x times the conjugate value at z.
     """
     check_cell(p, level, c)
-    if check_int(m, "character index must be an integer") < 0:
-        raise MalformedIndex(f"expected a natural number, got {m}")
-    if m >= p**level:
+    if check_natural(m) >= p**level:
         raise InsufficientLevel(f"index {m} needs more than {level} digits")
     cell_digits = to_digits(c, p, level)
     phase = 0

@@ -225,9 +225,9 @@ class TestSelectorSystem:
         lemma1_measure(3, 1, [1, 2, 1], 3)
         lemma1_measure(3, 2, [1, 2, 1], 3)
         # True and 2.0 hash as the cached 1 and 2
-        with pytest.raises(MalformedIndex, match="d must be an integer, got True"):
+        with pytest.raises(MalformedIndex, match="order must be an integer, got True"):
             lemma1_measure(3, True, [1, 2, 1], 3)
-        with pytest.raises(MalformedIndex, match="d must be an integer, got 2.0"):
+        with pytest.raises(MalformedIndex, match="order must be an integer, got 2.0"):
             lemma1_measure(3, 2.0, [1, 2, 1], 3)
         assert lemma1_measure(3, np.int64(2), [1, 2, 1], 3).provenance["d"] == 2
 
@@ -701,8 +701,8 @@ def test_refuses_exponents_and_signs_that_are_not_integers(build, bad):
             lambda: ChaosPolynomial.from_indices(2, True, [1], [1.0]),
             "N must be an integer, got True",
         ),
-        (lambda: lemma1_measure(3, True, [1, 2, 1], 3), "d must be an integer, got True"),
-        (lambda: lemma2_measure(3, 2.0, 1, 3), "d must be an integer, got 2.0"),
+        (lambda: lemma1_measure(3, True, [1, 2, 1], 3), "order must be an integer, got True"),
+        (lambda: lemma2_measure(3, 2.0, 1, 3), "order must be an integer, got 2.0"),
         (lambda: rho_y_measure(2.0, [1], [1], 1), "p must be an integer, got 2.0"),
     ],
     ids=["riesz-level", "polynomial-N", "lemma1-d", "lemma2-d", "rho-y-p"],
@@ -720,18 +720,18 @@ def _mixed_polynomial():
 @pytest.mark.parametrize(
     "build, error, bad",
     [
-        (lambda: character_value(1.5, 3, 2, 1), MalformedIndex, "index must be an integer, got 1.5"),
+        (lambda: character_value(1.5, 3, 2, 1), MalformedIndex, "expected a natural number, got 1.5"),
         (lambda: group_sub(3, 2, 1.5, 1), MalformedIndex, "cell index must be an integer, got 1.5"),
         (
             lambda: paley_encode(ChaosTerm((0,), (1,)), 2.5),
             MalformedIndex,
-            "base must be an integer, got 2.5",
+            "p must be an integer, got 2.5",
         ),
         (lambda: lemma2_polynomial(2.5, 2, 1), MalformedIndex, "p must be an integer, got 2.5"),
         (lambda: chaos._row_lq_norms(np.ones((1, 2)), True), InvalidExponent, "finite and positive, got True"),
         (lambda: chaos._row_lq_norms(np.ones((1, 2)), np.True_), InvalidExponent, "finite and positive, got True"),
         (lambda: term_indices(2, 2, 4.0), MalformedIndex, "N must be an integer, got 4.0"),
-        (lambda: term_indices("3", 2, 4), MalformedIndex, "base must be an integer, got '3'"),
+        (lambda: term_indices("3", 2, 4), MalformedIndex, "p must be an integer, got '3'"),
         (lambda: project_order(_mixed_polynomial(), 1.5), MalformedIndex, "order must be an integer, got 1.5"),
         (lambda: project_order(_mixed_polynomial(), 0), InvalidOrder, "order must be at least 1, got 0"),
         (lambda: term_indices(2, True, 4), MalformedIndex, "order must be an integer, got True"),

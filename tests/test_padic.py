@@ -86,6 +86,19 @@ def test_paley_round_trip(data):
     assert paley_decode(paley_encode(term, p), p) == term
 
 
+def test_scalar_digit_functions_refuse_what_is_not_an_integer():
+    # 2.5 gave the digits (0.5, 1.0, 0.0), (1.5, 0) recombined to 1.5 and
+    # (True, 1) to 3; numpy integers stay admitted
+    with pytest.raises(MalformedIndex, match="expected a natural number, got 2.5"):
+        to_digits(2.5, 2, 3)
+    with pytest.raises(MalformedIndex, match="digits must be integers, got 1.5"):
+        from_digits((1.5, 0), 2)
+    with pytest.raises(MalformedIndex, match="digits must be integers, got True"):
+        from_digits((True, 1), 2)
+    assert from_digits((np.int64(1), np.uint8(1)), 2) == 3
+    assert to_digits(np.int64(5), 2, 3) == (1, 0, 1)
+
+
 def test_chaos_term_invariants():
     with pytest.raises(MalformedIndex):
         ChaosTerm((1, 1), (1, 1))
@@ -214,7 +227,7 @@ def test_term_indices_match_scalar_encoding(data):
 def test_term_indices_guards():
     with pytest.raises(EmptyIndexSet):
         term_indices(2, 3, 1)
-    with pytest.raises(MalformedIndex):
+    with pytest.raises(GuardExceeded):
         term_indices(1, 1, 1)
     with pytest.raises(GuardExceeded):
         term_indices(16, 1, 16)  # 16^17 Paley indices do not fit in int64
@@ -224,7 +237,7 @@ def test_index_sets_refuse_a_base_past_the_cap():
     # p=17 would list 48 terms where every other entry point refuses it
     with pytest.raises(GuardExceeded, match="base 17 exceeds the supported cap 16"):
         term_indices(17, 1, 2)
-    with pytest.raises(MalformedIndex, match="base must be >= 2, got 1"):
+    with pytest.raises(GuardExceeded, match="base must be >= 2, got 1"):
         term_indices(1, 1, 2)
     assert len(term_indices(16, 1, 2)) == 45
 
