@@ -22,7 +22,8 @@ the same result bit for bit (see `linf_norm`). One core, `_row_norms`,
 takes the sup-norms and coefficient norms of rows of coefficients on
 shared terms for a study row, `sidon_ratio`, `pchaos norms` and verify's
 exact first-order check; `linf_norm` is the one-row case of its sup
-stage, `_row_sups`, and `_row_lq_norms` is its coefficient-norm stage.
+stage, `_row_sups`, and the one magnitude sum, `transform._row_lq_norms`,
+is its coefficient-norm stage.
 Exponent projection is defined by coefficient selection; convolution with
 the matching selector measure is the verification route, kept separate so
 the two can be compared. The order projection extracts one chaos order of
@@ -40,10 +41,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import check_base_level, check_covers, check_int, check_order
+from .config import check_covers, check_order
 from .errors import (
     DegenerateInput,
-    InvalidExponent,
     InvalidOrder,
     LevelMismatch,
     MalformedIndex,
@@ -52,7 +52,7 @@ from .errors import (
 from .measures import MeasureRep, _validate_exponents
 from .padic import (
     ChaosTerm,
-    _check_index_width,
+    _check_positions,
     _exponent_agrees,
     digit_matrix,
     exponent_match,
@@ -62,6 +62,7 @@ from .padic import (
 from .transform import (
     Spectrum,
     _first_stage_reach,
+    _row_lq_norms,
     _tensor_dft,
     _working_dtype,
     convolve,
@@ -102,14 +103,6 @@ class _TermMap(Mapping):
 
     def __repr__(self) -> str:
         return f"<{len(self)} chaos terms>"
-
-
-def _check_positions(p: int, N: int) -> None:
-    check_base_level(p, 0)
-    check_int(N, "N must be an integer")
-    if N < 0:
-        raise MalformedIndex(f"top position must be >= 0, got {N}")
-    _check_index_width(p, N + 1)
 
 
 def _canonical_order(digits: np.ndarray, orders: np.ndarray, p: int) -> np.ndarray:
@@ -332,40 +325,6 @@ def linf_norm(Q: ChaosPolynomial) -> tuple[float, int]:
     that is not finite is refused."""
     sups, cells = _row_sups(Q, Q.values[None])
     return float(sups[0]), cells[0]
-
-
-def check_norm_exponent(q: float) -> None:
-    """Refuse a norm exponent unless it is a finite positive number (a bool
-    is not one: True would run as q=1)."""
-    if isinstance(q, (bool, np.bool_)) or not (math.isfinite(q) and q > 0):
-        raise InvalidExponent(f"norm exponent must be finite and positive, got {q}")
-
-
-def _row_lq_norms(block: np.ndarray, q: float) -> np.ndarray:
-    """(sum |c|^q)^(1/q) of every row of a (rows x terms) block, in the
-    order given (0.0 for a row with no terms).
-
-    Each row's |c|^q is summed along the row in one reduction over the
-    block; the 1/q power is taken per row on the numpy scalar, which
-    numpy's array power can differ from in the last bit. When a row's
-    plain sum overflows, or underflows to 0 while some |c| > 0, it is
-    recomputed as m (sum (|c|/m)^q)^(1/q) with m = max |c|; a norm that is
-    still not finite is refused. In-range sums are never rescaled. An
-    overflow still emits numpy's RuntimeWarning: silencing it with
-    np.errstate would add about a quarter to the cost of a one-row norm."""
-    check_norm_exponent(q)
-    mags = np.abs(block)
-    norms = np.empty(len(mags))
-    for r, total in enumerate((mags**q).sum(axis=1)):
-        total = total ** (1.0 / q)
-        if total == 0.0 or not math.isfinite(total):
-            top = mags[r].max(initial=0.0)
-            if 0.0 < top < math.inf:
-                total = top * ((mags[r] / top) ** q).sum() ** (1.0 / q)
-        if not math.isfinite(total):
-            raise NonFiniteValue(f"the l{q} norm is not finite in float64")
-        norms[r] = total
-    return norms
 
 
 def _row_norms(

@@ -16,14 +16,17 @@ polynomial, never by enumerating the (p-1)^(N+1) sequences.
 It is also the one home of the shared input guards, one function per
 rule, so a bad input gets one exception and message from every entry
 point: integer, natural number, order, base and level caps, cell guard,
-and a level that covers positions 0..N.
+a level that covers positions 0..N, and a norm exponent.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
-from .errors import GuardExceeded, InsufficientLevel, InvalidOrder, MalformedIndex
+import numpy as np
+
+from .errors import GuardExceeded, InsufficientLevel, InvalidExponent, InvalidOrder, MalformedIndex
 
 # Hard caps on base and level. The size bounds are MAX_CELLS on allocated
 # grids and the int64 range on Paley indices (padic._check_index_width).
@@ -110,3 +113,10 @@ def check_covers(p: int, level: int, N: int) -> None:
     if check_int(level, "level must be an integer") < check_int(N, "N must be an integer") + 1:
         raise InsufficientLevel(f"level {level} cannot hold positions up to {N}")
     check_cell_guard(p, level)
+
+
+def check_norm_exponent(q: float) -> None:
+    """Refuse a norm exponent unless it is a finite positive number (a bool
+    is not one: True would run as q=1)."""
+    if isinstance(q, (bool, np.bool_)) or not (math.isfinite(q) and q > 0):
+        raise InvalidExponent(f"norm exponent must be finite and positive, got {q}")

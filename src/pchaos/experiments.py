@@ -36,6 +36,7 @@ from .config import (
     TRANSFORM_TOL,
     check_cell_guard,
     check_int,
+    check_order,
 )
 from .errors import ChaosError
 from .padic import (
@@ -58,6 +59,7 @@ from .measures import (
     _check_selector_order,
     _lemma1_base_spectrum,
     _riesz_block,
+    _riesz_mass,
     lemma1_measure,
     lemma1_pattern_residual,
     lemma2_measure,
@@ -67,7 +69,6 @@ from .measures import (
 )
 from .chaos import (
     ChaosPolynomial,
-    _check_positions,
     _row_norms,
     convolve_with_measure,
     decomposition_residual,
@@ -83,13 +84,15 @@ def _check_seed(seed: int) -> None:
         raise ChaosError(f"seed must be >= 0, got {seed}")
 
 
-def _int_values(name: str, values) -> tuple[int, ...]:
-    """`values` as a tuple of ints, refused when empty or when an entry is
-    not an integer (see `check_int`)."""
+def _int_values(name: str, values, check: Callable[..., int] | None = None) -> tuple[int, ...]:
+    """`values` as a tuple of ints, refused when empty or when an entry
+    fails `check` (by default `check_int`)."""
     values = tuple(values)
     if not values:
         raise ChaosError(f"{name} must not be empty")
-    return tuple(check_int(value, f"{name} must hold integers") for value in values)
+    if check is None:
+        return tuple(check_int(value, f"{name} must hold integers") for value in values)
+    return tuple(check(value) for value in values)
 
 
 def trial_rng(seed: int, *key: int) -> np.random.Generator:
@@ -125,9 +128,10 @@ class ExperimentConfig:
     ensemble: str = "signs"
 
     def __post_init__(self) -> None:
-        for name in ("p", "d", "trials", "seed"):
+        for name in ("p", "trials", "seed"):
             value = check_int(getattr(self, name), f"{name} must be an integer")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "d", check_order(self.d))
         _check_ensemble(self.ensemble)
         if self.trials < 1:
             raise ChaosError(f"trial count must be >= 1, got {self.trials}")
@@ -137,9 +141,9 @@ class ExperimentConfig:
         object.__setattr__(self, "N_values", _int_values("N_values", self.N_values))
         if len(set(self.N_values)) != len(self.N_values):
             raise ChaosError(f"top positions must be distinct, got {list(self.N_values)}")
-        for N in self.N_values:
-            check_cell_guard(self.p, N + 1)
+        for N in self.N_values:  # each grid point as verify_suite checks it
             check_chaos_order(self.p, self.d, N)
+            check_cell_guard(self.p, N + 1)
 
     def to_dict(self) -> dict:
         return {
@@ -412,12 +416,11 @@ def verify_suite(
 
     Each check contributes one named entry with its worst residual and the
     fixed tolerance it was held to. Before any check, N and the seed must
-    be integers, the seed non-negative, both value lists non-empty lists of
-    integers, and every (p, d) pair must pass the library's own guards on
-    positions 0..N, on the level-(N+1) cell grid, on the order-d index
-    set and on the exponent selector's order cap, so an empty grid, an
-    order below 1, above N+1 or above the selector cap, or a negative N
-    is refused.
+    be integers, the seed non-negative, p_values a non-empty list of
+    integers and d_values of orders, and every (p, d) pair must pass the
+    library's own guards, as a study's grid point does, on the order-d
+    index set over positions 0..N, then on the level-(N+1) cell grid, and
+    the exponent selector's order cap.
     meta["check_wall_s"] and meta["check_sizes"] give each check's wall
     time, the cases it evaluated and the largest grid they touched, in
     cells (p^level from the case's context, level N+1 where it names none);
@@ -427,7 +430,7 @@ def verify_suite(
     seed = check_int(seed, "seed must be an integer")
     _check_seed(seed)
     p_values = sorted(set(_int_values("p_values", p_values)))
-    d_values = sorted(set(_int_values("d_values", d_values)))
+    d_values = sorted(set(_int_values("d_values", d_values, check_order)))
     report = SuiteReport(
         config={"p_values": p_values, "d_values": d_values, "N": N, "seed": seed}
     )
@@ -437,13 +440,11 @@ def verify_suite(
     report.meta["check_wall_s"] = check_wall_s
     report.meta["check_sizes"] = check_sizes
     level = N + 1
-    for p in p_values:
-        _check_positions(p, N)
-        check_cell_guard(p, level)
-        for d in d_values:
-            check_chaos_order(p, d, N)
-            _check_selector_order(d)
     grid = [(p, d) for p in p_values for d in d_values]
+    for p, d in grid:
+        check_chaos_order(p, d, N)
+        check_cell_guard(p, level)
+        _check_selector_order(d)
 
     def run(name: str, tolerance: float, cases, where: dict | None = None) -> None:
         """Record the first strict maximum of the (residual, context) pairs
@@ -526,9 +527,9 @@ def verify_suite(
 
     # --- Riesz product mass, per base ----------------------------------
     def riesz_mass():
-        # ten densities per base, drawn in order and built as one real
-        # block; each row's integral (the mean of its values), minimum and
-        # variation (the mean of their magnitudes)
+        # ten densities per base, drawn in order and built as one block;
+        # each row's integral, variation and minimum, as `pchaos riesz`
+        # checks them
         for p in p_values:
             L = _fit_level(p, 4096)
             rng = trial_rng(seed, 6, p)
@@ -536,17 +537,9 @@ def verify_suite(
             for _ in range(10):
                 a.append((rng.random(L) * np.exp(2j * np.pi * rng.random(L))).tolist())
                 j.append(rng.integers(1, p, size=L).tolist())
-            values = _riesz_block(p, L, a, j)
-            scale = p ** (-L)
-            integrals = values.sum(axis=1) * scale
-            minima = values.min(axis=1)
-            variations = np.abs(values).sum(axis=1) * scale
-            for r in range(10):
-                residual = max(
-                    abs(float(integrals[r]) - 1.0),
-                    float(max(0.0, -minima[r])),
-                    abs(float(variations[r]) - 1.0),
-                )
+            integrals, variations, minima = _riesz_mass(_riesz_block(p, L, a, j), p, L)
+            worst = np.maximum(np.abs(integrals - 1.0), np.abs(variations - 1.0))
+            for residual in np.maximum(worst, -minima).tolist():
                 yield residual, {"p": p, "level": L}
 
     run("riesz-mass", MASS_TOL, riesz_mass)

@@ -49,7 +49,8 @@ every other letter's value carries an a priori rounding bound; an order
 whose bound exceeds tolerance is refused (``IllConditionedSystem``),
 never silently degraded. lemma2 keeps its monomial coefficients only as
 provenance (they give the l1 variation bound); its measure is exact at
-every order the guards admit.
+every order the guards admit. Every ``variation``, p^-L sum |f| over the
+cells, is taken by the one magnitude sum, `transform._row_lq_norms`.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .padic import check_chaos_order, exponent_match, term_indices
-from .transform import Spectrum, StepFunction, forward, inverse
+from .transform import Spectrum, StepFunction, _row_lq_norms, forward, inverse
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -202,6 +203,14 @@ def _riesz_block(p: int, level: int, a, j) -> np.ndarray:
                 np.multiply(values, tables[:, k, x, None], out=out[:, :, x])
         values = out.reshape(rows, -1)
     return result.reshape(rows, p**level)
+
+
+def _riesz_mass(block: np.ndarray, p: int, level: int) -> tuple[np.ndarray, ...]:
+    """The integral p^-L sum f (a float64 sum: f is real), variation and
+    minimum of every row of a `_riesz_block` block, which `pchaos riesz`
+    and verify's riesz-mass hold to 1, 1 and >= 0."""
+    scale = p ** (-level)
+    return block.sum(axis=1) * scale, _row_lq_norms(block, 1.0, scale), block.min(axis=1)
 
 
 def riesz_density(
@@ -323,22 +332,6 @@ def _selector_solution(d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def density_variation(density: StepFunction) -> float:
-    """Exact finite-level total variation p^-L sum |density|.
-
-    A cell sum past the float64 range is taken once more as
-    (sum |density| / m) p^-L m, m = max |density|, as `chaos._row_lq_norms`
-    rescales, so a variation that fits is kept; an in-range sum is never
-    rescaled."""
-    mags = np.abs(density.values)
-    total = mags.sum()
-    if not math.isfinite(total):
-        top = mags.max()
-        if top < math.inf:
-            return float((mags / top).sum() * density.p ** (-density.level) * top)
-    return float(total * density.p ** (-density.level))
-
-
 def _lemma1_base_spectrum(p: int, d: int, J: Sequence[int], level: int) -> Spectrum:
     """Coefficients of the Riesz product that lemma1_measure shapes, by the
     forward transform of its density: a = exp(2 pi i / (2d+1)) on every
@@ -397,8 +390,9 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
             step[jk], step[-jk % p] = _WIDTH, 1
         steps.append(step)
     spectrum = Spectrum(p, level, values.take(_digit_keys(steps), mode="clip"))
+    variation = _row_lq_norms(inverse(spectrum).values[None], 1.0, p ** (-level))[0]
     provenance = {"construction": "lemma1", "p": p, "d": d, "J": tuple(J)}
-    return MeasureRep(spectrum, density_variation(inverse(spectrum)), provenance)
+    return MeasureRep(spectrum, float(variation), provenance)
 
 
 def _check_selected_order(d, s) -> tuple[int, int]:
@@ -466,8 +460,8 @@ def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     Its coefficient at an index of chaos order m is P(p^-m), exact, with P
     the `lemma2_polynomial`; the product it shapes is never formed. The
     provenance records P's coefficients and their l1 norm, which bounds
-    the variation. A variation or bound past the float64 range is refused
-    (`NonFiniteValue`)."""
+    the variation, so a bound past the float64 range is refused
+    (`NonFiniteValue`) before the variation is taken."""
     check_cell_guard(p, level)
     if level < 1:
         raise LevelMismatch(f"level must be at least 1, got {level}")
@@ -479,9 +473,9 @@ def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     spectrum = Spectrum(p, level, _lemma2_values(p, d, s, level)[orders])
     with np.errstate(over="ignore"):
         bound = float(np.abs(coeffs).sum())
-        variation = density_variation(inverse(spectrum))
-    if not (math.isfinite(bound) and math.isfinite(variation)):
-        raise NonFiniteValue("the lemma2 variation leaves the float64 range")
+        if not math.isfinite(bound):
+            raise NonFiniteValue("the lemma2 variation leaves the float64 range")
+        variation = _row_lq_norms(inverse(spectrum).values[None], 1.0, p ** (-level))[0]
     provenance = {
         "construction": "lemma2",
         "p": p,
@@ -490,7 +484,7 @@ def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
         "coefficients": coeffs,
         "variation_bound": bound,
     }
-    return MeasureRep(spectrum, variation, provenance)
+    return MeasureRep(spectrum, float(variation), provenance)
 
 
 def rho_y_measure(
@@ -517,13 +511,14 @@ def rho_y_measure(
         for sk, jk in zip(signs, J)
     ]
     density = riesz_density(p, level, a, J)
+    variation = _row_lq_norms(density.values[None], 1.0, p ** (-level))[0]
     provenance = {
         "construction": "rho_y",
         "p": p,
         "J": tuple(J),
         "signs": tuple(signs),
     }
-    return MeasureRep(forward(density), density_variation(density), provenance)
+    return MeasureRep(forward(density), float(variation), provenance)
 
 
 # ---------------------------------------------------------------------------

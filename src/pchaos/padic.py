@@ -15,7 +15,8 @@ A Paley index and a cell are plain ints everywhere. ``term_indices`` and
 ``digit_matrix`` are the array layer every hot path uses: whole index sets
 as int64 Paley values and their exponent digits, with no per-term object.
 ``ChaosTerm`` and ``group_sub`` are the scalar reference for single terms
-and cells, and ``check_cell`` is the one guard on a cell. The base,
+and cells. ``check_cell`` is the one guard on a cell, ``_check_positions``
+(run by ``check_chaos_order``) the one on a top position N, and the base,
 integer and natural-number rules are ``config``'s guards, so the scalar
 digit functions refuse p outside 2..16 and a non-integer n or digit.
 
@@ -140,17 +141,27 @@ def group_sub(p: int, level: int, x: int, z: int) -> int:
     return from_digits(((a - b) % p for a, b in digits), p)
 
 
+def _check_index_width(p: int, width: int) -> None:
+    """Paley indices of `width` base-p digits must fit in int64, in Python ints."""
+    if int(p) ** int(width) > np.iinfo(np.int64).max:
+        raise GuardExceeded(f"{p}^{width} Paley indices exceed the int64 range")
+
+
+def _check_positions(p: int, N: int) -> None:
+    """The one rule on a top position N: an integer of at least 0 whose
+    p^(N+1) Paley indices fit in int64, for a base p within its caps."""
+    check_base_level(p, 0)
+    N = check_int(N, "N must be an integer")
+    if N < 0:
+        raise MalformedIndex(f"top position must be >= 0, got {N}")
+    _check_index_width(p, N + 1)
+
+
 def check_chaos_order(p: int, d: int, N: int) -> None:
     """Refuse a malformed or empty order-d index set over positions 0..N."""
-    check_base_level(p, 0)
-    if check_order(d) > check_int(N, "N must be an integer") + 1:
+    _check_positions(p, N)
+    if check_order(d) > N + 1:
         raise EmptyIndexSet(f"order {d} exceeds the {N + 1} available positions")
-
-
-def _check_index_width(p: int, width: int) -> None:
-    """Paley indices of `width` base-p digits must fit in int64."""
-    if p**width > np.iinfo(np.int64).max:
-        raise GuardExceeded(f"{p}^{width} Paley indices exceed the int64 range")
 
 
 def term_indices(p: int, d: int, N: int) -> np.ndarray:
@@ -161,7 +172,6 @@ def term_indices(p: int, d: int, N: int) -> np.ndarray:
     table, combinations outermost.
     """
     check_chaos_order(p, d, N)
-    _check_index_width(p, N + 1)
     positions = np.array(list(combinations(range(N + 1), d)), dtype=np.int64)
     exponents = np.array(list(product(range(1, p), repeat=d)), dtype=np.int64)
     return (np.int64(p) ** positions @ exponents.T).reshape(-1)

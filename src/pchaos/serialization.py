@@ -45,11 +45,11 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .chaos import ChaosPolynomial, _check_positions
+from .chaos import ChaosPolynomial
 from .config import check_base_level
 from .errors import FormatError, InvalidExponent, MalformedIndex
 from .measures import MeasureRep
-from .padic import digit_matrix
+from .padic import _check_positions, digit_matrix
 from .transform import Spectrum, StepFunction
 
 FORMAT_VERSION = 1

@@ -25,6 +25,8 @@ rule that picks it, applied once per call by `forward`/`inverse` (which
 widen the result to complex128) and by chaos's sup-norm. The sup-norm
 also hands the loop only the first stage's reached columns of its grid,
 with the same bits; `forward` and `inverse` always run the full grid.
+`_row_lq_norms` is the one magnitude sum: chaos's coefficient lq norms
+and every measure's total variation p^-L sum |f|.
 `naive_forward` retains the quadratic-cost defining sum as the reference,
 independent of the stage loop: each character value is the root-of-unity
 table entry of its own full phase sum mod p, gathered 16 rows at a time
@@ -36,11 +38,12 @@ rounding on every input.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_DIRECT_CELLS, check_base_level, check_natural
+from .config import MAX_DIRECT_CELLS, check_base_level, check_natural, check_norm_exponent
 from .errors import GuardExceeded, InsufficientLevel, LevelMismatch, NonFiniteValue
 from .padic import check_cell, digit_matrix, to_digits
 
@@ -103,6 +106,35 @@ class Spectrum:
 
     def __repr__(self) -> str:
         return f"Spectrum(p={self.p}, level={self.level}, size={self.coeffs.size})"
+
+
+def _row_lq_norms(block: np.ndarray, q: float, scale: float = 1.0) -> np.ndarray:
+    """scale (sum |c|^q)^(1/q) of every row of a (rows x terms) block (0.0
+    for a row with no terms): at scale 1.0 a coefficient lq norm, at q = 1
+    and scale = p^-L on rows of cell values each row's total variation.
+
+    One reduction sums the |c|^q along the rows; the 1/q power is taken per
+    row on the numpy scalar (numpy's array power can differ in the last
+    bit). Only a row whose plain sum overflows, or underflows to 0 while
+    some |c| > 0, is taken as (S scale) m, S = (sum (|c|/m)^q)^(1/q) and
+    m = max |c| (m S can overflow where this does not: lemma2 at p=7, d=27,
+    s=22); a norm still not finite is refused. An overflow still emits
+    numpy's RuntimeWarning (np.errstate adds a quarter to a one-row norm)."""
+    check_norm_exponent(q)
+    mags = np.abs(block)
+    norms = np.empty(len(mags))
+    for r, total in enumerate((mags**q).sum(axis=1)):
+        total = total ** (1.0 / q)
+        if 0.0 < total < math.inf:
+            total *= scale
+        else:
+            top = mags[r].max(initial=0.0)
+            if 0.0 < top < math.inf:
+                total = ((mags[r] / top) ** q).sum() ** (1.0 / q) * scale * top
+        if not math.isfinite(total):
+            raise NonFiniteValue(f"the l{q} norm is not finite in float64")
+        norms[r] = total
+    return norms
 
 
 def character_value(m: int, p: int, level: int, c: int) -> complex:

@@ -30,7 +30,7 @@ from pchaos import (
     verify_suite,
 )
 from pchaos import chaos, config, experiments
-from pchaos.measures import _riesz_block, density_variation, selector_nodes
+from pchaos.measures import _riesz_block, selector_nodes
 from pchaos.baselines import LEMMA1_C1_BOUND
 
 
@@ -159,7 +159,8 @@ def test_config_refuses_scalars_that_are_not_integers(field, value):
     # bools ran as d=1 and one trial, floats ended in a TypeError; the type
     # check comes before the seed's sign check
     fields = {"p": 2, "d": 2, "N_values": (4,), "trials": 3, "seed": 0, field: value}
-    with pytest.raises(ChaosError, match=f"{field} must be an integer, got {value!r}"):
+    rule = "order" if field == "d" else field
+    with pytest.raises(ChaosError, match=f"{rule} must be an integer, got {value!r}"):
         ExperimentConfig(**fields)
 
 
@@ -425,8 +426,10 @@ class TestVerifySuite:
         "p_values, d_values, bad", [([2.9], [1], "2.9"), ([2], [1.5], "1.5"), ([True], [1], "True")]
     )
     def test_refuses_values_that_are_not_integers(self, p_values, d_values, bad):
-        # int() would run p=2, d=1 in their place
-        with pytest.raises(ChaosError, match=f"must hold integers, got {bad}"):
+        # int() would run p=2, d=1 in their place; an order is refused as
+        # every entry point refuses one
+        rule = "p_values must hold integers" if d_values == [1] else "order must be an integer"
+        with pytest.raises(ChaosError, match=f"{rule}, got {bad}"):
             verify_suite(p_values, d_values, N=3)
 
     @pytest.mark.parametrize(
@@ -549,7 +552,7 @@ class TestVerifySuite:
                 residual = max(
                     abs(float(real.sum() * p**-level) - 1.0),
                     float(max(0.0, -real.min())),
-                    abs(density_variation(density) - 1.0),
+                    abs(float(np.abs(real).sum() * p**-level) - 1.0),
                 )
                 if residual > worst:
                     worst, where = residual, {"p": p, "level": level}

@@ -1,6 +1,9 @@
 """Each input rule has one guard: every entry point that takes a bad input
 refuses it with the rule's one exception type and message."""
 
+import json
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -29,8 +32,10 @@ from pchaos import (
     term_indices,
     verify_suite,
 )
+from pchaos.experiments import ExperimentConfig
 from pchaos.measures import lemma2_polynomial, selector_nodes
 from pchaos.padic import check_cell, from_digits, paley_decode, paley_encode, to_digits
+from pchaos.serialization import load_polynomial
 
 
 def _base_entry_points(p):
@@ -96,16 +101,43 @@ def _order_entry_points(d):
 
 
 def _top_position_entry_points(N):
-    """Every entry point that takes a top position N, at p=2."""
+    """Every entry point that takes a top position N, at p=2 and order 1;
+    the pattern residuals take it with a level-3 measure."""
     nu1 = lemma1_measure(2, 1, [1] * 3, 3)
     nu2 = lemma2_measure(2, 1, 1, 3)
     return {
         "term_indices": lambda: term_indices(2, 1, N),
+        "random_chaos": lambda: random_chaos(2, 1, N, np.random.default_rng(0)),
         "from_indices": lambda: ChaosPolynomial.from_indices(2, N, [1], [1.0]),
         "lemma1_pattern_residual": lambda: lemma1_pattern_residual(nu1, 1, [1] * 3, N),
         "lemma2_pattern_residual": lambda: lemma2_pattern_residual(nu2, 1, 1, N),
         "verify_suite": lambda: verify_suite([2], [1], N),
     }
+
+
+def _load_polynomial_with_top_position(N):
+    """load_polynomial on a p=2 file of no terms with top position N."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poly.json")
+        with open(path, "w") as f:
+            json.dump({"format_version": 1, "p": 2, "N": N, "terms": []}, f)
+        return load_polynomial(path)
+
+
+def _top_position_range_entry_points(N, pattern_residuals=True):
+    """The entry points of `_top_position_entry_points`, and the study
+    config and the polynomial loader, whose N arrives in a list or a file
+    that holds integers, so only the range rules reach them. Without
+    `pattern_residuals`, which refuse a level-3 measure for an N past it
+    first."""
+    entry_points = {
+        **_top_position_entry_points(N),
+        "ExperimentConfig": lambda: ExperimentConfig(p=2, d=1, N_values=(N,), trials=1, seed=0),
+        "load_polynomial": lambda: _load_polynomial_with_top_position(N),
+    }
+    if not pattern_residuals:
+        del entry_points["lemma1_pattern_residual"], entry_points["lemma2_pattern_residual"]
+    return entry_points
 
 
 def _natural_entry_points(n):
@@ -169,6 +201,10 @@ _RULES = [
     ("selected-order", _selected_order_entry_points, InvalidOrder, "selected order 3 not in 1..2"),
     ("N-float", lambda: _top_position_entry_points(2.5), MalformedIndex,
      "N must be an integer, got 2.5"),
+    ("N-negative", lambda: _top_position_range_entry_points(-1), MalformedIndex,
+     "top position must be >= 0, got -1"),
+    ("N-wide", lambda: _top_position_range_entry_points(70, pattern_residuals=False),
+     GuardExceeded, "2^71 Paley indices exceed the int64 range"),
     ("n-float", lambda: _natural_entry_points(2.5), MalformedIndex,
      "expected a natural number, got 2.5"),
     ("n-str", lambda: _natural_entry_points("3"), MalformedIndex,
@@ -188,7 +224,9 @@ _RULES = [
 def test_every_entry_point_refuses_a_bad_input_alike(entry_points, error, message):
     # base 1 was MalformedIndex in padic and GuardExceeded elsewhere, base
     # 17 passed the scalar digit functions, 2.5 ran as a digit, and lemma1
-    # named its order "d" where every other entry point names it "order"
+    # named its order "d" where every other entry point names it "order";
+    # N = -1 was an empty order-1 index set to term_indices, and N = 70 at
+    # p=2 a level past the cap to the study config
     refusals = {}
     for name, call in entry_points().items():
         with pytest.raises(Exception) as info:

@@ -1,6 +1,7 @@
 """Riesz products, the shaped measure constructions and variation accounting."""
 
 import itertools
+import json
 import math
 import sys
 import warnings
@@ -41,9 +42,10 @@ from pchaos import (
     riesz_density,
     term_indices,
 )
-from pchaos import chaos, measures
+from pchaos import chaos, cli, measures
 from pchaos.baselines import LEMMA1_C1_BOUND
-from pchaos.measures import MeasureRep, density_variation, selector_nodes
+from pchaos.measures import MeasureRep, selector_nodes
+from pchaos.transform import _row_lq_norms
 from pchaos.padic import digit_matrix
 
 from oracles import chaos_terms
@@ -300,7 +302,7 @@ class TestLemma1Measure:
     def test_variation_below_bound(self):
         nu = lemma1_measure(3, 2, [1, 2, 1, 2, 1], 5)
         assert nu.variation <= LEMMA1_C1_BOUND[2] + 1e-8
-        assert abs(density_variation(inverse(nu.spectrum)) - nu.variation) <= 1e-12
+        assert abs(np.abs(inverse(nu.spectrum).values).mean() - nu.variation) <= 1e-12
 
     def test_coefficients_bounded_by_variation(self):
         nu = lemma1_measure(3, 2, [2, 1, 2, 1, 2], 5)
@@ -638,11 +640,13 @@ class TestTotalVariation:
         density = riesz_density(3, 4, a, rng.integers(1, 3, size=4))
         spectrum = forward(density)
         measure = MeasureRep(spectrum, 1.0, {"construction": "riesz"})
-        assert abs(density_variation(inverse(measure.spectrum)) - 1.0) <= 1e-12
+        values = inverse(measure.spectrum).values[None]
+        assert abs(_row_lq_norms(values, 1.0, 3.0**-4)[0] - 1.0) <= 1e-12
 
     def test_point_mass(self):
         measure = MeasureRep(Spectrum(2, 3, np.ones(8, complex)), 1.0, {})
-        assert abs(density_variation(inverse(measure.spectrum)) - 1.0) <= 1e-12
+        values = inverse(measure.spectrum).values[None]
+        assert abs(_row_lq_norms(values, 1.0, 2.0**-3)[0] - 1.0) <= 1e-12
 
 
 class TestSpectralVsLiteralConvolutionPowers:
@@ -855,6 +859,26 @@ def test_riesz_factor_tables_match_python_floats_bit_for_bit():
             cases += 1
             level += 1
     assert cases == 46
+
+
+def test_riesz_command_checks_are_the_riesz_mass_row(tmp_path, capsys):
+    # the command summed the density as complex and verify's riesz-mass as
+    # real; on this density the two integrals differ in the last bit
+    a, j = [0.5 + 0.3j, 0.4 + 0.2j, 0.6 + 0.4j, 0.1 + 0.2j, 0.8 + 0.4j], [1, 2, 1, 1, 2]
+    out = tmp_path / "rho.spec"
+    assert cli.main([
+        "riesz", "--p", "3", "--level", "5", "--a", "0.5+0.3j,0.4+0.2j,0.6+0.4j,0.1+0.2j,0.8+0.4j",
+        "--j", "1,2,1,1,2", "--out", str(out),
+    ]) == 0
+    integrals, variations, minima = measures._riesz_mass(
+        measures._riesz_block(3, 5, [a], [j]), 3, 5
+    )
+    assert json.loads(out.read_text())["checks"] == {
+        "integral_error": abs(float(integrals[0]) - 1.0),
+        "variation_error": abs(float(variations[0]) - 1.0),
+        "min_density": float(minima[0]),
+    }
+    assert f"integral={integrals[0]:.12f} variation={variations[0]:.12f}" in capsys.readouterr().out
 
 
 def test_riesz_block_refuses_as_riesz_density_does():

@@ -231,6 +231,8 @@ def test_term_indices_guards():
         term_indices(1, 1, 1)
     with pytest.raises(GuardExceeded):
         term_indices(16, 1, 16)  # 16^17 Paley indices do not fit in int64
+    with pytest.raises(GuardExceeded, match=r"2\^64 Paley indices exceed the int64 range"):
+        term_indices(np.int64(2), 1, 63)  # np.int64(2) ** 64 wrapped to 0
 
 
 def test_index_sets_refuse_a_base_past_the_cap():
