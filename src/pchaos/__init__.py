@@ -41,7 +41,6 @@ from .measures import (
     lemma1_pattern_residual,
     lemma2_measure,
     lemma2_pattern_residual,
-    lemma2_polynomial,
     rho_y_measure,
     riesz_density,
 )

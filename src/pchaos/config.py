@@ -101,9 +101,10 @@ def check_base_level(p: int, level: int) -> None:
 
 def check_cell_guard(p: int, level: int) -> None:
     """Validate the base and level caps and that a p^level cell grid fits
-    MAX_CELLS. Callers run it before allocating the grid."""
+    MAX_CELLS, in Python ints (a numpy integer power wraps). Callers run it
+    before allocating the grid."""
     check_base_level(p, level)
-    if p**level > MAX_CELLS:
+    if int(p) ** int(level) > MAX_CELLS:
         raise GuardExceeded(f"p^level = {p}^{level} exceeds the cell guard {MAX_CELLS}")
 
 

@@ -32,8 +32,11 @@ Both shaped constructions exploit that:
   polynomial with P(0) = 0, P(p^-s) = 1 and P(p^-j) = 0 for the other
   orders j <= d keeps one chaos order and kills the rest. The shaped
   coefficient depends on the order alone, so the measure is built from
-  the L+1 values P(p^-m) without forming the product: each is one exact
-  quotient of integers, gathered by each index's count of nonzero digits.
+  one table of ints A_m / D = P(p^-m), m = 0..L, without forming the
+  product: each coefficient is one correctly rounded quotient, gathered by
+  each index's count of nonzero digits, and the density depends on a cell
+  only through its count of nonzero digits, so the variation is one
+  quotient of ints too.
 
 A factor 1 + Re(a_k R_k^{j_k}) involves a self-conjugate character power
 exactly when 2 j_k = 0 mod p (only for even p at j_k = p/2). That
@@ -41,16 +44,16 @@ arithmetic predicate, never a numeric comparison, drives the special
 coefficient rules above; at a self-conjugate position the matched base
 coefficient is Re(a_k) instead of a_k / 2.
 
-Both shaping polynomials are built in float64 from their Lagrange form,
-as products of linear factors, with no linear solve. lemma1 evaluates
-that form at the letters of the alphabet: each letter that is a node
-takes its target, so every order-d coefficient is 1 or 0 exactly, and
-every other letter's value carries an a priori rounding bound; an order
-whose bound exceeds tolerance is refused (``IllConditionedSystem``),
-never silently degraded. lemma2 keeps its monomial coefficients only as
-provenance (they give the l1 variation bound); its measure is exact at
-every order the guards admit. Every ``variation``, p^-L sum |f| over the
-cells, is taken by the one magnitude sum, `transform._row_lq_norms`.
+lemma1's shaping polynomial is built in float64 from its Lagrange form,
+as products of linear factors, with no linear solve, and evaluated at the
+letters of the alphabet: each letter that is a node takes its target, so
+every order-d coefficient is 1 or 0 exactly, and every other letter's
+value carries an a priori rounding bound; an order whose bound exceeds
+tolerance is refused (``IllConditionedSystem``), never silently degraded.
+lemma2 is exact at every order the guards admit, and refuses
+(``NonFiniteValue``) an order whose variation leaves the float64 range.
+Every other ``variation``, p^-L sum |f| over the cells, is taken by the
+one magnitude sum, `transform._row_lq_norms`.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from .config import (
     MAX_LEVEL,
     MAX_SELECTOR_ORDER,
     UNIT_DISC_SLACK,
-    check_base_level,
     check_cell_guard,
     check_covers,
     check_int,
@@ -93,9 +95,8 @@ class MeasureRep:
     """A finite-level measure: coefficient array plus variation metadata.
 
     ``variation`` is the exact finite-level total variation
-    p^-L sum_c |density(c)|; construction-specific data (parameters, and
-    for lemma2 the shaping coefficient vector and the l1 variation bound)
-    live in ``provenance``.
+    p^-L sum_c |density(c)|; the construction's name and parameters live
+    in ``provenance``.
     """
 
     spectrum: Spectrum
@@ -269,18 +270,6 @@ def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     return node_arr, target_arr
 
 
-def _linear_product(consts, slopes) -> np.ndarray:
-    """Ascending coefficients of prod_k (consts[k] + slopes[k] x), factor by
-    factor in elementwise arithmetic (a convolution sums by BLAS dot
-    products, whose bits vary by build)."""
-    coeffs = np.ones(1)
-    for a, b in zip(consts, slopes):
-        grown = np.append(0.0, coeffs * b)
-        grown[:-1] += coeffs * a
-        coeffs = grown
-    return coeffs
-
-
 _WIDTH = MAX_LEVEL + 1  # lemma1 reads P at the letter (u, v) at u * _WIDTH + v
 
 
@@ -397,94 +386,90 @@ def lemma1_measure(p: int, d: int, J: Sequence[int], level: int) -> MeasureRep:
 
 def _check_selected_order(d, s) -> tuple[int, int]:
     """(d, s) as orders (see `check_order`), refused unless s is in 1..d."""
-    d = check_order(d)
-    if check_order(s) > d:
+    d, s = check_order(d), check_order(s)
+    if s > d:
         raise InvalidOrder(f"selected order {s} not in 1..{d}")
     return d, s
 
 
-def lemma2_polynomial(p: int, d: int, s: int) -> np.ndarray:
-    """Ascending coefficients of the order-selecting polynomial.
-
-    Degree d, P(0) = 0, P(p^-s) = 1, P(p^-j) = 0 for j in 1..d, j != s:
-    the Lagrange basis polynomial of node p^-s. Node 0 gives the factor
-    p^s x, and node p^-j, scaled by p^(s+j) above and below, the factor
-    (p^(s+j) x - p^s) / (p^j - p^s) of correctly rounded int quotients.
-    Taken from j = d down, the partial products' large coefficients grow
-    and their small ones shrink towards the result's own, and as the nodes
-    are positive no coefficient sum cancels. The constant term is +0.0. An
-    order is refused (`NonFiniteValue`) where the product leaves the
-    float64 range, at once where the lower bound p^(s + s(s-1)/2 + s(d-s))
-    on its leading coefficient does (|p^-s - p^-j| < p^-min(s, j)).
-    """
-    check_base_level(p, 0)
-    d, s = _check_selected_order(d, s)
-    refusal = f"the order-{d} selector for p={p} leaves the float64 range"
-    power = s + s * (s - 1) // 2 + s * (d - s)
-    # p >= 2, so a power of at least max_exp passes the float64 range
-    if power >= sys.float_info.max_exp or p**power > sys.float_info.max:
-        raise NonFiniteValue(refusal)
-    others = [p**j for j in range(d, 0, -1) if j != s]
-    with np.errstate(over="ignore"):
-        coeffs = _linear_product(
-            [0.0] + [-(p**s) / (pj - p**s) for pj in others],
-            [float(p**s)] + [p**s * pj / (pj - p**s) for pj in others],
-        )
-    if not np.isfinite(coeffs).all():
-        raise NonFiniteValue(refusal)
-    return coeffs
-
-
-def _lemma2_values(p: int, d: int, s: int, level: int) -> np.ndarray:
-    """P(p^-m) for m = 0..level, each one correctly rounded quotient of ints.
+def _lemma2_table(p: int, d: int, s: int, level: int) -> tuple[list[int], int]:
+    """Ints A_0..A_level and D with P(p^-m) = A_m / D exactly, P the order
+    selector: degree d, P(0) = 0, P(p^-s) = 1 and P(p^-j) = 0 for the
+    other j in 1..d.
 
     In the Lagrange form through the nodes 0 and p^-j (j = 1..d), scaling
     the factor (p^-m - p^-j)/(p^-s - p^-j) by p^m p^s p^j above and below
     leaves p^(s-m) (p^j - p^m)/(p^j - p^s), and the factor of node 0 is
     p^(s-m). So P(p^-m) = p^(ds) prod (p^j - p^m) / (p^(dm) prod (p^j - p^s)),
-    j != s: exactly 1 at m = s and exactly 0 at every other m <= d."""
-    below = math.prod(p**j - p**s for j in range(1, d + 1) if j != s)
-    return np.array(
-        [
-            p ** (d * s) * math.prod(p**j - p**m for j in range(1, d + 1) if j != s)
-            / (p ** (d * m) * below)
-            for m in range(level + 1)
-        ],
-        dtype=np.complex128,
-    )
+    j != s, and over D = p^(dL) prod (p^j - p^s) its numerator is
+    A_m = p^(d(s+L-m)) prod (p^j - p^m): D at m = s, 0 at every other
+    m <= d but 0, so only m = 0 and m > d take a product."""
+    others = [p**j for j in range(1, d + 1) if j != s]
+    below = p ** (d * level) * math.prod(pj - p**s for pj in others)
+    table = [
+        below if m == s
+        else 0 if 0 < m <= d
+        else p ** (d * (s + level - m)) * math.prod(pj - p**m for pj in others)
+        for m in range(level + 1)
+    ]
+    return table, below
+
+
+def _krawtchouk(p: int, level: int) -> list[list[int]]:
+    """K[h][m], the sum of the characters of every index of chaos order m
+    at a cell with h nonzero digits: the coefficient of z^m in
+    (1 + (p-1) z)^(L-h) (1 - z)^h, as a digit 0 of the cell contributes
+    1 + (p-1) z over the p digit values of a position and a nonzero one
+    1 - z (its p-1 nonzero powers sum to -1)."""
+    rows = []
+    for h in range(level + 1):
+        row = [1]
+        for c in [p - 1] * (level - h) + [-1] * h:  # times 1 + c z
+            row = [a + c * b for a, b in zip(row + [0], [0] + row)]
+        rows.append(row)
+    return rows
 
 
 def lemma2_measure(p: int, d: int, s: int, level: int) -> MeasureRep:
     """Measure keeping chaos order s and killing every other order <= d.
 
-    Its coefficient at an index of chaos order m is P(p^-m), exact, with P
-    the `lemma2_polynomial`; the product it shapes is never formed. The
-    provenance records P's coefficients and their l1 norm, which bounds
-    the variation, so a bound past the float64 range is refused
-    (`NonFiniteValue`) before the variation is taken."""
+    Its coefficient at an index of chaos order m is P(p^-m) = A_m / D (see
+    `_lemma2_table`), one correctly rounded quotient of ints gathered by
+    each index's count of nonzero digits; the product it shapes is never
+    formed. Its density is G_h / D on each of the C(L, h) (p-1)^h cells
+    with h nonzero digits, G_h = sum_m A_m K_m(h) (`_krawtchouk`), so its
+    variation is sum_h C(L, h) (p-1)^h |G_h| / (p^L |D|), exact and rounded
+    once, with no cell grid. An order whose variation leaves the float64
+    range is refused (`NonFiniteValue`), at once where the lower bound
+    p^(ds - (s-1)(s+2)/2) on |P(1)|, the coefficient at index 0 and so at
+    most the variation, does (p^j - 1 >= p^(j-1) for every j < s)."""
     check_cell_guard(p, level)
     if level < 1:
         raise LevelMismatch(f"level must be at least 1, got {level}")
-    coeffs = lemma2_polynomial(p, d, s)
+    p, level = int(p), int(level)
+    d, s = _check_selected_order(d, s)
+    refusal = "the lemma2 variation leaves the float64 range"
+    power = d * s - (s - 1) * (s + 2) // 2
+    # p >= 2, so a power of at least max_exp passes the float64 range
+    if power >= sys.float_info.max_exp or p**power > sys.float_info.max:
+        raise NonFiniteValue(refusal)
+    table, below = _lemma2_table(p, d, s, level)
+    profile = [
+        math.comb(level, h) * (p - 1) ** h * abs(sum(a * k for a, k in zip(table, row)))
+        for h, row in enumerate(_krawtchouk(p, level))
+    ]
+    try:
+        variation = sum(profile) / (p**level * abs(below))
+    except OverflowError:
+        raise NonFiniteValue(refusal) from None
     # the chaos order (count of nonzero digits) of every Paley index, one
-    # int8 per cell
+    # int8 per cell; every |A_m / D| is at most the variation, so in range
     nonzero = (np.arange(p) != 0).astype(np.int8)
     orders = _digit_keys([nonzero] * level)
-    spectrum = Spectrum(p, level, _lemma2_values(p, d, s, level)[orders])
-    with np.errstate(over="ignore"):
-        bound = float(np.abs(coeffs).sum())
-        if not math.isfinite(bound):
-            raise NonFiniteValue("the lemma2 variation leaves the float64 range")
-        variation = _row_lq_norms(inverse(spectrum).values[None], 1.0, p ** (-level))[0]
-    provenance = {
-        "construction": "lemma2",
-        "p": p,
-        "d": d,
-        "s": s,
-        "coefficients": coeffs,
-        "variation_bound": bound,
-    }
-    return MeasureRep(spectrum, float(variation), provenance)
+    values = np.array([a / below for a in table], dtype=np.complex128)
+    spectrum = Spectrum(p, level, values[orders])
+    provenance = {"construction": "lemma2", "p": p, "d": d, "s": s}
+    return MeasureRep(spectrum, variation, provenance)
 
 
 def rho_y_measure(

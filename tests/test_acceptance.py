@@ -7,6 +7,7 @@ Run:  pytest tests/test_acceptance.py -v -s
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from pchaos import (
     lemma1_pattern_residual,
     lemma2_measure,
     lemma2_pattern_residual,
-    lemma2_polynomial,
     linf_norm,
     naive_forward,
     paley_encode,
@@ -87,7 +87,15 @@ def test_criterion_2_lemma2_pattern():
                 nu = lemma2_measure(p, d, s, LEMMA1_N + 1)
                 kept, killed = lemma2_pattern_residual(nu, d, s, LEMMA1_N)
                 worst = max(worst, kept, killed)
-    hand = np.abs(lemma2_polynomial(2, 2, 1) - np.array([0.0, -2.0, 8.0])).max()
+    # P(x) = 8x^2 - 2x at the values the measure uses: P(1) = 6, P(1/2) = 1
+    # and P(1/4) = 0 at the indices 0, 1 and 3 of orders 0, 1 and 2, and at
+    # L = 8 a density of both signs whose variation is 6320735 / 2^20
+    nu = lemma2_measure(2, 2, 1, 8)
+    coeffs = nu.spectrum.coeffs[[0, 1, 3]]
+    hand = max(
+        float(np.abs(coeffs - np.array([6.0, 1.0, 0.0])).max()),
+        abs(nu.variation - float(Fraction(6320735, 1048576))),
+    )
     ok = worst <= 1e-8 and hand <= 1e-12
     report(
         2,

@@ -200,11 +200,11 @@ def test_lemma2_order_without_terms_is_refused(tmp_path, capsys):
 
 
 def test_lemma2_past_the_float_range_exits_before_the_solve(tmp_path, capsys, monkeypatch):
-    # the O(d^2) product of the selector's factors would run for minutes
+    # the O(d^2) products of the selector's table would run for minutes
     def refuse(*args):
-        raise AssertionError("the selector was expanded")
+        raise AssertionError("the selector's table was built")
 
-    monkeypatch.setattr(pchaos.measures, "_linear_product", refuse)
+    monkeypatch.setattr(pchaos.measures, "_lemma2_table", refuse)
     out = tmp_path / "nu.json"
     assert run("lemma2", "--p", "2", "--d", "300000", "--s", "1", "--N", "3", "--out", out) == 2
     assert "leaves the float64 range" in capsys.readouterr().err
@@ -747,7 +747,7 @@ PUBLIC_NAMES = [
     "character_value", "convolve", "convolve_functions", "convolve_with_measure",
     "decomposition_residual", "forward", "group_sub", "growth_study", "inverse",
     "lemma1_measure", "lemma1_pattern_residual", "lemma2_measure",
-    "lemma2_pattern_residual", "lemma2_polynomial", "linf_norm", "naive_forward",
+    "lemma2_pattern_residual", "linf_norm", "naive_forward",
     "paley_encode", "polynomial_spectrum", "project_J", "project_order", "random_chaos",
     "random_ensemble_study", "rho_y_measure", "riesz_density", "sidon_ratio", "term_indices",
     "trial_rng", "verify_suite",

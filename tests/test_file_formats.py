@@ -48,7 +48,7 @@ def measures(draw):
         "construction": draw(st.sampled_from(("lemma1", "lemma2", "riesz"))),
         "p": spectrum.p,
         "J": draw(st.lists(st.integers(1, spectrum.p - 1), max_size=4)),
-        "coefficients": np.array([complex(re, im) for re, im in pairs], dtype=np.complex128),
+        "values": np.array([complex(re, im) for re, im in pairs], dtype=np.complex128),
         "bound": draw(FINITE),
     }
     return MeasureRep(spectrum, draw(FINITE), provenance)
@@ -103,9 +103,9 @@ def test_measure_round_trip(tmp_path, measure):
     np.testing.assert_array_equal(_bits(loaded.coeffs), _bits(measure.spectrum.coeffs))
     payload = json.loads(_read(path))
     assert payload["variation"] == measure.variation
-    pairs = np.array(payload["provenance"]["coefficients"]["complex_array"], dtype=np.float64)
+    pairs = np.array(payload["provenance"]["values"]["complex_array"], dtype=np.float64)
     np.testing.assert_array_equal(
-        _bits(pairs.reshape(-1, 2)).ravel(), _bits(measure.provenance["coefficients"]).ravel()
+        _bits(pairs.reshape(-1, 2)).ravel(), _bits(measure.provenance["values"]).ravel()
     )
     first = _read(path)
     ser.save_grid(path, MeasureRep(loaded, measure.variation, measure.provenance))

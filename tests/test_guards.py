@@ -33,7 +33,7 @@ from pchaos import (
     verify_suite,
 )
 from pchaos.experiments import ExperimentConfig
-from pchaos.measures import lemma2_polynomial, selector_nodes
+from pchaos.measures import selector_nodes
 from pchaos.padic import check_cell, from_digits, paley_decode, paley_encode, to_digits
 from pchaos.serialization import load_polynomial
 
@@ -53,7 +53,6 @@ def _base_entry_points(p):
         "Spectrum": lambda: Spectrum(p, 1, [0.0, 0.0]),
         "riesz_density": lambda: riesz_density(p, 1, [0.5], [1]),
         "lemma1_measure": lambda: lemma1_measure(p, 1, [1], 1),
-        "lemma2_polynomial": lambda: lemma2_polynomial(p, 2, 1),
         "lemma2_measure": lambda: lemma2_measure(p, 1, 1, 1),
         "rho_y_measure": lambda: rho_y_measure(p, [1], [1], 1),
         "from_indices": lambda: ChaosPolynomial.from_indices(p, 1, [1], [1.0]),
@@ -92,7 +91,6 @@ def _order_entry_points(d):
         "random_chaos": lambda: random_chaos(2, d, 2, np.random.default_rng(0)),
         "selector_nodes": lambda: selector_nodes(d),
         "lemma1_measure": lambda: lemma1_measure(2, d, [1] * 3, 3),
-        "lemma2_polynomial": lambda: lemma2_polynomial(2, d, 1),
         "lemma2_measure": lambda: lemma2_measure(2, d, 1, 3),
         "lemma1_pattern_residual": lambda: lemma1_pattern_residual(nu1, d, [1] * 3, 2),
         "lemma2_pattern_residual": lambda: lemma2_pattern_residual(nu2, d, 1, 2),
@@ -171,7 +169,6 @@ def _short_level_entry_points():
 def _selected_order_entry_points():
     """Every entry point that takes a selected order s, given s = 3 > d = 2."""
     return {
-        "lemma2_polynomial": lambda: lemma2_polynomial(2, 2, 3),
         "lemma2_measure": lambda: lemma2_measure(2, 2, 3, 3),
         "lemma2_pattern_residual": lambda: lemma2_pattern_residual(
             lemma2_measure(2, 2, 1, 3), 2, 3, 2
@@ -235,24 +232,34 @@ def test_every_entry_point_refuses_a_bad_input_alike(entry_points, error, messag
     assert refusals == {name: (error, message) for name in refusals}
 
 
-def _cell_guard_entry_points():
-    """Every entry point that allocates a p^level grid, given 3^16 cells."""
-    Q = ChaosPolynomial.from_indices(3, 2, [1], [1.0])
+def _cell_guard_entry_points(p):
+    """Every entry point that allocates a p^level grid, given p^16 cells."""
+    Q = ChaosPolynomial.from_indices(p, 2, [1], [1.0])
     return {
-        "riesz_density": lambda: riesz_density(3, 16, [0.5] * 16, [1] * 16),
-        "lemma1_measure": lambda: lemma1_measure(3, 1, [1] * 16, 16),
-        "lemma2_measure": lambda: lemma2_measure(3, 1, 1, 16),
-        "rho_y_measure": lambda: rho_y_measure(3, [1] * 16, [1] * 16, 16),
+        "riesz_density": lambda: riesz_density(p, 16, [0.5] * 16, [1] * 16),
+        "lemma1_measure": lambda: lemma1_measure(p, 1, [1] * 16, 16),
+        "lemma2_measure": lambda: lemma2_measure(p, 1, 1, 16),
+        "rho_y_measure": lambda: rho_y_measure(p, [1] * 16, [1] * 16, 16),
         "polynomial_spectrum": lambda: polynomial_spectrum(Q, 16),
-        "verify_suite": lambda: verify_suite([3], [1], 15),
+        "verify_suite": lambda: verify_suite([p], [1], 15),
     }
 
 
-@pytest.mark.parametrize("name", sorted(_cell_guard_entry_points()))
-def test_cell_guard_refuses_before_any_grid(name):
+# 3^16 cells, and a numpy base whose 16^16 = 2^64 cells wrapped to 0 in
+# int64 and passed; verify_suite refuses 16^16 Paley indices before that
+_CELL_GUARD_CASES = [
+    pytest.param(p, name, id=prefix + name)
+    for p, prefix in [(3, ""), (np.int64(16), "int64-16-")]
+    for name in sorted(_cell_guard_entry_points(3))
+    if prefix == "" or name != "verify_suite"
+]
+
+
+@pytest.mark.parametrize("p, name", _CELL_GUARD_CASES)
+def test_cell_guard_refuses_before_any_grid(p, name):
     # the 3^16-cell grid would take 689 MB in complex128; the refusal
     # allocates none of it
-    call = _cell_guard_entry_points()[name]
+    call = _cell_guard_entry_points(p)[name]
     tracemalloc.start()
     try:
         with pytest.raises(GuardExceeded) as info:
@@ -260,6 +267,6 @@ def test_cell_guard_refuses_before_any_grid(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert str(info.value) == "p^level = 3^16 exceeds the cell guard 16777216"
+    assert str(info.value) == f"p^level = {p}^16 exceeds the cell guard 16777216"
     assert peak < 2**16
 

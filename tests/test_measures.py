@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import sys
 import warnings
 from fractions import Fraction
 
@@ -34,7 +33,6 @@ from pchaos import (
     lemma1_pattern_residual,
     lemma2_measure,
     lemma2_pattern_residual,
-    lemma2_polynomial,
     paley_encode,
     project_order,
     random_chaos,
@@ -208,15 +206,11 @@ class TestSelectorSystem:
             selector_nodes(7)
 
     def test_solved_once_per_order(self, monkeypatch):
-        # P is evaluated once per order, and never expanded into monomials
-        def refuse(*args):
-            raise AssertionError("lemma1 expanded its selector")
-
+        # P is evaluated once per order
         measures._selector_solution.cache_clear()
         calls = []
         nodes = measures.selector_nodes
         monkeypatch.setattr(measures, "selector_nodes", lambda d: calls.append(d) or nodes(d))
-        monkeypatch.setattr(measures, "_linear_product", refuse)
         first = lemma1_measure(3, 2, [1, 2, 1, 2], 4)
         for _ in range(3):
             again = lemma1_measure(3, 2, [1, 2, 1, 2], 4)
@@ -424,13 +418,6 @@ def _exact_selector(p, d, s):
 
 
 class TestLemma2:
-    def test_hand_derived_polynomial(self):
-        np.testing.assert_allclose(lemma2_polynomial(2, 2, 1), [0.0, -2.0, 8.0], atol=1e-12)
-
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_linear_case(self, p):
-        np.testing.assert_allclose(lemma2_polynomial(p, 1, 1), [0.0, p], atol=1e-12)
-
     @pytest.mark.parametrize("p, level", [(2, 5), (3, 4), (5, 3)])
     def test_spectrum_matches_the_shaped_product(self, p, level):
         # the product prod_k (1 + (R_k + ... + R_k^(p-1))/p), built here on
@@ -446,7 +433,8 @@ class TestLemma2:
         np.testing.assert_allclose(rho_hat, float(p) ** -np.array(orders), rtol=0, atol=1e-12)
         for d in (1, 2, 3):
             for s in range(1, d + 1):
-                expected = npoly.polyval(rho_hat, lemma2_polynomial(p, d, s))
+                coeffs = [float(c) for c in _exact_selector(p, d, s)]
+                expected = npoly.polyval(rho_hat, coeffs)
                 got = lemma2_measure(p, d, s, level).spectrum.coeffs
                 # relative: the order-0 coefficient P(1) reaches 15625 at p=5, d=3
                 np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -466,87 +454,137 @@ class TestLemma2:
         # its variation is its mean
         nu = lemma2_measure(2, 12, 1, 12)
         assert nu.spectrum.coeffs[0] == 8190
-        assert abs(nu.variation - 8190) <= 1e-12 * 8190
+        assert nu.variation == 8190
+
+    def test_variation_is_the_exact_cell_sum_rounded_once(self):
+        # at p=2 every character is +-1 (which digit order the cells take
+        # does not change the sum over all of them), so the cell sum of
+        # |density| is exact in rationals; P(2^-m) from the exact expansion
+        for level in range(1, 7):
+            for d in range(1, 5):
+                for s in range(1, d + 1):
+                    coeffs = _exact_selector(2, d, s)
+                    values = [
+                        sum(c / 2 ** (m * k) for k, c in enumerate(coeffs))
+                        for m in range(level + 1)
+                    ]
+                    cells = range(2**level)
+                    total = sum(
+                        abs(sum((-1) ** (n & x).bit_count() * values[n.bit_count()] for n in cells))
+                        for x in cells
+                    )
+                    exact = total / 2**level
+                    assert lemma2_measure(2, d, s, level).variation == float(exact), (d, s, level)
+
+    def test_exact_variation_of_a_density_of_both_signs(self):
+        # P(x) = 8x^2 - 2x: coefficients 6, 1 and 0 at orders 0, 1 and 2
+        nu = lemma2_measure(2, 2, 1, 8)
+        assert [nu.spectrum.coeffs[i] for i in (0, 1, 3)] == [6, 1, 0]
+        assert Fraction(nu.variation) == Fraction(6320735, 1048576)
+
+    def test_variation_matches_the_float_route(self):
+        # the independent oracle, the density by the inverse transform of
+        # the float coefficients summed in float64: within 1.04e-15
+        # relative on these 777 orders and levels, 586 of them bit for bit
+        for p, top in [(2, 16), (3, 10), (5, 6), (7, 5)]:
+            for d in range(1, 7):
+                for s in range(1, d + 1):
+                    for level in range(1, top + 1):
+                        nu = lemma2_measure(p, d, s, level)
+                        cells = inverse(nu.spectrum).values[None]
+                        float_route = _row_lq_norms(cells, 1.0, p ** (-level))[0]
+                        assert abs(nu.variation - float_route) <= 2e-15 * nu.variation, (
+                            p, d, s, level
+                        )
 
     def test_builds_no_product_density(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("lemma2_measure transformed or evaluated a grid")
 
         monkeypatch.setattr(measures, "forward", refuse)
+        monkeypatch.setattr(measures, "inverse", refuse)
         monkeypatch.setattr(npoly, "polyval", refuse)
         nu = lemma2_measure(3, 3, 2, 4)
         assert lemma2_pattern_residual(nu, 3, 2, 3) == (0.0, 0.0)
 
     def test_guards_run_before_the_solve(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the selector was expanded")
+            raise AssertionError("the selector's table was built")
 
-        monkeypatch.setattr(measures, "_linear_product", refuse)
-        # the level and the cell guard come before the polynomial
+        monkeypatch.setattr(measures, "_lemma2_table", refuse)
+        # the level and the cell guard come before the table
         with pytest.raises(LevelMismatch):
             lemma2_measure(2, 3000, 1, 0)
         with pytest.raises(GuardExceeded):
             lemma2_measure(2, 3000, 1, 25)
-        # the leading coefficient's lower bound p^(s + s(s-1)/2 + s(d-s))
-        # overflows, so no O(d^2) product runs
+        # |P(1)|, the coefficient at index 0 and so at most the variation,
+        # is at least p^(ds - (s-1)(s+2)/2), which overflows here, so no
+        # O(d^2) product runs
         for p, d, s in [(2, 3000, 1), (2, 300000, 7), (16, 300, 300), (3, 10**12, 1)]:
-            with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
-                lemma2_polynomial(p, d, s)
-            with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
+            with pytest.raises(NonFiniteValue, match="lemma2 variation leaves the float64 range"):
                 lemma2_measure(p, d, s, 2)
 
-    def test_coefficients_match_the_fraction_expansion(self):
-        # the Newton solve missed by up to 1.4e126 relative at p=16, d=15,
-        # s=1, and by more than 4e-15 in 1,489 of these 1,800 orders
-        for p in range(2, 17):
-            for d in range(1, 16):
-                for s in range(1, d + 1):
-                    got = lemma2_polynomial(p, d, s)
-                    assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
-                    for c, exact in zip(got[1:], _exact_selector(p, d, s)[1:]):
-                        assert abs(Fraction(c) - exact) <= 4e-15 * abs(exact), (p, d, s)
-
-    def test_large_orders_keep_every_normal_coefficient(self):
-        # the monic prod (x - p^-j) times the leading coefficient loses
-        # what underflows in the monic product: at p=2, d=46, s=2 its
-        # constant term, 2^-1079, is 0.0, so P's x coefficient, 2.6e-297,
-        # came out 0.0. The scaled factors keep every coefficient in range
-        for p in (2, 3, 10, 16):
-            for d in range(16, 49):
-                for s in (1, 2, d // 2, d - 1, d):
-                    try:
-                        got = lemma2_polynomial(p, d, s)
-                    except NonFiniteValue:
-                        continue
-                    for c, exact in zip(got[1:], _exact_selector(p, d, s)[1:]):
-                        if abs(exact) >= sys.float_info.min:
-                            assert abs(Fraction(c) - exact) <= 4e-15 * abs(exact), (p, d, s)
-
-    def test_refused_exactly_where_the_leading_coefficient_overflows(self):
-        # over p = 2..7, d <= 80 and every s, the lower bound on the leading
-        # coefficient refuses a subset of these orders before any work
-        bound_refused = refused = 0
+    def test_refused_exactly_where_the_exact_variation_overflows(self):
+        # over p = 2..7, d <= 80 and every s at level 2, the exact variation
+        # from the level-2 cells: at a digit x the p-1 nonzero characters
+        # sum to p-1 if x = 0 and to -1 otherwise, so a cell with digit sums
+        # S0, S1 has density P(1) + P(1/p) (S0 + S1) + P(p^-2) S0 S1
+        refused = 0
         for p in range(2, 8):
             for d in range(1, 81):
                 for s in range(1, d + 1):
-                    # 1 over p^-s prod (p^-s - p^-j), j != s, in ints
                     others = [j for j in range(1, d + 1) if j != s]
-                    below = math.prod(p**j - p**s for j in others)
-                    lead = Fraction(p ** (d * s + sum(others)), below)
-                    power = s + s * (s - 1) // 2 + s * (d - s)
-                    early = p**power > sys.float_info.max
-                    overflow = abs(lead) > sys.float_info.max
-                    assert overflow or not early, (p, d, s)
+                    top = Fraction(
+                        p ** (d * s) * math.prod(p**j - 1 for j in others),
+                        math.prod(p**j - p**s for j in others),
+                    )
+                    c1 = Fraction(int(s == 1))
+                    c2 = Fraction(p if d == 1 else int(s == 2), p**2 if d == 1 else 1)
+                    sums = [(p - 1, p - 1), (p - 1, -1), (-1, -1)]
+                    counts = [1, 2 * (p - 1), (p - 1) ** 2]
+                    exact = sum(
+                        n * abs(top + c1 * (a + b) + c2 * a * b)
+                        for n, (a, b) in zip(counts, sums)
+                    ) / p**2
                     try:
-                        lemma2_polynomial(p, d, s)
+                        rounded = float(exact)
+                    except OverflowError:
+                        rounded = None
+                    try:
+                        nu = lemma2_measure(p, d, s, 2)
                     except NonFiniteValue:
-                        assert overflow, (p, d, s)
+                        assert rounded is None, (p, d, s)
                         refused += 1
                     else:
-                        assert not overflow, (p, d, s)
-                    bound_refused += early
-        assert bound_refused == 12873
-        assert refused == 12889
+                        assert nu.variation == rounded, (p, d, s)
+        # 12,896 while the l1 norm of P's float monomial coefficients had
+        # to fit as well
+        assert refused == 12884
+
+    def test_orders_whose_monomial_bound_overflowed_are_admitted(self):
+        # only the l1 norm of P's float monomial coefficients left the
+        # float64 range: at level 2 (no s has a term there) every order-1
+        # and order-2 coefficient is exactly 0, and where p^s cells fit,
+        # the pattern at level s is exact
+        for p, d, s in [
+            (2, 45, 40), (2, 50, 28), (2, 54, 24), (2, 68, 17), (2, 75, 15), (3, 36, 30),
+            (3, 50, 15), (3, 69, 10), (6, 28, 24), (6, 41, 11), (6, 48, 9), (6, 53, 8),
+        ]:
+            nu = lemma2_measure(p, d, s, 2)
+            assert math.isfinite(nu.variation) and nu.variation >= abs(nu.spectrum.coeffs[0])
+            keep = np.zeros(p**2 - 1, dtype=bool)
+            assert measures._selection_residual(nu, np.arange(1, p**2), keep) == (0.0, 0.0)
+            if p**s <= 2**17:
+                nu = lemma2_measure(p, d, s, s)
+                assert lemma2_pattern_residual(nu, d, s, s - 1) == (0.0, 0.0)
+
+    def test_numpy_integer_arguments_match_python_ints(self):
+        # np.int64 powers wrapped: (2, 30, 20) came back NonFiniteValue
+        # ("coefficients must be finite"), with overflow warnings
+        want = lemma2_measure(2, 30, 20, 3)
+        got = lemma2_measure(*map(np.int64, (2, 30, 20, 3)))
+        assert got.variation == want.variation
+        assert got.spectrum.coeffs.tobytes() == want.spectrum.coeffs.tobytes()
 
     def test_selector_past_the_float_range_is_refused(self):
         # P's monomial coefficients overflow float64 from d=45 at p=2;
@@ -554,10 +592,10 @@ class TestLemma2:
         with pytest.raises(NonFiniteValue, match="leaves the float64 range"):
             lemma2_measure(2, 45, 45, 2)
 
-    @pytest.mark.parametrize("p, d, s", [(2, 45, 40), (3, 36, 30)])
+    @pytest.mark.parametrize("p, d, s", [(2, 45, 41), (3, 36, 31)])
     def test_variation_past_the_float_range_is_refused(self, p, d, s):
-        # finite coefficients whose l1 norm overflows: the measure came back
-        # with an infinite variation_bound, and a RuntimeWarning
+        # past the a priori bound on P(1), the exact variation's quotient
+        # overflows: refused, with no RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue, match="lemma2 variation leaves the float64"):
@@ -565,8 +603,8 @@ class TestLemma2:
 
     def test_variation_whose_cell_sum_overflows_is_kept(self):
         # the 49 cells' |density| sum passes the float64 range, but the
-        # variation does not: the sum is taken once more, scaled by the
-        # largest cell, where it was refused
+        # variation does not: it is one exact quotient, where a float sum
+        # of the cells was refused
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             nu = lemma2_measure(7, 27, 22, 2)
@@ -575,7 +613,7 @@ class TestLemma2:
             assert not math.isfinite(cells.sum())
         exact = sum(Fraction(float(c)) for c in cells) / 49
         assert abs(Fraction(nu.variation) - exact) <= 1e-15 * exact
-        assert 7.0e306 < nu.variation <= nu.provenance["variation_bound"] < 9.9e306
+        assert 7.0e306 < nu.variation < 9.9e306
 
     def test_p3_d3_s2_pattern(self):
         nu = lemma2_measure(3, 3, 2, 5)
@@ -601,8 +639,9 @@ class TestLemma2:
             lemma2_pattern_residual(nu, 3, 3, 1)
 
     def test_variation_below_bound(self):
+        # |P(rho)| <= sum_k |c_k| for the variation-1 product rho
         nu = lemma2_measure(2, 2, 1, 4)
-        assert nu.variation <= nu.provenance["variation_bound"] + 1e-8
+        assert nu.variation <= sum(abs(c) for c in _exact_selector(2, 2, 1))
 
 
 class TestRhoY:
@@ -731,7 +770,7 @@ def _mixed_polynomial():
             MalformedIndex,
             "p must be an integer, got 2.5",
         ),
-        (lambda: lemma2_polynomial(2.5, 2, 1), MalformedIndex, "p must be an integer, got 2.5"),
+        (lambda: lemma2_measure(2.5, 2, 1, 2), MalformedIndex, "p must be an integer, got 2.5"),
         (lambda: chaos._row_lq_norms(np.ones((1, 2)), True), InvalidExponent, "finite and positive, got True"),
         (lambda: chaos._row_lq_norms(np.ones((1, 2)), np.True_), InvalidExponent, "finite and positive, got True"),
         (lambda: term_indices(2, 2, 4.0), MalformedIndex, "N must be an integer, got 4.0"),
@@ -747,8 +786,8 @@ def _mixed_polynomial():
         ),
         (lambda: selector_nodes(True), MalformedIndex, "order must be an integer, got True"),
         (lambda: selector_nodes(0), InvalidOrder, "order must be at least 1, got 0"),
-        (lambda: lemma2_polynomial(2, 2, True), MalformedIndex, "order must be an integer, got True"),
-        (lambda: lemma2_polynomial(2, 0, 1), InvalidOrder, "order must be at least 1, got 0"),
+        (lambda: lemma2_measure(2, 2, True, 2), MalformedIndex, "order must be an integer, got True"),
+        (lambda: lemma2_measure(2, 0, 1, 2), InvalidOrder, "order must be at least 1, got 0"),
     ],
     ids=[
         "character-m", "group-sub-cell", "paley-encode-p", "lemma2-polynomial-p",
