@@ -30,14 +30,14 @@ from .errors import GuardExceeded, InsufficientLevel, InvalidExponent, InvalidOr
 
 # Hard caps on base and level. The size bounds are MAX_CELLS on allocated
 # grids and the int64 range on Paley indices (padic._check_index_width).
+# An order needs its positions, so MAX_LEVEL also bounds the exponent
+# selector's order; CONSTRUCTION_TOL on its a priori rounding bound is its
+# one conditioning gate.
 MAX_BASE = 16
 MAX_LEVEL = 24
 
 # Cap on allocated cell grids (p^level cells), checked before allocation.
 MAX_CELLS = 2**24
-
-# Largest supported order for the exponent-selecting measure construction.
-MAX_SELECTOR_ORDER = 6
 
 # Largest cell count for which quadratic-cost reference algorithms
 # (naive transform, direct cell-domain convolution) are permitted.

@@ -56,7 +56,6 @@ from .transform import (
     naive_forward,
 )
 from .measures import (
-    _check_selector_order,
     _lemma1_base_spectrum,
     _riesz_block,
     _riesz_mass,
@@ -419,8 +418,7 @@ def verify_suite(
     be integers, the seed non-negative, p_values a non-empty list of
     integers and d_values of orders, and every (p, d) pair must pass the
     library's own guards, as a study's grid point does, on the order-d
-    index set over positions 0..N, then on the level-(N+1) cell grid, and
-    the exponent selector's order cap.
+    index set over positions 0..N, then on the level-(N+1) cell grid.
     meta["check_wall_s"] and meta["check_sizes"] give each check's wall
     time, the cases it evaluated and the largest grid they touched, in
     cells (p^level from the case's context, level N+1 where it names none);
@@ -444,7 +442,6 @@ def verify_suite(
     for p, d in grid:
         check_chaos_order(p, d, N)
         check_cell_guard(p, level)
-        _check_selector_order(d)
 
     def run(name: str, tolerance: float, cases, where: dict | None = None) -> None:
         """Record the first strict maximum of the (residual, context) pairs

@@ -70,7 +70,6 @@ import numpy as np
 from .config import (
     CONSTRUCTION_TOL,
     MAX_LEVEL,
-    MAX_SELECTOR_ORDER,
     UNIT_DISC_SLACK,
     check_cell_guard,
     check_covers,
@@ -79,7 +78,7 @@ from .config import (
 )
 from .errors import (
     CoefficientOutOfRange,
-    GuardExceeded,
+    EmptyIndexSet,
     IllConditionedSystem,
     InvalidExponent,
     InvalidOrder,
@@ -242,15 +241,6 @@ def _letters(d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(1j * (2 * np.pi * (u - v) / (2 * d + 1))) / 2 ** (u + v)
 
 
-def _check_selector_order(d) -> None:
-    """Refuse `d` unless it is an order (`check_order`) of at most
-    MAX_SELECTOR_ORDER, the exponent selector's cap."""
-    if check_order(d) > MAX_SELECTOR_ORDER:
-        raise GuardExceeded(
-            f"order {d} exceeds the supported selector cap {MAX_SELECTOR_ORDER}"
-        )
-
-
 def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation nodes and targets of the exponent-selector system.
 
@@ -258,11 +248,14 @@ def selector_nodes(d: int) -> tuple[np.ndarray, np.ndarray]:
     2^-(d-l); the target is 1 exactly at the matched value of each block
     (i = d-l) and 0 elsewhere. The nodes are distinct: within one block
     the angle differences 2(i-i')/(2d+1) never vanish mod 1, and across
-    blocks the moduli differ. Their smallest gap, 7.48e-3 at d = 6, is
-    far above rounding, so the selector's a priori rounding bound is the
-    one conditioning gate (see `_selector_solution`).
+    blocks the moduli differ. Their smallest gap shrinks from 7.48e-3 at
+    d = 6 to 7.6e-9 at d = 24; the selector's a priori rounding bound, its
+    one conditioning gate, already accounts for gaps down to that (see
+    `_selector_solution`). An order above MAX_LEVEL, more positions than a
+    level holds, is refused (`EmptyIndexSet`) before its O(d^2) nodes.
     """
-    _check_selector_order(d)
+    if check_order(d) > MAX_LEVEL:
+        raise EmptyIndexSet(f"order {d} exceeds the {MAX_LEVEL} positions of the level cap")
     # t_{l,i} is the letter with u = i and v = d-l-i
     u, v = np.array([(i, d - l - i) for l in range(d + 1) for i in range(d - l + 1)]).T
     node_arr = np.concatenate([[0j], _letters(d, u, v)])
@@ -284,30 +277,40 @@ def _selector_solution(d: int) -> np.ndarray:
     products over the n-1 other nodes x_j. A letter with u+v <= d is a
     node and takes its target, 1 where v = 0 and 0 elsewhere: the float
     quotient below_i / below_i rounds to 1 at every node of d <= 3, but
-    misses it by up to 1.1e-16 at some nodes of d = 4..6.
+    misses it by up to 1.1e-16 at some nodes of d = 4..6. The zero letter
+    takes 0. P is evaluated only at the other letters an index can reach,
+    d < u+v <= MAX_LEVEL; the rest are never read and hold NaN, which a
+    Spectrum would refuse. Each factor, above and below, is scaled by the
+    exact power 2^-e_ij, e_ij the frexp exponent of |x_i - x_j|, so each
+    factor of below_i lies in [1/2, 1) (unscaled, below_i underflows to 0
+    from d = 14); where nothing under- or overflows, no bit moves.
 
-    Every other letter carries an a priori bound. With r = eps/2 the unit
-    roundoff, a complex difference errs by at most r relative and a
-    complex product by at most sqrt(5) r < 2.25 r, so each product of n-1
-    factors errs by at most 3.25 (n-1) r, and t_i by 6.5 (n-1) r + q r,
-    with q r the error of the quotient itself. Summing the d+1 <= n-2
-    terms adds (n-3) r sum_i |t_i|. To first order the computed P is then
-    within (7.5 n - 9.5 + q) r sum_i |t_i| of P, at most
-    4 n eps sum_i |t_i| for any q <= 11.5 (numpy's Smith division errs by a
-    few r). An order whose largest bound exceeds CONSTRUCTION_TOL is
-    refused (`IllConditionedSystem`); the bound peaks at 2.7e-15, at d = 6."""
+    Every evaluated letter carries an a priori bound. With r = eps/2 the
+    unit roundoff, a complex difference errs by at most r relative and a
+    complex product by at most sqrt(5) r < 2.25 r (the exact scaling adds
+    nothing), so each product of n-1 factors errs by at most 3.25 (n-1) r,
+    and t_i by 6.5 (n-1) r + q r, with q r the error of the quotient
+    itself. Summing the d+1 <= n-2 terms adds (n-3) r sum_i |t_i|. To
+    first order the computed P is then within (7.5 n - 9.5 + q) r
+    sum_i |t_i| of P, at most 4 n eps sum_i |t_i| for any q <= 11.5
+    (numpy's Smith division errs by a few r). An order whose largest bound
+    exceeds CONSTRUCTION_TOL is refused (`IllConditionedSystem`); the
+    bound is 2.7e-15 at d = 6 and peaks at 1.16e-14, at d = 23. At d = 24
+    no letter is evaluated."""
     node_arr, target_arr = selector_nodes(d)
     matched = np.flatnonzero(target_arr)
     others = np.array([np.delete(node_arr, i) for i in matched])
-    def numerators(x):  # prod_j (x - others[i, j]), rows x, columns i
-        return np.prod(x[:, None, None] - others, axis=-1)
-    below = numerators(node_arr[matched]).diagonal()
+    gaps = node_arr[matched, None] - others
+    scale = np.ldexp(1.0, -np.frexp(np.abs(gaps))[1])
+    below = np.prod(gaps * scale, axis=-1)
     u, v = np.divmod(np.arange(_WIDTH * _WIDTH), _WIDTH)
-    terms = numerators(np.append(_letters(d, u, v), 0j)) / below
-    values = terms.sum(axis=1)
-    node = np.append(u + v <= d, True)
-    values[node] = np.append(v == 0, False)[node]
-    bound = 4 * len(node_arr) * np.finfo(float).eps * np.abs(terms[~node]).sum(axis=1).max()
+    values = np.append(np.where(u + v <= d, v == 0, np.nan), 0.0).astype(np.complex128)
+    reach = np.flatnonzero((d < u + v) & (u + v <= MAX_LEVEL))
+    x = _letters(d, u[reach], v[reach])
+    # prod_j (x - others[i, j]) 2^-e_ij / below_i, rows x, columns i
+    terms = np.prod((x[:, None, None] - others) * scale, axis=-1) / below
+    values[reach] = terms.sum(axis=1)
+    bound = 4 * len(node_arr) * np.finfo(float).eps * np.abs(terms).sum(axis=1).max(initial=0.0)
     if bound > CONSTRUCTION_TOL:
         raise IllConditionedSystem(
             f"the order-{d} selector's rounding bound {bound:.3e} exceeds {CONSTRUCTION_TOL:.1e}"

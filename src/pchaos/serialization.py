@@ -8,7 +8,7 @@ Grid files (JSON, format_version 1):
 ``data`` has exactly p^level entries, in cell order for kind "cells" and
 Paley order for kind "paley". Measure files use kind "paley" and add
 {"variation": float, "provenance": {...}} (complex numbers as [re, im],
-complex arrays as {"complex_array": pairs}); they load as their spectrum.
+so a complex array as a list of such pairs); they load as their spectrum.
 A file's own fields are written over the caller's ``extras``.
 
 Polynomial files:
@@ -71,8 +71,8 @@ def _write_atomic(path: str, write: Callable[[TextIO], None], newline: str | Non
 
 
 def json_default(value: Any):
-    """Fold numpy scalars and arrays into plain JSON types; a complex array
-    becomes {"complex_array": [[re, im], ...]}."""
+    """Fold numpy scalars and arrays into plain JSON types; a complex number
+    becomes [re, im], so a complex array becomes a list of such pairs."""
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -82,8 +82,6 @@ def json_default(value: Any):
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return {"complex_array": _encode_array(value)}
         return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value)}")
 

@@ -83,9 +83,6 @@ class StepFunction:
         values = _grid_array(self.p, self.level, self.values, "cell values")
         object.__setattr__(self, "values", values)
 
-    def integral(self) -> complex:
-        return complex(self.values.sum() * self.p ** (-self.level))
-
     def __repr__(self) -> str:
         return f"StepFunction(p={self.p}, level={self.level}, cells={self.values.size})"
 

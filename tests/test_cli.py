@@ -70,17 +70,26 @@ def test_verify_check_that_raises_fails_with_report(tmp_path, capsys, monkeypatc
         (("--p", "2", "--d", "1", "--N", "-1"), "top position must be >= 0, got -1"),
         # order 3 needs three of the two positions 0..1
         (("--p", "3", "--d", "3", "--N", "1"), "order 3 exceeds the 2 available positions"),
-        # order 7 fits the positions and the cell guard but not the selector
-        (("--p", "2", "--d", "7", "--N", "7", "--seed", "1"),
-         "order 7 exceeds the supported selector cap 6"),
     ],
-    ids=["d0", "N-1", "d-above-N+1", "d-above-selector-cap"],
+    ids=["d0", "N-1", "d-above-N+1"],
 )
 def test_verify_refuses_bad_order_or_top_position(argv, message, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run("verify", *argv, "--out", out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_runs_at_order_7(tmp_path, capsys):
+    # order 7 fits the positions and the cell guard, and the selector has
+    # no order cap of its own: every check passes, and every order-7
+    # lemma1 coefficient is its target exactly
+    out = tmp_path / "report.json"
+    assert run("verify", "--p", "2", "--d", "7", "--N", "7", "--seed", "1", "--out", out) == 0
+    payload = json.loads(Path(out).read_text())
+    assert payload["passed"] is True
+    residuals = {c["name"]: c["residual"] for c in payload["checks"]}
+    assert residuals["lemma1-pattern"] == 0.0
 
 
 @pytest.mark.parametrize(

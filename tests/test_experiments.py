@@ -14,7 +14,6 @@ from pchaos import (
     DegenerateInput,
     EmptyIndexSet,
     ExperimentConfig,
-    GuardExceeded,
     InvalidOrder,
     MalformedIndex,
     MeasureRep,
@@ -450,9 +449,8 @@ class TestVerifySuite:
             ([0, 1], 2, InvalidOrder),
             ([1], -1, MalformedIndex),
             ([1, 3], 1, EmptyIndexSet),
-            ([1, 7], 7, GuardExceeded),
         ],
-        ids=["d0", "N-1", "d-above-N+1", "d-above-selector-cap"],
+        ids=["d0", "N-1", "d-above-N+1"],
     )
     def test_refuses_bad_order_or_top_position(self, monkeypatch, d_values, N, error):
         draws = []
@@ -460,6 +458,13 @@ class TestVerifySuite:
         with pytest.raises(error):
             verify_suite([2], d_values, N=N)
         assert draws == []  # refused before any check
+
+    def test_passes_at_order_7(self):
+        # an order past 6 that the positions and the cell guard admit runs
+        # every check; the selector's rounding bound is its one gate
+        report = verify_suite([2], [1, 7], 7)
+        assert report.passed
+        assert {c.name: c.residual for c in report.checks}["lemma1-pattern"] == 0.0
 
     @pytest.mark.parametrize("p_values", [[2], []])
     def test_refuses_a_negative_seed_first(self, monkeypatch, p_values):

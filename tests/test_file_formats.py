@@ -103,7 +103,8 @@ def test_measure_round_trip(tmp_path, measure):
     np.testing.assert_array_equal(_bits(loaded.coeffs), _bits(measure.spectrum.coeffs))
     payload = json.loads(_read(path))
     assert payload["variation"] == measure.variation
-    pairs = np.array(payload["provenance"]["values"]["complex_array"], dtype=np.float64)
+    # a complex array is written as its [re, im] pairs, like any complex number
+    pairs = np.array(payload["provenance"]["values"], dtype=np.float64)
     np.testing.assert_array_equal(
         _bits(pairs.reshape(-1, 2)).ravel(), _bits(measure.provenance["values"]).ravel()
     )

@@ -42,6 +42,7 @@ from pchaos import (
 )
 from pchaos import chaos, cli, measures
 from pchaos.baselines import LEMMA1_C1_BOUND
+from pchaos.config import MAX_LEVEL
 from pchaos.measures import MeasureRep, selector_nodes
 from pchaos.transform import _row_lq_norms
 from pchaos.padic import digit_matrix
@@ -91,7 +92,9 @@ class TestRieszDensity:
             d = riesz_density(p, level, a, j)
             assert d.values.real.min() >= -1e-12
             assert np.abs(d.values.imag).max() <= 1e-12
-            assert abs(d.integral() - 1.0) <= 1e-12
+            # the real integral p^-L sum f that `pchaos riesz` and verify share
+            integral = measures._riesz_mass(d.values.real[None], p, level)[0][0]
+            assert abs(integral - 1.0) <= 1e-12
             assert abs(np.abs(d.values).sum() * p**-level - 1.0) <= 1e-12
 
 
@@ -109,10 +112,13 @@ def _selector_monomials(d):
 
 def _letter_grid(d):
     """Every letter lemma1 caches P at, key u * _WIDTH + v, then the zero
-    letter, and whether each is an interpolation node (u + v <= d)."""
+    letter; whether each is an interpolation node (u + v <= d); and whether
+    each is an off-node letter that an index can reach
+    (d < u + v <= MAX_LEVEL), the only letters P is evaluated at."""
     u, v = np.divmod(np.arange(measures._WIDTH**2), measures._WIDTH)
     letters = np.append(measures._letters(d, u, v), 0j)
-    return letters, np.append(u + v <= d, True)
+    reach = np.append((d < u + v) & (u + v <= MAX_LEVEL), False)
+    return letters, np.append(u + v <= d, True), reach
 
 
 class TestSelectorSystem:
@@ -142,7 +148,7 @@ class TestSelectorSystem:
         values = npoly.polyval(nodes, coeffs)
         assert np.abs(values - targets).max() <= 1e-8
         assert coeffs[0] == 0  # point-mass weight vanishes exactly
-        letters, node = _letter_grid(d)
+        letters, node, _ = _letter_grid(d)
         cached = measures._selector_solution(d)
         for x, value in zip(letters[node], cached[node]):
             assert value == targets[nodes == x].item()
@@ -163,28 +169,33 @@ class TestSelectorSystem:
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than float64"
     )
-    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 24))
     def test_off_node_values_within_their_bound(self, d):
-        # P's Lagrange form in long double through the same float64 nodes;
-        # each cached off-node value lies within its a priori bound
-        # 4 n eps sum_i |t_i| of it (the float values missed by at most
-        # 8.4e-17, 0.13 of the bound, on an x86-64 80-bit long double)
+        """Each cached off-node value that an index can reach lies within
+        its a priori bound 4 n eps sum_i |t_i| of P's Lagrange form in long
+        double, through the same float64 nodes, with every |t_i| taken
+        there too: unscaled, below_i fits long double's exponent range at
+        every order, though not float64's from d = 14.
+
+        numpy's long double is the 80-bit x87 format (eps 1.1e-19) on
+        x86-64 only; on aarch64 Linux it is IEEE quad, which serves alike,
+        and where it is float64 (Windows, macOS on arm64) the test is
+        skipped. On x86-64 the float values missed by at most 1.8e-16, and
+        by at most 0.14 of their own bound; the largest bound rises from
+        1.26e-15 (d = 1) to 1.16e-14 (d = 23)."""
         nodes, targets = selector_nodes(d)
-        letters, node = _letter_grid(d)
-        x = letters[~node]
-        wide_nodes, wide_x = nodes.astype(np.clongdouble), x.astype(np.clongdouble)
-        exact = np.zeros(len(x), dtype=np.clongdouble)
-        bound = np.zeros(len(x))
-        for i in np.flatnonzero(targets):
-            others = np.delete(nodes, i)
-            exact += np.prod(wide_x[:, None] - np.delete(wide_nodes, i), axis=1) / np.prod(
-                wide_nodes[i] - np.delete(wide_nodes, i)
-            )
-            bound += np.abs(np.prod(x[:, None] - others, axis=1) / np.prod(nodes[i] - others))
-        bound *= 4 * len(nodes) * np.finfo(float).eps
-        cached = measures._selector_solution(d)[~node]
+        letters, _, reach = _letter_grid(d)
+        x, wide = letters[reach].astype(np.clongdouble), nodes.astype(np.clongdouble)
+        terms = [
+            np.prod(x[:, None] - np.delete(wide, i), axis=1)
+            / np.prod(wide[i] - np.delete(wide, i))
+            for i in np.flatnonzero(targets)
+        ]
+        exact = np.sum(terms, axis=0)
+        bound = 4 * len(nodes) * np.finfo(float).eps * np.abs(terms).sum(axis=0).astype(float)
+        cached = measures._selector_solution(d)[reach]
         assert (np.abs(cached.astype(np.clongdouble) - exact) <= bound).all()
-        assert bound.max() <= 3e-15
+        assert bound.max() <= 1.2e-14
 
     def test_rejects_unreachable_residual(self, monkeypatch):
         # no rounding bound is below 1e-30; the refused order is not cached
@@ -195,15 +206,45 @@ class TestSelectorSystem:
                 lemma1_measure(3, 2, [1, 2, 1], 3)
 
     def test_double_precision_limit(self):
-        # every order up to the d <= 6 cap is admitted; d = 7 is refused
-        # before any letter is evaluated
-        assert lemma1_measure(2, 6, [1] * 6, 6).spectrum.coeffs[2**6 - 1] == 1
-        with pytest.raises(GuardExceeded, match="order 7 exceeds the supported selector cap 6"):
-            lemma1_measure(2, 7, [1] * 7, 7)
+        # every order an admitted level can hold is admitted: each node
+        # letter holds its target and each reachable letter a finite value
+        # (unscaled, below_i underflowed to 0 from d = 14 and P read NaN);
+        # d = 24 fills every position of the largest level and evaluates no
+        # letter. d = 25 is refused before any letter is evaluated
+        v = np.arange(measures._WIDTH**2) % measures._WIDTH
+        for d in range(1, MAX_LEVEL + 1):
+            values = measures._selector_solution(d)
+            _, node, reach = _letter_grid(d)
+            assert values[node].tolist() == np.append(v == 0, False)[node].tolist()
+            assert np.isfinite(values[reach]).all() and np.isnan(values[~node & ~reach]).all()
+        assert lemma1_measure(2, 12, [1] * 12, 12).spectrum.coeffs[2**12 - 1] == 1
+
+        def refuse(*args):
+            raise AssertionError("a letter was evaluated before the order check")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_letters", refuse)
+            with pytest.raises(EmptyIndexSet, match="order 25 exceeds the 24 positions"):
+                lemma1_measure(2, 25, [1] * 24, 24)
 
     def test_order_guard(self):
-        with pytest.raises(GuardExceeded):
-            selector_nodes(7)
+        with pytest.raises(EmptyIndexSet, match="order 25 exceeds the 24 positions"):
+            selector_nodes(25)
+
+    @pytest.mark.parametrize("d", [1, 6, 12, 23])
+    def test_evaluates_only_reachable_letters(self, monkeypatch, d):
+        # P is evaluated at the off-node letters d < u+v <= MAX_LEVEL and at
+        # no letter past them, which no index of an admitted level reads
+        measures._selector_solution.cache_clear()
+        sums = []
+        letters = measures._letters
+        monkeypatch.setattr(
+            measures, "_letters", lambda d, u, v: sums.append(u + v) or letters(d, u, v)
+        )
+        measures._selector_solution(d)
+        at_nodes, evaluated = sums  # selector_nodes' call, then P's letters
+        assert at_nodes.max() == d
+        assert evaluated.min() == d + 1 and evaluated.max() == MAX_LEVEL
 
     def test_solved_once_per_order(self, monkeypatch):
         # P is evaluated once per order
@@ -234,8 +275,8 @@ class TestSelectorSystem:
 
         monkeypatch.setattr(measures, "is_self_conjugate", refuse)
         for _ in range(3):
-            with pytest.raises(GuardExceeded):
-                lemma1_measure(2, 7, [1] * 7, 7)
+            with pytest.raises(EmptyIndexSet):
+                lemma1_measure(2, 25, [1] * 24, 24)
             with pytest.raises(InvalidOrder):
                 lemma1_measure(2, 0, [1], 1)
 
@@ -275,11 +316,14 @@ class TestLemma1Measure:
         # every node letter takes its target: every matched order-d
         # coefficient is exactly 1 and every mismatched one exactly 0 (the
         # monomial route missed by up to 4e-11), at p = 2..16, d = 1..3 and
-        # levels d..7 up to 2^20 cells, and at p = 2, 3, 5, 7, d = 4..6 and
-        # levels d..d+2 up to 2^16 cells, two exponent sequences each
+        # levels d..7 up to 2^20 cells, at p = 2, 3, 5, 7, d = 4..6 and
+        # levels d..d+2 up to 2^16 cells, and at p = 2, 3, 5, d = 7, 8, 10,
+        # 12 and levels d..d+2 up to 2^20 cells (none at p = 5 from d = 10),
+        # two exponent sequences each
         rng = np.random.default_rng(30)
         grid = [(p, d, range(d, 8), 2**20) for p in range(2, 17) for d in (1, 2, 3)]
         grid += [(p, d, range(d, d + 3), 2**16) for p in (2, 3, 5, 7) for d in (4, 5, 6)]
+        grid += [(p, d, range(d, d + 3), 2**20) for p in (2, 3, 5) for d in (7, 8, 10, 12)]
         cases = 0
         for p, d, levels, cells in grid:
             for level in levels:
@@ -291,7 +335,7 @@ class TestLemma1Measure:
                     residual = lemma1_pattern_residual(nu, d, J, level - 1)
                     assert residual == (0.0, 0.0), (p, d, J)
                     cases += 1
-        assert cases == 2 * (225 + 27)
+        assert cases == 2 * (225 + 27 + 25)
 
     def test_variation_below_bound(self):
         nu = lemma1_measure(3, 2, [1, 2, 1, 2, 1], 5)

@@ -179,7 +179,7 @@ def test_non_finite_measure_fields_refused(tmp_path):
     for field, value in (
         ("variation", float("nan")),
         ("provenance", {"bound": float("inf")}),
-        ("provenance", {"c": {"complex_array": [[1.0, float("nan")]]}}),
+        ("provenance", {"c": [[1.0, float("nan")]]}),
         ("unknown", [0.0, {"x": float("-inf")}]),
     ):
         _write(path, dict(payload, **{field: value}))

@@ -671,11 +671,6 @@ def test_a_transform_past_float64_is_refused():
             forward(StepFunction(2, 1, [1e308, 1e308]))
 
 
-def test_integral():
-    f = StepFunction(2, 2, [4.0, 0.0, 0.0, 0.0])
-    assert f.integral() == pytest.approx(1.0)
-
-
 def test_only_the_sup_norm_core_passes_a_reach(monkeypatch):
     # forward and inverse hand the stage loop the full grid; the sup-norm
     # core is the one caller that hands it reached columns
