@@ -17,7 +17,6 @@ from .errors import (
     LevelMismatch,
     MalformedIndex,
     NonFiniteValue,
-    NotAChaosIndex,
 )
 from .padic import (
     ChaosTerm,

@@ -4,9 +4,9 @@ A polynomial is two aligned arrays: the Paley indices n = sum_i ls[i] p^ks[i]
 of its terms (int64) and their coefficients (complex128), kept in the
 canonical term order, lexicographic in (positions, exponents). Placement,
 projections and the decomposition identity are scatters and digit masks
-over these arrays; no per-term object is built on those paths. ``coeffs``
-offers the same data as a read-only ChaosTerm -> complex mapping, decoded
-on first use.
+over these arrays; no per-term object is built on those paths. A
+ChaosTerm -> complex mapping is read through `padic.encode_terms`, and
+``coeffs`` gives one back, decoded by `padic.decode_terms` on first use.
 
 A polynomial with top position N is constant on level-(N+1) cells, so its
 synthesis, sup-norm and every convolution identity below are exact finite
@@ -37,12 +37,14 @@ import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Number
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import check_covers, check_order
 from .errors import (
+    CoefficientOutOfRange,
     DegenerateInput,
     InvalidOrder,
     LevelMismatch,
@@ -54,10 +56,10 @@ from .padic import (
     ChaosTerm,
     _check_positions,
     _exponent_agrees,
+    decode_terms,
     digit_matrix,
+    encode_terms,
     exponent_match,
-    paley_decode,
-    paley_encode,
 )
 from .transform import (
     Spectrum,
@@ -80,15 +82,16 @@ class _TermMap(Mapping):
     never decodes.
     """
 
-    def __init__(self, p: int, indices, values) -> None:
-        self.p, self.indices, self.values = p, indices, values
+    def __init__(self, p: int, width: int, indices, values) -> None:
+        self.p, self.width, self.indices, self.values = p, width, indices, values
         self._terms: dict[ChaosTerm, complex] | None = None
 
     def _decoded(self) -> dict[ChaosTerm, complex]:
         if self._terms is None:
+            ks, ls = decode_terms(self.indices, self.p, self.width)
             self._terms = {
-                paley_decode(n, self.p): c
-                for n, c in zip(self.indices.tolist(), self.values.tolist())
+                ChaosTerm(tuple(k), tuple(l)): c
+                for k, l, c in zip(ks, ls, self.values.tolist())
             }
         return self._terms
 
@@ -123,8 +126,14 @@ def _canonical_order(digits: np.ndarray, orders: np.ndarray, p: int) -> np.ndarr
 
 
 def _finite_coefficients(values) -> np.ndarray:
-    """A complex128 copy of `values`, refused if any entry is NaN or inf."""
-    values = np.array(values, dtype=np.complex128)
+    """A complex128 copy of `values`, refused unless every entry is a finite
+    number; a string is refused, not parsed ('1' would run as 1)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biufc":
+        bad = [x for x in np.asarray(values, dtype=object).flat if not isinstance(x, Number)]
+        if bad:
+            raise CoefficientOutOfRange(f"coefficients must be numbers, got {bad[0]!r}")
+    values = array.astype(np.complex128)
     if not np.isfinite(values).all():
         raise NonFiniteValue("chaos coefficients must be finite")
     return values
@@ -160,23 +169,20 @@ class ChaosPolynomial:
         Q = object.__new__(cls)
         object.__setattr__(Q, "p", p)
         object.__setattr__(Q, "N", N)
-        Q._store(np.asarray(indices), np.asarray(values))
+        Q._store(np.asarray(indices), values)
         return Q
 
     def __post_init__(self) -> None:
-        _check_positions(self.p, self.N)
-        terms = list(self.coeffs)
-        for term in terms:
-            if term.max_position > self.N:
-                raise MalformedIndex(
-                    f"term positions {term.ks} exceed top position {self.N}"
-                )
-        indices = np.array([paley_encode(t, self.p) for t in terms], dtype=np.int64)
-        values = np.array([self.coeffs[t] for t in terms], dtype=np.complex128)
-        self._store(indices, values)
+        coeffs = self.coeffs
+        if not isinstance(coeffs, Mapping) or not all(isinstance(t, ChaosTerm) for t in coeffs):
+            raise MalformedIndex("coeffs must be a mapping with ChaosTerm keys")
+        terms = list(coeffs)
+        indices = encode_terms(self.p, self.N, [t.ks for t in terms], [t.ls for t in terms])
+        self._store(indices, [coeffs[t] for t in terms])
 
-    def _store(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Validate aligned index/value arrays and keep them in canonical order."""
+    def _store(self, indices: np.ndarray, values) -> None:
+        """Validate indices and aligned coefficients; keep them in canonical order."""
+        values = _finite_coefficients(values)
         if indices.ndim != 1 or values.shape != indices.shape:
             raise MalformedIndex("indices and values must be aligned 1-d arrays")
         if indices.size and indices.dtype.kind not in "iu":
@@ -187,7 +193,6 @@ class ChaosPolynomial:
                 f"(positions up to {self.N})"
             )
         indices = indices.astype(np.int64)
-        values = _finite_coefficients(values)
         digits = digit_matrix(indices, self.p, self.N + 1)
         orders = np.count_nonzero(digits, axis=1)
         if indices.size:
@@ -200,7 +205,7 @@ class ChaosPolynomial:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "_orders", orders)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "coeffs", _TermMap(self.p, indices, values))
+        object.__setattr__(self, "coeffs", _TermMap(self.p, self.N + 1, indices, values))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChaosPolynomial):

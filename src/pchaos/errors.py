@@ -9,10 +9,6 @@ class MalformedIndex(ChaosError):
     """An integer, digit expansion or term does not fit the requested shape."""
 
 
-class NotAChaosIndex(ChaosError):
-    """A Paley index has no chaos-term decomposition (for example 0)."""
-
-
 class LevelMismatch(ChaosError):
     """Two grid objects or sequences disagree on base or level."""
 

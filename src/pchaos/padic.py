@@ -14,6 +14,10 @@ Conventions fixed here and relied on everywhere else:
 A Paley index and a cell are plain ints everywhere. ``term_indices`` and
 ``digit_matrix`` are the array layer every hot path uses: whole index sets
 as int64 Paley values and their exponent digits, with no per-term object.
+``encode_terms`` and ``decode_terms`` are the one codec between terms
+(lists of positions and exponents) and int64 Paley indices. Each term rule
+is stated once: `_flat_terms` holds those that need no base or top
+position, which ``ChaosTerm`` also runs, and ``encode_terms`` the rest.
 ``ChaosTerm`` and ``group_sub`` are the scalar reference for single terms
 and cells. ``check_cell`` is the one guard on a cell, ``_check_positions``
 (run by ``check_chaos_order``) the one on a top position N, and the base,
@@ -27,19 +31,13 @@ call from any number of concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import check_base_level, check_int, check_natural, check_order
-from .errors import (
-    EmptyIndexSet,
-    GuardExceeded,
-    InvalidExponent,
-    MalformedIndex,
-    NotAChaosIndex,
-)
+from .errors import EmptyIndexSet, GuardExceeded, InvalidExponent, MalformedIndex
 
 
 def to_digits(n: int, p: int, length: int) -> tuple[int, ...]:
@@ -69,12 +67,8 @@ def from_digits(digits: Iterable[int], p: int) -> int:
 
 @dataclass(frozen=True, order=True)
 class ChaosTerm:
-    """One product term over positions ks with exponents ls.
-
-    Positions are strictly increasing; every exponent is at least 1. The
-    upper exponent bound depends on the base and is checked where a base is
-    available (encoding, polynomial construction).
-    """
+    """One product term over positions ks with exponents ls; construction
+    checks the term rules that need no base (`_flat_terms`)."""
 
     ks: tuple[int, ...]
     ls: tuple[int, ...]
@@ -84,45 +78,71 @@ class ChaosTerm:
         ls = tuple(check_int(l, "exponents must be integers") for l in self.ls)
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "ls", ls)
-        if len(self.ks) != len(self.ls):
-            raise MalformedIndex("position and exponent tuples differ in length")
-        if not self.ks:
-            raise MalformedIndex("a chaos term needs at least one position")
-        if self.ks[0] < 0 or any(a >= b for a, b in zip(self.ks, self.ks[1:])):
-            raise MalformedIndex("positions must be strictly increasing and non-negative")
-        if any(l < 1 for l in self.ls):
-            raise InvalidExponent("exponents must be at least 1")
+        _flat_terms([ks], [ls])
 
     @property
     def order(self) -> int:
         return len(self.ks)
 
-    @property
-    def max_position(self) -> int:
-        return self.ks[-1]
+
+def _flat_terms(ks, ls) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat int64 positions and exponents of the terms (ks[t], ls[t]) and
+    each term's offset in them, under the term rules that need no base or
+    top position: as many positions as exponents and at least one, values
+    within int64, positions strictly increasing and non-negative, exponents
+    at least 1. Integer values are the caller's rule."""
+    lengths = [len(k) for k in ks]
+    if lengths != [len(l) for l in ls]:
+        raise MalformedIndex("a term's positions and exponents differ in length")
+    if 0 in lengths:
+        raise MalformedIndex("a chaos term needs at least one position")
+    try:
+        positions = np.array(list(chain.from_iterable(ks)), dtype=np.int64)
+    except OverflowError:
+        raise MalformedIndex("a term position is out of the int64 range") from None
+    try:
+        exponents = np.array(list(chain.from_iterable(ls)), dtype=np.int64)
+    except OverflowError:
+        raise InvalidExponent("an exponent is out of the int64 range") from None
+    starts = np.cumsum([0] + lengths, dtype=np.int64)[:-1]
+    first = np.zeros(positions.size, dtype=bool)
+    first[starts] = True
+    if (positions < 0).any() or not (first[1:] | (positions[1:] > positions[:-1])).all():
+        raise MalformedIndex("term positions must be strictly increasing and non-negative")
+    if (exponents < 1).any():
+        raise InvalidExponent("exponents must be at least 1")
+    return positions, exponents, starts
+
+
+def encode_terms(p: int, N: int, ks, ls) -> np.ndarray:
+    """int64 Paley indices n = sum_i ls[t][i] p^ks[t][i] of the terms with
+    integer positions ks[t] and exponents ls[t], refused unless every term
+    passes the term rules: those of `_flat_terms`, positions at most N and
+    exponents below p. N is checked before any term is read."""
+    _check_positions(p, N)
+    positions, exponents, starts = _flat_terms(ks, ls)
+    if (positions > N).any():
+        raise MalformedIndex(f"a term position exceeds the top position {N}")
+    if (exponents >= p).any():
+        raise InvalidExponent(f"an exponent is out of range for base {p}")
+    return np.add.reduceat(exponents * np.int64(p) ** positions, starts)
+
+
+def decode_terms(indices: np.ndarray, p: int, width: int) -> tuple[list, list]:
+    """The positions and the exponents of each Paley index below p^width,
+    as two lists of int lists: its nonzero base-p digits and where they
+    sit, positions ascending. The inverse of `encode_terms`."""
+    digits = digit_matrix(indices, p, width)
+    rows, positions = np.nonzero(digits)  # row-major: positions ascend within a term
+    ks, ls = positions.tolist(), digits[rows, positions].tolist()
+    ends = np.cumsum(np.count_nonzero(digits, axis=1)).tolist()
+    spans = list(zip([0] + ends, ends))
+    return [ks[a:b] for a, b in spans], [ls[a:b] for a, b in spans]
 
 
 def paley_encode(term: ChaosTerm, p: int) -> int:
-    """Paley index of a term: n = sum_i ls[i] p^ks[i]."""
-    check_base_level(p, 0)
-    if any(l >= p for l in term.ls):
-        raise InvalidExponent(f"exponents {term.ls} out of range for base {p}")
-    return sum(l * p**k for k, l in zip(term.ks, term.ls))
-
-
-def paley_decode(n: int, p: int) -> ChaosTerm:
-    """Unique term whose exponents are the nonzero base-p digits of n."""
-    check_base_level(p, 0)
-    if check_natural(n) == 0:
-        raise NotAChaosIndex("0 is not a chaos index")
-    ks, ls, k = [], [], 0
-    while n:
-        n, l = divmod(n, p)
-        if l:
-            ks.append(k)
-            ls.append(l)
-        k += 1
-    return ChaosTerm(tuple(ks), tuple(ls))
+    """Paley index of one term: `encode_terms` with its last position as N."""
+    return int(encode_terms(p, term.ks[-1], [term.ks], [term.ls])[0])
 
 
 def check_cell(p: int, level: int, c: int) -> None:

@@ -16,14 +16,16 @@ Polynomial files:
     {"format_version": 1, "p": int, "N": int,
      "terms": [{"k": [...], "l": [...], "re": float, "im": float}, ...]}
 
-with terms sorted by (k, l). Every file is indented JSON with sorted keys,
-except that a top-level ``data`` array is written compactly on one line;
-any JSON layout loads, so indented ``data`` from older writers still does.
-Floats are emitted as their repr, so stored values round-trip exactly. A
-grid's ``data`` is not handed to json: `dump_json` fills one ``%`` format
-of "[%r,%r]" per cell from the flat float64 array, writing the bytes json
-would without a Python list per cell. Files are read as UTF-8, with the
-cyclic garbage collector paused while json parses (`_load_header`).
+with terms sorted by (k, l). A term that breaks a rule of
+`padic.encode_terms` is refused with that rule's error, after the path.
+Every file is indented JSON with sorted keys, except that a top-level
+``data`` array is written compactly on one line; any JSON layout loads,
+so indented ``data`` from older writers still does. Floats are emitted
+as their repr, so stored values round-trip exactly. A grid's ``data`` is
+not handed to json: `dump_json` fills one ``%`` format of "[%r,%r]" per
+cell from the flat float64 array, writing the bytes json would without a
+Python list per cell. Files are read as UTF-8, with the cyclic garbage
+collector paused while json parses (`_load_header`).
 Every number must be finite: NaN and infinity are not written (they are
 not JSON); a NaN or Infinity token anywhere in a file, an overflowing
 literal (1e999) in ``data`` or a term, and a JSON boolean where a number
@@ -40,16 +42,15 @@ import gc
 import json
 import os
 import tempfile
-from itertools import chain
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .chaos import ChaosPolynomial
 from .config import check_base_level
-from .errors import FormatError, InvalidExponent, MalformedIndex
+from .errors import ChaosError, FormatError
 from .measures import MeasureRep
-from .padic import _check_positions, digit_matrix
+from .padic import _check_positions, decode_terms, encode_terms
 from .transform import Spectrum, StepFunction
 
 FORMAT_VERSION = 1
@@ -233,30 +234,28 @@ def load_grid(path: str) -> StepFunction | Spectrum:
     """Load either grid kind; the payload's 'kind' field decides the type."""
     payload, (p, level) = _load_header(path, "p", "level")
     kind = _require(payload, "kind", path)
+    if kind not in ("cells", "paley"):
+        raise FormatError(f"{path}: unknown kind {kind!r} (expected 'cells' or 'paley')")
     check_base_level(p, level)
     data = _decode_array(_require(payload, "data", path), p**level, path)
-    if kind == "cells":
-        return StepFunction(p, level, data)
-    if kind == "paley":
-        return Spectrum(p, level, data)
-    raise FormatError(f"{path}: unknown kind {kind!r} (expected 'cells' or 'paley')")
+    return StepFunction(p, level, data) if kind == "cells" else Spectrum(p, level, data)
 
 
 def save_polynomial(path: str, Q: ChaosPolynomial, extras: dict | None = None) -> None:
-    digits = digit_matrix(Q.indices, Q.p, Q.N + 1)
-    rows, positions = np.nonzero(digits)  # row-major: positions ascend within a term
-    ks, ls = positions.tolist(), digits[rows, positions].tolist()
-    ends = np.cumsum(np.count_nonzero(digits, axis=1)).tolist()
+    ks, ls = decode_terms(Q.indices, Q.p, Q.N + 1)
     terms = [
-        {"k": ks[a:b], "l": ls[a:b], "re": re, "im": im}
-        for a, b, (re, im) in zip([0] + ends, ends, _encode_array(Q.values))
+        {"k": k, "l": l, "re": re, "im": im}
+        for k, l, (re, im) in zip(ks, ls, _encode_array(Q.values))
     ]
     own = {"format_version": FORMAT_VERSION, "p": Q.p, "N": Q.N, "terms": terms}
     write_json_atomic(path, dict(extras or {}) | own)
 
 
 def load_polynomial(path: str) -> ChaosPolynomial:
+    """Load a polynomial file: its own rules (fields, JSON integers, finite
+    numbers, no term listed twice) are FormatErrors; its terms are encoded."""
     payload, (p, N) = _load_header(path, "p", "N")
+    _check_positions(p, N)
     raw_terms = _require(payload, "terms", path)
     if not isinstance(raw_terms, list):
         raise FormatError(f"{path}: field 'terms' must be a list")
@@ -273,33 +272,11 @@ def load_polynomial(path: str) -> ChaosPolynomial:
             raise FormatError(f"{path}: terms[{i}] positions and exponents must be integers")
         ks.append(k)
         ls.append(l)
-    lengths = np.array([len(k) for k in ks], dtype=np.int64)
-    if not np.array_equal(lengths, [len(l) for l in ls]):
-        raise MalformedIndex(f"{path}: a term's positions and exponents differ in length")
-    if lengths.size and lengths.min() == 0:
-        raise MalformedIndex(f"{path}: a chaos term needs at least one position")
-    starts = np.cumsum(lengths) - lengths
-    try:
-        positions = np.array(list(chain.from_iterable(ks)), dtype=np.int64)
-    except OverflowError:
-        raise MalformedIndex(f"{path}: a term position is out of range") from None
-    try:
-        exponents = np.array(list(chain.from_iterable(ls)), dtype=np.int64)
-    except OverflowError:
-        raise InvalidExponent(f"{path}: an exponent is out of range for base {p}") from None
-    first = np.zeros(positions.size, dtype=bool)
-    first[starts] = True
-    if (positions < 0).any() or not (first[1:] | (positions[1:] > positions[:-1])).all():
-        raise MalformedIndex(f"{path}: term positions must be strictly increasing and non-negative")
-    if (exponents < 1).any():
-        raise InvalidExponent(f"{path}: exponents must be at least 1")
     values = _decode_array(pairs, len(pairs), path, "terms")
-    _check_positions(p, N)
-    if (positions > N).any():
-        raise MalformedIndex(f"{path}: a term position exceeds the top position {N}")
-    if (exponents >= p).any():
-        raise InvalidExponent(f"{path}: an exponent is out of range for base {p}")
-    indices = np.add.reduceat(exponents * np.int64(p) ** positions, starts)
+    try:
+        indices = encode_terms(p, N, ks, ls)
+    except ChaosError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     ordered = np.sort(indices)
     if (ordered[1:] == ordered[:-1]).any():
         raise FormatError(f"{path}: a term is listed more than once")

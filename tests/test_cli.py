@@ -752,7 +752,7 @@ PUBLIC_NAMES = [
     "DegenerateInput", "EmptyIndexSet",
     "ExperimentConfig", "FormatError", "GuardExceeded", "IllConditionedSystem",
     "InsufficientLevel", "InvalidExponent", "InvalidOrder", "LevelMismatch", "MalformedIndex",
-    "MeasureRep", "NonFiniteValue", "NotAChaosIndex", "Spectrum", "StepFunction",
+    "MeasureRep", "NonFiniteValue", "Spectrum", "StepFunction",
     "character_value", "convolve", "convolve_functions", "convolve_with_measure",
     "decomposition_residual", "forward", "group_sub", "growth_study", "inverse",
     "lemma1_measure", "lemma1_pattern_residual", "lemma2_measure",

@@ -12,8 +12,11 @@ import pytest
 from pchaos import (
     ChaosPolynomial,
     ChaosTerm,
+    ChaosError,
+    CoefficientOutOfRange,
     GuardExceeded,
     InsufficientLevel,
+    InvalidExponent,
     InvalidOrder,
     MalformedIndex,
     Spectrum,
@@ -34,7 +37,7 @@ from pchaos import (
 )
 from pchaos.experiments import ExperimentConfig
 from pchaos.measures import selector_nodes
-from pchaos.padic import check_cell, from_digits, paley_decode, paley_encode, to_digits
+from pchaos.padic import check_cell, encode_terms, from_digits, paley_encode, to_digits
 from pchaos.serialization import load_polynomial
 
 
@@ -46,7 +49,7 @@ def _base_entry_points(p):
         "to_digits": lambda: to_digits(1, p, 2),
         "from_digits": lambda: from_digits((1,), p),
         "paley_encode": lambda: paley_encode(ChaosTerm((0,), (1,)), p),
-        "paley_decode": lambda: paley_decode(1, p),
+        "encode_terms": lambda: encode_terms(p, 1, [[0]], [[1]]),
         "check_cell": lambda: check_cell(p, 1, 0),
         "character_value": lambda: character_value(1, p, 1, 0),
         "StepFunction": lambda: StepFunction(p, 1, [0.0, 0.0]),
@@ -107,6 +110,8 @@ def _top_position_entry_points(N):
         "term_indices": lambda: term_indices(2, 1, N),
         "random_chaos": lambda: random_chaos(2, 1, N, np.random.default_rng(0)),
         "from_indices": lambda: ChaosPolynomial.from_indices(2, N, [1], [1.0]),
+        "ChaosPolynomial": lambda: ChaosPolynomial(2, N, {ChaosTerm((0,), (1,)): 1.0}),
+        "encode_terms": lambda: encode_terms(2, N, [[0]], [[1]]),
         "lemma1_pattern_residual": lambda: lemma1_pattern_residual(nu1, 1, [1] * 3, N),
         "lemma2_pattern_residual": lambda: lemma2_pattern_residual(nu2, 1, 1, N),
         "verify_suite": lambda: verify_suite([2], [1], N),
@@ -143,7 +148,6 @@ def _natural_entry_points(n):
     value read as digits), at p=2."""
     return {
         "to_digits": lambda: to_digits(n, 2, 3),
-        "paley_decode": lambda: paley_decode(n, 2),
         "character_value": lambda: character_value(n, 2, 2, 0),
     }
 
@@ -230,6 +234,119 @@ def test_every_entry_point_refuses_a_bad_input_alike(entry_points, error, messag
             call()
         refusals[name] = (type(info.value), str(info.value))
     assert refusals == {name: (error, message) for name in refusals}
+
+
+def _load_polynomial_term(ks, ls):
+    """load_polynomial on a p=3, N=2 file whose one term is (ks, ls); a
+    refusal is raised again without the file's path, which must prefix it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poly.json")
+        term = {"k": ks, "l": ls, "re": 1.0, "im": 0.0}
+        with open(path, "w") as f:
+            json.dump({"format_version": 1, "p": 3, "N": 2, "terms": [term]}, f)
+        try:
+            return load_polynomial(path)
+        except ChaosError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: "), message
+            raise type(exc)(message[len(path) + 2:]) from None
+
+
+def _term_entry_points(ks, ls, structural):
+    """Every entry point that takes the term (ks, ls), at p=3 and N=2. A
+    structural rule (one that needs no base or top position) is met by
+    ChaosTerm, so the mapping constructor never sees the term; a rule on
+    the base or N is met by the mapping constructor and `paley_encode`."""
+    entry_points = {
+        "load_polynomial": lambda: _load_polynomial_term(list(ks), list(ls)),
+        "encode_terms": lambda: encode_terms(3, 2, [ks], [ls]),
+    }
+    if structural:
+        entry_points["ChaosTerm"] = lambda: ChaosTerm(ks, ls)
+    else:
+        entry_points["ChaosPolynomial"] = lambda: ChaosPolynomial(3, 2, {ChaosTerm(ks, ls): 1.0})
+        if max(ks) <= 2:  # paley_encode takes the term's last position as N
+            entry_points["paley_encode"] = lambda: paley_encode(ChaosTerm(ks, ls), 3)
+    return entry_points
+
+
+# (case, positions, exponents, structural, exception type, message)
+_TERM_RULES = [
+    ("lengths-differ", (0, 1), (1,), True, MalformedIndex,
+     "a term's positions and exponents differ in length"),
+    ("no-position", (), (), True, MalformedIndex, "a chaos term needs at least one position"),
+    ("position-int64", (0, 10**30), (1, 1), True, MalformedIndex,
+     "a term position is out of the int64 range"),
+    ("exponent-int64", (0,), (10**30,), True, InvalidExponent,
+     "an exponent is out of the int64 range"),
+    ("exponent-negative-int64", (0,), (-(10**30),), True, InvalidExponent,
+     "an exponent is out of the int64 range"),
+    ("positions-decreasing", (1, 0), (1, 1), True, MalformedIndex,
+     "term positions must be strictly increasing and non-negative"),
+    ("positions-repeated", (2, 2), (1, 1), True, MalformedIndex,
+     "term positions must be strictly increasing and non-negative"),
+    ("position-negative", (-1,), (1,), True, MalformedIndex,
+     "term positions must be strictly increasing and non-negative"),
+    ("exponent-0", (0,), (0,), True, InvalidExponent, "exponents must be at least 1"),
+    ("exponent-negative", (0, 1), (1, -1), True, InvalidExponent, "exponents must be at least 1"),
+    ("position-past-N", (0, 3), (1, 1), False, MalformedIndex,
+     "a term position exceeds the top position 2"),
+    ("exponent-past-base", (0, 1), (1, 3), False, InvalidExponent,
+     "an exponent is out of range for base 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "ks, ls, structural, error, message",
+    [rule[1:] for rule in _TERM_RULES],
+    ids=[rule[0] for rule in _TERM_RULES],
+)
+def test_every_entry_point_refuses_a_bad_term_alike(ks, ls, structural, error, message):
+    # the loader, ChaosTerm and the mapping constructor each stated these
+    # rules in their own words: a position past N was "term positions (0, 3)
+    # exceed top position 2" to the mapping constructor, and an exponent
+    # past the base "exponents (1, 3) out of range for base 3" to it and to
+    # paley_encode
+    refusals = {}
+    for name, call in _term_entry_points(ks, ls, structural).items():
+        with pytest.raises(ChaosError) as info:
+            call()
+        refusals[name] = (type(info.value), str(info.value))
+    assert refusals == {name: (error, message) for name in refusals}
+
+
+_TERM = ChaosTerm((0,), (1,))
+
+# (case, call, exception type, message)
+_MALFORMED_POLYNOMIALS = [
+    ("key-not-a-term", lambda: ChaosPolynomial(2, 2, {(0,): 1}), MalformedIndex,
+     "coeffs must be a mapping with ChaosTerm keys"),
+    ("coeffs-a-list", lambda: ChaosPolynomial(2, 2, [_TERM]), MalformedIndex,
+     "coeffs must be a mapping with ChaosTerm keys"),
+    ("mapping-str", lambda: ChaosPolynomial(2, 2, {_TERM: "x"}), CoefficientOutOfRange,
+     "coefficients must be numbers, got 'x'"),
+    ("mapping-mixed", lambda: ChaosPolynomial(2, 2, {_TERM: 1, ChaosTerm((1,), (1,)): "x"}),
+     CoefficientOutOfRange, "coefficients must be numbers, got 'x'"),
+    ("indices-str", lambda: ChaosPolynomial.from_indices(2, 2, [1], ["a"]),
+     CoefficientOutOfRange, "coefficients must be numbers, got 'a'"),
+    ("indices-numeric-str", lambda: ChaosPolynomial.from_indices(2, 2, [1], ["1"]),
+     CoefficientOutOfRange, "coefficients must be numbers, got '1'"),
+    ("indices-none", lambda: ChaosPolynomial.from_indices(2, 2, [1], [None]),
+     CoefficientOutOfRange, "coefficients must be numbers, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [case[1:] for case in _MALFORMED_POLYNOMIALS],
+    ids=[case[0] for case in _MALFORMED_POLYNOMIALS],
+)
+def test_malformed_polynomial_input_is_a_typed_refusal(call, error, message):
+    # these escaped as AttributeError, TypeError and ValueError, and "1"
+    # was parsed as the coefficient 1 and None run as NaN
+    with pytest.raises(ChaosError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def _cell_guard_entry_points(p):

@@ -13,21 +13,21 @@ from pchaos import (
     EmptyIndexSet,
     GuardExceeded,
     MalformedIndex,
-    NotAChaosIndex,
     group_sub,
     paley_encode,
     term_indices,
 )
 from pchaos.padic import (
     check_cell,
+    decode_terms,
     digit_matrix,
+    encode_terms,
     exponent_match,
     from_digits,
-    paley_decode,
     to_digits,
 )
 
-from oracles import chaos_terms
+from oracles import chaos_terms, paley_decode
 
 
 @pytest.mark.parametrize(
@@ -61,10 +61,10 @@ def test_paley_encode(p, ks, ls, value):
 
 
 def test_paley_decode():
-    term = paley_decode(6, 3)
-    assert term.ks == (1,) and term.ls == (2,)
-    with pytest.raises(NotAChaosIndex):
-        paley_decode(0, 3)
+    # the library's one decoder on literal indices, and the scalar reference
+    assert decode_terms(np.array([6, 19, 1]), 3, 3) == ([[1], [0, 2], [0]], [[2], [1, 2], [1]])
+    assert paley_decode(6, 3) == ChaosTerm((1,), (2,))
+    assert decode_terms(np.zeros(0, dtype=np.int64), 3, 3) == ([], [])
 
 
 @settings(max_examples=200, deadline=None)
@@ -83,7 +83,10 @@ def test_paley_round_trip(data):
         data.draw(st.integers(min_value=1, max_value=p - 1)) for _ in range(d)
     )
     term = ChaosTerm(ks, ls)
-    assert paley_decode(paley_encode(term, p), p) == term
+    n = paley_encode(term, p)
+    assert paley_decode(n, p) == term
+    assert decode_terms(encode_terms(p, 10, [ks], [ls]), p, 11) == ([list(ks)], [list(ls)])
+    assert encode_terms(p, 10, [ks], [ls]).tolist() == [n]
 
 
 def test_scalar_digit_functions_refuse_what_is_not_an_integer():

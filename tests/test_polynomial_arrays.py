@@ -23,9 +23,7 @@ from pchaos import (
     random_chaos,
     term_indices,
 )
-from pchaos.padic import paley_decode
-
-from oracles import chaos_terms
+from oracles import chaos_terms, paley_decode
 
 
 @pytest.mark.parametrize("p,d,N", [(2, 3, 3), (3, 2, 3), (5, 2, 2)])

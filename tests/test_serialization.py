@@ -193,6 +193,16 @@ def test_guard_runs_before_size(tmp_path):
     _write(path, {"format_version": 1, "kind": "paley", "p": 2, "level": 30, "data": []})
     with pytest.raises(GuardExceeded):
         ser.load_grid(path)
+    # an unknown kind is refused before its data is decoded, and a top
+    # position past the int64 range before any term is read: these were
+    # the data's and the term's refusals
+    _write(path, {"format_version": 1, "kind": "x", "p": 2, "level": 1, "data": [[0, "a"]] * 2})
+    with pytest.raises(FormatError, match="unknown kind 'x'"):
+        ser.load_grid(path)
+    term = {"k": [1, 0], "l": [1, 1], "re": "a", "im": 0.0}
+    _write(path, {"format_version": 1, "p": 2, "N": 63, "terms": [term]})
+    with pytest.raises(GuardExceeded, match="2\\^64 Paley indices exceed the int64 range"):
+        ser.load_polynomial(path)
 
 
 def test_non_finite_polynomial_refused(tmp_path):
